@@ -55,7 +55,6 @@ from .workload import (
     active_set,
     generate_workload,
     read_workload,
-    scale_deadlines,
     write_workload,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "read_workload",
     "run_simulation",
     "sample_sd_pairs",
-    "scale_deadlines",
     "solve_lexicographic",
     "solve_max_total",
     "solve_single_pair_edr",

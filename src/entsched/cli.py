@@ -47,7 +47,8 @@ EXIT_INVARIANT = 3
 
 SWEEP_AXES = ("arrival-rate", "mean-demand", "graph-size", "deadline-factor", "kappa")
 
-# network and workload scale behind the --paper-scale flag
+# network and workload scale behind the --paper-scale flag; it replaces
+# the sweep's defaults, so every flag given explicitly still wins
 PRESET = {
     "nodes": 20,
     "alpha": 0.8,
@@ -67,6 +68,11 @@ PRESET = {
     "kappa": 1,
     "seeds": "1,2,3,4,5",
 }
+
+# the sweep's base configuration, in the order results.json records it
+BASE_KEYS = ("nodes", "alpha", "beta", "cap_lo", "cap_hi", "p", "q", "sd_count", "rate",
+             "mean_demand", "min_demand", "horizon", "deadline_mu", "deadline_halfwidth",
+             "deadline_factor", "kappa", "cascade_depth", "max_buffer_age", "horizon_cap")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,6 +147,8 @@ def build_parser() -> _Parser:
     _workload_args(sweep)
     _protocol_args(sweep)
     sweep.add_argument("--out-dir", required=True)
+    # main() installs the --paper-scale preset as this parser's defaults
+    parser.sweep_parser = sweep
 
     check = subs.add_parser("check-solution", help="validate a saved rate plan")
     check.add_argument("--net", required=True)
@@ -150,14 +158,30 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _deadline_spec(args) -> DeadlineSpec | None:
-    if args.deadline_mu is None:
-        return None
-    return DeadlineSpec(
-        mu=args.deadline_mu,
-        halfwidth=args.deadline_halfwidth,
-        factor=args.deadline_factor,
+def _network(params: dict, seed: int, sd_seed: int):
+    net = generate_waxman(
+        params["nodes"], alpha=params["alpha"], beta=params["beta"],
+        cap_lo=params["cap_lo"], cap_hi=params["cap_hi"],
+        p=params["p"], q=params["q"], seed=seed,
     )
+    return sample_sd_pairs(net, params["sd_count"], seed=sd_seed)
+
+
+def _workload_config(params: dict) -> WorkloadConfig:
+    deadline = None
+    if params["deadline_mu"] is not None:
+        deadline = DeadlineSpec(params["deadline_mu"], params["deadline_halfwidth"],
+                                params["deadline_factor"])
+    return WorkloadConfig(
+        rate=params["rate"], mean_demand=params["mean_demand"],
+        min_demand=params["min_demand"], horizon=params["horizon"],
+        deadline=deadline,
+    )
+
+
+def _protocol_config(params: dict) -> ProtocolConfig:
+    return ProtocolConfig(cascade_depth=params["cascade_depth"],
+                          max_buffer_age=params["max_buffer_age"])
 
 
 def _load_net(path: str):
@@ -168,12 +192,7 @@ def _load_net(path: str):
 
 
 def cmd_gen_topology(args) -> int:
-    net = generate_waxman(
-        args.nodes, alpha=args.alpha, beta=args.beta,
-        cap_lo=args.cap_lo, cap_hi=args.cap_hi,
-        p=args.p, q=args.q, seed=args.seed,
-    )
-    net = sample_sd_pairs(net, args.sd_count, seed=child_int(args.seed, "sd-pairs"))
+    net = _network(vars(args), args.seed, child_int(args.seed, "sd-pairs"))
     write_network(net, args.out)
     print(f"wrote {args.out}: {len(net.nodes)} nodes, "
           f"{len(net.links)} links, {len(net.sd_pairs)} sd pairs")
@@ -184,14 +203,7 @@ def cmd_gen_workload(args) -> int:
     net = _load_net(args.net)
     if not net.sd_pairs:
         raise ValidationError(f"network {args.net} declares no SD pairs")
-    cfg = WorkloadConfig(
-        rate=args.rate,
-        mean_demand=args.mean_demand,
-        min_demand=args.min_demand,
-        horizon=args.horizon,
-        deadline=_deadline_spec(args),
-    )
-    commodities = generate_workload(cfg, net.sorted_sd, seed=args.seed)
+    commodities = generate_workload(_workload_config(vars(args)), net.sorted_sd, seed=args.seed)
     write_workload(commodities, args.out)
     print(f"wrote {args.out}: {len(commodities)} commodities over {args.horizon} slots")
     return EXIT_OK
@@ -204,10 +216,6 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read workload {args.workload}: {exc}") from exc
 
-    config = ProtocolConfig(
-        cascade_depth=args.cascade_depth,
-        max_buffer_age=args.max_buffer_age,
-    )
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     trace = None
     if trace_fh is not None:
@@ -216,7 +224,7 @@ def cmd_simulate(args) -> int:
         result = run_simulation(
             net, commodities, args.policy,
             kappa=args.kappa, seed=args.seed,
-            horizon_cap=args.horizon_cap, config=config, trace=trace,
+            horizon_cap=args.horizon_cap, config=_protocol_config(vars(args)), trace=trace,
         )
     finally:
         if trace_fh is not None:
@@ -264,36 +272,8 @@ def _parse_seeds(raw: str) -> list[int]:
     return seeds
 
 
-def _supplied_flags(argv: list[str]) -> set[str]:
-    return {
-        tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for tok in argv
-        if tok.startswith("--")
-    }
-
-
 def _base_params(args) -> dict:
-    base = {
-        "nodes": args.nodes, "alpha": args.alpha, "beta": args.beta,
-        "cap_lo": args.cap_lo, "cap_hi": args.cap_hi, "p": args.p, "q": args.q,
-        "sd_count": args.sd_count,
-        "rate": args.rate, "mean_demand": args.mean_demand,
-        "min_demand": args.min_demand, "horizon": args.horizon,
-        "deadline_mu": args.deadline_mu,
-        "deadline_halfwidth": args.deadline_halfwidth,
-        "deadline_factor": args.deadline_factor,
-        "kappa": args.kappa,
-        "cascade_depth": args.cascade_depth,
-        "max_buffer_age": args.max_buffer_age,
-        "horizon_cap": args.horizon_cap,
-    }
-    if args.paper_scale:
-        # preset fills every knob the invocation did not set explicitly
-        supplied = _supplied_flags(args.raw_argv)
-        for key, value in PRESET.items():
-            if key in base and key not in supplied:
-                base[key] = value
-    return base
+    return {key: getattr(args, key) for key in BASE_KEYS}
 
 
 def _apply_axis(base: dict, axis: str, value) -> dict:
@@ -318,39 +298,17 @@ def run_sweep_case(spec: dict) -> dict:
         "seed": spec["seed"],
     }
     try:
-        net = generate_waxman(
-            params["nodes"], alpha=params["alpha"], beta=params["beta"],
-            cap_lo=params["cap_lo"], cap_hi=params["cap_hi"],
-            p=params["p"], q=params["q"],
-            seed=child_int(spec["seed"], "topology", params["nodes"]),
-        )
-        net = sample_sd_pairs(
-            net, params["sd_count"], seed=child_int(spec["seed"], "sd-pairs")
-        )
-        deadline = None
-        if params["deadline_mu"] is not None:
-            deadline = DeadlineSpec(
-                mu=params["deadline_mu"],
-                halfwidth=params["deadline_halfwidth"],
-                factor=params["deadline_factor"],
-            )
-        cfg = WorkloadConfig(
-            rate=params["rate"], mean_demand=params["mean_demand"],
-            min_demand=params["min_demand"], horizon=params["horizon"],
-            deadline=deadline,
-        )
+        net = _network(params, child_int(spec["seed"], "topology", params["nodes"]),
+                       child_int(spec["seed"], "sd-pairs"))
         commodities = generate_workload(
-            cfg, net.sorted_sd, seed=child_int(spec["seed"], "workload")
+            _workload_config(params), net.sorted_sd, seed=child_int(spec["seed"], "workload")
         )
         result = run_simulation(
             net, commodities, spec["policy"],
             kappa=params["kappa"],
             seed=child_int(spec["seed"], "protocol"),
             horizon_cap=params["horizon_cap"],
-            config=ProtocolConfig(
-                cascade_depth=params["cascade_depth"],
-                max_buffer_age=params["max_buffer_age"],
-            ),
+            config=_protocol_config(params),
         )
     except Exception as exc:  # recorded, not fatal to the sweep
         record["status"] = "error"
@@ -385,8 +343,6 @@ def _aggregate(records: list[dict], values: list, policies: list[str], metric: s
 
 def cmd_sweep(args) -> int:
     values = _parse_values(args.axis, args.values)
-    if args.paper_scale and "seeds" not in _supplied_flags(args.raw_argv):
-        args.seeds = PRESET["seeds"]
     seeds = _parse_seeds(args.seeds)
     policies = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     for policy in policies:
@@ -403,19 +359,8 @@ def cmd_sweep(args) -> int:
     # validate the base configuration before any file is written
     for value in values:
         params = _apply_axis(base, args.axis, value)
-        WorkloadConfig(
-            rate=params["rate"], mean_demand=params["mean_demand"],
-            min_demand=params["min_demand"], horizon=params["horizon"],
-            deadline=(
-                DeadlineSpec(params["deadline_mu"], params["deadline_halfwidth"],
-                             params["deadline_factor"])
-                if params["deadline_mu"] is not None else None
-            ),
-        )
-        ProtocolConfig(
-            cascade_depth=params["cascade_depth"],
-            max_buffer_age=params["max_buffer_age"],
-        )
+        _workload_config(params)
+        _protocol_config(params)
         if params["nodes"] < 1 or params["kappa"] < 1:
             raise ValidationError(f"bad axis value {value} for {args.axis}")
 
@@ -476,13 +421,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.raw_argv = list(sys.argv[1:] if argv is None else argv)
+    if args.command == "sweep" and args.paper_scale:
+        parser.sweep_parser.set_defaults(**PRESET)
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, GenerationFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValidationError, GenerationFailed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

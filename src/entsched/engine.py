@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import lp
 from .protocol import (
     DIST_EDF,
     DIST_SJF,
@@ -100,9 +99,10 @@ def run_simulation(
     """
     if horizon_cap < 0:
         raise ValidationError(f"horizon_cap must be >= 0, got {horizon_cap}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     _validate_inputs(net, commodities)
     started = time.perf_counter()
-    solves_at_start = lp.SOLVE_COUNT
 
     work = [c.fresh_copy() for c in commodities]
     state: SchedulerState = new_state(net, policy, kappa)
@@ -176,7 +176,7 @@ def run_simulation(
         avg_completion_time=avg_completion,
         unfinished=sum(1 for c in work if c.status in (PENDING, ACTIVE)),
         n_commodities=len(work),
-        solver_calls=lp.SOLVE_COUNT - solves_at_start,
+        solver_calls=state.model.solves,
         slots=slot,
         wall_ms=(time.perf_counter() - started) * 1000.0,
     )

@@ -37,18 +37,12 @@ _STATUS_MAP = {
     3: LpStatus.UNBOUNDED,
 }
 
-# total linprog invocations in this process; runs snapshot the delta
-SOLVE_COUNT = 0
-
-
 class ScipyHighsBackend:
     """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, bounds."""
 
     name = "scipy-highs"
 
     def solve(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
-        global SOLVE_COUNT
-        SOLVE_COUNT += 1
         res = linprog(
             c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
             bounds=bounds, method="highs",

@@ -24,7 +24,7 @@ not, because buffered ebits between non-adjacent nodes are still usable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -103,11 +103,11 @@ class RateSolution:
         return {pair: sum(v for _, v in lst) for pair, lst in self.outflow.items()}
 
     @cached_property
-    def swap_triples(self) -> tuple[tuple[NodePair, int, tuple, tuple, float], ...]:
-        """Executable swaps: (produced, node, left key, right key, coupled flow).
+    def swap_triples(self) -> tuple[tuple[NodePair, int, tuple, tuple], ...]:
+        """Executable swaps: (produced, node, left key, right key).
 
         A swap is executable only when both staged lanes carry positive
-        planned flow; the coupled flow is their common value.
+        planned flow.
         """
         out = []
         for produced, entries in sorted(self.inflow.items()):
@@ -121,7 +121,7 @@ class RateSolution:
                 if True in sides and False in sides:
                     (key_l, v_l), (key_r, v_r) = sides[True], sides[False]
                     if v_l > 0 and v_r > 0:
-                        out.append((produced, k, key_l, key_r, min(v_l, v_r)))
+                        out.append((produced, k, key_l, key_r))
         return tuple(out)
 
 
@@ -152,17 +152,16 @@ class MredModel:
     Column layout: all staged-flow variables, then link usage, then one
     surplus column per node pair. Equality rows: staged-lane symmetry
     (one per produced pair and swap node), then one balance row per pair.
+    `solves` counts the LP solves run on this model.
     """
 
-    def __init__(self, net: Network, prune: bool = False):
+    def __init__(self, net: Network):
         self.net = net
+        self.solves = 0
         nodes = net.nodes
         pairs = net.all_pairs()
         self.pairs = pairs
         pidx = {pr: i for i, pr in enumerate(pairs)}
-        self._pidx = pidx
-
-        reach = self._reachable_pairs() if prune else None
 
         f_keys: list[tuple[NodePair, NodePair]] = []
         f_produced: list[int] = []
@@ -175,8 +174,6 @@ class MredModel:
                     continue
                 left = canonical_pair(produced.lo, k)
                 right = canonical_pair(k, produced.hi)
-                if reach is not None and not (left in reach and right in reach):
-                    continue
                 col_l = len(f_keys)
                 f_keys.append((left, produced))
                 f_produced.append(pidx[produced])
@@ -237,43 +234,6 @@ class MredModel:
         bounds[nf:nf + ng, 1] = 1.0
         # surplus columns stay pinned at zero unless freed per solve
         self._base_bounds = bounds
-        self._arrays = (fp, fc, qh)
-
-    def _reachable_pairs(self) -> set[NodePair]:
-        # closure of pairs that can carry ebits: links, then swap products
-        reach = set(self.net.links)
-        nodes = self.net.nodes
-        pending = [pr for pr in self.net.all_pairs() if pr not in reach]
-        changed = True
-        while changed:
-            changed = False
-            still = []
-            for pr in pending:
-                hit = any(
-                    canonical_pair(pr.lo, k) in reach and canonical_pair(k, pr.hi) in reach
-                    for k in nodes if k != pr.lo and k != pr.hi
-                )
-                if hit:
-                    reach.add(pr)
-                    changed = True
-                else:
-                    still.append(pr)
-            pending = still
-        return reach
-
-    def rate_expr(self, pair: NodePair) -> dict[int, float]:
-        """Column coefficients of (input - output) for `pair`, surplus excluded."""
-        fp, fc, qh = self._arrays
-        i = self._pidx[pair]
-        expr: dict[int, float] = {}
-        for j in np.flatnonzero(fp == i):
-            expr[int(j)] = expr.get(int(j), 0.0) + float(qh[j])
-        for j in np.flatnonzero(fc == i):
-            expr[int(j)] = expr.get(int(j), 0.0) - 1.0
-        link = self.net.links.get(pair)
-        if link is not None:
-            expr[self.g_col[pair]] = link.capacity * link.p
-        return expr
 
     def _assemble_ub(self, extra_ub, ncols):
         if not extra_ub:
@@ -322,6 +282,7 @@ class MredModel:
         for col, w in (objective or {}).items():
             c[col] = -w
         A_ub, b_ub = self._assemble_ub(extra_ub, ncols)
+        self.solves += 1
         res = lp.solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=self.b_eq, bounds=bounds)
         if res.objective is not None:
             res = lp.LpResult(status=res.status, x=res.x, objective=-res.objective)
@@ -355,9 +316,9 @@ class MredModel:
         return RateSolution(f=f, g=g, eta=eta, objective_log=tuple(objective_log))
 
 
-def build_mred(net: Network, prune: bool = False) -> MredModel:
+def build_mred(net: Network) -> MredModel:
     """Construct the reusable LP model for `net`."""
-    return MredModel(net, prune=prune)
+    return MredModel(net)
 
 
 def _model_for(net: Network, model: MredModel | None) -> MredModel:
@@ -406,15 +367,14 @@ def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel | None = 
 def solve_lexicographic(
     net: Network,
     priority: Sequence[NodePair],
-    work_conserve: bool = True,
     model: MredModel | None = None,
 ) -> RateSolution:
     """Maximize SD surpluses one at a time in priority order.
 
     Each stage maximizes one pair's surplus with all earlier stages held
-    at their achieved values (within a relative slack). When
-    `work_conserve` is set, a final stage maximizes the total surplus
-    over the whole SD set so leftover capacity is not wasted.
+    at their achieved values (within a relative slack). A final stage
+    maximizes the total surplus over the whole SD set so leftover
+    capacity is not wasted.
     """
     prio = [canonical_pair(p[0], p[1]) for p in priority]
     if len(set(prio)) != len(prio):
@@ -423,12 +383,11 @@ def solve_lexicographic(
         if pr not in net.sd_pairs:
             raise ValidationError(f"priority pair {pr} is not an SD pair")
     if not prio:
-        return solve_max_total(net, model) if work_conserve else zero_solution()
+        return solve_max_total(net, model)
 
     m = _model_for(net, model)
     fixed: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
-    last = None
     for pr in prio:
         col = m.eta_col[pr]
         res = m.solve({col: 1.0}, extra_ub=fixed)
@@ -436,20 +395,16 @@ def solve_lexicographic(
         v = res.objective
         log.append((f"eta[{pr}]", v))
         fixed.append(({col: -1.0}, -(v - _lex_eps(v))))
-        last = res
-    if work_conserve:
-        total_obj = {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}
-        res = m.solve(total_obj, extra_ub=fixed)
-        _require_optimal(res, "work-conservation stage")
-        log.append(("total", res.objective))
-        last = res
-    return m.extract(last.x, log)
+    total_obj = {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}
+    res = m.solve(total_obj, extra_ub=fixed)
+    _require_optimal(res, "work-conservation stage")
+    log.append(("total", res.objective))
+    return m.extract(res.x, log)
 
 
 def build_and_check_mred_dc(
     net: Network,
     prioritized: Sequence[tuple[NodePair, float, float]],
-    etas_linked: bool = True,
     model: MredModel | None = None,
     refine: bool = True,
 ) -> RateSolution | None:
@@ -462,11 +417,9 @@ def build_and_check_mred_dc(
     the constrained program is infeasible; an empty list degenerates to
     the plain fair max-total solve.
 
-    `etas_linked` chooses between expressing the prefix constraints on
-    the surplus columns (default) or inline on the balance expressions;
-    both give the same program. `refine=False` skips the second stage
-    that steers the optimum toward the prioritized pairs; use it for
-    cheap feasibility probes where only the verdict matters.
+    `refine=False` skips the second stage that steers the optimum toward
+    the prioritized pairs; use it for cheap feasibility probes where only
+    the verdict matters.
     """
     entries = []
     for sd, theta, delta in prioritized:
@@ -488,11 +441,11 @@ def build_and_check_mred_dc(
 
     rows: list[tuple[dict[int, float], float]] = []
     for sd in sorted(groups):
-        expr = {m.eta_col[sd]: 1.0} if etas_linked else m.rate_expr(sd)
+        col = m.eta_col[sd]
         cum = 0.0
         for theta, delta in sorted(groups[sd], key=lambda td: td[1]):
             cum += theta
-            rows.append(({col: -delta * w for col, w in expr.items()}, -cum))
+            rows.append(({col: -delta}, -cum))
 
     total_obj = {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}
     r1 = m.solve(total_obj, extra_ub=rows)
@@ -506,13 +459,7 @@ def build_and_check_mred_dc(
     # among max-total optima prefer feeding the prioritized pairs, so the
     # executed plan concentrates on the admitted deadlines
     fixed = rows + [({col: -1.0 for col in total_obj}, -(v - _lex_eps(v)))]
-    if etas_linked:
-        prio_obj = {m.eta_col[sd]: 1.0 for sd in groups}
-    else:
-        prio_obj = {}
-        for sd in groups:
-            for col, w in m.rate_expr(sd).items():
-                prio_obj[col] = prio_obj.get(col, 0.0) + w
+    prio_obj = {m.eta_col[sd]: 1.0 for sd in groups}
     r2 = m.solve(prio_obj, extra_ub=fixed)
     _require_optimal(r2, "deadline preference stage")
     return m.extract(r2.x, [("total", v), ("priority_total", r2.objective)])
@@ -521,7 +468,7 @@ def build_and_check_mred_dc(
 def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> dict:
     """Residual report for a rate plan against the balance constraints."""
     pair_asym = 0.0
-    for produced, k, key_l, key_r, _ in sol.swap_triples:
+    for produced, k, key_l, key_r in sol.swap_triples:
         pair_asym = max(pair_asym, abs(sol.f.get(key_l, 0.0) - sol.f.get(key_r, 0.0)))
     # triples where only one side is present are pure asymmetry
     seen_lanes: dict[tuple[NodePair, int], list[float]] = {}

@@ -361,7 +361,7 @@ def phase_swap(
     successes = 0
     for _ in range(config.cascade_depth):
         products: list[tuple[NodePair, int, int]] = []
-        for produced, k, key_l, key_r, _flow in plan.swap_triples:
+        for produced, k, key_l, key_r in plan.swap_triples:
             w = min(state.stage_total(key_l), state.stage_total(key_r))
             if w <= 0:
                 continue

@@ -17,7 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -206,6 +206,8 @@ def generate_waxman(
         raise ValidationError(f"capacity range [{cap_lo}, {cap_hi}] invalid")
     if not 0 < p <= 1 or not 0 < q <= 1:
         raise ValidationError("p and q must lie in (0, 1]")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     node_list = [(v, q) for v in range(n)]
@@ -262,9 +264,11 @@ def from_json(obj: dict) -> Network:
         nodes = [(entry["id"], entry["q"]) for entry in obj["nodes"]]
         links = [(e["u"], e["v"], e["c"], e["p"]) for e in obj.get("links", [])]
         sd = [tuple(pairxy) for pairxy in obj.get("sd_pairs", [])]
-    except (KeyError, TypeError) as exc:
+        return build_manual(nodes, links, sd)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network object: {exc}") from exc
-    return build_manual(nodes, links, sd)
 
 
 def write_network(net: Network, path: str) -> None:

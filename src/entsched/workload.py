@@ -111,6 +111,8 @@ def generate_workload(
     universe = sorted(set(sd_universe))
     if not universe:
         raise ValidationError("sd universe must be non-empty")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     out: list[Commodity] = []
     for slot in range(1, cfg.horizon + 1):
@@ -151,19 +153,6 @@ def active_set(commodities: Iterable[Commodity], slot: int) -> list[Commodity]:
     return active
 
 
-def scale_deadlines(commodities: Iterable[Commodity], factor: float) -> list[Commodity]:
-    """Fresh copies with each lifetime (deadline - arrival) scaled by `factor`."""
-    if factor <= 0:
-        raise ValidationError(f"deadline factor {factor} must be > 0")
-    out = []
-    for c in commodities:
-        dl = c.deadline
-        if dl is not None:
-            dl = c.arrival + round_half_up(factor * (dl - c.arrival))
-        out.append(Commodity(id=c.id, sd=c.sd, demand=c.demand, arrival=c.arrival, deadline=dl))
-    return out
-
-
 def write_workload(commodities: Iterable[Commodity], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for c in commodities:
@@ -188,6 +177,8 @@ def read_workload(path: str) -> list[Commodity]:
                     demand=int(obj["d"]), arrival=int(obj["a"]),
                     deadline=None if obj.get("deadline") is None else int(obj["deadline"]),
                 ))
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            except ValidationError:
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed workload line: {line!r}") from exc
     return out

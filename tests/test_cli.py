@@ -207,17 +207,78 @@ def test_sweep_validation_errors(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_paper_scale_fills_unset_knobs():
-    parser = cli.build_parser()
-    argv = [
-        "sweep", "--axis", "kappa", "--values", "1,2", "--paper-scale",
-        "--mean-demand", "40", "--out-dir", "unused",
-    ]
-    args = parser.parse_args(argv)
-    args.raw_argv = argv
-    base = cli._base_params(args)
-    assert base["mean_demand"] == 40.0     # explicit flag wins
-    assert base["nodes"] == 20             # preset fills the rest
-    assert base["cap_hi"] == 10
-    assert base["deadline_mu"] == 0.4
-    assert base["rate"] == 1.0
+def _paper_sweep(tmp_path, sub, *extra):
+    out_dir = tmp_path / sub
+    assert cli.main([
+        "sweep", "--axis", "kappa", "--values", "1", "--paper-scale",
+        "--policies", "ESDI-B", "--nodes", "4", "--horizon", "1", *extra,
+        "--out-dir", str(out_dir),
+    ]) == 0
+    return json.loads((out_dir / "results.json").read_text())
+
+
+def test_paper_scale_fills_unset_knobs(tmp_path):
+    spellings = (["--mean-demand", "40"], ["--mean-demand=40"], ["--mean-dem", "40"])
+    for i, spelling in enumerate(spellings):
+        payload = _paper_sweep(tmp_path, f"s{i}", *spelling)
+        base = payload["base"]
+        assert base["mean_demand"] == 40.0, spelling    # explicit flags win
+        assert base["nodes"] == 4
+        assert base["cap_hi"] == 10                     # preset fills the rest
+        assert base["deadline_mu"] == 0.4
+        assert base["rate"] == 1.0
+        assert payload["seeds"] == [1, 2, 3, 4, 5]
+    assert _paper_sweep(tmp_path, "seeded", "--seeds", "7")["seeds"] == [7]
+
+
+def _assert_config_error(rc, capsys):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_gen_topology_negative_seed_is_config_error(tmp_path, capsys):
+    rc = cli.main(["gen-topology", "--seed", "-1", "--out", str(tmp_path / "net.json")])
+    _assert_config_error(rc, capsys)
+
+
+def test_gen_workload_negative_seed_is_config_error(tmp_path, capsys):
+    net_path = _gen_net(tmp_path)
+    capsys.readouterr()
+    rc = cli.main([
+        "gen-workload", "--net", str(net_path), "--seed", "-1",
+        "--out", str(tmp_path / "load.jsonl"),
+    ])
+    _assert_config_error(rc, capsys)
+
+
+def test_simulate_negative_seed_is_config_error(tmp_path, capsys):
+    net_path = _gen_net(tmp_path)
+    load_path = _gen_load(tmp_path, net_path)
+    capsys.readouterr()
+    rc = cli.main([
+        "simulate", "--net", str(net_path), "--workload", str(load_path),
+        "--policy", "ESDI-B", "--seed", "-1",
+    ])
+    _assert_config_error(rc, capsys)
+
+
+def test_simulate_non_integer_demand_is_config_error(tmp_path, capsys):
+    net_path = _gen_net(tmp_path)
+    load_path = tmp_path / "bad.jsonl"
+    load_path.write_text('{"id": 0, "s": 0, "t": 1, "d": "x", "a": 1, "deadline": null}\n')
+    capsys.readouterr()
+    rc = cli.main([
+        "simulate", "--net", str(net_path), "--workload", str(load_path), "--policy", "ESDI-B",
+    ])
+    _assert_config_error(rc, capsys)
+
+
+def test_non_integer_node_id_is_config_error(tmp_path, capsys):
+    net_path = tmp_path / "bad.json"
+    net_path.write_text(json.dumps({
+        "nodes": [{"id": "a", "q": 0.9}, {"id": 1, "q": 0.9}],
+        "links": [], "sd_pairs": [],
+    }))
+    rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
+    _assert_config_error(rc, capsys)

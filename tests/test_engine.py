@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import star_net
+from entsched import lp
 from entsched.engine import ConservationError, RunMetrics, RunResult, run_simulation
 from entsched.protocol import ProtocolConfig
 from entsched.scheduler import POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
@@ -122,7 +123,30 @@ def test_input_validation(star):
     with pytest.raises(ValidationError):
         run_simulation(star, [], POLICY_BASELINE, horizon_cap=-1)
     with pytest.raises(ValidationError):
+        run_simulation(star, [], POLICY_BASELINE, seed=-1)
+    with pytest.raises(ValidationError):
         run_simulation(star, [], "ESDI-Z")
+
+
+def test_solver_calls_count_the_runs_backend_solves(star):
+    inner = lp.get_backend()
+    calls = []
+
+    class CountingBackend:
+        name = "counting"
+
+        def solve(self, c, **kwargs):
+            calls.append(1)
+            return inner.solve(c, **kwargs)
+
+    lp.set_backend(CountingBackend())
+    try:
+        demands = [_c(0, AB, 6, deadline=4), _c(1, AD, 6, deadline=6)]
+        result = run_simulation(star, demands, POLICY_DEADLINE, seed=3)
+    finally:
+        lp.set_backend(inner)
+    assert calls
+    assert result.metrics.solver_calls == len(calls)
 
 
 def test_trace_hook_reports_each_slot(star):

@@ -87,10 +87,9 @@ def test_swap_triples_requires_both_lanes():
     )
     triples = sol.swap_triples
     assert len(triples) == 1
-    produced, k, key_l, key_r, flow = triples[0]
+    produced, k, key_l, key_r = triples[0]
     assert produced == P(0, 2) and k == 1
     assert key_l == (P(0, 1), P(0, 2)) and key_r == (P(1, 2), P(0, 2))
-    assert flow == pytest.approx(1.0)
 
 
 # -- model construction -------------------------------------------------------
@@ -306,14 +305,11 @@ def test_dc_validates_entries(star):
         build_and_check_mred_dc(star, [(P(1, 3), 3, 4)])
 
 
-def test_dc_inline_formulation_agrees(star):
-    linked = build_and_check_mred_dc(star, [(P(0, 1), 6, 4)], etas_linked=True)
-    inline = build_and_check_mred_dc(star, [(P(0, 1), 6, 4)], etas_linked=False)
-    assert linked is not None and inline is not None
-    assert dict(linked.objective_log)["total"] == pytest.approx(
-        dict(inline.objective_log)["total"], abs=1e-6)
-    assert build_and_check_mred_dc(
-        star, [(P(0, 1), 6, 4), (P(0, 3), 6, 6)], etas_linked=False) is None
+def test_dc_feasible_alone_infeasible_together(star):
+    alone = build_and_check_mred_dc(star, [(P(0, 1), 6, 4)])
+    assert alone is not None
+    assert alone.eta[P(0, 1)] * 4 >= 6 - 1e-6
+    assert build_and_check_mred_dc(star, [(P(0, 1), 6, 4), (P(0, 3), 6, 6)]) is None
 
 
 def test_dc_subsets_of_feasible_stay_feasible(star):
@@ -339,16 +335,6 @@ def test_solver_outputs_validate_on_random_networks():
         first_sd = net.sorted_sd[0]
         lex = solve_lexicographic(net, [first_sd])
         assert check_solution(net, lex)["ok"], seed
-
-
-def test_prune_preserves_optimum():
-    for seed in (0, 1, 2):
-        net = _random_net(seed, n=6, sd_count=2)
-        full = solve_max_total(net)
-        pruned_model = build_mred(net, prune=True)
-        pruned = solve_max_total(net, pruned_model)
-        assert dict(full.objective_log)["total"] == pytest.approx(
-            dict(pruned.objective_log)["total"], abs=1e-6)
 
 
 def test_constrained_totals_never_exceed_relaxation(star):

@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import star_net
-from entsched import lp
 from entsched.scheduler import (
     POLICY_BASELINE,
     POLICY_DEADLINE,
@@ -63,10 +62,10 @@ def test_unchanged_fingerprint_skips_resolve():
     both = [_c(0, AB, 6), _c(1, AD, 6)]
     plan, fresh = framework_step(state, both, slot=1)
     assert fresh
-    before = lp.SOLVE_COUNT
+    before = state.model.solves
     again, fresh = framework_step(state, list(reversed(both)), slot=2)
     assert again is plan and not fresh
-    assert lp.SOLVE_COUNT == before
+    assert state.model.solves == before
     assert len(state.events) == 1
 
 
@@ -123,9 +122,9 @@ def test_ordered_truncates_priority_to_kappa():
 def test_edr_cache_avoids_repeat_solves():
     state = new_state(star_net(), POLICY_ORDERED)
     first = single_pair_rate(state, AB)
-    before = lp.SOLVE_COUNT
+    before = state.model.solves
     assert single_pair_rate(state, AB) == first
-    assert lp.SOLVE_COUNT == before
+    assert state.model.solves == before
 
 
 def test_deadline_admits_tightest_first():

@@ -15,7 +15,6 @@ from entsched.workload import (
     generate_workload,
     read_workload,
     round_half_up,
-    scale_deadlines,
     write_workload,
 )
 
@@ -46,6 +45,8 @@ def test_config_validation():
         DeadlineSpec(mu=0.1, halfwidth=0.2)
     with pytest.raises(ValidationError):
         DeadlineSpec(mu=0.4, halfwidth=0.1, factor=0.0)
+    with pytest.raises(ValidationError):
+        generate_workload(_cfg(), UNIVERSE, seed=-1)
 
 
 def test_generate_respects_floors_and_windows():
@@ -135,17 +136,6 @@ def test_active_set_marks_active():
     c = Commodity(id=0, sd=NodePair(0, 1), demand=4, arrival=2, deadline=9)
     active_set([c], 2)
     assert c.status == ACTIVE
-
-
-def test_scale_deadlines():
-    c = Commodity(id=0, sd=NodePair(0, 1), demand=10, arrival=3, deadline=7)
-    doubled = scale_deadlines([c], 2.0)[0]
-    assert doubled.deadline == 3 + 8
-    assert doubled is not c and c.deadline == 7
-    untouched = scale_deadlines([Commodity(id=1, sd=NodePair(0, 1), demand=2, arrival=1)], 2.0)[0]
-    assert untouched.deadline is None
-    with pytest.raises(ValidationError):
-        scale_deadlines([c], 0.0)
 
 
 def test_workload_jsonl_round_trip(tmp_path):
