@@ -5,20 +5,21 @@ rate (ebits made available) and output rate (ebits consumed by swaps):
 
 * a link pair gains ``capacity * p * g`` from generation, where
   ``g in [0, 1]`` is the planned fraction of link capacity to use;
-* pair m:n gains ``q_k / 2 * (f[m:k -> m:n] + f[k:n -> m:n])`` from
-  swapping at node k, where the two staged flows are constrained equal
-  (a swap consumes one ebit from each side);
+* pair m:n gains ``q_k * w`` from swapping at node k, where ``w`` is the
+  planned rate of that swap; each attempt consumes one m:k and one k:n
+  ebit, so ``w`` is also the flow staged on each of the two lanes;
 * pair m:n loses whatever its own ebits feed into other swaps.
 
 Pairs outside the source-destination set must balance exactly; SD pairs
 may run a surplus, and that surplus is their end-to-end rate ``eta``.
 The surplus variables are materialized as one LP column per pair, pinned
 to zero for non-SD pairs, which lets a single factorized model serve
-whole-set, prioritized, and single-pair solves by swapping bounds.
+whole-set, prioritized, and single-pair solves by swapping bounds. The
+equality rows are the per-pair balance rows and nothing else.
 
-Variables scale as |V|^3 with node count: every (consumed, produced)
-pair combination sharing exactly one endpoint gets a column, links or
-not, because buffered ebits between non-adjacent nodes are still usable.
+Swap columns scale as |V|^3 / 2 with node count: every (produced pair,
+swap node) combination gets one, links or not, because buffered ebits
+between non-adjacent nodes are still usable.
 """
 
 from __future__ import annotations
@@ -149,10 +150,12 @@ def output_rate(pair: NodePair, sol: RateSolution) -> float:
 class MredModel:
     """Sparse constraint matrices for one network, reusable across solves.
 
-    Column layout: all staged-flow variables, then link usage, then one
-    surplus column per node pair. Equality rows: staged-lane symmetry
-    (one per produced pair and swap node), then one balance row per pair.
-    `solves` counts the LP solves run on this model.
+    Column layout: one swap column per (produced pair, swap node), then
+    link usage, then one surplus column per node pair. A swap column's
+    value is the swap's rate, which is also the staged flow of each of
+    its two lanes: it adds ``q_k`` to the produced pair's balance row and
+    takes 1 from each lane pair's row. Equality rows: one balance row per
+    pair. `solves` counts the LP solves run on this model.
     """
 
     def __init__(self, net: Network):
@@ -163,71 +166,45 @@ class MredModel:
         self.pairs = pairs
         pidx = {pr: i for i, pr in enumerate(pairs)}
 
-        f_keys: list[tuple[NodePair, NodePair]] = []
-        f_produced: list[int] = []
-        f_consumed: list[int] = []
-        f_qhalf: list[float] = []
-        couples: list[tuple[int, int]] = []
+        # per swap column: its two RateSolution.f keys (left lane, right lane)
+        swap_keys: list[tuple[tuple[NodePair, NodePair], tuple[NodePair, NodePair]]] = []
+        swap_rows: list[tuple[int, int, int]] = []
+        swap_q: list[float] = []
         for produced in pairs:
             for k in nodes:
                 if k == produced.lo or k == produced.hi:
                     continue
                 left = canonical_pair(produced.lo, k)
                 right = canonical_pair(k, produced.hi)
-                col_l = len(f_keys)
-                f_keys.append((left, produced))
-                f_produced.append(pidx[produced])
-                f_consumed.append(pidx[left])
-                f_qhalf.append(0.5 * net.q[k])
-                col_r = len(f_keys)
-                f_keys.append((right, produced))
-                f_produced.append(pidx[produced])
-                f_consumed.append(pidx[right])
-                f_qhalf.append(0.5 * net.q[k])
-                couples.append((col_l, col_r))
+                swap_keys.append(((left, produced), (right, produced)))
+                swap_rows.append((pidx[produced], pidx[left], pidx[right]))
+                swap_q.append(net.q[k])
 
-        nf = len(f_keys)
+        nf = len(swap_keys)
         ng = len(net.sorted_links)
         npair = len(pairs)
-        self.f_keys = f_keys
-        self.f_col = {key: j for j, key in enumerate(f_keys)}
+        self.swap_keys = swap_keys
         self.g_col = {lk: nf + j for j, lk in enumerate(net.sorted_links)}
         self.eta_col = {pr: nf + ng + j for j, pr in enumerate(pairs)}
         self.ncols = nf + ng + npair
         self.n_f_vars = nf
         self.n_g_vars = ng
-        self.n_pairing_rows = len(couples)
         self.n_balance_rows = npair
 
-        fp = np.asarray(f_produced, dtype=np.int64)
-        fc = np.asarray(f_consumed, dtype=np.int64)
-        qh = np.asarray(f_qhalf)
-        fcols = np.arange(nf, dtype=np.int64)
-
-        # staged-lane symmetry rows: left flow == right flow
-        cp = np.asarray(couples, dtype=np.int64).reshape(-1, 2)
-        rows = [np.repeat(np.arange(len(couples), dtype=np.int64), 2)]
-        cols = [cp.ravel()]
-        vals = [np.tile([1.0, -1.0], len(couples))]
-
         # balance rows: input - output - surplus = 0
-        base = len(couples)
-        rows += [base + fp, base + fc]
-        cols += [fcols, fcols]
-        vals += [qh, -np.ones(nf)]
-        link_rows = np.array([base + pidx[lk] for lk in net.sorted_links], dtype=np.int64)
-        link_cols = np.array([self.g_col[lk] for lk in net.sorted_links], dtype=np.int64)
+        sr = np.asarray(swap_rows, dtype=np.int64).reshape(-1, 3)
+        fcols = np.arange(nf, dtype=np.int64)
+        link_rows = np.array([pidx[lk] for lk in net.sorted_links], dtype=np.int64)
         link_vals = np.array([net.links[lk].capacity * net.links[lk].p for lk in net.sorted_links])
-        rows += [link_rows, base + np.arange(npair, dtype=np.int64)]
-        cols += [link_cols, nf + ng + np.arange(npair, dtype=np.int64)]
-        vals += [link_vals, -np.ones(npair)]
-
-        nrows = base + npair
+        rows = [sr[:, 0], sr[:, 1], sr[:, 2], link_rows, np.arange(npair, dtype=np.int64)]
+        cols = [fcols, fcols, fcols, nf + np.arange(ng, dtype=np.int64),
+                nf + ng + np.arange(npair, dtype=np.int64)]
+        vals = [np.asarray(swap_q), -np.ones(nf), -np.ones(nf), link_vals, -np.ones(npair)]
         self.A_eq = sparse.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nrows, self.ncols),
+            shape=(npair, self.ncols),
         ).tocsr()
-        self.b_eq = np.zeros(nrows)
+        self.b_eq = np.zeros(npair)
 
         bounds = np.zeros((self.ncols, 2))
         bounds[:nf, 1] = np.inf
@@ -288,19 +265,12 @@ class MredModel:
             res = lp.LpResult(status=res.status, x=res.x, objective=-res.objective)
         return res
 
-    def extract(
-        self,
-        x: np.ndarray,
-        objective_log: Iterable[tuple[str, float]],
-        eta_free: Iterable[NodePair] | None = None,
-    ) -> RateSolution:
-        free = set(eta_free) if eta_free is not None else set(self.net.sd_pairs)
-        nf = self.n_f_vars
-
+    def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
         f = {}
-        fv = x[:nf]
+        fv = x[:self.n_f_vars]
         for j in np.flatnonzero((fv > DROP_TOL) | (fv < -NEG_CLAMP)):
-            f[self.f_keys[j]] = float(fv[j])
+            for key in self.swap_keys[j]:
+                f[key] = float(fv[j])
         g = {}
         for lk, col in self.g_col.items():
             v = _clean(float(x[col]))
@@ -309,7 +279,7 @@ class MredModel:
             if v != 0.0:
                 g[lk] = v
         eta = {}
-        for pr in sorted(free):
+        for pr in self.net.sorted_sd:
             v = _clean(float(x[self.eta_col[pr]]))
             if v != 0.0:
                 eta[pr] = v
@@ -522,6 +492,8 @@ def solution_to_json(sol: RateSolution) -> dict:
 
 
 def solution_from_json(obj: dict) -> RateSolution:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"solution must be a JSON object, got {type(obj).__name__}")
     try:
         f = {
             (canonical_pair(clo, chi), canonical_pair(plo, phi)): float(v)

@@ -72,12 +72,11 @@ class DeadlineSpec:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.halfwidth < 0 or self.mu - self.halfwidth <= 0:
-            raise ValidationError(
-                f"deadline window [{self.mu - self.halfwidth}, {self.mu + self.halfwidth}] must stay positive"
-            )
-        if self.factor <= 0:
-            raise ValidationError(f"deadline factor {self.factor} must be > 0")
+        lo, hi = self.mu - self.halfwidth, self.mu + self.halfwidth
+        if not (math.isfinite(lo) and math.isfinite(hi)) or self.halfwidth < 0 or lo <= 0:
+            raise ValidationError(f"deadline window [{lo}, {hi}] must be finite and stay positive")
+        if not math.isfinite(self.factor) or self.factor <= 0:
+            raise ValidationError(f"deadline factor {self.factor} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,10 @@ class WorkloadConfig:
     deadline: DeadlineSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValidationError(f"arrival rate {self.rate} must be >= 0")
-        if self.mean_demand <= 0:
-            raise ValidationError(f"mean demand {self.mean_demand} must be > 0")
+        if not math.isfinite(self.rate) or self.rate < 0:
+            raise ValidationError(f"arrival rate {self.rate} must be finite and >= 0")
+        if not math.isfinite(self.mean_demand) or self.mean_demand <= 0:
+            raise ValidationError(f"mean demand {self.mean_demand} must be finite and > 0")
         if self.min_demand < 1:
             raise ValidationError(f"min demand {self.min_demand} must be >= 1")
         if self.horizon < 0:

@@ -132,6 +132,15 @@ def test_check_solution_ok_and_tampered(tmp_path, capsys):
     ]) == 3
 
 
+def test_check_solution_non_object_is_config_error(tmp_path, capsys):
+    net_path = _gen_net(tmp_path)
+    sol_path = tmp_path / "plan.json"
+    sol_path.write_text("[1, 2]")
+    capsys.readouterr()
+    rc = cli.main(["check-solution", "--net", str(net_path), "--solution", str(sol_path)])
+    _assert_config_error(rc, capsys)
+
+
 def _sweep(tmp_path, sub, extra=()):
     out_dir = tmp_path / sub
     rc = cli.main([
@@ -205,6 +214,13 @@ def test_sweep_validation_errors(tmp_path, capsys):
     assert cli.main(["sweep", "--axis", "kappa", "--values", "1",
                      "--policies", "NOPE", "--out-dir", str(tmp_path / "z")]) == 1
     assert not (tmp_path / "x").exists()
+    for axis, extra in (("arrival-rate", []), ("mean-demand", []),
+                        ("deadline-factor", ["--deadline-mu", "0.4"])):
+        for value in ("nan", "inf"):
+            out_dir = tmp_path / f"{axis}-{value}"
+            assert cli.main(["sweep", "--axis", axis, "--values", value, *extra,
+                             "--nodes", "4", "--horizon", "3", "--out-dir", str(out_dir)]) == 1
+            assert not out_dir.exists()
 
 
 def _paper_sweep(tmp_path, sub, *extra):

@@ -96,11 +96,11 @@ def test_swap_triples_requires_both_lanes():
 
 def test_model_counts_on_star(star):
     model = build_mred(star)
-    # every (produced pair, swap node) combination yields two lanes
-    assert model.n_f_vars == 4 * 3 * 2
+    # every (produced pair, swap node) combination yields one swap column
+    assert model.n_f_vars == 6 * 2
     assert model.n_g_vars == 3
-    assert model.n_pairing_rows == 6 * 2
     assert model.n_balance_rows == 6
+    assert model.A_eq.shape == (6, 12 + 3 + 6)
     assert len(model.eta_col) == 6
 
 
@@ -204,6 +204,59 @@ def test_three_hop_matches_independent_enumeration():
     assert got == pytest.approx(oracle, abs=1e-7)
     # two sequential merges at 0.9 each over unit-rate links
     assert got == pytest.approx(0.729, abs=1e-6)
+
+
+def _two_lane_optimum(net, objective_pairs, free_pairs):
+    """Reference optimum of the two-lane formulation, built densely.
+
+    Each (produced pair, swap node) gets a left and a right lane column
+    holding the flow staged from each side, plus an equality row forcing
+    the two lanes equal. Each lane adds q_k / 2 to the produced pair's
+    balance row and takes its flow from its own pair's row.
+    """
+    pairs = net.all_pairs()
+    row = {pr: i for i, pr in enumerate(pairs)}
+    lanes = []
+    for produced in pairs:
+        for k in net.nodes:
+            if k not in (produced.lo, produced.hi):
+                lanes.append((P(produced.lo, k), produced, k))
+                lanes.append((P(k, produced.hi), produced, k))
+    links = net.sorted_links
+    nl, ng, nsym = len(lanes), len(links), len(lanes) // 2
+    A = np.zeros((nsym + len(pairs), nl + ng + len(pairs)))
+    for s in range(nsym):
+        A[s, 2 * s], A[s, 2 * s + 1] = 1.0, -1.0
+    for j, (consumed, produced, k) in enumerate(lanes):
+        A[nsym + row[produced], j] += 0.5 * net.q[k]
+        A[nsym + row[consumed], j] -= 1.0
+    for j, lk in enumerate(links):
+        A[nsym + row[lk], nl + j] = net.links[lk].capacity * net.links[lk].p
+    for i in range(len(pairs)):
+        A[nsym + i, nl + ng + i] = -1.0
+    c = np.zeros(A.shape[1])
+    for pr in objective_pairs:
+        c[nl + ng + row[pr]] = -1.0
+    bounds = ([(0, None)] * nl + [(0, 1)] * ng
+              + [(0, None if pr in free_pairs else 0) for pr in pairs])
+    res = linprog(c, A_eq=A, b_eq=np.zeros(A.shape[0]), bounds=bounds, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_swap_columns_match_two_lane_reference(seed):
+    net = _random_net(seed, n=6 + seed % 3)
+    sd = net.sorted_sd
+
+    def same(got, want):
+        assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+    same(dict(solve_max_total(net).objective_log)["total"], _two_lane_optimum(net, sd, sd))
+    for pr in sd:
+        same(solve_single_pair_edr(net, pr), _two_lane_optimum(net, [pr], [pr]))
+    first = solve_lexicographic(net, [sd[-1]]).objective_log[0][1]
+    same(first, _two_lane_optimum(net, [sd[-1]], sd))
 
 
 # -- lexicographic ------------------------------------------------------------

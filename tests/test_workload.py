@@ -47,6 +47,17 @@ def test_config_validation():
         DeadlineSpec(mu=0.4, halfwidth=0.1, factor=0.0)
     with pytest.raises(ValidationError):
         generate_workload(_cfg(), UNIVERSE, seed=-1)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError):
+            _cfg(rate=bad)
+        with pytest.raises(ValidationError):
+            _cfg(mean_demand=bad)
+        with pytest.raises(ValidationError):
+            DeadlineSpec(mu=bad, halfwidth=0.1)
+        with pytest.raises(ValidationError):
+            DeadlineSpec(mu=0.4, halfwidth=bad)
+        with pytest.raises(ValidationError):
+            DeadlineSpec(mu=0.4, halfwidth=0.1, factor=bad)
 
 
 def test_generate_respects_floors_and_windows():
