@@ -17,11 +17,9 @@ from .mred import (
     check_solution,
     input_rate,
     output_rate,
-    read_solution,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
-    write_solution,
 )
 from .protocol import BufferState, ProtocolConfig, SlotRng
 from .scheduler import (
@@ -97,7 +95,6 @@ __all__ = [
     "new_state",
     "output_rate",
     "read_network",
-    "read_solution",
     "read_workload",
     "run_simulation",
     "sample_sd_pairs",
@@ -106,6 +103,5 @@ __all__ = [
     "solve_single_pair_edr",
     "with_sd_pairs",
     "write_network",
-    "write_solution",
     "write_workload",
 ]

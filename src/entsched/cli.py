@@ -1,11 +1,10 @@
 """Command line front end.
 
 Subcommands cover the full workflow: generate a topology, generate a
-workload, run one simulation, sweep a parameter across policies and
-seeds, and validate a saved rate plan. Exit codes: 0 on success, 1 for
-configuration problems (bad arguments, unreadable or invalid files),
-2 when the LP solver fails, 3 when a run or a checked solution violates
-an invariant.
+workload, run one simulation, and sweep a parameter across policies and
+seeds. Exit codes: 0 on success, 1 for configuration problems (bad
+arguments, unreadable or invalid files), 2 when the LP solver fails, 3
+when a run breaks the per-slot conservation identity.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ from pathlib import Path
 
 from .engine import ConservationError, run_simulation
 from .lp import SolverError
-from .mred import check_solution, read_solution
 from .protocol import ProtocolConfig
 from .rng import child_int
 from .scheduler import POLICIES
 from .topology import (
     GenerationFailed,
     ValidationError,
+    check_waxman_params,
     generate_waxman,
     read_network,
     sample_sd_pairs,
@@ -150,11 +149,6 @@ def build_parser() -> _Parser:
     # main() installs the --paper-scale preset as this parser's defaults
     parser.sweep_parser = sweep
 
-    check = subs.add_parser("check-solution", help="validate a saved rate plan")
-    check.add_argument("--net", required=True)
-    check.add_argument("--solution", required=True)
-    check.add_argument("--tol", type=float, default=1e-6)
-
     return parser
 
 
@@ -236,17 +230,6 @@ def cmd_simulate(args) -> int:
     else:
         print(payload)
     return EXIT_OK
-
-
-def cmd_check_solution(args) -> int:
-    net = _load_net(args.net)
-    try:
-        sol = read_solution(args.solution)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read solution {args.solution}: {exc}") from exc
-    report = check_solution(net, sol, tol=args.tol)
-    print(json.dumps(report, indent=2))
-    return EXIT_OK if report["ok"] else EXIT_INVARIANT
 
 
 # -- sweep --------------------------------------------------------------------
@@ -359,9 +342,14 @@ def cmd_sweep(args) -> int:
     # validate the base configuration before any file is written
     for value in values:
         params = _apply_axis(base, args.axis, value)
+        check_waxman_params(params["nodes"], params["alpha"], params["beta"],
+                            params["cap_lo"], params["cap_hi"], params["p"], params["q"])
+        if params["nodes"] < 2 or params["sd_count"] < 1:
+            raise ValidationError(f"{params['nodes']} nodes and --sd-count "
+                                  f"{params['sd_count']} leave no SD pair")
         _workload_config(params)
         _protocol_config(params)
-        if params["nodes"] < 1 or params["kappa"] < 1:
+        if params["kappa"] < 1:
             raise ValidationError(f"bad axis value {value} for {args.axis}")
 
     specs = [
@@ -414,7 +402,6 @@ _COMMANDS = {
     "gen-workload": cmd_gen_workload,
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,
-    "check-solution": cmd_check_solution,
 }
 
 

@@ -24,7 +24,6 @@ between non-adjacent nodes are still usable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -36,8 +35,9 @@ from . import lp
 from .lp import LpStatus, SolverError
 from .topology import Network, NodePair, ValidationError, canonical_pair
 
-# post-solve cleanup: clamp tiny negative dust to zero, drop near-zeros
-NEG_CLAMP = 1e-9
+# post-solve cleanup: clamp negative dust within HiGHS's primal feasibility
+# tolerance (1e-7) to zero, since a negative rate is a negative switch share
+NEG_CLAMP = 1e-7
 DROP_TOL = 1e-12
 
 # residual tolerance for solution validation
@@ -69,65 +69,54 @@ def swap_node(consumed: NodePair, produced: NodePair) -> int:
     return consumed.hi if lo_shared else consumed.lo
 
 
+SwapId = tuple[NodePair, int]
+LaneKey = tuple[NodePair, NodePair]
+
+
+def lane_keys(produced: NodePair, k: int) -> tuple[LaneKey, LaneKey]:
+    """The (consumed pair, produced pair) lanes of the swap at `k` toward
+    `produced`: the left lane holds produced.lo:k, the right k:produced.hi."""
+    return (canonical_pair(produced.lo, k), produced), (canonical_pair(k, produced.hi), produced)
+
+
 @dataclass(frozen=True)
 class RateSolution:
-    """One feasible rate plan: staged flows, link usage, SD surpluses.
+    """One feasible rate plan: swap rates, link usage, SD surpluses.
 
-    f maps (consumed pair, produced pair) to the expected number of
-    `consumed` ebits per slot staged for the swap that yields `produced`.
-    Only nonzero entries are stored.
+    swaps maps (produced pair, swap node) to the swap's planned rate,
+    which is also the expected number of ebits per slot staged on each of
+    its two lanes (see `lane_keys`). Only nonzero entries are stored.
     """
 
-    f: dict[tuple[NodePair, NodePair], float]
+    swaps: dict[SwapId, float]
     g: dict[NodePair, float]
     eta: dict[NodePair, float]
     objective_log: tuple[tuple[str, float], ...] = ()
 
     @cached_property
-    def inflow(self) -> dict[NodePair, list[tuple[NodePair, float]]]:
-        """Per produced pair: (consumed pair, flow) entries, sorted."""
-        idx: dict[NodePair, list[tuple[NodePair, float]]] = {}
-        for (consumed, produced), v in sorted(self.f.items()):
-            idx.setdefault(produced, []).append((consumed, v))
-        return idx
-
-    @cached_property
     def outflow(self) -> dict[NodePair, list[tuple[NodePair, float]]]:
-        """Per consumed pair: (produced pair, flow) entries, sorted."""
+        """Per consumed pair: (produced pair, rate) entries, sorted."""
+        lanes = sorted(
+            (lane, w) for (produced, k), w in self.swaps.items() for lane in lane_keys(produced, k)
+        )
         idx: dict[NodePair, list[tuple[NodePair, float]]] = {}
-        for (consumed, produced), v in sorted(self.f.items()):
-            idx.setdefault(consumed, []).append((produced, v))
+        for (consumed, produced), w in lanes:
+            idx.setdefault(consumed, []).append((produced, w))
         return idx
 
     @cached_property
-    def outflow_total(self) -> dict[NodePair, float]:
-        return {pair: sum(v for _, v in lst) for pair, lst in self.outflow.items()}
-
-    @cached_property
-    def swap_triples(self) -> tuple[tuple[NodePair, int, tuple, tuple], ...]:
-        """Executable swaps: (produced, node, left key, right key).
-
-        A swap is executable only when both staged lanes carry positive
-        planned flow.
-        """
-        out = []
-        for produced, entries in sorted(self.inflow.items()):
-            by_node: dict[int, dict[bool, tuple[tuple, float]]] = {}
-            for consumed, v in entries:
-                k = swap_node(consumed, produced)
-                is_left = consumed.lo == produced.lo or consumed.hi == produced.lo
-                by_node.setdefault(k, {})[is_left] = ((consumed, produced), v)
-            for k in sorted(by_node):
-                sides = by_node[k]
-                if True in sides and False in sides:
-                    (key_l, v_l), (key_r, v_r) = sides[True], sides[False]
-                    if v_l > 0 and v_r > 0:
-                        out.append((produced, k, key_l, key_r))
-        return tuple(out)
+    def swap_triples(self) -> tuple[tuple[NodePair, int, LaneKey, LaneKey], ...]:
+        """Executable swaps, those with a positive rate, in (produced, node)
+        order: (produced, node, left lane, right lane)."""
+        return tuple(
+            (produced, k, *lane_keys(produced, k))
+            for (produced, k), w in sorted(self.swaps.items())
+            if w > 0
+        )
 
 
 def zero_solution(objective_log: Iterable[tuple[str, float]] = ()) -> RateSolution:
-    return RateSolution(f={}, g={}, eta={}, objective_log=tuple(objective_log))
+    return RateSolution(swaps={}, g={}, eta={}, objective_log=tuple(objective_log))
 
 
 def input_rate(net: Network, pair: NodePair, sol: RateSolution) -> float:
@@ -137,20 +126,22 @@ def input_rate(net: Network, pair: NodePair, sol: RateSolution) -> float:
     link = net.links.get(pair)
     if link is not None:
         total += link.capacity * link.p * sol.g.get(pair, 0.0)
-    for consumed, v in sol.inflow.get(pair, ()):
-        total += 0.5 * net.q[swap_node(consumed, pair)] * v
+    for (produced, k), w in sol.swaps.items():
+        if produced == pair:
+            total += net.q[k] * w
     return total
 
 
 def output_rate(pair: NodePair, sol: RateSolution) -> float:
     """Expected ebits per slot of `pair` consumed by swaps."""
-    return sol.outflow_total.get(pair, 0.0)
+    return sum(w for _, w in sol.outflow.get(pair, ()))
 
 
 class MredModel:
     """Sparse constraint matrices for one network, reusable across solves.
 
-    Column layout: one swap column per (produced pair, swap node), then
+    Column layout: one swap column per entry of `swap_ids`, each a
+    (produced pair, swap node) and the key of `RateSolution.swaps`, then
     link usage, then one surplus column per node pair. A swap column's
     value is the swap's rate, which is also the staged flow of each of
     its two lanes: it adds ``q_k`` to the produced pair's balance row and
@@ -163,27 +154,24 @@ class MredModel:
         self.solves = 0
         nodes = net.nodes
         pairs = net.all_pairs()
-        self.pairs = pairs
         pidx = {pr: i for i, pr in enumerate(pairs)}
 
-        # per swap column: its two RateSolution.f keys (left lane, right lane)
-        swap_keys: list[tuple[tuple[NodePair, NodePair], tuple[NodePair, NodePair]]] = []
+        swap_ids: list[SwapId] = []
         swap_rows: list[tuple[int, int, int]] = []
         swap_q: list[float] = []
         for produced in pairs:
             for k in nodes:
                 if k == produced.lo or k == produced.hi:
                     continue
-                left = canonical_pair(produced.lo, k)
-                right = canonical_pair(k, produced.hi)
-                swap_keys.append(((left, produced), (right, produced)))
+                (left, _), (right, _) = lane_keys(produced, k)
+                swap_ids.append((produced, k))
                 swap_rows.append((pidx[produced], pidx[left], pidx[right]))
                 swap_q.append(net.q[k])
 
-        nf = len(swap_keys)
+        nf = len(swap_ids)
         ng = len(net.sorted_links)
         npair = len(pairs)
-        self.swap_keys = swap_keys
+        self.swap_ids = swap_ids
         self.g_col = {lk: nf + j for j, lk in enumerate(net.sorted_links)}
         self.eta_col = {pr: nf + ng + j for j, pr in enumerate(pairs)}
         self.ncols = nf + ng + npair
@@ -266,11 +254,11 @@ class MredModel:
         return res
 
     def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
-        f = {}
         fv = x[:self.n_f_vars]
-        for j in np.flatnonzero((fv > DROP_TOL) | (fv < -NEG_CLAMP)):
-            for key in self.swap_keys[j]:
-                f[key] = float(fv[j])
+        swaps = {
+            self.swap_ids[j]: float(fv[j])
+            for j in np.flatnonzero((fv > DROP_TOL) | (fv < -NEG_CLAMP))
+        }
         g = {}
         for lk, col in self.g_col.items():
             v = _clean(float(x[col]))
@@ -283,7 +271,7 @@ class MredModel:
             v = _clean(float(x[self.eta_col[pr]]))
             if v != 0.0:
                 eta[pr] = v
-        return RateSolution(f=f, g=g, eta=eta, objective_log=tuple(objective_log))
+        return RateSolution(swaps=swaps, g=g, eta=eta, objective_log=tuple(objective_log))
 
 
 def build_mred(net: Network) -> MredModel:
@@ -437,18 +425,6 @@ def build_and_check_mred_dc(
 
 def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> dict:
     """Residual report for a rate plan against the balance constraints."""
-    pair_asym = 0.0
-    for produced, k, key_l, key_r in sol.swap_triples:
-        pair_asym = max(pair_asym, abs(sol.f.get(key_l, 0.0) - sol.f.get(key_r, 0.0)))
-    # triples where only one side is present are pure asymmetry
-    seen_lanes: dict[tuple[NodePair, int], list[float]] = {}
-    for (consumed, produced), v in sol.f.items():
-        k = swap_node(consumed, produced)
-        seen_lanes.setdefault((produced, k), []).append(v)
-    for lanes in seen_lanes.values():
-        if len(lanes) == 1:
-            pair_asym = max(pair_asym, abs(lanes[0]))
-
     balance = 0.0
     sd_deficit = 0.0
     eta_gap = 0.0
@@ -460,59 +436,17 @@ def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> di
         else:
             balance = max(balance, abs(slack))
 
-    g_range = 0.0
-    for v in sol.g.values():
-        g_range = max(g_range, -v, v - 1.0, 0.0)
-    f_neg = max((max(0.0, -v) for v in sol.f.values()), default=0.0)
+    g_range = max((max(-v, v - 1.0, 0.0) for v in sol.g.values()), default=0.0)
+    swap_neg = max((max(0.0, -v) for v in sol.swaps.values()), default=0.0)
     eta_neg = max((max(0.0, -v) for v in sol.eta.values()), default=0.0)
 
     report = {
-        "pair_symmetry": pair_asym,
         "balance": balance,
         "sd_deficit": sd_deficit,
         "eta_gap": eta_gap,
         "g_out_of_range": g_range,
-        "f_negative": f_neg,
+        "swap_negative": swap_neg,
         "eta_negative": eta_neg,
     }
     report["ok"] = all(v <= tol for k, v in report.items() if k != "ok")
     return report
-
-
-def solution_to_json(sol: RateSolution) -> dict:
-    return {
-        "f": [
-            [c.lo, c.hi, p.lo, p.hi, v]
-            for (c, p), v in sorted(sol.f.items())
-        ],
-        "g": [[lk.lo, lk.hi, v] for lk, v in sorted(sol.g.items())],
-        "eta": [[pr.lo, pr.hi, v] for pr, v in sorted(sol.eta.items())],
-        "objectives": [[label, v] for label, v in sol.objective_log],
-    }
-
-
-def solution_from_json(obj: dict) -> RateSolution:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"solution must be a JSON object, got {type(obj).__name__}")
-    try:
-        f = {
-            (canonical_pair(clo, chi), canonical_pair(plo, phi)): float(v)
-            for clo, chi, plo, phi, v in obj.get("f", [])
-        }
-        g = {canonical_pair(lo, hi): float(v) for lo, hi, v in obj.get("g", [])}
-        eta = {canonical_pair(lo, hi): float(v) for lo, hi, v in obj.get("eta", [])}
-        log = tuple((str(label), float(v)) for label, v in obj.get("objectives", []))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed solution object: {exc}") from exc
-    return RateSolution(f=f, g=g, eta=eta, objective_log=log)
-
-
-def write_solution(sol: RateSolution, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_json(sol), fh, indent=2)
-        fh.write("\n")
-
-
-def read_solution(path: str) -> RateSolution:
-    with open(path, encoding="utf-8") as fh:
-        return solution_from_json(json.load(fh))

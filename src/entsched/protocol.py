@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mred import RateSolution
+from .mred import LaneKey, RateSolution, swap_node
 from .topology import Network, NodePair, ValidationError
 from .workload import Commodity
 
@@ -33,8 +33,6 @@ DIST_EDF = "edf"
 
 # snap guard for LP dust around integers
 _INT_EPS = 1e-9
-
-LaneKey = tuple[NodePair, NodePair]
 
 
 class SlotRng:
@@ -243,13 +241,14 @@ def reconcile_buffers(
 ) -> None:
     """Realign buffered ebits with the current plan.
 
-    Lanes the plan no longer feeds are drained back to the parked pool,
+    Lanes of swaps the plan no longer runs are drained to the parked pool,
     then every parked ebit whose pair has an outlet again is re-switched.
     Runs every slot; it only moves ebits when the plan actually changed
     or previously parked pairs regained an outlet.
     """
     for key in sorted(state.staged):
-        if plan is not None and plan.f.get(key, 0.0) > 0.0:
+        consumed, produced = key
+        if plan is not None and plan.swaps.get((produced, swap_node(consumed, produced)), 0.0) > 0:
             continue
         counter = state.staged[key]
         if counter.total:

@@ -175,6 +175,21 @@ def is_connected(net: Network) -> bool:
     return len(seen) == len(nodes)
 
 
+def check_waxman_params(n: int, alpha: float, beta: float, cap_lo: int, cap_hi: int,
+                        p: float, q: float) -> None:
+    """Raise ValidationError unless the `generate_waxman` shape is in range."""
+    if n < 1:
+        raise ValidationError(f"node count {n} must be >= 1")
+    if not alpha > 0:
+        raise ValidationError(f"alpha {alpha} must be > 0")
+    if not 0 < beta <= 1:
+        raise ValidationError(f"beta {beta} must lie in (0, 1]")
+    if cap_lo < 1 or cap_hi < cap_lo:
+        raise ValidationError(f"capacity range [{cap_lo}, {cap_hi}] invalid")
+    if not 0 < p <= 1 or not 0 < q <= 1:
+        raise ValidationError("p and q must lie in (0, 1]")
+
+
 def generate_waxman(
     n: int,
     alpha: float,
@@ -198,14 +213,7 @@ def generate_waxman(
         GenerationFailed: no connected draw within `max_attempts`.
         ValidationError: parameters out of range.
     """
-    if n < 1:
-        raise ValidationError(f"node count {n} must be >= 1")
-    if alpha <= 0 or not 0 < beta <= 1:
-        raise ValidationError(f"alpha {alpha} must be > 0 and beta {beta} in (0, 1]")
-    if cap_lo < 1 or cap_hi < cap_lo:
-        raise ValidationError(f"capacity range [{cap_lo}, {cap_hi}] invalid")
-    if not 0 < p <= 1 or not 0 < q <= 1:
-        raise ValidationError("p and q must lie in (0, 1]")
+    check_waxman_params(n, alpha, beta, cap_lo, cap_hi, p, q)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 

@@ -4,7 +4,10 @@
 generators and reads each LP model's shape; ``perfbench/tracing.py``
 rebinds module attributes by name and wraps the LP backend. Renaming or
 dropping any of them would crash the benchmark, so these tests build one
-instance of every workload and install and remove the tracer.
+instance of every workload and install and remove the tracer. A package
+that stopped calling through a rebound attribute would not crash but
+would escape the benchmark's plan check and counters, so one instance
+also runs under the tracer.
 """
 
 import importlib.util
@@ -54,3 +57,18 @@ def test_tracer_install_and_uninstall_restore_everything(perfbench):
         tracer.uninstall()
     assert tracer.restored()
     assert lp.get_backend() is backend
+
+
+def test_traced_run_checks_plans_and_counts_switching(perfbench):
+    workloads, tracing = perfbench
+    workload = workloads.WORKLOADS["fixed-plan-long"]
+    inst = workloads.build_instance(workload, 1)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        workloads.simulate(workload, inst)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["scheduler.framework_step"] > 0
+    assert tracer.bad_plans == []
+    assert tracer.calls["protocol.switch_probabilities"] > 0

@@ -4,7 +4,6 @@ import json
 import pytest
 
 from entsched import cli
-from entsched.mred import solve_max_total, write_solution
 from entsched.topology import read_network
 from entsched.workload import read_workload
 
@@ -111,36 +110,6 @@ def test_bad_policy_exits_with_config_code(tmp_path):
     assert err.value.code == 1
 
 
-def test_check_solution_ok_and_tampered(tmp_path, capsys):
-    net_path = _gen_net(tmp_path)
-    net = read_network(str(net_path))
-    sol = solve_max_total(net)
-    sol_path = tmp_path / "plan.json"
-    write_solution(sol, str(sol_path))
-    capsys.readouterr()
-    assert cli.main([
-        "check-solution", "--net", str(net_path), "--solution", str(sol_path),
-    ]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is True
-
-    raw = json.loads(sol_path.read_text())
-    raw["eta"] = [[lo, hi, v + 0.5] for lo, hi, v in raw["eta"]] or [[0, 1, 0.5]]
-    sol_path.write_text(json.dumps(raw))
-    assert cli.main([
-        "check-solution", "--net", str(net_path), "--solution", str(sol_path),
-    ]) == 3
-
-
-def test_check_solution_non_object_is_config_error(tmp_path, capsys):
-    net_path = _gen_net(tmp_path)
-    sol_path = tmp_path / "plan.json"
-    sol_path.write_text("[1, 2]")
-    capsys.readouterr()
-    rc = cli.main(["check-solution", "--net", str(net_path), "--solution", str(sol_path)])
-    _assert_config_error(rc, capsys)
-
-
 def _sweep(tmp_path, sub, extra=()):
     out_dir = tmp_path / sub
     rc = cli.main([
@@ -221,6 +190,16 @@ def test_sweep_validation_errors(tmp_path, capsys):
             assert cli.main(["sweep", "--axis", axis, "--values", value, *extra,
                              "--nodes", "4", "--horizon", "3", "--out-dir", str(out_dir)]) == 1
             assert not out_dir.exists()
+    capsys.readouterr()
+    # topology flags go through generate_waxman's own check; no SD pair is an error too
+    for i, flags in enumerate((["--cap-lo", "0"], ["--alpha", "-1"], ["--alpha", "nan"],
+                               ["--p", "2"], ["--beta", "nan"], ["--sd-count", "-1"],
+                               ["--sd-count", "0"], ["--nodes", "1"])):
+        out_dir = tmp_path / f"topo-{i}"
+        rc = cli.main(["sweep", "--axis", "kappa", "--values", "1", "--nodes", "4",
+                       "--horizon", "3", *flags, "--out-dir", str(out_dir)])
+        _assert_config_error(rc, capsys)
+        assert not out_dir.exists(), flags
 
 
 def _paper_sweep(tmp_path, sub, *extra):
@@ -256,6 +235,13 @@ def _assert_config_error(rc, capsys):
 def test_gen_topology_negative_seed_is_config_error(tmp_path, capsys):
     rc = cli.main(["gen-topology", "--seed", "-1", "--out", str(tmp_path / "net.json")])
     _assert_config_error(rc, capsys)
+
+
+def test_gen_topology_nan_alpha_is_config_error(tmp_path, capsys):
+    rc = cli.main(["gen-topology", "--nodes", "5", "--alpha", "nan",
+                   "--out", str(tmp_path / "net.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: alpha nan must be > 0\n"
 
 
 def test_gen_workload_negative_seed_is_config_error(tmp_path, capsys):

@@ -12,8 +12,6 @@ from entsched.mred import (
     check_solution,
     input_rate,
     output_rate,
-    solution_from_json,
-    solution_to_json,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
@@ -48,17 +46,13 @@ def test_swap_node_identifies_merge_point():
 
 def test_input_rate_generation_only():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)], [(0, 1)])
-    sol = RateSolution(f={}, g={P(0, 1): 1.0}, eta={})
+    sol = RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={})
     assert input_rate(net, P(0, 1), sol) == pytest.approx(1.0)
 
 
 def test_input_rate_swap_term():
     net = two_hop_line(q=0.9)
-    sol = RateSolution(
-        f={(P(0, 1), P(0, 2)): 1.0, (P(1, 2), P(0, 2)): 1.0},
-        g={P(0, 1): 1.0, P(1, 2): 1.0},
-        eta={},
-    )
+    sol = RateSolution(swaps={(P(0, 2), 1): 1.0}, g={P(0, 1): 1.0, P(1, 2): 1.0}, eta={})
     assert input_rate(net, P(0, 2), sol) == pytest.approx(0.9)
 
 
@@ -72,24 +66,20 @@ def test_input_rate_unknown_pair_raises(star):
 
 
 def test_output_rate_sums_consumption():
-    sol = RateSolution(
-        f={(P(0, 1), P(0, 2)): 0.3, (P(0, 1), P(1, 3)): 0.7},
-        g={}, eta={},
-    )
+    # 0:1 is the left lane of the swap at 1 toward 0:2 and of the swap at 0 toward 1:3
+    sol = RateSolution(swaps={(P(0, 2), 1): 0.3, (P(1, 3), 0): 0.7}, g={}, eta={})
     assert output_rate(P(0, 1), sol) == pytest.approx(1.0)
     assert output_rate(P(2, 3), sol) == 0.0
 
 
 def test_swap_triples_requires_both_lanes():
-    sol = RateSolution(
-        f={(P(0, 1), P(0, 2)): 1.0, (P(1, 2), P(0, 2)): 1.0, (P(0, 2), P(0, 3)): 0.5},
-        g={}, eta={},
+    sol = RateSolution(swaps={(P(0, 3), 2): 0.5, (P(0, 2), 1): 1.0, (P(1, 3), 2): -1e-8},
+                       g={}, eta={})
+    # sorted by (produced, node); only positive rates execute
+    assert sol.swap_triples == (
+        (P(0, 2), 1, (P(0, 1), P(0, 2)), (P(1, 2), P(0, 2))),
+        (P(0, 3), 2, (P(0, 2), P(0, 3)), (P(2, 3), P(0, 3))),
     )
-    triples = sol.swap_triples
-    assert len(triples) == 1
-    produced, k, key_l, key_r = triples[0]
-    assert produced == P(0, 2) and k == 1
-    assert key_l == (P(0, 1), P(0, 2)) and key_r == (P(1, 2), P(0, 2))
 
 
 # -- model construction -------------------------------------------------------
@@ -111,6 +101,21 @@ def test_two_node_model_has_no_staged_flows():
     sol = solve_max_total(net, model)
     assert sol.eta[P(0, 1)] == pytest.approx(2.4, abs=1e-6)
     assert sol.g[P(0, 1)] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_extract_clamps_solver_dust(star):
+    model = build_mred(star)
+    x = np.zeros(model.ncols)
+    x[0] = -5e-8             # within the solver's feasibility tolerance
+    x[1] = -1e-3             # a real violation, kept for check_solution to flag
+    x[2] = 0.5
+    lk = star.sorted_links[0]
+    x[model.g_col[lk]] = 1.0 + 5e-8
+    x[model.eta_col[P(0, 1)]] = -5e-8
+    sol = model.extract(x, ())
+    assert sol.swaps == {model.swap_ids[1]: -1e-3, model.swap_ids[2]: 0.5}
+    assert sol.g == {lk: 1.0}
+    assert sol.eta == {}
 
 
 def test_zero_assignment_satisfies_balance(star):
@@ -143,7 +148,7 @@ def test_max_total_without_sd_pairs():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)])
     sol = solve_max_total(net)
     assert sol.objective_log == (("total", 0.0),)
-    assert not sol.eta and not sol.f
+    assert not sol.eta and not sol.swaps
 
 
 def test_single_pair_edr_star(star):
@@ -373,7 +378,7 @@ def test_dc_subsets_of_feasible_stay_feasible(star):
         assert build_and_check_mred_dc(star, subset) is not None
 
 
-# -- validation and serialization ---------------------------------------------
+# -- validation ---------------------------------------------------------------
 
 def test_solver_outputs_validate_on_random_networks():
     for seed in range(6):
@@ -381,7 +386,7 @@ def test_solver_outputs_validate_on_random_networks():
         sol = solve_max_total(net)
         report = check_solution(net, sol)
         assert report["ok"], (seed, report)
-        assert all(v >= 0 for v in sol.f.values())
+        assert all(v >= 0 for v in sol.swaps.values())
         assert all(0 <= v <= 1 for v in sol.g.values())
         assert all(v >= 0 for v in sol.eta.values())
 
@@ -402,31 +407,21 @@ def test_check_solution_flags_tampering(star):
     good = solve_max_total(star)
     assert check_solution(star, good)["ok"]
 
-    lopsided = dict(good.f)
-    key = next(iter(lopsided))
-    lopsided[key] = lopsided[key] + 0.5
-    report = check_solution(star, RateSolution(f=lopsided, g=good.g, eta=good.eta))
+    bumped = dict(good.swaps)
+    key = next(iter(bumped))
+    bumped[key] = bumped[key] + 0.5
+    report = check_solution(star, RateSolution(swaps=bumped, g=good.g, eta=good.eta))
     assert not report["ok"]
-    assert report["pair_symmetry"] > 1e-6 or report["balance"] > 1e-6
+    assert report["balance"] > 1e-6
 
     hot_g = dict(good.g)
     lk = next(iter(hot_g))
     hot_g[lk] = 1.5
-    report = check_solution(star, RateSolution(f=good.f, g=hot_g, eta=good.eta))
+    report = check_solution(star, RateSolution(swaps=good.swaps, g=hot_g, eta=good.eta))
     assert report["g_out_of_range"] > 1e-6
 
     inflated = dict(good.eta)
     inflated[P(0, 1)] = inflated.get(P(0, 1), 0.0) + 1.0
-    report = check_solution(star, RateSolution(f=good.f, g=good.g, eta=inflated))
+    report = check_solution(star, RateSolution(swaps=good.swaps, g=good.g, eta=inflated))
     assert report["eta_gap"] > 1e-6
 
-
-def test_solution_json_round_trip(star):
-    sol = solve_max_total(star)
-    back = solution_from_json(solution_to_json(sol))
-    assert back.f == sol.f
-    assert back.g == sol.g
-    assert back.eta == sol.eta
-    assert back.objective_log == sol.objective_log
-    with pytest.raises(ValidationError):
-        solution_from_json({"f": [[0, 1, 2]]})

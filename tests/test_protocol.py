@@ -91,11 +91,8 @@ def test_buffer_state_totals_and_prune():
 # -- switching ----------------------------------------------------------------
 
 def test_switch_probabilities_normalizes_over_outlets():
-    plan = RateSolution(
-        f={(P(0, 1), P(0, 2)): 1.0, (P(0, 1), P(1, 3)): 2.0},
-        g={},
-        eta={P(0, 1): 1.0},
-    )
+    # 0:1 is the left lane of the swap at 1 toward 0:2 and of the swap at 0 toward 1:3
+    plan = RateSolution(swaps={(P(0, 2), 1): 1.0, (P(1, 3), 0): 2.0}, g={}, eta={P(0, 1): 1.0})
     targets, probs = switch_probabilities(plan, P(0, 1))
     assert targets == [(P(0, 1), P(0, 2)), (P(0, 1), P(1, 3)), None]
     assert probs == pytest.approx([0.25, 0.5, 0.25])
@@ -104,7 +101,7 @@ def test_switch_probabilities_normalizes_over_outlets():
 
 
 def test_switch_probabilities_pure_surplus():
-    plan = RateSolution(f={}, g={}, eta={P(0, 1): 2.0})
+    plan = RateSolution(swaps={}, g={}, eta={P(0, 1): 2.0})
     targets, probs = switch_probabilities(plan, P(0, 1))
     assert targets == [None]
     assert probs == [1.0]
@@ -165,7 +162,7 @@ def test_reconcile_drains_stale_lanes_and_retries_parked():
     assert not state.staged
     assert state.parked[P(0, 1)].total == 4
 
-    plan = RateSolution(f={lane: 1.0}, g={}, eta={})
+    plan = RateSolution(swaps={(P(0, 2), 1): 1.0}, g={}, eta={})
     reconcile_buffers(state, plan, slot=3, rng=_rng(slot=3))
     assert not state.parked
     assert state.staged[lane].total == 4
@@ -177,7 +174,7 @@ def test_reconcile_keeps_live_lanes_untouched():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
     state.add_staged(lane, 1, 2)
-    plan = RateSolution(f={lane: 0.5}, g={}, eta={})
+    plan = RateSolution(swaps={(P(0, 2), 1): 0.5}, g={}, eta={})
     reconcile_buffers(state, plan, slot=2, rng=_rng(slot=2))
     assert state.stage_total(lane) == 2
 
@@ -186,7 +183,7 @@ def test_reconcile_keeps_live_lanes_untouched():
 
 def test_phase_generate_integral_usage_is_exact():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 2, 1.0)], [(0, 1)])
-    plan = RateSolution(f={}, g={P(0, 1): 1.0}, eta={P(0, 1): 2.0})
+    plan = RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={P(0, 1): 2.0})
     state = BufferState()
     made = phase_generate(net, plan, state, slot=1, rng=_rng(phase=1))
     assert made == 2
@@ -195,7 +192,7 @@ def test_phase_generate_integral_usage_is_exact():
 
 def test_phase_generate_fractional_usage_matches_expectation():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 0.8)], [(0, 1)])
-    plan = RateSolution(f={}, g={P(0, 1): 0.5}, eta={P(0, 1): 0.4})
+    plan = RateSolution(swaps={}, g={P(0, 1): 0.5}, eta={P(0, 1): 0.4})
     state = BufferState()
     slots = 20000
     total = 0
@@ -217,7 +214,7 @@ def test_phase_generate_none_plan_is_noop():
 
 def _two_hop_plan(eta=0.9):
     return RateSolution(
-        f={(P(0, 1), P(0, 2)): 1.0, (P(1, 2), P(0, 2)): 1.0},
+        swaps={(P(0, 2), 1): 1.0},
         g={P(0, 1): 1.0, P(1, 2): 1.0},
         eta={P(0, 2): eta},
     )
@@ -264,12 +261,7 @@ def test_phase_swap_product_inherits_older_birth():
 
 def _three_hop_plan():
     return RateSolution(
-        f={
-            (P(0, 1), P(0, 2)): 1.0,
-            (P(1, 2), P(0, 2)): 1.0,
-            (P(0, 2), P(0, 3)): 1.0,
-            (P(2, 3), P(0, 3)): 1.0,
-        },
+        swaps={(P(0, 2), 1): 1.0, (P(0, 3), 2): 1.0},
         g={P(0, 1): 1.0, P(1, 2): 1.0, P(2, 3): 1.0},
         eta={P(0, 3): 0.8},
     )

@@ -113,6 +113,8 @@ def test_waxman_rejects_bad_params():
         generate_waxman(5, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=2, p=1.5, q=1.0, seed=0)
     with pytest.raises(ValidationError):
         generate_waxman(5, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=2, p=1.0, q=1.0, seed=-1)
+    with pytest.raises(ValidationError, match="alpha"):
+        generate_waxman(5, alpha=float("nan"), beta=0.8, cap_lo=1, cap_hi=2, p=1.0, q=1.0, seed=0)
 
 
 def test_sample_sd_pairs_distinct_and_capped():
