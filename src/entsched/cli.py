@@ -338,6 +338,8 @@ def cmd_sweep(args) -> int:
     base = _base_params(args)
     if args.axis == "deadline-factor" and base["deadline_mu"] is None:
         raise ValidationError("deadline-factor sweep needs --deadline-mu")
+    if base["horizon_cap"] < 0:
+        raise ValidationError(f"horizon_cap must be >= 0, got {base['horizon_cap']}")
 
     # validate the base configuration before any file is written
     for value in values:
@@ -360,8 +362,10 @@ def cmd_sweep(args) -> int:
         for seed in seeds
     ]
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all its workers at once, so start no more than there are runs
+    workers = min(args.workers, len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_sweep_case, specs))
     else:
         records = [run_sweep_case(spec) for spec in specs]

@@ -10,7 +10,7 @@ channels.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .protocol import (
@@ -20,8 +20,10 @@ from .protocol import (
     PHASE_RECONCILE,
     PHASE_SWAP,
     BufferState,
+    PlanTable,
     ProtocolConfig,
     SlotRng,
+    compile_plan,
     expire_old_ebits,
     phase_distribute,
     phase_generate,
@@ -50,17 +52,7 @@ class RunMetrics:
     wall_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "policy": self.policy,
-            "seed": self.seed,
-            "success_ratio": self.success_ratio,
-            "avg_completion_time": self.avg_completion_time,
-            "unfinished": self.unfinished,
-            "n_commodities": self.n_commodities,
-            "solver_calls": self.solver_calls,
-            "slots": self.slots,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -107,6 +99,7 @@ def run_simulation(
     work = [c.fresh_copy() for c in commodities]
     state: SchedulerState = new_state(net, policy, kappa)
     buffers = BufferState()
+    table = PlanTable()
     srng = SlotRng(seed)
     mode = DIST_EDF if any(c.deadline is not None for c in work) else DIST_SJF
 
@@ -118,15 +111,15 @@ def run_simulation(
             slot -= 1
             break
 
-        plan, _fresh = framework_step(state, active, slot)
+        plan, fresh = framework_step(state, active, slot)
+        if fresh:
+            table = compile_plan(net, plan)
 
         before = buffers.total_ebits()
         dropped = expire_old_ebits(buffers, slot, config.max_buffer_age)
-        reconcile_buffers(buffers, plan, slot, srng.stream(slot, PHASE_RECONCILE))
-        made = phase_generate(net, plan, buffers, slot, srng.stream(slot, PHASE_GENERATE))
-        attempts, wins = phase_swap(
-            net, plan, buffers, slot, srng.stream(slot, PHASE_SWAP), config
-        )
+        reconcile_buffers(buffers, table, slot, srng.stream(slot, PHASE_RECONCILE))
+        made = phase_generate(table, buffers, slot, srng.stream(slot, PHASE_GENERATE))
+        attempts, wins = phase_swap(table, buffers, slot, srng.stream(slot, PHASE_SWAP), config)
         handed, finished = phase_distribute(buffers, active, mode)
         after = buffers.total_ebits()
 

@@ -25,7 +25,6 @@ between non-adjacent nodes are still usable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,19 +55,6 @@ def _clean(v: float) -> float:
     return v
 
 
-def swap_node(consumed: NodePair, produced: NodePair) -> int:
-    """The node where `consumed` ebits merge to extend toward `produced`.
-
-    The pairs must share exactly one endpoint; the swap happens at the
-    endpoint of `consumed` that `produced` does not contain.
-    """
-    lo_shared = consumed.lo == produced.lo or consumed.lo == produced.hi
-    hi_shared = consumed.hi == produced.lo or consumed.hi == produced.hi
-    if lo_shared == hi_shared:
-        raise ValidationError(f"pairs {consumed} and {produced} must share exactly one endpoint")
-    return consumed.hi if lo_shared else consumed.lo
-
-
 SwapId = tuple[NodePair, int]
 LaneKey = tuple[NodePair, NodePair]
 
@@ -93,27 +79,6 @@ class RateSolution:
     eta: dict[NodePair, float]
     objective_log: tuple[tuple[str, float], ...] = ()
 
-    @cached_property
-    def outflow(self) -> dict[NodePair, list[tuple[NodePair, float]]]:
-        """Per consumed pair: (produced pair, rate) entries, sorted."""
-        lanes = sorted(
-            (lane, w) for (produced, k), w in self.swaps.items() for lane in lane_keys(produced, k)
-        )
-        idx: dict[NodePair, list[tuple[NodePair, float]]] = {}
-        for (consumed, produced), w in lanes:
-            idx.setdefault(consumed, []).append((produced, w))
-        return idx
-
-    @cached_property
-    def swap_triples(self) -> tuple[tuple[NodePair, int, LaneKey, LaneKey], ...]:
-        """Executable swaps, those with a positive rate, in (produced, node)
-        order: (produced, node, left lane, right lane)."""
-        return tuple(
-            (produced, k, *lane_keys(produced, k))
-            for (produced, k), w in sorted(self.swaps.items())
-            if w > 0
-        )
-
 
 def zero_solution(objective_log: Iterable[tuple[str, float]] = ()) -> RateSolution:
     return RateSolution(swaps={}, g={}, eta={}, objective_log=tuple(objective_log))
@@ -134,7 +99,7 @@ def input_rate(net: Network, pair: NodePair, sol: RateSolution) -> float:
 
 def output_rate(pair: NodePair, sol: RateSolution) -> float:
     """Expected ebits per slot of `pair` consumed by swaps."""
-    return sum(w for _, w in sol.outflow.get(pair, ()))
+    return sum(w for swap, w in sol.swaps.items() for lane, _ in lane_keys(*swap) if lane == pair)
 
 
 class MredModel:

@@ -2,9 +2,11 @@
 
 Each slot runs fixed phases: reconcile buffers against the current plan,
 generate link ebits, perform swaps, distribute end-to-end ebits to
-commodities. Every random draw comes from a stream derived from
-(seed, slot, phase), so runs are reproducible regardless of how many
-slots executed before or what other phases consumed.
+commodities. The phases read the plan's execution table (`PlanTable`),
+which `compile_plan` builds once per plan. Every random draw comes from
+a stream derived from (seed, slot, phase), so runs are reproducible
+regardless of how many slots executed before or what other phases
+consumed.
 
 Ebits live in three pools keyed by node pair: `staged` lanes hold ebits
 committed to a particular swap, `ready` holds end-to-end ebits awaiting
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mred import LaneKey, RateSolution, swap_node
+from .mred import LaneKey, RateSolution, lane_keys
 from .topology import Network, NodePair, ValidationError
 from .workload import Commodity
 
@@ -148,26 +150,74 @@ class BufferState:
                 del pool[k]
 
 
-def switch_probabilities(plan: RateSolution | None, pair: NodePair):
-    """Forwarding distribution for a fresh ebit of `pair` under `plan`.
+@dataclass(frozen=True)
+class PlanTable:
+    """A rate plan compiled for execution, built once per fresh plan.
 
-    Returns (targets, probs) where each target is a staged-lane key or
-    None for the ready pool, or None overall when the plan gives the
-    pair no outlet and the ebit should be parked.
+    links: per link the plan uses, in pair order, (pair, whole attempts,
+    chance of one more attempt, p).
+    rows: per pair with an outlet, its forwarding row (targets, probs);
+    a target is a staged-lane key, or None for the ready pool.
+    swaps: the swaps with a positive rate, in (produced, node) order, as
+    (produced, q of the swap node, left lane, right lane).
+    live: the lanes of those swaps.
+    The default table is idle: it generates, forwards and swaps nothing.
     """
-    if plan is None:
-        return None
-    out = plan.outflow.get(pair, ())
-    surplus = plan.eta.get(pair, 0.0)
-    denom = sum(v for _, v in out) + surplus
-    if denom <= 0.0:
-        return None
-    targets: list[LaneKey | None] = [(pair, produced) for produced, _ in out]
-    probs = [v / denom for _, v in out]
-    if surplus > 0.0:
-        targets.append(None)
-        probs.append(surplus / denom)
-    return targets, probs
+
+    links: tuple[tuple[NodePair, int, float, float], ...] = ()
+    rows: dict[NodePair, tuple[list[LaneKey | None], list[float]]] = field(default_factory=dict)
+    swaps: tuple[tuple[NodePair, float, LaneKey, LaneKey], ...] = ()
+    live: frozenset[LaneKey] = frozenset()
+
+
+def compile_plan(net: Network, plan: RateSolution) -> PlanTable:
+    """The execution table of `plan` on `net`.
+
+    A link with expected usage x = capacity * g makes floor(x) attempts
+    plus one more with probability frac(x). A fresh ebit of a pair goes
+    to each lane that consumes it, and to the ready pool for an SD
+    surplus, in proportion to the planned rates.
+    """
+    links = []
+    for pair in sorted(plan.g):
+        link = net.links[pair]
+        expected = link.capacity * plan.g[pair]
+        base = int(np.floor(expected + _INT_EPS))
+        frac = expected - base
+        if frac < _INT_EPS:
+            frac = 0.0
+        links.append((pair, base, frac, link.p))
+
+    outflow: dict[NodePair, list[tuple[LaneKey, float]]] = {}
+    for lane, w in sorted((lane, w) for swap, w in plan.swaps.items() for lane in lane_keys(*swap)):
+        outflow.setdefault(lane[0], []).append((lane, w))
+    rows = {}
+    for pair in outflow.keys() | plan.eta.keys():
+        out = outflow.get(pair, ())
+        surplus = plan.eta.get(pair, 0.0)
+        denom = sum(w for _, w in out) + surplus
+        if denom <= 0.0:
+            continue
+        targets: list[LaneKey | None] = [lane for lane, _ in out]
+        probs = [w / denom for _, w in out]
+        if surplus > 0.0:
+            targets.append(None)
+            probs.append(surplus / denom)
+        rows[pair] = (targets, probs)
+
+    swaps = tuple(
+        (produced, net.q[k], *lane_keys(produced, k))
+        for (produced, k), w in sorted(plan.swaps.items())
+        if w > 0
+    )
+    live = frozenset(lane for _, _, left, right in swaps for lane in (left, right))
+    return PlanTable(links=tuple(links), rows=rows, swaps=swaps, live=live)
+
+
+def switch_probabilities(table: PlanTable, pair: NodePair):
+    """The forwarding row (targets, probs) of `pair`, or None when the
+    plan gives it no outlet and its ebits should be parked."""
+    return table.rows.get(pair)
 
 
 def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> list[int]:
@@ -197,7 +247,7 @@ def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> 
 
 def switch_batch(
     state: BufferState,
-    plan: RateSolution | None,
+    table: PlanTable,
     pair: NodePair,
     birth: int,
     count: int,
@@ -206,7 +256,7 @@ def switch_batch(
     """Forward `count` ebits of `pair` into lanes or the ready pool."""
     if count <= 0:
         return
-    dist = switch_probabilities(plan, pair)
+    dist = switch_probabilities(table, pair)
     if dist is None:
         state.add_parked(pair, birth, count)
         return
@@ -235,7 +285,7 @@ def expire_old_ebits(state: BufferState, slot: int, max_age: int | None) -> int:
 
 def reconcile_buffers(
     state: BufferState,
-    plan: RateSolution | None,
+    table: PlanTable,
     slot: int,
     rng: np.random.Generator,
 ) -> None:
@@ -247,8 +297,7 @@ def reconcile_buffers(
     or previously parked pairs regained an outlet.
     """
     for key in sorted(state.staged):
-        consumed, produced = key
-        if plan is not None and plan.swaps.get((produced, swap_node(consumed, produced)), 0.0) > 0:
+        if key in table.live:
             continue
         counter = state.staged[key]
         if counter.total:
@@ -257,41 +306,32 @@ def reconcile_buffers(
     retry = []
     for pair in sorted(state.parked):
         counter = state.parked[pair]
-        if counter.total and switch_probabilities(plan, pair) is not None:
+        if counter.total and switch_probabilities(table, pair) is not None:
             retry.extend((pair, birth, n) for birth, n in counter.take(counter.total))
     for pair, birth, n in retry:
-        switch_batch(state, plan, pair, birth, n, rng)
+        switch_batch(state, table, pair, birth, n, rng)
     state.prune_empty()
 
 
 def phase_generate(
-    net: Network,
-    plan: RateSolution | None,
+    table: PlanTable,
     state: BufferState,
     slot: int,
     rng: np.random.Generator,
 ) -> int:
     """Attempt link-level generation per the plan's usage fractions.
 
-    A link with expected usage x makes floor(x) attempts plus one more
-    with probability frac(x); each attempt succeeds with the link's p.
-    Returns the number of fresh ebits created.
+    Each link makes its table's whole attempts, plus one more with the
+    table's chance; each attempt succeeds with the link's p. Returns the
+    number of fresh ebits created.
     """
-    if plan is None:
-        return 0
     generated = 0
-    for pair in sorted(plan.g):
-        link = net.links[pair]
-        expected = link.capacity * plan.g[pair]
-        base = int(np.floor(expected + _INT_EPS))
-        frac = expected - base
-        if frac < _INT_EPS:
-            frac = 0.0
+    for pair, base, frac, p in table.links:
         attempts = base + (1 if frac > 0.0 and rng.random() < frac else 0)
-        made = int(rng.binomial(attempts, link.p)) if attempts else 0
+        made = int(rng.binomial(attempts, p)) if attempts else 0
         if made:
             generated += made
-            switch_batch(state, plan, pair, slot, made, rng)
+            switch_batch(state, table, pair, slot, made, rng)
     return generated
 
 
@@ -338,8 +378,7 @@ def _split_successes(chunks, successes: int, rng: np.random.Generator):
 
 
 def phase_swap(
-    net: Network,
-    plan: RateSolution | None,
+    table: PlanTable,
     state: BufferState,
     slot: int,
     rng: np.random.Generator,
@@ -354,17 +393,15 @@ def phase_swap(
     product cascades into further swaps only up to the configured depth.
     Returns (attempts, successes).
     """
-    if plan is None:
-        return (0, 0)
     attempts = 0
     successes = 0
     for _ in range(config.cascade_depth):
         products: list[tuple[NodePair, int, int]] = []
-        for produced, k, key_l, key_r in plan.swap_triples:
+        for produced, q, key_l, key_r in table.swaps:
             w = min(state.stage_total(key_l), state.stage_total(key_r))
             if w <= 0:
                 continue
-            won = int(rng.binomial(w, net.q[k]))
+            won = int(rng.binomial(w, q))
             chunks = _zip_chunks(state.staged[key_l].take(w), state.staged[key_r].take(w))
             attempts += w
             successes += won
@@ -375,7 +412,7 @@ def phase_swap(
         if not products:
             break
         for produced, birth, n in products:
-            switch_batch(state, plan, produced, birth, n, rng)
+            switch_batch(state, table, produced, birth, n, rng)
     state.prune_empty()
     return attempts, successes
 

@@ -200,6 +200,42 @@ def test_sweep_validation_errors(tmp_path, capsys):
                        "--horizon", "3", *flags, "--out-dir", str(out_dir)])
         _assert_config_error(rc, capsys)
         assert not out_dir.exists(), flags
+    out_dir = tmp_path / "horizon-cap"
+    rc = cli.main(["sweep", "--axis", "kappa", "--values", "1", "--nodes", "4", "--horizon", "2",
+                   "--mean-demand", "3", "--seeds", "1", "--policies", "ESDI-B",
+                   "--horizon-cap", "-1", "--out-dir", str(out_dir)])
+    _assert_config_error(rc, capsys)
+    assert not out_dir.exists()
+
+
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    argv = ["sweep", "--axis", "kappa", "--values", "1", "--nodes", "4", "--horizon", "2",
+            "--mean-demand", "3", "--policies", "ESDI-B"]
+    assert cli.main([*argv, "--seeds", "1,2", "--workers", "5000",
+                     "--out-dir", str(tmp_path / "two")]) == 0
+    assert started == [2]
+    # one run needs no pool at all
+    assert cli.main([*argv, "--seeds", "1", "--workers", "5000",
+                     "--out-dir", str(tmp_path / "one")]) == 0
+    assert started == [2]
+    payload = json.loads((tmp_path / "two" / "results.json").read_text())
+    assert [r["status"] for r in payload["runs"]] == ["ok", "ok"]
 
 
 def _paper_sweep(tmp_path, sub, *extra):

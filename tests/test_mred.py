@@ -15,7 +15,6 @@ from entsched.mred import (
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
-    swap_node,
     zero_solution,
 )
 from entsched.topology import (
@@ -36,13 +35,6 @@ def _random_net(seed, n=8, sd_count=3):
 
 
 # -- rate bookkeeping ---------------------------------------------------------
-
-def test_swap_node_identifies_merge_point():
-    assert swap_node(P(0, 1), P(0, 2)) == 1
-    assert swap_node(P(1, 2), P(0, 2)) == 1
-    with pytest.raises(ValidationError):
-        swap_node(P(0, 1), P(2, 3))
-
 
 def test_input_rate_generation_only():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)], [(0, 1)])
@@ -70,16 +62,6 @@ def test_output_rate_sums_consumption():
     sol = RateSolution(swaps={(P(0, 2), 1): 0.3, (P(1, 3), 0): 0.7}, g={}, eta={})
     assert output_rate(P(0, 1), sol) == pytest.approx(1.0)
     assert output_rate(P(2, 3), sol) == 0.0
-
-
-def test_swap_triples_requires_both_lanes():
-    sol = RateSolution(swaps={(P(0, 3), 2): 0.5, (P(0, 2), 1): 1.0, (P(1, 3), 2): -1e-8},
-                       g={}, eta={})
-    # sorted by (produced, node); only positive rates execute
-    assert sol.swap_triples == (
-        (P(0, 2), 1, (P(0, 1), P(0, 2)), (P(1, 2), P(0, 2))),
-        (P(0, 3), 2, (P(0, 2), P(0, 3)), (P(2, 3), P(0, 3))),
-    )
 
 
 # -- model construction -------------------------------------------------------

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import two_hop_line
+from conftest import star_net, two_hop_line
 from entsched.mred import RateSolution, solve_max_total
 from entsched.protocol import (
     DIST_EDF,
     DIST_SJF,
     BufferState,
     FifoCounter,
+    PlanTable,
     ProtocolConfig,
     SlotRng,
     allocate_batch,
+    compile_plan,
     expire_old_ebits,
     phase_distribute,
     phase_generate,
@@ -92,16 +94,29 @@ def test_buffer_state_totals_and_prune():
 
 def test_switch_probabilities_normalizes_over_outlets():
     # 0:1 is the left lane of the swap at 1 toward 0:2 and of the swap at 0 toward 1:3
-    plan = RateSolution(swaps={(P(0, 2), 1): 1.0, (P(1, 3), 0): 2.0}, g={}, eta={P(0, 1): 1.0})
+    plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 1.0, (P(1, 3), 0): 2.0},
+                                                 g={}, eta={P(0, 1): 1.0}))
     targets, probs = switch_probabilities(plan, P(0, 1))
     assert targets == [(P(0, 1), P(0, 2)), (P(0, 1), P(1, 3)), None]
     assert probs == pytest.approx([0.25, 0.5, 0.25])
     assert switch_probabilities(plan, P(2, 3)) is None
-    assert switch_probabilities(None, P(0, 1)) is None
+
+
+def test_plan_table_swaps_require_both_lanes():
+    net = build_manual([(0, 1.0), (1, 0.7), (2, 0.8), (3, 1.0)],
+                       [(0, 2, 2, 1.0), (1, 2, 2, 1.0), (3, 2, 2, 1.0)], [(0, 1), (0, 3)])
+    table = compile_plan(net, RateSolution(
+        swaps={(P(0, 3), 2): 0.5, (P(0, 2), 1): 1.0, (P(1, 3), 2): -1e-8}, g={}, eta={}))
+    # sorted by (produced, node), with the swap node's q; only positive rates execute
+    assert table.swaps == (
+        (P(0, 2), 0.7, (P(0, 1), P(0, 2)), (P(1, 2), P(0, 2))),
+        (P(0, 3), 0.8, (P(0, 2), P(0, 3)), (P(2, 3), P(0, 3))),
+    )
+    assert table.live == {lane for swap in table.swaps for lane in swap[2:]}
 
 
 def test_switch_probabilities_pure_surplus():
-    plan = RateSolution(swaps={}, g={}, eta={P(0, 1): 2.0})
+    plan = compile_plan(star_net(), RateSolution(swaps={}, g={}, eta={P(0, 1): 2.0}))
     targets, probs = switch_probabilities(plan, P(0, 1))
     assert targets == [None]
     assert probs == [1.0]
@@ -138,7 +153,7 @@ def test_allocate_batch_is_unbiased():
 
 def test_switch_batch_parks_without_outlet():
     state = BufferState()
-    switch_batch(state, None, P(0, 1), birth=2, count=3, rng=_rng())
+    switch_batch(state, PlanTable(), P(0, 1), birth=2, count=3, rng=_rng())
     assert state.parked[P(0, 1)].total == 3
 
 
@@ -158,11 +173,11 @@ def test_reconcile_drains_stale_lanes_and_retries_parked():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
     state.add_staged(lane, 1, 4)
-    reconcile_buffers(state, None, slot=2, rng=_rng(slot=2))
+    reconcile_buffers(state, PlanTable(), slot=2, rng=_rng(slot=2))
     assert not state.staged
     assert state.parked[P(0, 1)].total == 4
 
-    plan = RateSolution(swaps={(P(0, 2), 1): 1.0}, g={}, eta={})
+    plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 1.0}, g={}, eta={}))
     reconcile_buffers(state, plan, slot=3, rng=_rng(slot=3))
     assert not state.parked
     assert state.staged[lane].total == 4
@@ -174,7 +189,7 @@ def test_reconcile_keeps_live_lanes_untouched():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
     state.add_staged(lane, 1, 2)
-    plan = RateSolution(swaps={(P(0, 2), 1): 0.5}, g={}, eta={})
+    plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 0.5}, g={}, eta={}))
     reconcile_buffers(state, plan, slot=2, rng=_rng(slot=2))
     assert state.stage_total(lane) == 2
 
@@ -183,50 +198,58 @@ def test_reconcile_keeps_live_lanes_untouched():
 
 def test_phase_generate_integral_usage_is_exact():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 2, 1.0)], [(0, 1)])
-    plan = RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={P(0, 1): 2.0})
+    plan = compile_plan(net, RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={P(0, 1): 2.0}))
     state = BufferState()
-    made = phase_generate(net, plan, state, slot=1, rng=_rng(phase=1))
+    made = phase_generate(plan, state, slot=1, rng=_rng(phase=1))
     assert made == 2
     assert state.ready_total(P(0, 1)) == 2
 
 
 def test_phase_generate_fractional_usage_matches_expectation():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 0.8)], [(0, 1)])
-    plan = RateSolution(swaps={}, g={P(0, 1): 0.5}, eta={P(0, 1): 0.4})
+    plan = compile_plan(net, RateSolution(swaps={}, g={P(0, 1): 0.5}, eta={P(0, 1): 0.4}))
     state = BufferState()
     slots = 20000
     total = 0
     srng = SlotRng(11)
     for slot in range(1, slots + 1):
-        total += phase_generate(net, plan, state, slot, srng.stream(slot, 1))
+        total += phase_generate(plan, state, slot, srng.stream(slot, 1))
     assert total / slots == pytest.approx(0.4, abs=0.02)
     assert state.ready_total(P(0, 1)) == total
 
 
-def test_phase_generate_none_plan_is_noop():
-    net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 2, 1.0)], [(0, 1)])
+def test_idle_table_leaves_every_phase_a_noop():
+    # the table a run executes before its first plan
+    idle = PlanTable()
+    assert switch_probabilities(idle, P(0, 1)) is None
     state = BufferState()
-    assert phase_generate(net, None, state, 1, _rng(phase=1)) == 0
-    assert state.total_ebits() == 0
+    state.add_parked(P(0, 1), 1, 2)
+    state.add_ready(P(0, 2), 1, 1)
+    reconcile_buffers(state, idle, slot=2, rng=_rng(slot=2))
+    assert phase_generate(idle, state, 2, _rng(slot=2, phase=1)) == 0
+    assert phase_swap(idle, state, 2, _rng(slot=2, phase=2)) == (0, 0)
+    assert state.parked[P(0, 1)].total == 2
+    assert state.ready_total(P(0, 2)) == 1
+    assert state.total_ebits() == 3
 
 
 # -- swapping -----------------------------------------------------------------
 
-def _two_hop_plan(eta=0.9):
-    return RateSolution(
+def _two_hop_plan(net, eta=0.9):
+    return compile_plan(net, RateSolution(
         swaps={(P(0, 2), 1): 1.0},
         g={P(0, 1): 1.0, P(1, 2): 1.0},
         eta={P(0, 2): eta},
-    )
+    ))
 
 
 def test_phase_swap_consumes_both_lanes():
     net = two_hop_line(q=1.0)
-    plan = _two_hop_plan()
+    plan = _two_hop_plan(net)
     state = BufferState()
     state.add_staged((P(0, 1), P(0, 2)), 1, 3)
     state.add_staged((P(1, 2), P(0, 2)), 1, 2)
-    attempts, wins = phase_swap(net, plan, state, slot=2, rng=_rng(slot=2, phase=2))
+    attempts, wins = phase_swap(plan, state, slot=2, rng=_rng(slot=2, phase=2))
     assert (attempts, wins) == (2, 2)
     assert state.ready_total(P(0, 2)) == 2
     assert state.stage_total((P(0, 1), P(0, 2))) == 1
@@ -235,14 +258,14 @@ def test_phase_swap_consumes_both_lanes():
 
 def test_phase_swap_success_rate_matches_q():
     net = two_hop_line(q=0.7)
-    plan = _two_hop_plan()
+    plan = _two_hop_plan(net)
     srng = SlotRng(3)
     attempts = wins = 0
     for slot in range(1, 4001):
         state = BufferState()
         state.add_staged((P(0, 1), P(0, 2)), slot, 5)
         state.add_staged((P(1, 2), P(0, 2)), slot, 5)
-        a, w = phase_swap(net, plan, state, slot, srng.stream(slot, 2))
+        a, w = phase_swap(plan, state, slot, srng.stream(slot, 2))
         attempts += a
         wins += w
     assert attempts == 20000
@@ -251,20 +274,20 @@ def test_phase_swap_success_rate_matches_q():
 
 def test_phase_swap_product_inherits_older_birth():
     net = two_hop_line(q=1.0)
-    plan = _two_hop_plan()
+    plan = _two_hop_plan(net)
     state = BufferState()
     state.add_staged((P(0, 1), P(0, 2)), 1, 1)
     state.add_staged((P(1, 2), P(0, 2)), 5, 1)
-    phase_swap(net, plan, state, slot=6, rng=_rng(slot=6, phase=2))
+    phase_swap(plan, state, slot=6, rng=_rng(slot=6, phase=2))
     assert list(state.ready[P(0, 2)].batches) == [[1, 1]]
 
 
-def _three_hop_plan():
-    return RateSolution(
+def _three_hop_plan(net):
+    return compile_plan(net, RateSolution(
         swaps={(P(0, 2), 1): 1.0, (P(0, 3), 2): 1.0},
         g={P(0, 1): 1.0, P(1, 2): 1.0, P(2, 3): 1.0},
         eta={P(0, 3): 0.8},
-    )
+    ))
 
 
 def test_phase_swap_cascade_depth_controls_same_slot_chaining():
@@ -277,7 +300,7 @@ def test_phase_swap_cascade_depth_controls_same_slot_chaining():
         state.add_staged((P(1, 2), P(0, 2)), 1, 1)
         state.add_staged((P(2, 3), P(0, 3)), 1, 1)
         phase_swap(
-            net, _three_hop_plan(), state, slot=2,
+            _three_hop_plan(net), state, slot=2,
             rng=_rng(slot=2, phase=2),
             config=ProtocolConfig(cascade_depth=depth),
         )
@@ -337,7 +360,7 @@ def test_distribute_rejects_unknown_mode():
 
 def test_phases_conserve_ebits_on_a_solved_plan():
     net = two_hop_line(c1=3, p1=0.8, c2=2, p2=0.9, q=0.85)
-    plan = solve_max_total(net)
+    plan = compile_plan(net, solve_max_total(net))
     state = BufferState()
     srng = SlotRng(17)
     sink = _commodity(0, P(0, 2), 10 ** 9)
@@ -345,8 +368,8 @@ def test_phases_conserve_ebits_on_a_solved_plan():
         before = state.total_ebits()
         reconcile_buffers(state, plan, slot, srng.stream(slot, 0))
         assert state.total_ebits() == before
-        made = phase_generate(net, plan, state, slot, srng.stream(slot, 1))
-        attempts, wins = phase_swap(net, plan, state, slot, srng.stream(slot, 2))
+        made = phase_generate(plan, state, slot, srng.stream(slot, 1))
+        attempts, wins = phase_swap(plan, state, slot, srng.stream(slot, 2))
         handed, _ = phase_distribute(state, [sink], DIST_SJF)
         after = state.total_ebits()
         assert made == (after - before) + 2 * attempts - wins + handed
