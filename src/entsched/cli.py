@@ -352,7 +352,7 @@ def cmd_sweep(args) -> int:
         _workload_config(params)
         _protocol_config(params)
         if params["kappa"] < 1:
-            raise ValidationError(f"bad axis value {value} for {args.axis}")
+            raise ValidationError(f"kappa must be >= 1, got {params['kappa']}")
 
     specs = [
         {"value": value, "policy": policy, "seed": seed,

@@ -112,12 +112,11 @@ def run_simulation(
             break
 
         plan, fresh = framework_step(state, active, slot)
-        if fresh:
-            table = compile_plan(net, plan)
-
         before = buffers.total_ebits()
         dropped = expire_old_ebits(buffers, slot, config.max_buffer_age)
-        reconcile_buffers(buffers, table, slot, srng.stream(slot, PHASE_RECONCILE))
+        if fresh:
+            table = compile_plan(net, plan)
+            reconcile_buffers(buffers, table, slot, srng.stream(slot, PHASE_RECONCILE))
         made = phase_generate(table, buffers, slot, srng.stream(slot, PHASE_GENERATE))
         attempts, wins = phase_swap(table, buffers, slot, srng.stream(slot, PHASE_SWAP), config)
         handed, finished = phase_distribute(buffers, active, mode)

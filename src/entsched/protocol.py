@@ -1,12 +1,12 @@
 """Slot-level execution of a rate plan over integer ebit buffers.
 
-Each slot runs fixed phases: reconcile buffers against the current plan,
-generate link ebits, perform swaps, distribute end-to-end ebits to
-commodities. The phases read the plan's execution table (`PlanTable`),
-which `compile_plan` builds once per plan. Every random draw comes from
-a stream derived from (seed, slot, phase), so runs are reproducible
-regardless of how many slots executed before or what other phases
-consumed.
+Each slot runs fixed phases: generate link ebits, perform swaps,
+distribute end-to-end ebits to commodities; when a new plan arrives,
+buffered ebits are first reconciled with it. The phases read the plan's
+execution table (`PlanTable`), which `compile_plan` builds once per
+plan. Every random draw comes from a stream derived from (seed, slot,
+phase), so runs are reproducible regardless of how many slots executed
+before or what other phases consumed.
 
 Ebits live in three pools keyed by node pair: `staged` lanes hold ebits
 committed to a particular swap, `ready` holds end-to-end ebits awaiting
@@ -17,8 +17,11 @@ retire ebits that waited too long.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_right
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -115,39 +118,15 @@ class FifoCounter:
 
 @dataclass
 class BufferState:
-    parked: dict[NodePair, FifoCounter] = field(default_factory=dict)
-    staged: dict[LaneKey, FifoCounter] = field(default_factory=dict)
-    ready: dict[NodePair, FifoCounter] = field(default_factory=dict)
+    """The three pools; a key keeps its counter for the whole run."""
 
-    def add_parked(self, pair: NodePair, birth: int, count: int) -> None:
-        if count > 0:
-            self.parked.setdefault(pair, FifoCounter()).add(birth, count)
-
-    def add_staged(self, key: LaneKey, birth: int, count: int) -> None:
-        if count > 0:
-            self.staged.setdefault(key, FifoCounter()).add(birth, count)
-
-    def add_ready(self, pair: NodePair, birth: int, count: int) -> None:
-        if count > 0:
-            self.ready.setdefault(pair, FifoCounter()).add(birth, count)
-
-    def stage_total(self, key: LaneKey) -> int:
-        counter = self.staged.get(key)
-        return counter.total if counter else 0
-
-    def ready_total(self, pair: NodePair) -> int:
-        counter = self.ready.get(pair)
-        return counter.total if counter else 0
+    parked: dict[NodePair, FifoCounter] = field(default_factory=lambda: defaultdict(FifoCounter))
+    staged: dict[LaneKey, FifoCounter] = field(default_factory=lambda: defaultdict(FifoCounter))
+    ready: dict[NodePair, FifoCounter] = field(default_factory=lambda: defaultdict(FifoCounter))
 
     def total_ebits(self) -> int:
-        pools = list(self.parked.values()) + list(self.staged.values()) + list(self.ready.values())
-        return sum(c.total for c in pools)
-
-    def prune_empty(self) -> None:
-        for pool in (self.parked, self.staged, self.ready):
-            dead = [k for k, c in pool.items() if c.total == 0]
-            for k in dead:
-                del pool[k]
+        pools = (self.parked, self.staged, self.ready)
+        return sum(c.total for pool in pools for c in pool.values())
 
 
 @dataclass(frozen=True)
@@ -182,7 +161,7 @@ def compile_plan(net: Network, plan: RateSolution) -> PlanTable:
     for pair in sorted(plan.g):
         link = net.links[pair]
         expected = link.capacity * plan.g[pair]
-        base = int(np.floor(expected + _INT_EPS))
+        base = math.floor(expected + _INT_EPS)
         frac = expected - base
         if frac < _INT_EPS:
             frac = 0.0
@@ -229,19 +208,18 @@ def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> 
     fully deterministic when the expected shares are integers.
     """
     shares = [count * p for p in probs]
-    counts = [int(np.floor(s + _INT_EPS)) for s in shares]
+    counts = [math.floor(s + _INT_EPS) for s in shares]
     leftover = count - sum(counts)
     if leftover <= 0:
         return counts
-    rems = np.array([max(0.0, s - b) for s, b in zip(shares, counts)])
-    rem_sum = float(rems.sum())
+    cum = list(accumulate(max(0.0, s - b) for s, b in zip(shares, counts)))
+    rem_sum = cum[-1]
     if rem_sum <= 0.0:
-        counts[int(np.argmax(probs))] += leftover
+        counts[probs.index(max(probs))] += leftover
         return counts
-    points = (rng.random() + np.arange(leftover)) * (rem_sum / leftover)
-    idx = np.searchsorted(np.cumsum(rems), points, side="right")
-    for i in np.minimum(idx, len(probs) - 1):
-        counts[int(i)] += 1
+    start, step, last = rng.random(), rem_sum / leftover, len(probs) - 1
+    for i in range(leftover):
+        counts[min(bisect_right(cum, (start + i) * step), last)] += 1
     return counts
 
 
@@ -258,16 +236,14 @@ def switch_batch(
         return
     dist = switch_probabilities(table, pair)
     if dist is None:
-        state.add_parked(pair, birth, count)
+        state.parked[pair].add(birth, count)
         return
     targets, probs = dist
     for target, n in zip(targets, allocate_batch(count, probs, rng)):
-        if n <= 0:
-            continue
         if target is None:
-            state.add_ready(pair, birth, n)
+            state.ready[pair].add(birth, n)
         else:
-            state.add_staged(target, birth, n)
+            state.staged[target].add(birth, n)
 
 
 def expire_old_ebits(state: BufferState, slot: int, max_age: int | None) -> int:
@@ -279,7 +255,6 @@ def expire_old_ebits(state: BufferState, slot: int, max_age: int | None) -> int:
     for pool in (state.parked, state.staged, state.ready):
         for counter in pool.values():
             dropped += counter.drop_born_before(cutoff)
-    state.prune_empty()
     return dropped
 
 
@@ -289,12 +264,13 @@ def reconcile_buffers(
     slot: int,
     rng: np.random.Generator,
 ) -> None:
-    """Realign buffered ebits with the current plan.
+    """Realign buffered ebits with a newly compiled plan.
 
     Lanes of swaps the plan no longer runs are drained to the parked pool,
     then every parked ebit whose pair has an outlet again is re-switched.
-    Runs every slot; it only moves ebits when the plan actually changed
-    or previously parked pairs regained an outlet.
+    The engine calls it only when the plan changes: under an unchanged
+    table every staged ebit sits in a live lane and every parked pair
+    still has no outlet, so a second call moves and draws nothing.
     """
     for key in sorted(state.staged):
         if key in table.live:
@@ -302,7 +278,7 @@ def reconcile_buffers(
         counter = state.staged[key]
         if counter.total:
             for birth, n in counter.take(counter.total):
-                state.add_parked(key[0], birth, n)
+                state.parked[key[0]].add(birth, n)
     retry = []
     for pair in sorted(state.parked):
         counter = state.parked[pair]
@@ -310,7 +286,6 @@ def reconcile_buffers(
             retry.extend((pair, birth, n) for birth, n in counter.take(counter.total))
     for pair, birth, n in retry:
         switch_batch(state, table, pair, birth, n, rng)
-    state.prune_empty()
 
 
 def phase_generate(
@@ -398,11 +373,12 @@ def phase_swap(
     for _ in range(config.cascade_depth):
         products: list[tuple[NodePair, int, int]] = []
         for produced, q, key_l, key_r in table.swaps:
-            w = min(state.stage_total(key_l), state.stage_total(key_r))
+            left, right = state.staged[key_l], state.staged[key_r]
+            w = min(left.total, right.total)
             if w <= 0:
                 continue
             won = int(rng.binomial(w, q))
-            chunks = _zip_chunks(state.staged[key_l].take(w), state.staged[key_r].take(w))
+            chunks = _zip_chunks(left.take(w), right.take(w))
             attempts += w
             successes += won
             if won:
@@ -413,7 +389,6 @@ def phase_swap(
             break
         for produced, birth, n in products:
             switch_batch(state, table, produced, birth, n, rng)
-    state.prune_empty()
     return attempts, successes
 
 
@@ -439,8 +414,8 @@ def phase_distribute(
     handed = 0
     completed: list[Commodity] = []
     for pair in sorted(by_pair):
-        pool = state.ready.get(pair)
-        if pool is None or pool.total == 0:
+        pool = state.ready[pair]
+        if pool.total == 0:
             continue
         if mode == DIST_SJF:
             queue = sorted(by_pair[pair], key=lambda c: (c.remaining, c.id))
@@ -458,5 +433,4 @@ def phase_distribute(
             handed += n
             if c.remaining == 0:
                 completed.append(c)
-    state.prune_empty()
     return handed, completed

@@ -157,6 +157,23 @@ def test_sweep_is_reproducible_and_parallel_safe(tmp_path):
     assert first["aggregates"] == parallel["aggregates"]
 
 
+def test_sweep_output_does_not_depend_on_worker_count(tmp_path):
+    # with deadlines every run ends by its last deadline, so the sweep stays short
+    argv = ["sweep", "--axis", "arrival-rate", "--values", "0.8", "--policies", "ESDI-E",
+            "--seeds", "0,1", "--nodes", "5", "--cap-lo", "1", "--cap-hi", "2",
+            "--sd-count", "2", "--mean-demand", "3", "--min-demand", "1", "--horizon", "4",
+            "--deadline-mu", "0.4"]
+    out = {}
+    for workers in ("1", "2"):
+        out[workers] = tmp_path / f"w{workers}"
+        assert cli.main([*argv, "--workers", workers, "--out-dir", str(out[workers])]) == 0
+    serial, parallel = (_strip_wall(json.loads((out[w] / "results.json").read_text()))
+                        for w in ("1", "2"))
+    assert [r["status"] for r in serial["runs"]] == ["ok", "ok"]
+    assert serial == parallel
+    assert (out["1"] / "results.csv").read_bytes() == (out["2"] / "results.csv").read_bytes()
+
+
 def test_sweep_completion_metric_without_deadlines(tmp_path):
     out_dir = tmp_path / "nodl"
     rc = cli.main([
@@ -206,6 +223,17 @@ def test_sweep_validation_errors(tmp_path, capsys):
                    "--horizon-cap", "-1", "--out-dir", str(out_dir)])
     _assert_config_error(rc, capsys)
     assert not out_dir.exists()
+    # a bad kappa is named as such, whether it is the base flag or the axis
+    for axis, flags in (("arrival-rate", ["--values", "1", "--kappa", "0"]),
+                        ("kappa", ["--values", "0"])):
+        out_dir = tmp_path / f"kappa-{axis}"
+        rc = cli.main(["sweep", "--axis", axis, *flags, "--nodes", "4", "--horizon", "2",
+                       "--mean-demand", "3", "--seeds", "1", "--policies", "ESDI-B",
+                       "--out-dir", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: kappa must be >= 1, got 0\n", err
+        assert not out_dir.exists()
 
 
 def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import star_net
-from entsched import lp
+from entsched import engine, lp
 from entsched.engine import ConservationError, RunMetrics, RunResult, run_simulation
 from entsched.protocol import ProtocolConfig
 from entsched.scheduler import POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
@@ -47,6 +47,19 @@ def test_ordered_serves_sequentially(star):
     assert [e["slot"] for e in result.events] == [1, 4]
     assert result.events[0]["priority"] == ["0:1"]
     assert result.events[1]["priority"] == ["0:3"]
+
+
+def test_buffers_are_reconciled_only_when_the_plan_changes(star, monkeypatch):
+    slots = []
+    reconcile = engine.reconcile_buffers
+
+    def recording(state, table, slot, rng):
+        slots.append(slot)
+        return reconcile(state, table, slot, rng)
+
+    monkeypatch.setattr(engine, "reconcile_buffers", recording)
+    result = run_simulation(star, [_c(0, AB, 6), _c(1, AD, 6)], POLICY_ORDERED, seed=3)
+    assert slots == [e["slot"] for e in result.events] == [1, 4]
 
 
 def test_deadline_policy_meets_both(star):

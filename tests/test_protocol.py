@@ -79,15 +79,12 @@ def test_fifo_counter_drop_born_before():
 
 def test_buffer_state_totals_and_prune():
     state = BufferState()
-    state.add_parked(P(0, 1), 1, 2)
-    state.add_staged((P(0, 1), P(0, 2)), 1, 3)
-    state.add_ready(P(0, 2), 1, 1)
+    state.parked[P(0, 1)].add(1, 2)
+    state.staged[(P(0, 1), P(0, 2))].add(1, 3)
+    state.ready[P(0, 2)].add(1, 1)
     assert state.total_ebits() == 6
-    assert state.stage_total((P(0, 1), P(0, 2))) == 3
-    assert state.ready_total(P(0, 2)) == 1
-    state.ready[P(0, 2)].take(1)
-    state.prune_empty()
-    assert P(0, 2) not in state.ready
+    assert state.staged[(P(0, 1), P(0, 2))].total == 3
+    assert state.ready[P(0, 2)].total == 1
 
 
 # -- switching ----------------------------------------------------------------
@@ -151,6 +148,39 @@ def test_allocate_batch_is_unbiased():
     assert total[0] / trials == pytest.approx(10 / 3, abs=0.05)
 
 
+def _numpy_allocate(count, probs, rng):
+    """The numpy formulation `allocate_batch` replaced, kept as its reference."""
+    shares = [count * p for p in probs]
+    counts = [int(np.floor(s + 1e-9)) for s in shares]
+    leftover = count - sum(counts)
+    if leftover <= 0:
+        return counts
+    rems = np.array([max(0.0, s - b) for s, b in zip(shares, counts)])
+    rem_sum = float(rems.sum())
+    if rem_sum <= 0.0:
+        counts[int(np.argmax(probs))] += leftover
+        return counts
+    points = (rng.random() + np.arange(leftover)) * (rem_sum / leftover)
+    idx = np.searchsorted(np.cumsum(rems), points, side="right")
+    for i in np.minimum(idx, len(probs) - 1):
+        counts[int(i)] += 1
+    return counts
+
+
+def test_allocate_batch_matches_numpy_reference():
+    # rows of 8 or more targets are where numpy's sum is pairwise, not sequential
+    draw = _rng(seed=21)
+    rows = [(4, [0.5, 0.25]), (3, [0.5, 0.5, 0.0]), (7, [1.0])]
+    for _ in range(3000):
+        weights = [float(w) for w in draw.random(int(draw.integers(1, 21)))]
+        denom = sum(weights)
+        rows.append((int(draw.integers(0, 60)), [w / denom for w in weights]))
+    for i, (count, probs) in enumerate(rows):
+        rng, ref = _rng(seed=i), _rng(seed=i)
+        assert allocate_batch(count, probs, rng) == _numpy_allocate(count, probs, ref), (count, probs)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_switch_batch_parks_without_outlet():
     state = BufferState()
     switch_batch(state, PlanTable(), P(0, 1), birth=2, count=3, rng=_rng())
@@ -161,8 +191,8 @@ def test_switch_batch_parks_without_outlet():
 
 def test_expire_old_ebits_cutoff():
     state = BufferState()
-    state.add_ready(P(0, 1), 3, 2)
-    state.add_staged((P(0, 1), P(0, 2)), 1, 1)
+    state.ready[P(0, 1)].add(3, 2)
+    state.staged[(P(0, 1), P(0, 2))].add(1, 1)
     assert expire_old_ebits(state, slot=5, max_age=2) == 1
     assert expire_old_ebits(state, slot=6, max_age=2) == 2
     assert state.total_ebits() == 0
@@ -172,26 +202,51 @@ def test_expire_old_ebits_cutoff():
 def test_reconcile_drains_stale_lanes_and_retries_parked():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
-    state.add_staged(lane, 1, 4)
+    state.staged[lane].add(1, 4)
     reconcile_buffers(state, PlanTable(), slot=2, rng=_rng(slot=2))
-    assert not state.staged
+    assert all(c.total == 0 for c in state.staged.values())
     assert state.parked[P(0, 1)].total == 4
 
     plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 1.0}, g={}, eta={}))
     reconcile_buffers(state, plan, slot=3, rng=_rng(slot=3))
-    assert not state.parked
+    assert all(c.total == 0 for c in state.parked.values())
     assert state.staged[lane].total == 4
     # births survived the round trip
     assert list(state.staged[lane].batches) == [[1, 4]]
 
 
+def _pools(state):
+    return [{key: [list(b) for b in c.batches] for key, c in pool.items()}
+            for pool in (state.parked, state.staged, state.ready)]
+
+
+def test_reconcile_again_on_the_same_table_moves_and_draws_nothing():
+    state = BufferState()
+    state.staged[(P(1, 3), P(0, 3))].add(1, 2)   # stale lane; 1:3 has no outlet
+    state.staged[(P(0, 2), P(0, 1))].add(1, 1)   # live lane
+    state.parked[P(0, 2)].add(1, 2)              # regains an outlet split over two lanes
+    table = compile_plan(star_net(), RateSolution(
+        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 1.0}, g={}, eta={}))
+    rng = _rng(slot=3)
+    reconcile_buffers(state, table, slot=3, rng=rng)
+    assert state.parked[P(1, 3)].total == 2
+    assert state.parked[P(0, 2)].total == 0
+    assert state.staged[(P(0, 2), P(0, 1))].total == 2
+    assert state.staged[(P(0, 2), P(0, 3))].total == 1
+
+    pools, draws = _pools(state), rng.bit_generator.state
+    reconcile_buffers(state, table, slot=4, rng=rng)
+    assert _pools(state) == pools
+    assert rng.bit_generator.state == draws
+
+
 def test_reconcile_keeps_live_lanes_untouched():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
-    state.add_staged(lane, 1, 2)
+    state.staged[lane].add(1, 2)
     plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 0.5}, g={}, eta={}))
     reconcile_buffers(state, plan, slot=2, rng=_rng(slot=2))
-    assert state.stage_total(lane) == 2
+    assert state.staged[lane].total == 2
 
 
 # -- generation ---------------------------------------------------------------
@@ -202,7 +257,7 @@ def test_phase_generate_integral_usage_is_exact():
     state = BufferState()
     made = phase_generate(plan, state, slot=1, rng=_rng(phase=1))
     assert made == 2
-    assert state.ready_total(P(0, 1)) == 2
+    assert state.ready[P(0, 1)].total == 2
 
 
 def test_phase_generate_fractional_usage_matches_expectation():
@@ -215,7 +270,7 @@ def test_phase_generate_fractional_usage_matches_expectation():
     for slot in range(1, slots + 1):
         total += phase_generate(plan, state, slot, srng.stream(slot, 1))
     assert total / slots == pytest.approx(0.4, abs=0.02)
-    assert state.ready_total(P(0, 1)) == total
+    assert state.ready[P(0, 1)].total == total
 
 
 def test_idle_table_leaves_every_phase_a_noop():
@@ -223,13 +278,13 @@ def test_idle_table_leaves_every_phase_a_noop():
     idle = PlanTable()
     assert switch_probabilities(idle, P(0, 1)) is None
     state = BufferState()
-    state.add_parked(P(0, 1), 1, 2)
-    state.add_ready(P(0, 2), 1, 1)
+    state.parked[P(0, 1)].add(1, 2)
+    state.ready[P(0, 2)].add(1, 1)
     reconcile_buffers(state, idle, slot=2, rng=_rng(slot=2))
     assert phase_generate(idle, state, 2, _rng(slot=2, phase=1)) == 0
     assert phase_swap(idle, state, 2, _rng(slot=2, phase=2)) == (0, 0)
     assert state.parked[P(0, 1)].total == 2
-    assert state.ready_total(P(0, 2)) == 1
+    assert state.ready[P(0, 2)].total == 1
     assert state.total_ebits() == 3
 
 
@@ -247,13 +302,13 @@ def test_phase_swap_consumes_both_lanes():
     net = two_hop_line(q=1.0)
     plan = _two_hop_plan(net)
     state = BufferState()
-    state.add_staged((P(0, 1), P(0, 2)), 1, 3)
-    state.add_staged((P(1, 2), P(0, 2)), 1, 2)
+    state.staged[(P(0, 1), P(0, 2))].add(1, 3)
+    state.staged[(P(1, 2), P(0, 2))].add(1, 2)
     attempts, wins = phase_swap(plan, state, slot=2, rng=_rng(slot=2, phase=2))
     assert (attempts, wins) == (2, 2)
-    assert state.ready_total(P(0, 2)) == 2
-    assert state.stage_total((P(0, 1), P(0, 2))) == 1
-    assert state.stage_total((P(1, 2), P(0, 2))) == 0
+    assert state.ready[P(0, 2)].total == 2
+    assert state.staged[(P(0, 1), P(0, 2))].total == 1
+    assert state.staged[(P(1, 2), P(0, 2))].total == 0
 
 
 def test_phase_swap_success_rate_matches_q():
@@ -263,8 +318,8 @@ def test_phase_swap_success_rate_matches_q():
     attempts = wins = 0
     for slot in range(1, 4001):
         state = BufferState()
-        state.add_staged((P(0, 1), P(0, 2)), slot, 5)
-        state.add_staged((P(1, 2), P(0, 2)), slot, 5)
+        state.staged[(P(0, 1), P(0, 2))].add(slot, 5)
+        state.staged[(P(1, 2), P(0, 2))].add(slot, 5)
         a, w = phase_swap(plan, state, slot, srng.stream(slot, 2))
         attempts += a
         wins += w
@@ -276,8 +331,8 @@ def test_phase_swap_product_inherits_older_birth():
     net = two_hop_line(q=1.0)
     plan = _two_hop_plan(net)
     state = BufferState()
-    state.add_staged((P(0, 1), P(0, 2)), 1, 1)
-    state.add_staged((P(1, 2), P(0, 2)), 5, 1)
+    state.staged[(P(0, 1), P(0, 2))].add(1, 1)
+    state.staged[(P(1, 2), P(0, 2))].add(5, 1)
     phase_swap(plan, state, slot=6, rng=_rng(slot=6, phase=2))
     assert list(state.ready[P(0, 2)].batches) == [[1, 1]]
 
@@ -296,17 +351,17 @@ def test_phase_swap_cascade_depth_controls_same_slot_chaining():
     net = three_hop_line(c=1, p=1.0, q=1.0)
     for depth, want_ready in ((1, 0), (2, 1)):
         state = BufferState()
-        state.add_staged((P(0, 1), P(0, 2)), 1, 1)
-        state.add_staged((P(1, 2), P(0, 2)), 1, 1)
-        state.add_staged((P(2, 3), P(0, 3)), 1, 1)
+        state.staged[(P(0, 1), P(0, 2))].add(1, 1)
+        state.staged[(P(1, 2), P(0, 2))].add(1, 1)
+        state.staged[(P(2, 3), P(0, 3))].add(1, 1)
         phase_swap(
             _three_hop_plan(net), state, slot=2,
             rng=_rng(slot=2, phase=2),
             config=ProtocolConfig(cascade_depth=depth),
         )
-        assert state.ready_total(P(0, 3)) == want_ready
+        assert state.ready[P(0, 3)].total == want_ready
         if depth == 1:
-            assert state.stage_total((P(0, 2), P(0, 3))) == 1
+            assert state.staged[(P(0, 2), P(0, 3))].total == 1
 
 
 # -- distribution -------------------------------------------------------------
@@ -320,19 +375,19 @@ def _commodity(cid, sd, demand, arrival=1, deadline=None, remaining=None):
 
 def test_distribute_shortest_remaining_first():
     state = BufferState()
-    state.add_ready(P(0, 1), 1, 4)
+    state.ready[P(0, 1)].add(1, 4)
     a = _commodity(0, P(0, 1), 6, remaining=5)
     b = _commodity(1, P(0, 1), 6, remaining=3)
     handed, done = phase_distribute(state, [a, b], DIST_SJF)
     assert handed == 4
     assert done == [b]
     assert b.remaining == 0 and a.remaining == 4
-    assert state.ready_total(P(0, 1)) == 0
+    assert state.ready[P(0, 1)].total == 0
 
 
 def test_distribute_earliest_deadline_first():
     state = BufferState()
-    state.add_ready(P(0, 1), 1, 2)
+    state.ready[P(0, 1)].add(1, 2)
     late = _commodity(0, P(0, 1), 2, deadline=9)
     soon = _commodity(1, P(0, 1), 2, deadline=4)
     never = _commodity(2, P(0, 1), 2)
@@ -344,11 +399,11 @@ def test_distribute_earliest_deadline_first():
 
 def test_distribute_leftover_stays_ready():
     state = BufferState()
-    state.add_ready(P(0, 1), 1, 5)
+    state.ready[P(0, 1)].add(1, 5)
     c = _commodity(0, P(0, 1), 2)
     handed, done = phase_distribute(state, [c], DIST_SJF)
     assert handed == 2 and done == [c]
-    assert state.ready_total(P(0, 1)) == 3
+    assert state.ready[P(0, 1)].total == 3
 
 
 def test_distribute_rejects_unknown_mode():
