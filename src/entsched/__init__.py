@@ -43,7 +43,6 @@ from .topology import (
     is_connected,
     read_network,
     sample_sd_pairs,
-    with_sd_pairs,
     write_network,
 )
 from .workload import (
@@ -101,7 +100,6 @@ __all__ = [
     "solve_lexicographic",
     "solve_max_total",
     "solve_single_pair_edr",
-    "with_sd_pairs",
     "write_network",
     "write_workload",
 ]

@@ -329,7 +329,6 @@ def build_and_check_mred_dc(
     net: Network,
     prioritized: Sequence[tuple[NodePair, float, float]],
     model: MredModel | None = None,
-    refine: bool = True,
 ) -> RateSolution | None:
     """Max-total solve under per-pair deadline prefix constraints.
 
@@ -340,9 +339,9 @@ def build_and_check_mred_dc(
     the constrained program is infeasible; an empty list degenerates to
     the plain fair max-total solve.
 
-    `refine=False` skips the second stage that steers the optimum toward
-    the prioritized pairs; use it for cheap feasibility probes where only
-    the verdict matters.
+    A feasible program is solved in two stages: the constrained max-total
+    optimum, then, holding that total, the most rate for the prioritized
+    pairs. The plan's objective log carries both values.
     """
     entries = []
     for sd, theta, delta in prioritized:
@@ -376,8 +375,6 @@ def build_and_check_mred_dc(
         return None
     _require_optimal(r1, "deadline-constrained total stage")
     v = r1.objective
-    if not refine:
-        return m.extract(r1.x, [("total", v)])
 
     # among max-total optima prefer feeding the prioritized pairs, so the
     # executed plan concentrates on the admitted deadlines

@@ -94,25 +94,26 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
 
     Candidates are tried in (slots left, arrival, id) order with their
     remaining demand; an infeasible candidate is skipped rather than
-    ending admission. Without any admission the plan falls back to the
-    plain fair solve, which also serves deadline-free commodities.
+    ending admission. Each probe is the full two-stage deadline solve, so
+    the last feasible probe is the plan. Without any admission the plan
+    falls back to the plain fair solve, which also serves deadline-free
+    commodities.
     """
     candidates = [c for c in active if c.deadline is not None]
     candidates.sort(key=lambda c: (c.deadline - slot + 1, c.arrival, c.id))
 
     admitted: list[tuple[NodePair, float, float]] = []
+    plan = None
     for c in candidates:
         if len(admitted) >= state.kappa:
             break
         entry = (c.sd, float(c.remaining), float(c.deadline - slot + 1))
-        probe = build_and_check_mred_dc(
-            state.net, admitted + [entry], model=state.model, refine=False
-        )
+        probe = build_and_check_mred_dc(state.net, admitted + [entry], model=state.model)
         if probe is not None:
             admitted.append(entry)
-    if not admitted:
+            plan = probe
+    if plan is None:
         return solve_max_total(state.net, state.model), []
-    plan = build_and_check_mred_dc(state.net, admitted, model=state.model)
     return plan, [sd for sd, _, _ in admitted]
 
 

@@ -40,13 +40,6 @@ class NodePair(NamedTuple):
     lo: int
     hi: int
 
-    def other(self, node: int) -> int:
-        if node == self.lo:
-            return self.hi
-        if node == self.hi:
-            return self.lo
-        raise KeyError(f"node {node} is not an endpoint of {self}")
-
     def __str__(self) -> str:
         return f"{self.lo}:{self.hi}"
 
@@ -142,17 +135,6 @@ def build_manual(
         sd.add(sp)
 
     return Network(q=q, links=link_map, sd_pairs=frozenset(sd))
-
-
-def with_sd_pairs(net: Network, sd_pairs: Iterable[tuple[int, int]]) -> Network:
-    """Copy of `net` with the SD set replaced (endpoints validated)."""
-    sd: set[NodePair] = set()
-    for s, t in sd_pairs:
-        sp = canonical_pair(int(s), int(t))
-        if sp.lo not in net.q or sp.hi not in net.q:
-            raise ValidationError(f"sd pair {sp} references an undeclared node")
-        sd.add(sp)
-    return replace(net, sd_pairs=frozenset(sd))
 
 
 def is_connected(net: Network) -> bool:

@@ -23,6 +23,7 @@ REPORTED = {trace: {m["name"] for m in BENCHMARK[key]}
 
 @pytest.mark.parametrize("workload, trace", [
     ("deadline-replan", "0"),
+    ("deadline-replan", "1"),
     ("ordered-openended", "0"),
     ("fixed-plan-long", "0"),
     ("fixed-plan-long", "1"),

@@ -133,6 +133,18 @@ def test_max_total_without_sd_pairs():
     assert not sol.eta and not sol.swaps
 
 
+@pytest.mark.xfail(strict=True, reason="fair-share stage pays dust through its total slack")
+def test_max_total_hands_out_no_dust_surplus():
+    net = generate_waxman(6, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9, seed=0)
+    net = sample_sd_pairs(net, 3, seed=100)
+    sol = solve_max_total(net)
+    assert dict(sol.objective_log)["total"] == pytest.approx(5.4, abs=1e-6)
+    # 1e-4 ebits/slot delivers less than one ebit in 10 000 slots
+    for sd in net.sorted_sd:
+        eta = sol.eta.get(sd, 0.0)
+        assert eta == 0.0 or eta > 1e-4, (sd, eta)
+
+
 def test_single_pair_edr_star(star):
     assert solve_single_pair_edr(star, P(0, 1)) == pytest.approx(2.0, abs=1e-6)
     assert solve_single_pair_edr(star, P(0, 3)) == pytest.approx(2.0, abs=1e-6)

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import star_net
+from entsched.mred import build_and_check_mred_dc, build_mred
 from entsched.scheduler import (
     POLICY_BASELINE,
     POLICY_DEADLINE,
@@ -137,6 +138,15 @@ def test_deadline_admits_tightest_first():
     assert plan.eta.get(AD, 0.0) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_deadline_plan_is_the_feasible_probe():
+    state = new_state(star_net(), POLICY_DEADLINE, kappa=1)
+    before = state.model.solves
+    framework_step(state, [_c(0, AB, 6, deadline=4), _c(1, AD, 6, deadline=6)], slot=1)
+    assert state.events[0]["priority"] == ["0:1"]
+    # one two-stage probe, and no further solve once it is admitted
+    assert state.model.solves - before == 2
+
+
 def test_deadline_skips_infeasible_candidate():
     state = new_state(star_net(), POLICY_DEADLINE, kappa=2)
     # jointly the two would need 1.5 + 1.0 from a hub rate of 2
@@ -144,6 +154,15 @@ def test_deadline_skips_infeasible_candidate():
     plan, _ = framework_step(state, active, slot=1)
     assert state.events[0]["priority"] == ["0:1"]
     assert plan.eta[AB] == pytest.approx(2.0, abs=1e-6)
+
+    # the rejected probe leaves the plan of the admitted entries alone
+    net = star_net()
+    ref = build_and_check_mred_dc(net, [(AB, 6.0, 4.0)], model=build_mred(net))
+    assert plan.swaps == ref.swaps
+    assert plan.g == ref.g
+    assert plan.eta == ref.eta
+    assert plan.objective_log == ref.objective_log
+    assert [label for label, _ in plan.objective_log] == ["total", "priority_total"]
 
 
 def test_deadline_admission_uses_remaining_demand():

@@ -13,7 +13,6 @@ from entsched.topology import (
     generate_waxman,
     is_connected,
     sample_sd_pairs,
-    with_sd_pairs,
 )
 
 
@@ -25,14 +24,6 @@ def test_canonical_pair_orients():
 def test_canonical_pair_rejects_degenerate():
     with pytest.raises(DegeneratePair):
         canonical_pair(5, 5)
-
-
-def test_pair_other_endpoint():
-    pr = canonical_pair(2, 7)
-    assert pr.other(2) == 7
-    assert pr.other(7) == 2
-    with pytest.raises(KeyError):
-        pr.other(3)
 
 
 def test_build_manual_star(star):
@@ -125,13 +116,6 @@ def test_sample_sd_pairs_distinct_and_capped():
     assert sampled.sd_pairs == again.sd_pairs
     everything = sample_sd_pairs(net, 10_000, seed=5)
     assert len(everything.sd_pairs) == len(net.all_pairs())
-
-
-def test_with_sd_pairs_validates(star):
-    updated = with_sd_pairs(star, [(1, 3)])
-    assert updated.sd_pairs == {NodePair(1, 3)}
-    with pytest.raises(ValidationError):
-        with_sd_pairs(star, [(0, 42)])
 
 
 def test_json_round_trip(star, tmp_path):
