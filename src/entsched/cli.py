@@ -44,7 +44,14 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_INVARIANT = 3
 
-SWEEP_AXES = ("arrival-rate", "mean-demand", "graph-size", "deadline-factor", "kappa")
+# sweep axis -> the scenario parameter it sets
+SWEEP_AXES = {
+    "arrival-rate": "rate",
+    "mean-demand": "mean_demand",
+    "graph-size": "nodes",
+    "deadline-factor": "deadline_factor",
+    "kappa": "kappa",
+}
 
 # network and workload scale behind the --paper-scale flag; it replaces
 # the sweep's defaults, so every flag given explicitly still wins
@@ -235,7 +242,7 @@ def cmd_simulate(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 def _parse_values(axis: str, raw: str) -> list:
-    kind = int if axis in ("graph-size", "kappa") else float
+    kind = int if SWEEP_AXES[axis] in ("nodes", "kappa") else float
     try:
         values = [kind(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
@@ -260,16 +267,7 @@ def _base_params(args) -> dict:
 
 
 def _apply_axis(base: dict, axis: str, value) -> dict:
-    params = dict(base)
-    key = {
-        "arrival-rate": "rate",
-        "mean-demand": "mean_demand",
-        "graph-size": "nodes",
-        "deadline-factor": "deadline_factor",
-        "kappa": "kappa",
-    }[axis]
-    params[key] = value
-    return params
+    return {**base, SWEEP_AXES[axis]: value}
 
 
 def run_sweep_case(spec: dict) -> dict:

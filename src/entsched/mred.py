@@ -14,8 +14,14 @@ Pairs outside the source-destination set must balance exactly; SD pairs
 may run a surplus, and that surplus is their end-to-end rate ``eta``.
 The surplus variables are materialized as one LP column per pair, pinned
 to zero for non-SD pairs, which lets a single factorized model serve
-whole-set, prioritized, and single-pair solves by swapping bounds. The
-equality rows are the per-pair balance rows and nothing else.
+whole-set, prioritized, and single-pair solves by swapping bounds. One
+more column, the fair-share floor, is pinned at zero unless an objective
+maximizes it. The equality rows are the per-pair balance rows and
+nothing else.
+
+Every multi-objective plan is a lexicographic maximization written as a
+list of stages, each an objective plus the rows it adds; `_lexmax` runs
+a stage list, holding each stage at its optimum before the next.
 
 Swap columns scale as |V|^3 / 2 with node count: every (produced pair,
 swap node) combination gets one, links or not, because buffered ebits
@@ -107,11 +113,13 @@ class MredModel:
 
     Column layout: one swap column per entry of `swap_ids`, each a
     (produced pair, swap node) and the key of `RateSolution.swaps`, then
-    link usage, then one surplus column per node pair. A swap column's
-    value is the swap's rate, which is also the staged flow of each of
-    its two lanes: it adds ``q_k`` to the produced pair's balance row and
-    takes 1 from each lane pair's row. Equality rows: one balance row per
-    pair. `solves` counts the LP solves run on this model.
+    link usage, then one surplus column per node pair, then the floor
+    column `floor_col`. A swap column's value is the swap's rate, which is
+    also the staged flow of each of its two lanes: it adds ``q_k`` to the
+    produced pair's balance row and takes 1 from each lane pair's row.
+    The floor column appears in no balance row; rows that bound it by
+    surpluses make maximizing it a maximin. Equality rows: one balance
+    row per pair. `solves` counts the LP solves run on this model.
     """
 
     def __init__(self, net: Network):
@@ -139,7 +147,8 @@ class MredModel:
         self.swap_ids = swap_ids
         self.g_col = {lk: nf + j for j, lk in enumerate(net.sorted_links)}
         self.eta_col = {pr: nf + ng + j for j, pr in enumerate(pairs)}
-        self.ncols = nf + ng + npair
+        self.floor_col = nf + ng + npair
+        self.ncols = self.floor_col + 1
         self.n_f_vars = nf
         self.n_g_vars = ng
         self.n_balance_rows = npair
@@ -162,10 +171,10 @@ class MredModel:
         bounds = np.zeros((self.ncols, 2))
         bounds[:nf, 1] = np.inf
         bounds[nf:nf + ng, 1] = 1.0
-        # surplus columns stay pinned at zero unless freed per solve
+        # surplus and floor columns stay pinned at zero unless freed per solve
         self._base_bounds = bounds
 
-    def _assemble_ub(self, extra_ub, ncols):
+    def _assemble_ub(self, extra_ub):
         if not extra_ub:
             return None, None
         rows, cols, vals, rhs = [], [], [], []
@@ -175,45 +184,34 @@ class MredModel:
                 cols.append(col)
                 vals.append(w)
             rhs.append(ub)
-        A = sparse.coo_matrix((vals, (rows, cols)), shape=(len(extra_ub), ncols)).tocsr()
+        A = sparse.coo_matrix((vals, (rows, cols)), shape=(len(extra_ub), self.ncols)).tocsr()
         return A, np.asarray(rhs)
 
     def solve(
         self,
-        objective: dict[int, float] | None,
+        objective: dict[int, float],
         extra_ub: Sequence[tuple[dict[int, float], float]] = (),
         eta_free: Iterable[NodePair] | None = None,
-        maximin_over: Iterable[NodePair] | None = None,
     ) -> lp.LpResult:
         """Maximize a linear objective over the balance polytope.
 
         `eta_free` selects which pairs may run a surplus (defaults to the
-        network's SD set). With `maximin_over`, a fresh variable bounded
-        above by each listed pair's surplus is maximized instead; the
-        `objective` argument is ignored in that mode.
+        network's SD set). The floor column is freed only when
+        `objective` uses it.
         """
         free = tuple(eta_free) if eta_free is not None else self.net.sorted_sd
         bounds = self._base_bounds.copy()
         for pr in free:
             bounds[self.eta_col[pr], 1] = np.inf
+        if self.floor_col in objective:
+            bounds[self.floor_col, 1] = np.inf
 
-        ncols = self.ncols
-        A_eq = self.A_eq
-        if maximin_over is not None:
-            ncols += 1
-            A_eq = sparse.hstack([A_eq, sparse.csr_matrix((A_eq.shape[0], 1))]).tocsr()
-            bounds = np.vstack([bounds, [0.0, np.inf]])
-            extra_ub = list(extra_ub) + [
-                ({ncols - 1: 1.0, self.eta_col[pr]: -1.0}, 0.0) for pr in sorted(maximin_over)
-            ]
-            objective = {ncols - 1: 1.0}
-
-        c = np.zeros(ncols)
-        for col, w in (objective or {}).items():
+        c = np.zeros(self.ncols)
+        for col, w in objective.items():
             c[col] = -w
-        A_ub, b_ub = self._assemble_ub(extra_ub, ncols)
+        A_ub, b_ub = self._assemble_ub(extra_ub)
         self.solves += 1
-        res = lp.solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=self.b_eq, bounds=bounds)
+        res = lp.solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq, bounds=bounds)
         if res.objective is not None:
             res = lp.LpResult(status=res.status, x=res.x, objective=-res.objective)
         return res
@@ -252,29 +250,47 @@ def _model_for(net: Network, model: MredModel | None) -> MredModel:
     return MredModel(net)
 
 
-def _require_optimal(res: lp.LpResult, what: str) -> None:
-    if res.status != LpStatus.OPTIMAL:
-        raise SolverError(f"{what}: solver returned {res.status}")
+def _lexmax(m: MredModel, stages: Iterable[tuple[str, dict, list]]) -> RateSolution | None:
+    """Maximize each stage's objective in turn, holding earlier stages.
+
+    A stage is (label, objective, rows): its rows join the program, then
+    its objective is maximized and held at its optimum less `_lex_eps`
+    for the stages after it. The plan is the last stage's solution, and
+    its objective log lists each stage's label and optimum. Returns None
+    when the first stage's own rows make the program infeasible; any
+    other outcome short of optimal raises `SolverError`.
+    """
+    held: list[tuple[dict[int, float], float]] = []
+    log: list[tuple[str, float]] = []
+    for label, objective, rows in stages:
+        held.extend(rows)
+        res = m.solve(objective, extra_ub=held)
+        if res.status == LpStatus.INFEASIBLE and not log and rows:
+            return None
+        if res.status != LpStatus.OPTIMAL:
+            raise SolverError(f"{label} stage: solver returned {res.status}")
+        v = res.objective
+        log.append((label, v))
+        held.append(({col: -w for col, w in objective.items()}, -(v - _lex_eps(v))))
+    return m.extract(res.x, log)
 
 
 def solve_max_total(net: Network, model: MredModel | None = None) -> RateSolution:
     """Maximize total SD surplus, then even out the per-pair shares.
 
-    The second stage pins the total at its optimum and maximizes the
-    smallest SD surplus, so ties between SD pairs resolve to the fair
-    split instead of an arbitrary solver vertex.
+    The second stage holds the total at its optimum and maximizes the
+    floor column under ``floor <= eta`` for every SD pair, so ties between
+    SD pairs resolve to the fair split instead of an arbitrary solver
+    vertex.
     """
     if not net.sd_pairs:
         return zero_solution([("total", 0.0)])
     m = _model_for(net, model)
-    total_obj = {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}
-    r1 = m.solve(total_obj)
-    _require_optimal(r1, "total-rate stage")
-    v = r1.objective
-    fix_total = ({col: -1.0 for col in total_obj}, -(v - _lex_eps(v)))
-    r2 = m.solve(None, extra_ub=[fix_total], maximin_over=net.sorted_sd)
-    _require_optimal(r2, "fair-share stage")
-    return m.extract(r2.x, [("total", v), ("min_share", r2.objective)])
+    floor_rows = [({m.floor_col: 1.0, m.eta_col[pr]: -1.0}, 0.0) for pr in net.sorted_sd]
+    return _lexmax(m, [
+        ("total", {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}, []),
+        ("min_share", {m.floor_col: 1.0}, floor_rows),
+    ])
 
 
 def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel | None = None) -> float:
@@ -283,7 +299,8 @@ def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel | None = 
     net.require_pair(sd)
     m = _model_for(net, model)
     res = m.solve({m.eta_col[sd]: 1.0}, eta_free=(sd,))
-    _require_optimal(res, f"single-pair rate for {sd}")
+    if res.status != LpStatus.OPTIMAL:
+        raise SolverError(f"single-pair rate for {sd}: solver returned {res.status}")
     return max(0.0, res.objective)
 
 
@@ -309,20 +326,8 @@ def solve_lexicographic(
         return solve_max_total(net, model)
 
     m = _model_for(net, model)
-    fixed: list[tuple[dict[int, float], float]] = []
-    log: list[tuple[str, float]] = []
-    for pr in prio:
-        col = m.eta_col[pr]
-        res = m.solve({col: 1.0}, extra_ub=fixed)
-        _require_optimal(res, f"priority stage for {pr}")
-        v = res.objective
-        log.append((f"eta[{pr}]", v))
-        fixed.append(({col: -1.0}, -(v - _lex_eps(v))))
-    total_obj = {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}
-    res = m.solve(total_obj, extra_ub=fixed)
-    _require_optimal(res, "work-conservation stage")
-    log.append(("total", res.objective))
-    return m.extract(res.x, log)
+    stages = [(f"eta[{pr}]", {m.eta_col[pr]: 1.0}, []) for pr in prio]
+    return _lexmax(m, stages + [("total", {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}, [])])
 
 
 def build_and_check_mred_dc(
@@ -369,20 +374,12 @@ def build_and_check_mred_dc(
             cum += theta
             rows.append(({col: -delta}, -cum))
 
-    total_obj = {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}
-    r1 = m.solve(total_obj, extra_ub=rows)
-    if r1.status == LpStatus.INFEASIBLE:
-        return None
-    _require_optimal(r1, "deadline-constrained total stage")
-    v = r1.objective
-
     # among max-total optima prefer feeding the prioritized pairs, so the
     # executed plan concentrates on the admitted deadlines
-    fixed = rows + [({col: -1.0 for col in total_obj}, -(v - _lex_eps(v)))]
-    prio_obj = {m.eta_col[sd]: 1.0 for sd in groups}
-    r2 = m.solve(prio_obj, extra_ub=fixed)
-    _require_optimal(r2, "deadline preference stage")
-    return m.extract(r2.x, [("total", v), ("priority_total", r2.objective)])
+    return _lexmax(m, [
+        ("total", {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}, rows),
+        ("priority_total", {m.eta_col[sd]: 1.0 for sd in groups}, []),
+    ])
 
 
 def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> dict:

@@ -333,8 +333,6 @@ def _zip_chunks(left: list[tuple[int, int]], right: list[tuple[int, int]]):
 
 def _split_successes(chunks, successes: int, rng: np.random.Generator):
     """Attribute swap successes to age chunks without replacement."""
-    if len(chunks) == 1:
-        return [(chunks[0][0], successes)]
     out = []
     rem_total = sum(n for _, n in chunks)
     rem_good = successes

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from entsched import lp
 from entsched.topology import Network, build_manual
 
 
@@ -37,3 +40,29 @@ def three_hop_line(c=1, p=0.9, q=0.9) -> Network:
 @pytest.fixture
 def star():
     return star_net()
+
+
+class _FailingBackend:
+    """The real solver for the first `after` calls, then `status` on every call."""
+
+    def __init__(self, real, status: str, after: int):
+        self.real, self.status, self.after = real, status, after
+        self.calls = 0
+
+    def solve(self, c, **kwargs) -> lp.LpResult:
+        self.calls += 1
+        if self.calls > self.after:
+            return lp.LpResult(status=self.status, x=None, objective=None)
+        return self.real.solve(c, **kwargs)
+
+
+@contextmanager
+def failing_backend(status: str, after: int = 0):
+    """Install `_FailingBackend` as the LP backend for the block."""
+    real = lp.get_backend()
+    stub = _FailingBackend(real, status, after)
+    lp.set_backend(stub)
+    try:
+        yield stub
+    finally:
+        lp.set_backend(real)

@@ -25,6 +25,7 @@ REPORTED = {trace: {m["name"] for m in BENCHMARK[key]}
     ("deadline-replan", "0"),
     ("deadline-replan", "1"),
     ("ordered-openended", "0"),
+    ("ordered-openended", "1"),
     ("fixed-plan-long", "0"),
     ("fixed-plan-long", "1"),
 ])

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from conftest import failing_backend
 from entsched import cli
+from entsched.lp import LpStatus
 from entsched.topology import read_network
 from entsched.workload import read_workload
 
@@ -75,6 +77,22 @@ def test_simulate_prints_metrics(tmp_path, capsys):
         "n_commodities", "solver_calls", "slots", "wall_ms",
     ]
     assert payload["policy"] == "ESDI-O"
+
+
+def test_simulate_solver_failure_exits_with_solver_code(tmp_path, capsys):
+    net_path = _gen_net(tmp_path)
+    load_path = _gen_load(tmp_path, net_path)
+    capsys.readouterr()
+    with failing_backend(LpStatus.UNBOUNDED):
+        rc = cli.main([
+            "simulate", "--net", str(net_path), "--workload", str(load_path),
+            "--policy", "ESDI-B", "--seed", "1",
+        ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: "), lines
 
 
 def test_simulate_out_and_trace_files(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import star_net, three_hop_line, two_hop_line
+from conftest import failing_backend, star_net, three_hop_line, two_hop_line
 from entsched import mred
+from entsched.lp import LpStatus, SolverError
 from entsched.mred import (
     MredModel,
     RateSolution,
@@ -72,7 +73,8 @@ def test_model_counts_on_star(star):
     assert model.n_f_vars == 6 * 2
     assert model.n_g_vars == 3
     assert model.n_balance_rows == 6
-    assert model.A_eq.shape == (6, 12 + 3 + 6)
+    # swap, link usage and surplus columns, then the fair-share floor
+    assert model.A_eq.shape == (6, 12 + 3 + 6 + 1)
     assert len(model.eta_col) == 6
 
 
@@ -251,7 +253,11 @@ def test_swap_columns_match_two_lane_reference(seed):
     def same(got, want):
         assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
-    same(dict(solve_max_total(net).objective_log)["total"], _two_lane_optimum(net, sd, sd))
+    fair = solve_max_total(net)
+    same(dict(fair.objective_log)["total"], _two_lane_optimum(net, sd, sd))
+    # the floor column is a maximin: it rises to the smallest SD surplus
+    assert dict(fair.objective_log)["min_share"] == pytest.approx(
+        min(fair.eta.get(pr, 0.0) for pr in sd), abs=1e-6)
     for pr in sd:
         same(solve_single_pair_edr(net, pr), _two_lane_optimum(net, [pr], [pr]))
     first = solve_lexicographic(net, [sd[-1]]).objective_log[0][1]
@@ -370,6 +376,26 @@ def test_dc_subsets_of_feasible_stay_feasible(star):
     for drop in range(len(entries)):
         subset = [e for i, e in enumerate(entries) if i != drop]
         assert build_and_check_mred_dc(star, subset) is not None
+
+
+# -- solver failures ----------------------------------------------------------
+
+def test_failed_stage_raises_with_its_label(star):
+    with failing_backend(LpStatus.UNBOUNDED, after=1) as stub:
+        with pytest.raises(SolverError, match=r"^min_share stage"):
+            solve_max_total(star)
+    assert stub.calls == 2
+
+
+def test_dc_infeasible_first_stage_is_a_verdict_not_an_error(star):
+    entries = [(P(0, 1), 6, 4)]
+    with failing_backend(LpStatus.INFEASIBLE) as stub:
+        assert build_and_check_mred_dc(star, entries) is None
+    assert stub.calls == 1
+    # the prefix rows were feasible, so a later infeasible stage is a fault
+    with failing_backend(LpStatus.INFEASIBLE, after=1):
+        with pytest.raises(SolverError, match=r"^priority_total stage"):
+            build_and_check_mred_dc(star, entries)
 
 
 # -- validation ---------------------------------------------------------------
