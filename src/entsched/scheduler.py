@@ -6,6 +6,11 @@ pairs by estimated completion time and re-solves lexicographically when
 the active set changes. The deadline variant greedily admits commodities
 in earliest-deadline order, keeping only a prefix whose deadline
 constraints stay jointly feasible.
+
+A run solves each distinct program at most once: ESDI-O plans are kept
+by priority list, and ESDI-E's fallback plan under the empty list. An
+ESDI-E candidate whose pair needs more than the pair's solo rate is
+skipped without an LP, once that pair has had an infeasible probe.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ class SchedulerState:
     plan: RateSolution | None = None
     fingerprint: frozenset[int] | None = None
     edr_cache: dict[NodePair, float] = field(default_factory=dict)
+    # plans solved this run by priority tuple; () is ESDI-E's fallback plan
+    plan_memo: dict[tuple[NodePair, ...], RateSolution] = field(default_factory=dict)
+    # pairs with an LP-infeasible deadline probe, whose probes check the solo-rate bound
+    bound_armed: set[NodePair] = field(default_factory=set)
     events: list[dict] = field(default_factory=list)
 
 
@@ -83,10 +92,37 @@ def rank_pairs_by_completion(state: SchedulerState, active: list[Commodity]) -> 
     return [sd for _, _, _, sd in ranked]
 
 
+def _memo_plan(state: SchedulerState, key: tuple[NodePair, ...], solve) -> RateSolution:
+    """The plan stored under `key`, solved by `solve()` on first use.
+
+    Exact because a program depends only on the model and the key, and
+    the solver returns the same optimum for the same input.
+    """
+    plan = state.plan_memo.get(key)
+    if plan is None:
+        plan = state.plan_memo[key] = solve()
+    return plan
+
+
 def _plan_ordered(state: SchedulerState, active: list[Commodity]):
     priority = rank_pairs_by_completion(state, active)[: state.kappa]
-    plan = solve_lexicographic(state.net, priority, model=state.model)
+    plan = _memo_plan(state, tuple(priority),
+                      lambda: solve_lexicographic(state.net, priority, model=state.model))
     return plan, priority
+
+
+def _exceeds_solo_rate(state: SchedulerState, entries, sd: NodePair) -> bool:
+    """True when `sd` needs more than it gets served alone, past the
+    solver's feasibility tolerance, so the probe must be infeasible.
+
+    The need is the greatest cumulative demand over window among `sd`'s
+    deadline-prefix rows, taken as `build_and_check_mred_dc` writes them.
+    """
+    need = cum = 0.0
+    for theta, delta in sorted(((t, d) for p, t, d in entries if p == sd), key=lambda td: td[1]):
+        cum += theta
+        need = max(need, cum / delta)
+    return need > single_pair_rate(state, sd) * (1 + 1e-7) + 1e-7
 
 
 def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
@@ -95,9 +131,11 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
     Candidates are tried in (slots left, arrival, id) order with their
     remaining demand; an infeasible candidate is skipped rather than
     ending admission. Each probe is the full two-stage deadline solve, so
-    the last feasible probe is the plan. Without any admission the plan
-    falls back to the plain fair solve, which also serves deadline-free
-    commodities.
+    the last feasible probe is the plan. Once a pair has had an infeasible
+    probe, its later candidates are first checked against its solo rate;
+    only the candidate's pair is checked, since the admitted entries were
+    feasible together. Without any admission the plan falls back to the
+    plain fair solve, which also serves deadline-free commodities.
     """
     candidates = [c for c in active if c.deadline is not None]
     candidates.sort(key=lambda c: (c.deadline - slot + 1, c.arrival, c.id))
@@ -108,12 +146,17 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
         if len(admitted) >= state.kappa:
             break
         entry = (c.sd, float(c.remaining), float(c.deadline - slot + 1))
-        probe = build_and_check_mred_dc(state.net, admitted + [entry], model=state.model)
-        if probe is not None:
+        entries = admitted + [entry]
+        if c.sd in state.bound_armed and _exceeds_solo_rate(state, entries, c.sd):
+            continue
+        probe = build_and_check_mred_dc(state.net, entries, model=state.model)
+        if probe is None:
+            state.bound_armed.add(c.sd)
+        else:
             admitted.append(entry)
             plan = probe
     if plan is None:
-        return solve_max_total(state.net, state.model), []
+        return _memo_plan(state, (), lambda: solve_max_total(state.net, state.model)), []
     return plan, [sd for sd, _, _ in admitted]
 
 

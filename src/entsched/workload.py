@@ -162,6 +162,15 @@ def write_workload(commodities: Iterable[Commodity], path: str) -> None:
             fh.write("\n")
 
 
+def _whole(obj: dict, key: str) -> int:
+    """`obj[key]` as an int; a bool or a number with a fraction is refused
+    rather than truncated."""
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+        raise ValidationError(f"workload field {key!r} must be a whole number, got {v!r}")
+    return int(v)
+
+
 def read_workload(path: str) -> list[Commodity]:
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -172,9 +181,9 @@ def read_workload(path: str) -> list[Commodity]:
             try:
                 obj = json.loads(line)
                 out.append(Commodity(
-                    id=int(obj["id"]), sd=canonical_pair(obj["s"], obj["t"]),
-                    demand=int(obj["d"]), arrival=int(obj["a"]),
-                    deadline=None if obj.get("deadline") is None else int(obj["deadline"]),
+                    id=_whole(obj, "id"), sd=canonical_pair(_whole(obj, "s"), _whole(obj, "t")),
+                    demand=_whole(obj, "d"), arrival=_whole(obj, "a"),
+                    deadline=None if obj.get("deadline") is None else _whole(obj, "deadline"),
                 ))
             except ValidationError:
                 raise

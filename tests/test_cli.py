@@ -358,6 +358,20 @@ def test_simulate_non_integer_demand_is_config_error(tmp_path, capsys):
     _assert_config_error(rc, capsys)
 
 
+@pytest.mark.parametrize("field, value", [("d", 2.5), ("a", 1.5), ("d", True)])
+def test_simulate_fractional_or_bool_field_is_config_error(tmp_path, capsys, field, value):
+    net_path = _gen_net(tmp_path)
+    sd = read_network(str(net_path)).sorted_sd[0]
+    line = {"id": 0, "s": sd.lo, "t": sd.hi, "d": 3, "a": 1, "deadline": 20, field: value}
+    load_path = tmp_path / "bad.jsonl"
+    load_path.write_text(json.dumps(line) + "\n")
+    capsys.readouterr()
+    rc = cli.main([
+        "simulate", "--net", str(net_path), "--workload", str(load_path), "--policy", "ESDI-E",
+    ])
+    _assert_config_error(rc, capsys)
+
+
 def test_non_integer_node_id_is_config_error(tmp_path, capsys):
     net_path = tmp_path / "bad.json"
     net_path.write_text(json.dumps({

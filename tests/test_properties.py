@@ -2,7 +2,8 @@
 
 Each hypothesis example draws a 4-7 node Waxman network and a small
 workload and runs every policy twice, checking every fresh plan and its
-execution table. The examples are derandomized, so the suite runs the
+execution table, and every ESDI-O plan against a fresh model's solve of
+its priority list. The examples are derandomized, so the suite runs the
 same instances every time. A fixed-plan test checks that long runs
 deliver the planned end-to-end rates.
 """
@@ -14,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entsched import engine
-from entsched.mred import check_solution, solve_max_total
+from entsched.mred import build_mred, check_solution, solve_lexicographic, solve_max_total
 from entsched.protocol import compile_plan
-from entsched.scheduler import POLICIES, POLICY_BASELINE
-from entsched.topology import generate_waxman, sample_sd_pairs
+from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_ORDERED
+from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
 from entsched.workload import Commodity, DeadlineSpec, WorkloadConfig, generate_workload
 
 
@@ -66,7 +67,7 @@ def test_random_instances_conserve_plan_validly_and_repeat(
     def recording_step(state, active, slot):
         plan, fresh = step(state, active, slot)
         if fresh and plan is not None:
-            plans.append(plan)
+            plans.append((plan, state.events[-1]["priority"]))
         return plan, fresh
 
     for policy in POLICIES:
@@ -76,11 +77,15 @@ def test_random_instances_conserve_plan_validly_and_repeat(
             first = engine.run_simulation(net, commodities, policy, seed=run_seed,
                                           horizon_cap=3000)
         assert plans or not commodities, policy
-        for plan in plans:
+        for plan, priority in plans:
             report = check_solution(net, plan)
             assert report["ok"], (policy, report)
             assert all(w >= 0 for w in plan.swaps.values()), policy
             _check_table(plan, compile_plan(net, plan))
+            if policy == POLICY_ORDERED:
+                # a reused plan is the one a fresh model solves for its list
+                pairs = [canonical_pair(*map(int, sd.split(":"))) for sd in priority]
+                assert plan == solve_lexicographic(net, pairs, model=build_mred(net)), priority
         plans.clear()
         again = engine.run_simulation(net, commodities, policy, seed=run_seed, horizon_cap=3000)
         assert _without_wall(first) == _without_wall(again), policy

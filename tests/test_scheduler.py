@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import star_net
-from entsched.mred import build_and_check_mred_dc, build_mred
+from entsched import engine, scheduler
+from entsched.mred import build_and_check_mred_dc, build_mred, solve_lexicographic
 from entsched.scheduler import (
     POLICY_BASELINE,
     POLICY_DEADLINE,
@@ -11,8 +12,14 @@ from entsched.scheduler import (
     rank_pairs_by_completion,
     single_pair_rate,
 )
-from entsched.topology import ValidationError, build_manual, canonical_pair
-from entsched.workload import Commodity
+from entsched.topology import (
+    ValidationError,
+    build_manual,
+    canonical_pair,
+    generate_waxman,
+    sample_sd_pairs,
+)
+from entsched.workload import Commodity, DeadlineSpec, WorkloadConfig, generate_workload
 
 P = canonical_pair
 AB = P(0, 1)
@@ -118,6 +125,100 @@ def test_ordered_truncates_priority_to_kappa():
     labels = [label for label, _ in plan.objective_log]
     assert labels == ["eta[0:1]", "eta[0:3]", "total"]
     assert plan.eta[AB] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_ordered_reuses_plan_of_a_priority_list_already_solved():
+    net = star_net()
+    state = new_state(net, POLICY_ORDERED, kappa=1)
+    c0, c1, c2 = _c(0, AB, 4), _c(1, AD, 6), _c(2, AB, 2)
+    first, _ = framework_step(state, [c0, c1], slot=1)
+    framework_step(state, [c1], slot=3)
+    before = state.model.solves
+    plan, fresh = framework_step(state, [c1, c2], slot=5)
+    assert fresh
+    assert [e["priority"] for e in state.events] == [["0:1"], ["0:3"], ["0:1"]]
+    # the list 0:1 was solved at slot 1, so this re-plan runs no solve
+    assert state.model.solves == before
+    assert plan is first
+    ref = solve_lexicographic(net, [AB], model=build_mred(net))
+    assert plan.swaps == ref.swaps
+    assert plan.g == ref.g
+    assert plan.eta == ref.eta
+    assert plan.objective_log == ref.objective_log
+
+
+def test_deadline_fallback_is_solved_once_per_run():
+    state = new_state(star_net(), POLICY_DEADLINE)
+    c0, c1 = _c(0, AB, 100, deadline=2), _c(1, AD, 100, deadline=3)
+    first, _ = framework_step(state, [c0], slot=1)
+    assert state.bound_armed == {AB}
+    before = state.model.solves
+    plan, fresh = framework_step(state, [c0, c1], slot=2)
+    assert fresh and plan is first
+    assert [e["priority"] for e in state.events] == [[], []]
+    # 0:1 is rejected by its solo rate (one solve), 0:3 by one LP probe, and
+    # the fallback plan is the one solved at slot 1
+    assert state.model.solves - before == 2
+    assert state.bound_armed == {AB, AD}
+
+
+def _random_deadline_run(seed, mu, kappa):
+    """One ESDI-E run on a seeded 7-node Waxman instance."""
+    net = generate_waxman(7, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9, seed=seed)
+    net = sample_sd_pairs(net, 3, seed=seed + 100)
+    cfg = WorkloadConfig(rate=1.5, mean_demand=6.0, min_demand=2, horizon=6,
+                         deadline=DeadlineSpec(mu, 0.1))
+    demands = generate_workload(cfg, net.sorted_sd, seed=seed + 200)
+    return engine.run_simulation(net, demands, POLICY_DEADLINE, kappa=kappa, seed=seed,
+                                 horizon_cap=3000)
+
+
+def test_solo_rate_bound_rejects_only_infeasible_probes(monkeypatch):
+    rejected = []
+    bound = scheduler._exceeds_solo_rate
+
+    def recording_bound(state, entries, sd):
+        hit = bound(state, entries, sd)
+        if hit:
+            rejected.append((state.net, list(entries)))
+        return hit
+
+    monkeypatch.setattr(scheduler, "_exceeds_solo_rate", recording_bound)
+    for seed in range(6):
+        _random_deadline_run(seed, mu=0.3, kappa=3)
+    assert len(rejected) > 20
+    for net, entries in rejected:
+        assert build_and_check_mred_dc(net, entries, model=build_mred(net)) is None, entries
+
+
+def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
+    probes = []
+    probe = scheduler.build_and_check_mred_dc
+
+    def recording_probe(net, entries, model=None):
+        res = probe(net, entries, model=model)
+        probes.append(res is not None)
+        return res
+
+    monkeypatch.setattr(scheduler, "build_and_check_mred_dc", recording_probe)
+    states = []
+    step = engine.framework_step
+
+    def recording_step(state, active, slot):
+        states.append(state)
+        return step(state, active, slot)
+
+    monkeypatch.setattr(engine, "framework_step", recording_step)
+    # windows twice the demand; on these seeds every tightest candidate fits
+    for seed in (3, 4, 5, 7):
+        result = _random_deadline_run(seed, mu=2.0, kappa=1)
+        state = states[-1]
+        assert probes and all(probes)
+        assert not state.bound_armed and not state.edr_cache
+        # each re-plan is one feasible two-stage probe, as without the bound
+        assert result.metrics.solver_calls == 2 * len(probes) == 2 * len(result.events)
+        states.clear()
+        probes.clear()
 
 
 def test_edr_cache_avoids_repeat_solves():
