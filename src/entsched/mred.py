@@ -21,7 +21,10 @@ nothing else.
 
 Every multi-objective plan is a lexicographic maximization written as a
 list of stages, each an objective plus the rows it adds; `_lexmax` runs
-a stage list, holding each stage at its optimum before the next.
+a stage list, holding each stage at its optimum before the next. The
+unconstrained max-total optimum is solved once per model and reused:
+by the max-total plan, and by every deadline probe whose rows the
+max-total point already meets.
 
 Swap columns scale as |V|^3 / 2 with node count: every (produced pair,
 swap node) combination gets one, links or not, because buffered ebits
@@ -125,6 +128,7 @@ class MredModel:
     def __init__(self, net: Network):
         self.net = net
         self.solves = 0
+        self._max_total: tuple[float, dict[NodePair, float]] | None = None
         nodes = net.nodes
         pairs = net.all_pairs()
         pidx = {pr: i for i, pr in enumerate(pairs)}
@@ -216,6 +220,24 @@ class MredModel:
             res = lp.LpResult(status=res.status, x=res.x, objective=-res.objective)
         return res
 
+    def total_objective(self) -> dict[int, float]:
+        """The sum of the SD surpluses."""
+        return {self.eta_col[pr]: 1.0 for pr in self.net.sorted_sd}
+
+    def max_total_optimum(self) -> tuple[float, dict[NodePair, float]]:
+        """The unconstrained `total` stage's optimum V and its SD surpluses.
+
+        Solved on first use and kept, since the program depends only on
+        the model.
+        """
+        if self._max_total is None:
+            res = self.solve(self.total_objective())
+            if res.status != LpStatus.OPTIMAL:
+                raise SolverError(f"total stage: solver returned {res.status}")
+            eta = {pr: float(res.x[self.eta_col[pr]]) for pr in self.net.sorted_sd}
+            self._max_total = (res.objective, eta)
+        return self._max_total
+
     def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
         fv = x[:self.n_f_vars]
         swaps = {
@@ -250,26 +272,31 @@ def _model_for(net: Network, model: MredModel | None) -> MredModel:
     return MredModel(net)
 
 
-def _lexmax(m: MredModel, stages: Iterable[tuple[str, dict, list]]) -> RateSolution | None:
+def _lexmax(
+    m: MredModel, stages: Iterable[tuple[str, dict, list, float | None]]
+) -> RateSolution | None:
     """Maximize each stage's objective in turn, holding earlier stages.
 
-    A stage is (label, objective, rows): its rows join the program, then
-    its objective is maximized and held at its optimum less `_lex_eps`
-    for the stages after it. The plan is the last stage's solution, and
-    its objective log lists each stage's label and optimum. Returns None
-    when the first stage's own rows make the program infeasible; any
-    other outcome short of optimal raises `SolverError`.
+    A stage is (label, objective, rows, optimum): its rows join the
+    program, then its objective is maximized and held at its optimum less
+    `_lex_eps` for the stages after it. A stage whose optimum is given
+    runs no solve and is held at that value; the last stage is always
+    solved. The plan is the last stage's solution, and its objective log
+    lists each stage's label and optimum. Returns None when the first
+    stage's own rows make the program infeasible; any other outcome short
+    of optimal raises `SolverError`.
     """
     held: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
-    for label, objective, rows in stages:
+    for label, objective, rows, v in stages:
         held.extend(rows)
-        res = m.solve(objective, extra_ub=held)
-        if res.status == LpStatus.INFEASIBLE and not log and rows:
-            return None
-        if res.status != LpStatus.OPTIMAL:
-            raise SolverError(f"{label} stage: solver returned {res.status}")
-        v = res.objective
+        if v is None:
+            res = m.solve(objective, extra_ub=held)
+            if res.status == LpStatus.INFEASIBLE and not log and rows:
+                return None
+            if res.status != LpStatus.OPTIMAL:
+                raise SolverError(f"{label} stage: solver returned {res.status}")
+            v = res.objective
         log.append((label, v))
         held.append(({col: -w for col, w in objective.items()}, -(v - _lex_eps(v))))
     return m.extract(res.x, log)
@@ -278,18 +305,18 @@ def _lexmax(m: MredModel, stages: Iterable[tuple[str, dict, list]]) -> RateSolut
 def solve_max_total(net: Network, model: MredModel | None = None) -> RateSolution:
     """Maximize total SD surplus, then even out the per-pair shares.
 
-    The second stage holds the total at its optimum and maximizes the
-    floor column under ``floor <= eta`` for every SD pair, so ties between
-    SD pairs resolve to the fair split instead of an arbitrary solver
-    vertex.
+    The total is the model's cached max-total optimum. The second stage
+    holds it and maximizes the floor column under ``floor <= eta`` for
+    every SD pair, so ties between SD pairs resolve to the fair split
+    instead of an arbitrary solver vertex.
     """
     if not net.sd_pairs:
         return zero_solution([("total", 0.0)])
     m = _model_for(net, model)
     floor_rows = [({m.floor_col: 1.0, m.eta_col[pr]: -1.0}, 0.0) for pr in net.sorted_sd]
     return _lexmax(m, [
-        ("total", {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}, []),
-        ("min_share", {m.floor_col: 1.0}, floor_rows),
+        ("total", m.total_objective(), [], m.max_total_optimum()[0]),
+        ("min_share", {m.floor_col: 1.0}, floor_rows, None),
     ])
 
 
@@ -326,8 +353,49 @@ def solve_lexicographic(
         return solve_max_total(net, model)
 
     m = _model_for(net, model)
-    stages = [(f"eta[{pr}]", {m.eta_col[pr]: 1.0}, []) for pr in prio]
-    return _lexmax(m, stages + [("total", {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}, [])])
+    stages = [(f"eta[{pr}]", {m.eta_col[pr]: 1.0}, [], None) for pr in prio]
+    return _lexmax(m, stages + [("total", m.total_objective(), [], None)])
+
+
+def _prefix_rows(entries) -> dict[NodePair, list[tuple[float, float]]]:
+    """Per SD pair, its deadline-prefix rows as (cumulative demand, window).
+
+    A pair's entries are sorted by window (stably), and each row sums the
+    demands up to and including its entry.
+    """
+    groups: dict[NodePair, list[tuple[float, float]]] = {}
+    for sd, theta, delta in entries:
+        groups.setdefault(sd, []).append((theta, delta))
+    rows = {}
+    for sd in sorted(groups):
+        cum = 0.0
+        rows[sd] = []
+        for theta, delta in sorted(groups[sd], key=lambda td: td[1]):
+            cum += theta
+            rows[sd].append((cum, delta))
+    return rows
+
+
+def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[NodePair, float]:
+    """Per SD pair, the least surplus that meets all its deadline-prefix
+    rows: the greatest cumulative demand over window among them.
+
+    `entries` are canonical (sd pair, remaining demand, remaining slots)
+    triples, as `build_and_check_mred_dc` takes them.
+    """
+    return {sd: max(cum / delta for cum, delta in rows)
+            for sd, rows in _prefix_rows(entries).items()}
+
+
+def deadline_covered(m: MredModel, entries: Iterable[tuple[NodePair, float, float]]) -> bool:
+    """True when the model's cached max-total point meets every pair's
+    deadline need (see `deadline_needs`).
+
+    Then that point is feasible under the deadline rows, so the
+    constrained max-total optimum is the unconstrained one, V.
+    """
+    eta = m.max_total_optimum()[1]
+    return all(eta[sd] >= need for sd, need in deadline_needs(entries).items())
 
 
 def build_and_check_mred_dc(
@@ -346,7 +414,10 @@ def build_and_check_mred_dc(
 
     A feasible program is solved in two stages: the constrained max-total
     optimum, then, holding that total, the most rate for the prioritized
-    pairs. The plan's objective log carries both values.
+    pairs. The plan's objective log carries both values. When the
+    model's cached max-total point meets every row (`deadline_covered`),
+    the first stage's optimum is that cached V and only the second stage
+    runs.
     """
     entries = []
     for sd, theta, delta in prioritized:
@@ -362,23 +433,15 @@ def build_and_check_mred_dc(
         return solve_max_total(net, model)
 
     m = _model_for(net, model)
-    groups: dict[NodePair, list[tuple[float, float]]] = {}
-    for sd, theta, delta in entries:
-        groups.setdefault(sd, []).append((theta, delta))
-
-    rows: list[tuple[dict[int, float], float]] = []
-    for sd in sorted(groups):
-        col = m.eta_col[sd]
-        cum = 0.0
-        for theta, delta in sorted(groups[sd], key=lambda td: td[1]):
-            cum += theta
-            rows.append(({col: -delta}, -cum))
+    rows = [({m.eta_col[sd]: -delta}, -cum)
+            for sd, prefix in _prefix_rows(entries).items() for cum, delta in prefix]
+    v = m.max_total_optimum()[0] if deadline_covered(m, entries) else None
 
     # among max-total optima prefer feeding the prioritized pairs, so the
     # executed plan concentrates on the admitted deadlines
     return _lexmax(m, [
-        ("total", {m.eta_col[pr]: 1.0 for pr in net.sorted_sd}, rows),
-        ("priority_total", {m.eta_col[sd]: 1.0 for sd in groups}, []),
+        ("total", m.total_objective(), rows, v),
+        ("priority_total", {m.eta_col[sd]: 1.0 for sd, _, _ in entries}, [], None),
     ])
 
 

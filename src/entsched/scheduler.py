@@ -10,7 +10,10 @@ constraints stay jointly feasible.
 A run solves each distinct program at most once: ESDI-O plans are kept
 by priority list, and ESDI-E's fallback plan under the empty list. An
 ESDI-E candidate whose pair needs more than the pair's solo rate is
-skipped without an LP, once that pair has had an infeasible probe.
+skipped without an LP, once that pair has had an infeasible probe, and a
+probe the model's max-total point already covers runs one LP. Each
+re-plan's event records whether an ESDI-O plan was reused and how each
+ESDI-E probe ended.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .mred import (
     RateSolution,
     build_and_check_mred_dc,
     build_mred,
+    deadline_covered,
+    deadline_needs,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
@@ -92,37 +97,37 @@ def rank_pairs_by_completion(state: SchedulerState, active: list[Commodity]) -> 
     return [sd for _, _, _, sd in ranked]
 
 
-def _memo_plan(state: SchedulerState, key: tuple[NodePair, ...], solve) -> RateSolution:
-    """The plan stored under `key`, solved by `solve()` on first use.
+def _memo_plan(
+    state: SchedulerState, key: tuple[NodePair, ...], solve
+) -> tuple[RateSolution, bool]:
+    """The plan stored under `key`, solved by `solve()` on first use, and
+    whether it was stored already.
 
     Exact because a program depends only on the model and the key, and
     the solver returns the same optimum for the same input.
     """
     plan = state.plan_memo.get(key)
-    if plan is None:
-        plan = state.plan_memo[key] = solve()
-    return plan
+    if plan is not None:
+        return plan, True
+    plan = state.plan_memo[key] = solve()
+    return plan, False
 
 
 def _plan_ordered(state: SchedulerState, active: list[Commodity]):
     priority = rank_pairs_by_completion(state, active)[: state.kappa]
-    plan = _memo_plan(state, tuple(priority),
-                      lambda: solve_lexicographic(state.net, priority, model=state.model))
-    return plan, priority
+    plan, reused = _memo_plan(state, tuple(priority),
+                              lambda: solve_lexicographic(state.net, priority, model=state.model))
+    return plan, priority, {"reused": reused}
 
 
 def _exceeds_solo_rate(state: SchedulerState, entries, sd: NodePair) -> bool:
     """True when `sd` needs more than it gets served alone, past the
     solver's feasibility tolerance, so the probe must be infeasible.
 
-    The need is the greatest cumulative demand over window among `sd`'s
-    deadline-prefix rows, taken as `build_and_check_mred_dc` writes them.
+    The need is `mred.deadline_needs`: the greatest cumulative demand over
+    window among `sd`'s deadline-prefix rows.
     """
-    need = cum = 0.0
-    for theta, delta in sorted(((t, d) for p, t, d in entries if p == sd), key=lambda td: td[1]):
-        cum += theta
-        need = max(need, cum / delta)
-    return need > single_pair_rate(state, sd) * (1 + 1e-7) + 1e-7
+    return deadline_needs(entries)[sd] > single_pair_rate(state, sd) * (1 + 1e-7) + 1e-7
 
 
 def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
@@ -136,11 +141,16 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
     only the candidate's pair is checked, since the admitted entries were
     feasible together. Without any admission the plan falls back to the
     plain fair solve, which also serves deadline-free commodities.
+
+    Each probe's outcome is counted: `solo_rejected` by the bound,
+    `infeasible` by the LP, `covered` when the model's max-total point
+    met its rows so one LP ran, `solved` for a feasible two-stage probe.
     """
     candidates = [c for c in active if c.deadline is not None]
     candidates.sort(key=lambda c: (c.deadline - slot + 1, c.arrival, c.id))
 
     admitted: list[tuple[NodePair, float, float]] = []
+    probes = dict.fromkeys(("covered", "solved", "infeasible", "solo_rejected"), 0)
     plan = None
     for c in candidates:
         if len(admitted) >= state.kappa:
@@ -148,16 +158,19 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
         entry = (c.sd, float(c.remaining), float(c.deadline - slot + 1))
         entries = admitted + [entry]
         if c.sd in state.bound_armed and _exceeds_solo_rate(state, entries, c.sd):
+            probes["solo_rejected"] += 1
             continue
         probe = build_and_check_mred_dc(state.net, entries, model=state.model)
         if probe is None:
+            probes["infeasible"] += 1
             state.bound_armed.add(c.sd)
         else:
+            probes["covered" if deadline_covered(state.model, entries) else "solved"] += 1
             admitted.append(entry)
             plan = probe
     if plan is None:
-        return _memo_plan(state, (), lambda: solve_max_total(state.net, state.model)), []
-    return plan, [sd for sd, _, _ in admitted]
+        plan, _ = _memo_plan(state, (), lambda: solve_max_total(state.net, state.model))
+    return plan, [sd for sd, _, _ in admitted], {"probes": probes}
 
 
 def framework_step(
@@ -181,11 +194,11 @@ def framework_step(
 
     started = time.perf_counter()
     if state.policy == POLICY_BASELINE:
-        plan, priority = solve_max_total(state.net, state.model), []
+        plan, priority, detail = solve_max_total(state.net, state.model), [], {}
     elif state.policy == POLICY_ORDERED:
-        plan, priority = _plan_ordered(state, active)
+        plan, priority, detail = _plan_ordered(state, active)
     else:
-        plan, priority = _plan_deadline(state, active, slot)
+        plan, priority, detail = _plan_deadline(state, active, slot)
     wall_ms = (time.perf_counter() - started) * 1000.0
 
     state.plan = plan
@@ -195,5 +208,6 @@ def framework_step(
         "priority": [str(sd) for sd in priority],
         "objectives": [[label, value] for label, value in plan.objective_log],
         "wall_ms": wall_ms,
+        **detail,
     })
     return plan, True

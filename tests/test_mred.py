@@ -378,6 +378,56 @@ def test_dc_subsets_of_feasible_stay_feasible(star):
         assert build_and_check_mred_dc(star, subset) is not None
 
 
+def test_dc_needs_are_the_greatest_prefix_demand_over_window():
+    a, b = P(0, 1), P(0, 3)
+    # a's rows: 2/2, then (2 + 3)/4 and (5 + 1)/10; b's one row 1/5
+    needs = mred.deadline_needs([(a, 3.0, 4.0), (b, 1.0, 5.0), (a, 2.0, 2.0), (a, 1.0, 10.0)])
+    assert needs == {a: 1.25, b: 0.2}
+
+
+def _covering_and_not(star, m):
+    """A probe the model's max-total point covers, and a feasible one it does not."""
+    eta = m.max_total_optimum()[1]
+    rich, poor = max(star.sorted_sd, key=eta.get), min(star.sorted_sd, key=eta.get)
+    # the max-total point splits 2 between the pairs; either pair alone gets 2
+    return [(rich, 1.0, 4.0)], [(poor, 6.0, 4.0)]
+
+
+def test_dc_probe_solve_counts(star):
+    m = build_mred(star)
+    covered, uncovered = _covering_and_not(star, m)
+    assert m.solves == 1
+    assert mred.deadline_covered(m, covered) and not mred.deadline_covered(m, uncovered)
+
+    sol = build_and_check_mred_dc(star, covered, model=m)
+    assert m.solves == 2
+    # the covered first stage logs the cached optimum itself
+    assert sol.objective_log[0] == ("total", m.max_total_optimum()[0])
+    assert check_solution(star, sol)["ok"]
+
+    assert build_and_check_mred_dc(star, uncovered, model=m) is not None
+    assert m.solves == 4
+
+    # a fresh model's first probe adds one solve for the max-total optimum
+    fresh = build_mred(star)
+    build_and_check_mred_dc(star, covered, model=fresh)
+    assert fresh.solves == 2
+    build_and_check_mred_dc(star, uncovered, model=fresh)
+    assert fresh.solves == 4
+
+
+def test_max_total_after_a_probe_reuses_the_total_stage():
+    for seed in range(4):
+        net = _random_net(seed)
+        m = build_mred(net)
+        build_and_check_mred_dc(net, [(net.sorted_sd[0], 1.0, 4.0)], model=m)
+        before = m.solves
+        plan = solve_max_total(net, model=m)
+        assert m.solves - before == 1
+        ref = solve_max_total(net, model=build_mred(net))
+        assert plan == ref, seed
+
+
 # -- solver failures ----------------------------------------------------------
 
 def test_failed_stage_raises_with_its_label(star):
@@ -388,14 +438,24 @@ def test_failed_stage_raises_with_its_label(star):
 
 
 def test_dc_infeasible_first_stage_is_a_verdict_not_an_error(star):
-    entries = [(P(0, 1), 6, 4)]
+    m = build_mred(star)
+    eta = m.max_total_optimum()[1]
+    # 1.5 exceeds what the cached max-total point gives this pair, so the
+    # probe is uncovered and runs its first stage
+    sd = min(star.sorted_sd, key=eta.get)
+    entries = [(sd, 6, 4)]
     with failing_backend(LpStatus.INFEASIBLE) as stub:
-        assert build_and_check_mred_dc(star, entries) is None
+        assert build_and_check_mred_dc(star, entries, model=m) is None
     assert stub.calls == 1
     # the prefix rows were feasible, so a later infeasible stage is a fault
     with failing_backend(LpStatus.INFEASIBLE, after=1):
         with pytest.raises(SolverError, match=r"^priority_total stage"):
+            build_and_check_mred_dc(star, entries, model=m)
+    # the cached max-total solve has no rows of its own: failing is a fault
+    with failing_backend(LpStatus.INFEASIBLE) as stub:
+        with pytest.raises(SolverError, match=r"^total stage"):
             build_and_check_mred_dc(star, entries)
+    assert stub.calls == 1
 
 
 # -- validation ---------------------------------------------------------------

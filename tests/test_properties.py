@@ -5,7 +5,8 @@ workload and runs every policy twice, checking every fresh plan and its
 execution table, and every ESDI-O plan against a fresh model's solve of
 its priority list. The examples are derandomized, so the suite runs the
 same instances every time. A fixed-plan test checks that long runs
-deliver the planned end-to-end rates.
+deliver the planned end-to-end rates. A deadline probe on a model whose
+max-total optimum is cached is checked against the cold two-stage solve.
 """
 
 import math
@@ -14,8 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entsched import engine
-from entsched.mred import build_mred, check_solution, solve_lexicographic, solve_max_total
+from entsched import engine, mred
+from entsched.mred import (
+    build_and_check_mred_dc,
+    build_mred,
+    check_solution,
+    solve_lexicographic,
+    solve_max_total,
+)
 from entsched.protocol import compile_plan
 from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_ORDERED
 from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
@@ -89,6 +96,54 @@ def test_random_instances_conserve_plan_validly_and_repeat(
         plans.clear()
         again = engine.run_simulation(net, commodities, policy, seed=run_seed, horizon_cap=3000)
         assert _without_wall(first) == _without_wall(again), policy
+
+
+def _cold_probe(net, entries):
+    """The deadline probe as two solved stages on a fresh model."""
+    m = build_mred(net)
+    rows = []
+    for sd in sorted({sd for sd, _, _ in entries}):
+        cum = 0.0
+        own = [(t, d) for p, t, d in entries if p == sd]
+        for theta, delta in sorted(own, key=lambda td: td[1]):
+            cum += theta
+            rows.append(({m.eta_col[sd]: -delta}, -cum))
+    total = {m.eta_col[sd]: 1.0 for sd in net.sorted_sd}
+    prioritized = {m.eta_col[sd]: 1.0 for sd, _, _ in entries}
+    return mred._lexmax(m, [
+        ("total", total, rows, None),
+        ("priority_total", prioritized, [], None),
+    ])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(5, 9),
+    net_seed=st.integers(0, 10_000),
+    sd_count=st.integers(1, 4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 0.4), st.integers(1, 12)),
+                   min_size=1, max_size=4),
+)
+def test_warm_deadline_probe_agrees_with_cold_two_stage_solve(nodes, net_seed, sd_count, picks):
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    m = build_mred(net)
+    v = m.max_total_optimum()[0]
+    # a pair's demand is a share of the whole max-total rate over its window,
+    # so probes range from covered through uncovered to infeasible
+    entries = [(net.sorted_sd[i % sd_count], share * v * delta, float(delta))
+               for i, share, delta in picks]
+    warm = build_and_check_mred_dc(net, entries, model=m)
+    cold = _cold_probe(net, entries)
+    assert (warm is None) == (cold is None), entries
+    if warm is None:
+        return
+    for plan in (warm, cold):
+        assert check_solution(net, plan)["ok"]
+    warm_log, cold_log = dict(warm.objective_log), dict(cold.objective_log)
+    assert abs(warm_log["total"] - cold_log["total"]) <= mred._lex_eps(v)
+    assert warm_log["priority_total"] == pytest.approx(cold_log["priority_total"], rel=1e-6)
 
 
 # Realized/planned rate over 2000 slots on 6-node networks (seeds 0-39, 93

@@ -215,8 +215,12 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
         state = states[-1]
         assert probes and all(probes)
         assert not state.bound_armed and not state.edr_cache
-        # each re-plan is one feasible two-stage probe, as without the bound
-        assert result.metrics.solver_calls == 2 * len(probes) == 2 * len(result.events)
+        # each re-plan is one feasible probe, as without the bound: one solve
+        # when the model's max-total point covers it, two when not, plus the
+        # one max-total solve behind the cover check
+        assert len(probes) == len(result.events)
+        uncovered = sum(e["probes"]["solved"] for e in result.events)
+        assert result.metrics.solver_calls == 1 + len(probes) + uncovered
         states.clear()
         probes.clear()
 
@@ -244,7 +248,8 @@ def test_deadline_plan_is_the_feasible_probe():
     before = state.model.solves
     framework_step(state, [_c(0, AB, 6, deadline=4), _c(1, AD, 6, deadline=6)], slot=1)
     assert state.events[0]["priority"] == ["0:1"]
-    # one two-stage probe, and no further solve once it is admitted
+    # the max-total solve, then one covered probe's single stage, and no
+    # further solve once it is admitted
     assert state.model.solves - before == 2
 
 
@@ -292,11 +297,42 @@ def test_deadline_ignores_unconstrained_commodities_in_admission():
     assert plan.eta[AD] == pytest.approx(2.0, abs=1e-6)
 
 
+def test_events_count_probe_outcomes_and_mark_reused_plans():
+    net = star_net()
+    state = new_state(net, POLICY_DEADLINE, kappa=2)
+    # 0:1 alone is feasible; 0:3 with it needs 1.5 + 1.0 of a hub rate of 2
+    framework_step(state, [_c(0, AB, 6, deadline=4), _c(1, AD, 6, deadline=6)], slot=1)
+    covered = build_mred(net).max_total_optimum()[1][AB] >= 1.5
+    assert state.events[0]["probes"] == {
+        "covered": int(covered), "solved": int(not covered), "infeasible": 1, "solo_rejected": 0,
+    }
+
+    state = new_state(net, POLICY_DEADLINE)
+    c0, c1 = _c(0, AB, 100, deadline=2), _c(1, AD, 100, deadline=3)
+    framework_step(state, [c0], slot=1)
+    framework_step(state, [c0, c1], slot=2)
+    assert [e["probes"] for e in state.events] == [
+        {"covered": 0, "solved": 0, "infeasible": 1, "solo_rejected": 0},
+        {"covered": 0, "solved": 0, "infeasible": 1, "solo_rejected": 1},
+    ]
+
+    state = new_state(net, POLICY_ORDERED)
+    c0, c1, c2 = _c(0, AB, 4), _c(1, AD, 6), _c(2, AB, 2)
+    for slot, active in ((1, [c0, c1]), (3, [c1]), (5, [c1, c2])):
+        framework_step(state, active, slot)
+    assert [e["reused"] for e in state.events] == [False, False, True]
+
+    state = new_state(net, POLICY_BASELINE)
+    framework_step(state, [c0], slot=1)
+    assert "reused" not in state.events[0] and "probes" not in state.events[0]
+
+
 def test_event_record_shape():
     state = new_state(star_net(), POLICY_ORDERED)
     framework_step(state, [_c(0, AB, 6)], slot=3)
     (event,) = state.events
-    assert set(event) == {"slot", "policy", "priority", "objectives", "wall_ms"}
+    assert set(event) == {"slot", "policy", "priority", "objectives", "wall_ms", "reused"}
+    assert event["reused"] is False
     assert event["slot"] == 3
     assert event["policy"] == POLICY_ORDERED
     assert event["wall_ms"] >= 0.0
