@@ -21,10 +21,11 @@ nothing else.
 
 Every multi-objective plan is a lexicographic maximization written as a
 list of stages, each an objective plus the rows it adds; `_lexmax` runs
-a stage list, holding each stage at its optimum before the next. The
-unconstrained max-total optimum is solved once per model and reused:
-by the max-total plan, and by every deadline probe whose rows the
-max-total point already meets.
+a stage list, holding each stage at its optimum before the next. A model
+runs each distinct program at most once: `MredModel.solve` keeps every
+optimal result by program, so a repeated plan, probe or solo rate costs
+no LP. A deadline probe whose rows the max-total point already meets
+takes that point's optimum as its first stage without a solve.
 
 Swap columns scale as |V|^3 / 2 with node count: every (produced pair,
 swap node) combination gets one, links or not, because buffered ebits
@@ -128,7 +129,7 @@ class MredModel:
     def __init__(self, net: Network):
         self.net = net
         self.solves = 0
-        self._max_total: tuple[float, dict[NodePair, float]] | None = None
+        self._optima: dict[tuple, lp.LpResult] = {}
         nodes = net.nodes
         pairs = net.all_pairs()
         pidx = {pr: i for i, pr in enumerate(pairs)}
@@ -201,9 +202,17 @@ class MredModel:
 
         `eta_free` selects which pairs may run a surplus (defaults to the
         network's SD set). The floor column is freed only when
-        `objective` uses it.
+        `objective` uses it. An optimal result is kept, with a read-only
+        `x`, and returned for the same program without a solve, since the
+        solver returns the same optimum for the same input. The key keeps
+        the rows in order, as row order reaches the solver.
         """
-        free = tuple(eta_free) if eta_free is not None else self.net.sorted_sd
+        free = tuple(sorted(eta_free)) if eta_free is not None else self.net.sorted_sd
+        key = (tuple(sorted(objective.items())), free,
+               tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub))
+        kept = self._optima.get(key)
+        if kept is not None:
+            return kept
         bounds = self._base_bounds.copy()
         for pr in free:
             bounds[self.eta_col[pr], 1] = np.inf
@@ -218,6 +227,9 @@ class MredModel:
         res = lp.solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq, bounds=bounds)
         if res.objective is not None:
             res = lp.LpResult(status=res.status, x=res.x, objective=-res.objective)
+        if res.status == LpStatus.OPTIMAL:
+            res.x.flags.writeable = False
+            self._optima[key] = res
         return res
 
     def total_objective(self) -> dict[int, float]:
@@ -225,18 +237,11 @@ class MredModel:
         return {self.eta_col[pr]: 1.0 for pr in self.net.sorted_sd}
 
     def max_total_optimum(self) -> tuple[float, dict[NodePair, float]]:
-        """The unconstrained `total` stage's optimum V and its SD surpluses.
-
-        Solved on first use and kept, since the program depends only on
-        the model.
-        """
-        if self._max_total is None:
-            res = self.solve(self.total_objective())
-            if res.status != LpStatus.OPTIMAL:
-                raise SolverError(f"total stage: solver returned {res.status}")
-            eta = {pr: float(res.x[self.eta_col[pr]]) for pr in self.net.sorted_sd}
-            self._max_total = (res.objective, eta)
-        return self._max_total
+        """The unconstrained `total` stage's optimum V and its SD surpluses."""
+        res = self.solve(self.total_objective())
+        if res.status != LpStatus.OPTIMAL:
+            raise SolverError(f"total stage: solver returned {res.status}")
+        return res.objective, {pr: float(res.x[self.eta_col[pr]]) for pr in self.net.sorted_sd}
 
     def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
         fv = x[:self.n_f_vars]
@@ -280,9 +285,10 @@ def _lexmax(
     A stage is (label, objective, rows, optimum): its rows join the
     program, then its objective is maximized and held at its optimum less
     `_lex_eps` for the stages after it. A stage whose optimum is given
-    runs no solve and is held at that value; the last stage is always
-    solved. The plan is the last stage's solution, and its objective log
-    lists each stage's label and optimum. Returns None when the first
+    (a covered deadline probe's `total`) runs no solve and is held at
+    that value; the last stage is always solved. The plan is the last
+    stage's solution, and its objective log lists each stage's label and
+    optimum. Returns None when the first
     stage's own rows make the program infeasible; any other outcome short
     of optimal raises `SolverError`.
     """
@@ -305,17 +311,16 @@ def _lexmax(
 def solve_max_total(net: Network, model: MredModel | None = None) -> RateSolution:
     """Maximize total SD surplus, then even out the per-pair shares.
 
-    The total is the model's cached max-total optimum. The second stage
-    holds it and maximizes the floor column under ``floor <= eta`` for
-    every SD pair, so ties between SD pairs resolve to the fair split
-    instead of an arbitrary solver vertex.
+    The second stage holds the total and maximizes the floor column
+    under ``floor <= eta`` for every SD pair, so ties between SD pairs
+    resolve to the fair split instead of an arbitrary solver vertex.
     """
     if not net.sd_pairs:
         return zero_solution([("total", 0.0)])
     m = _model_for(net, model)
     floor_rows = [({m.floor_col: 1.0, m.eta_col[pr]: -1.0}, 0.0) for pr in net.sorted_sd]
     return _lexmax(m, [
-        ("total", m.total_objective(), [], m.max_total_optimum()[0]),
+        ("total", m.total_objective(), [], None),
         ("min_share", {m.floor_col: 1.0}, floor_rows, None),
     ])
 
@@ -388,8 +393,8 @@ def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[Nod
 
 
 def deadline_covered(m: MredModel, entries: Iterable[tuple[NodePair, float, float]]) -> bool:
-    """True when the model's cached max-total point meets every pair's
-    deadline need (see `deadline_needs`).
+    """True when the model's max-total point meets every pair's deadline
+    need (see `deadline_needs`).
 
     Then that point is feasible under the deadline rows, so the
     constrained max-total optimum is the unconstrained one, V.
@@ -415,8 +420,8 @@ def build_and_check_mred_dc(
     A feasible program is solved in two stages: the constrained max-total
     optimum, then, holding that total, the most rate for the prioritized
     pairs. The plan's objective log carries both values. When the
-    model's cached max-total point meets every row (`deadline_covered`),
-    the first stage's optimum is that cached V and only the second stage
+    model's max-total point meets every row (`deadline_covered`), the
+    first stage's optimum is that point's V and only the second stage
     runs.
     """
     entries = []

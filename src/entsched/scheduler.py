@@ -7,13 +7,13 @@ the active set changes. The deadline variant greedily admits commodities
 in earliest-deadline order, keeping only a prefix whose deadline
 constraints stay jointly feasible.
 
-A run solves each distinct program at most once: ESDI-O plans are kept
-by priority list, and ESDI-E's fallback plan under the empty list. An
-ESDI-E candidate whose pair needs more than the pair's solo rate is
-skipped without an LP, once that pair has had an infeasible probe, and a
-probe the model's max-total point already covers runs one LP. Each
-re-plan's event records whether an ESDI-O plan was reused and how each
-ESDI-E probe ended.
+A run solves each distinct program at most once, since the run's
+`MredModel` keeps every optimum it has solved: a repeated priority list,
+probe, fallback plan or solo rate costs no LP. An ESDI-E candidate whose
+pair needs more than the pair's solo rate is skipped without an LP, once
+that pair has had an infeasible probe, and a probe the model's max-total
+point already covers runs one LP. Each re-plan's event records whether
+an ESDI-O plan ran no LP and how each ESDI-E probe ended.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class SchedulerState:
     kappa: int
     plan: RateSolution | None = None
     fingerprint: frozenset[int] | None = None
-    edr_cache: dict[NodePair, float] = field(default_factory=dict)
-    # plans solved this run by priority tuple; () is ESDI-E's fallback plan
-    plan_memo: dict[tuple[NodePair, ...], RateSolution] = field(default_factory=dict)
     # pairs with an LP-infeasible deadline probe, whose probes check the solo-rate bound
     bound_armed: set[NodePair] = field(default_factory=set)
     events: list[dict] = field(default_factory=list)
@@ -66,15 +63,6 @@ def new_state(net: Network, policy: str, kappa: int = 1) -> SchedulerState:
     if kappa < 1:
         raise ValidationError(f"kappa must be >= 1, got {kappa}")
     return SchedulerState(policy=policy, net=net, model=build_mred(net), kappa=kappa)
-
-
-def single_pair_rate(state: SchedulerState, sd: NodePair) -> float:
-    """Cached best-case rate for one pair served alone."""
-    rate = state.edr_cache.get(sd)
-    if rate is None:
-        rate = solve_single_pair_edr(state.net, sd, state.model)
-        state.edr_cache[sd] = rate
-    return rate
 
 
 def rank_pairs_by_completion(state: SchedulerState, active: list[Commodity]) -> list[NodePair]:
@@ -90,34 +78,21 @@ def rank_pairs_by_completion(state: SchedulerState, active: list[Commodity]) -> 
     ranked = []
     for sd, members in groups.items():
         rep = min(members, key=lambda c: (c.demand, c.arrival, c.id))
-        rate = single_pair_rate(state, sd)
+        rate = solve_single_pair_edr(state.net, sd, state.model)
         ect = rep.demand / rate if rate > 0 else math.inf
         ranked.append((ect, rep.arrival, rep.id, sd))
     ranked.sort()
     return [sd for _, _, _, sd in ranked]
 
 
-def _memo_plan(
-    state: SchedulerState, key: tuple[NodePair, ...], solve
-) -> tuple[RateSolution, bool]:
-    """The plan stored under `key`, solved by `solve()` on first use, and
-    whether it was stored already.
-
-    Exact because a program depends only on the model and the key, and
-    the solver returns the same optimum for the same input.
-    """
-    plan = state.plan_memo.get(key)
-    if plan is not None:
-        return plan, True
-    plan = state.plan_memo[key] = solve()
-    return plan, False
-
-
 def _plan_ordered(state: SchedulerState, active: list[Commodity]):
+    """The lexicographic plan of the ranked pairs; `reused` when it ran no
+    LP, which is when this priority list was solved before, since its last
+    stage holds every earlier stage's optimum."""
     priority = rank_pairs_by_completion(state, active)[: state.kappa]
-    plan, reused = _memo_plan(state, tuple(priority),
-                              lambda: solve_lexicographic(state.net, priority, model=state.model))
-    return plan, priority, {"reused": reused}
+    before = state.model.solves
+    plan = solve_lexicographic(state.net, priority, model=state.model)
+    return plan, priority, {"reused": state.model.solves == before}
 
 
 def _exceeds_solo_rate(state: SchedulerState, entries, sd: NodePair) -> bool:
@@ -127,7 +102,8 @@ def _exceeds_solo_rate(state: SchedulerState, entries, sd: NodePair) -> bool:
     The need is `mred.deadline_needs`: the greatest cumulative demand over
     window among `sd`'s deadline-prefix rows.
     """
-    return deadline_needs(entries)[sd] > single_pair_rate(state, sd) * (1 + 1e-7) + 1e-7
+    rate = solve_single_pair_edr(state.net, sd, state.model)
+    return deadline_needs(entries)[sd] > rate * (1 + 1e-7) + 1e-7
 
 
 def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
@@ -169,7 +145,7 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
             admitted.append(entry)
             plan = probe
     if plan is None:
-        plan, _ = _memo_plan(state, (), lambda: solve_max_total(state.net, state.model))
+        plan = solve_max_total(state.net, state.model)
     return plan, [sd for sd, _, _ in admitted], {"probes": probes}
 
 

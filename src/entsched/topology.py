@@ -249,11 +249,21 @@ def to_json(net: Network) -> dict:
     }
 
 
+def _whole(v, what: str) -> int:
+    """`v` as an int; a bool or a number with a fraction is refused rather
+    than truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+        raise ValidationError(f"{what} must be a whole number, got {v!r}")
+    return int(v)
+
+
 def from_json(obj: dict) -> Network:
     try:
-        nodes = [(entry["id"], entry["q"]) for entry in obj["nodes"]]
-        links = [(e["u"], e["v"], e["c"], e["p"]) for e in obj.get("links", [])]
-        sd = [tuple(pairxy) for pairxy in obj.get("sd_pairs", [])]
+        nodes = [(_whole(e["id"], "node id"), e["q"]) for e in obj["nodes"]]
+        links = [(_whole(e["u"], "link u"), _whole(e["v"], "link v"),
+                  _whole(e["c"], "link capacity"), e["p"]) for e in obj.get("links", [])]
+        sd = [(_whole(s, "sd pair endpoint"), _whole(t, "sd pair endpoint"))
+              for s, t in obj.get("sd_pairs", [])]
         return build_manual(nodes, links, sd)
     except ValidationError:
         raise

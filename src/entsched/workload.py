@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .topology import NodePair, ValidationError, canonical_pair
+from .topology import NodePair, ValidationError, _whole, canonical_pair
 
 PENDING = "pending"
 ACTIVE = "active"
@@ -162,13 +162,8 @@ def write_workload(commodities: Iterable[Commodity], path: str) -> None:
             fh.write("\n")
 
 
-def _whole(obj: dict, key: str) -> int:
-    """`obj[key]` as an int; a bool or a number with a fraction is refused
-    rather than truncated."""
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
-        raise ValidationError(f"workload field {key!r} must be a whole number, got {v!r}")
-    return int(v)
+def _field(obj: dict, key: str) -> int:
+    return _whole(obj[key], f"workload field {key!r}")
 
 
 def read_workload(path: str) -> list[Commodity]:
@@ -181,9 +176,9 @@ def read_workload(path: str) -> list[Commodity]:
             try:
                 obj = json.loads(line)
                 out.append(Commodity(
-                    id=_whole(obj, "id"), sd=canonical_pair(_whole(obj, "s"), _whole(obj, "t")),
-                    demand=_whole(obj, "d"), arrival=_whole(obj, "a"),
-                    deadline=None if obj.get("deadline") is None else _whole(obj, "deadline"),
+                    id=_field(obj, "id"), sd=canonical_pair(_field(obj, "s"), _field(obj, "t")),
+                    demand=_field(obj, "d"), arrival=_field(obj, "a"),
+                    deadline=None if obj.get("deadline") is None else _field(obj, "deadline"),
                 ))
             except ValidationError:
                 raise

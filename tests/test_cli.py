@@ -380,3 +380,13 @@ def test_non_integer_node_id_is_config_error(tmp_path, capsys):
     }))
     rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
     _assert_config_error(rc, capsys)
+
+
+def test_fractional_node_id_is_config_error(tmp_path, capsys):
+    net_path = tmp_path / "bad.json"
+    net_path.write_text(json.dumps({
+        "nodes": [{"id": 0, "q": 0.9}, {"id": 1.5, "q": 0.9}],
+        "links": [{"u": 0, "v": 1.5, "c": 1, "p": 0.9}], "sd_pairs": [[0, 1.5]],
+    }))
+    rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
+    _assert_config_error(rc, capsys)

@@ -428,6 +428,47 @@ def test_max_total_after_a_probe_reuses_the_total_stage():
         assert plan == ref, seed
 
 
+# -- the solve memo -----------------------------------------------------------
+
+def test_repeated_probe_runs_no_lp(star):
+    m = build_mred(star)
+    for entries in _covering_and_not(star, m):
+        first = build_and_check_mred_dc(star, entries, model=m)
+        before = m.solves
+        assert build_and_check_mred_dc(star, entries, model=m) == first
+        assert m.solves == before
+
+
+def test_memo_keys_free_pairs_as_a_set(star):
+    m = build_mred(star)
+    res = m.solve(m.total_objective())
+    assert m.solves == 1 and not res.x.flags.writeable
+    assert m.solve(m.total_objective(), eta_free=iter(reversed(star.sorted_sd))) is res
+    assert m.solves == 1
+
+
+def test_memo_solves_again_when_a_row_bound_differs(star):
+    m = build_mred(star)
+    row = {m.eta_col[P(0, 1)]: 1.0}
+    loose = m.solve(m.total_objective(), extra_ub=[(row, 1.5)])
+    assert m.solve(m.total_objective(), extra_ub=[(row, 1.5)]) is loose
+    assert m.solves == 1
+    tight = m.solve(m.total_objective(), extra_ub=[(row, 0.5)])
+    assert m.solves == 2
+    assert tight.x[m.eta_col[P(0, 1)]] == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])
+def test_memo_keeps_only_optimal_results(star, status):
+    m = build_mred(star)
+    with failing_backend(status) as stub:
+        assert m.solve(m.total_objective()).status == status
+    assert stub.calls == 1
+    res = m.solve(m.total_objective())
+    assert res.status == LpStatus.OPTIMAL
+    assert m.solves == 2
+
+
 # -- solver failures ----------------------------------------------------------
 
 def test_failed_stage_raises_with_its_label(star):

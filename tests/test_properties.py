@@ -2,11 +2,13 @@
 
 Each hypothesis example draws a 4-7 node Waxman network and a small
 workload and runs every policy twice, checking every fresh plan and its
-execution table, and every ESDI-O plan against a fresh model's solve of
-its priority list. The examples are derandomized, so the suite runs the
-same instances every time. A fixed-plan test checks that long runs
-deliver the planned end-to-end rates. A deadline probe on a model whose
-max-total optimum is cached is checked against the cold two-stage solve.
+execution table. Every ESDI-O plan must equal a fresh model's solve of
+its priority list, and every ESDI-B plan and ESDI-E fallback plan a
+fresh model's max-total solve. The examples are derandomized, so the
+suite runs the same instances every time. A fixed-plan test checks that
+long runs deliver the planned end-to-end rates. A deadline probe on a
+model whose max-total optimum is already solved is checked against the
+cold two-stage solve.
 """
 
 import math
@@ -89,10 +91,12 @@ def test_random_instances_conserve_plan_validly_and_repeat(
             assert report["ok"], (policy, report)
             assert all(w >= 0 for w in plan.swaps.values()), policy
             _check_table(plan, compile_plan(net, plan))
+            # a plan served from the model's memo is the one a fresh model solves
             if policy == POLICY_ORDERED:
-                # a reused plan is the one a fresh model solves for its list
                 pairs = [canonical_pair(*map(int, sd.split(":"))) for sd in priority]
                 assert plan == solve_lexicographic(net, pairs, model=build_mred(net)), priority
+            elif not priority:
+                assert plan == solve_max_total(net, model=build_mred(net)), policy
         plans.clear()
         again = engine.run_simulation(net, commodities, policy, seed=run_seed, horizon_cap=3000)
         assert _without_wall(first) == _without_wall(again), policy

@@ -1,8 +1,13 @@
 import pytest
 
 from conftest import star_net
-from entsched import engine, scheduler
-from entsched.mred import build_and_check_mred_dc, build_mred, solve_lexicographic
+from entsched import engine, mred, scheduler
+from entsched.mred import (
+    build_and_check_mred_dc,
+    build_mred,
+    solve_lexicographic,
+    solve_single_pair_edr,
+)
 from entsched.scheduler import (
     POLICY_BASELINE,
     POLICY_DEADLINE,
@@ -10,7 +15,6 @@ from entsched.scheduler import (
     framework_step,
     new_state,
     rank_pairs_by_completion,
-    single_pair_rate,
 )
 from entsched.topology import (
     ValidationError,
@@ -98,7 +102,7 @@ def test_ordered_ranks_unreachable_pairs_last():
     state = new_state(net, POLICY_ORDERED)
     order = rank_pairs_by_completion(state, [_c(0, P(0, 4), 1), _c(1, AB, 50)])
     assert order == [AB, P(0, 4)]
-    assert single_pair_rate(state, P(0, 4)) == 0.0
+    assert solve_single_pair_edr(net, P(0, 4), state.model) == 0.0
 
 
 def test_ordered_serves_one_pair_then_the_other():
@@ -139,7 +143,7 @@ def test_ordered_reuses_plan_of_a_priority_list_already_solved():
     assert [e["priority"] for e in state.events] == [["0:1"], ["0:3"], ["0:1"]]
     # the list 0:1 was solved at slot 1, so this re-plan runs no solve
     assert state.model.solves == before
-    assert plan is first
+    assert plan == first
     ref = solve_lexicographic(net, [AB], model=build_mred(net))
     assert plan.swaps == ref.swaps
     assert plan.g == ref.g
@@ -154,7 +158,7 @@ def test_deadline_fallback_is_solved_once_per_run():
     assert state.bound_armed == {AB}
     before = state.model.solves
     plan, fresh = framework_step(state, [c0, c1], slot=2)
-    assert fresh and plan is first
+    assert fresh and plan == first
     assert [e["priority"] for e in state.events] == [[], []]
     # 0:1 is rejected by its solo rate (one solve), 0:3 by one LP probe, and
     # the fallback plan is the one solved at slot 1
@@ -197,7 +201,7 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
 
     def recording_probe(net, entries, model=None):
         res = probe(net, entries, model=model)
-        probes.append(res is not None)
+        probes.append((tuple(entries), res is not None, mred.deadline_covered(model, entries)))
         return res
 
     monkeypatch.setattr(scheduler, "build_and_check_mred_dc", recording_probe)
@@ -213,24 +217,29 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
     for seed in (3, 4, 5, 7):
         result = _random_deadline_run(seed, mu=2.0, kappa=1)
         state = states[-1]
-        assert probes and all(probes)
-        assert not state.bound_armed and not state.edr_cache
-        # each re-plan is one feasible probe, as without the bound: one solve
-        # when the model's max-total point covers it, two when not, plus the
-        # one max-total solve behind the cover check
+        assert probes and all(feasible for _, feasible, _ in probes)
+        assert not state.bound_armed
+        # each re-plan is one feasible probe, as without the bound. The
+        # model runs each distinct program once: the max-total solve behind
+        # the cover check, then one solve per distinct entry list, and one
+        # more when the max-total point does not cover it
         assert len(probes) == len(result.events)
-        uncovered = sum(e["probes"]["solved"] for e in result.events)
-        assert result.metrics.solver_calls == 1 + len(probes) + uncovered
+        distinct = {entries: covered for entries, _, covered in probes}
+        uncovered = sum(not covered for covered in distinct.values())
+        assert result.metrics.solver_calls == 1 + len(distinct) + uncovered
+        # seed 5 probes the list ((5:6, 2.0, 5.0),) twice and solves it once
+        assert seed != 5 or result.metrics.solver_calls == 6
         states.clear()
         probes.clear()
 
 
-def test_edr_cache_avoids_repeat_solves():
-    state = new_state(star_net(), POLICY_ORDERED)
-    first = single_pair_rate(state, AB)
-    before = state.model.solves
-    assert single_pair_rate(state, AB) == first
-    assert state.model.solves == before
+def test_repeated_single_pair_rate_runs_no_lp():
+    net = star_net()
+    m = build_mred(net)
+    first = solve_single_pair_edr(net, AB, m)
+    before = m.solves
+    assert solve_single_pair_edr(net, AB, m) == first
+    assert m.solves == before
 
 
 def test_deadline_admits_tightest_first():

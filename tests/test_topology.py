@@ -126,3 +126,13 @@ def test_json_round_trip(star, tmp_path):
 
     with pytest.raises(ValidationError):
         topology.from_json({"nodes": "nope"})
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3"])
+def test_from_json_refuses_ids_and_capacities_that_are_not_whole(star, value):
+    for section, i, key in (("nodes", 1, "id"), ("links", 0, "u"), ("links", 0, "v"),
+                            ("links", 0, "c"), ("sd_pairs", 0, 1)):
+        obj = topology.to_json(star)
+        obj[section][i][key] = value
+        with pytest.raises(ValidationError, match="whole number"):
+            topology.from_json(obj)
