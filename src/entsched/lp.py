@@ -2,7 +2,22 @@
 
 Every optimization in the package funnels through ``solve_lp`` so the
 underlying solver can be replaced in one place (tests install stubs the
-same way). The default backend is SciPy's HiGHS interface.
+same way). The default backend calls the HiGHS bindings that scipy
+bundles (``scipy.optimize._highspy._core``) directly: one fresh solver,
+one array ``passModel`` and one ``run`` per LP.
+
+It hands HiGHS exactly the model and options that
+``scipy.optimize.linprog(method="highs")`` would: the rows of ``A_ub``
+followed by those of ``A_eq`` as one column-wise matrix, row bounds
+``(-inf, b_ub]`` then ``[b_eq, b_eq]``, presolve on and dual simplex.
+HiGHS's result depends on row order and options, so matching them keeps
+every plan bitwise equal to ``linprog``'s while skipping its input
+cleaning, option validation and per-column marginal loop, none of which
+the package reads. ``linprog``'s post-solve feasibility check is kept.
+
+The bindings are private to scipy, so ``pyproject.toml`` pins the scipy
+versions they were checked against; if they cannot be imported, the
+first solve raises `SolverError`.
 """
 
 from __future__ import annotations
@@ -10,7 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy
+from scipy import sparse
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 
 class SolverError(RuntimeError):
@@ -30,12 +51,65 @@ class LpResult:
     objective: float | None
 
 
-# scipy's integer statuses; 1 (iteration limit) and 4 (numerical) are raised
-_STATUS_MAP = {
-    0: LpStatus.OPTIMAL,
-    2: LpStatus.INFEASIBLE,
-    3: LpStatus.UNBOUNDED,
-}
+# what linprog(method="highs") sets; every other option keeps HiGHS's default
+_OPTIONS = (
+    ("presolve", "on"),
+    ("simplex_strategy", 1),  # dual simplex
+    ("highs_debug_level", 0),
+    ("output_flag", False),
+    ("log_to_console", False),
+)
+
+# linprog's post-solve tolerance: sqrt of its default tol 1e-9, times 10
+CHECK_TOL = np.sqrt(1e-9) * 10
+
+
+def _bindings():
+    if _highs is None:
+        raise SolverError(
+            f"scipy-highs: cannot load scipy's HiGHS bindings "
+            f"(scipy.optimize._highspy._core) from scipy {scipy.__version__}"
+        )
+    return _highs
+
+
+def classify(model_status) -> str:
+    """The `LpStatus` of a HiGHS model status; any other status raises."""
+    ms = _bindings().HighsModelStatus
+    status = {
+        ms.kOptimal: LpStatus.OPTIMAL,
+        ms.kInfeasible: LpStatus.INFEASIBLE,
+        ms.kUnbounded: LpStatus.UNBOUNDED,
+    }.get(model_status)
+    if status is None:
+        raise SolverError(f"scipy-highs: HiGHS model status {model_status.name}")
+    return status
+
+
+def check_point(x, objective, lb, ub, ub_slack, eq_residual) -> None:
+    """Raise `SolverError` unless an optimal point is feasible within `CHECK_TOL`."""
+    tol = CHECK_TOL
+    if not (np.isfinite(x).all() and np.isfinite(objective)):
+        raise SolverError("scipy-highs: optimal point is not finite")
+    if ((x < lb - tol) | (x > ub + tol)).any():
+        raise SolverError(f"scipy-highs: optimal point leaves its bounds by more than {tol:.2e}")
+    # written so that a NaN slack or residual fails too, as in linprog
+    if not ((ub_slack >= -tol).all() and (np.abs(eq_residual) <= tol).all()):
+        raise SolverError(f"scipy-highs: optimal point violates a row by more than {tol:.2e}")
+
+
+def _to_highs(v, inf):
+    """`v` with every infinite entry replaced by HiGHS's infinity."""
+    return np.where(np.isinf(v), np.copysign(inf, v), v)
+
+
+def _rows(A, n):
+    return sparse.csr_array((0, n)) if A is None else sparse.csr_array(A, dtype=float)
+
+
+def _rhs(b):
+    return np.zeros(0) if b is None else np.asarray(b, dtype=float).reshape(-1)
+
 
 class ScipyHighsBackend:
     """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, bounds."""
@@ -43,16 +117,43 @@ class ScipyHighsBackend:
     name = "scipy-highs"
 
     def solve(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
-        res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-            bounds=bounds, method="highs",
+        h = _bindings()
+        inf = h.kHighsInf
+        c = np.asarray(c, dtype=float).reshape(-1)
+        n = c.size
+        b_ub, b_eq = _rhs(b_ub), _rhs(b_eq)
+        A = sparse.vstack((_rows(A_ub, n), _rows(A_eq, n)), format="csr").tocsc()
+        A.sum_duplicates()
+        lhs = np.concatenate((np.full(b_ub.size, -inf), b_eq))
+        rhs = np.concatenate((b_ub, b_eq))
+        # one (lower, upper) row per column, or one pair for all; ±inf for none
+        lb, ub = np.broadcast_to(np.asarray((0.0, np.inf) if bounds is None else bounds,
+                                            dtype=float), (n, 2)).T
+
+        highs = h._Highs()
+        for key, value in _OPTIONS:
+            highs.setOptionValue(key, value)
+        loaded = highs.passModel(
+            n, rhs.size, A.nnz, int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
+            c, _to_highs(lb, inf), _to_highs(ub, inf), _to_highs(lhs, inf), _to_highs(rhs, inf),
+            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32), A.data,
+            np.zeros(n, dtype=np.int32),
         )
-        status = _STATUS_MAP.get(res.status)
-        if status is None:
-            raise SolverError(f"{self.name}: {res.message}")
-        x = np.asarray(res.x) if res.x is not None else None
-        obj = float(res.fun) if res.fun is not None else None
-        return LpResult(status=status, x=x, objective=obj)
+        if loaded == h.HighsStatus.kError:  # HiGHS refused the model
+            classify(h.HighsModelStatus.kModelError)
+        ran = highs.run()
+        status = classify(highs.getModelStatus())
+        if status != LpStatus.OPTIMAL:
+            return LpResult(status=status, x=None, objective=None)
+        if ran == h.HighsStatus.kError:
+            raise SolverError("scipy-highs: HiGHS reported an error with an optimal status")
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        objective = highs.getInfo().objective_function_value
+        row = np.array(solution.row_value)
+        m = b_ub.size
+        check_point(x, objective, lb, ub, b_ub - row[:m], b_eq - row[m:])
+        return LpResult(status=status, x=x, objective=float(objective))
 
 
 _backend = ScipyHighsBackend()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from entsched import lp
 from entsched.topology import Network, build_manual
@@ -64,5 +66,39 @@ def failing_backend(status: str, after: int = 0):
     lp.set_backend(stub)
     try:
         yield stub
+    finally:
+        lp.set_backend(real)
+
+
+# linprog's integer statuses as the LP backend reads them; any other raises
+LINPROG_STATUS = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
+
+
+class _AgainstLinprog:
+    """The real solver, with every solve repeated by `linprog`, the reference
+    it must match bit for bit."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def solve(self, c, **kwargs) -> lp.LpResult:
+        res = self.real.solve(c, **kwargs)
+        ref = linprog(c, method="highs", **kwargs)
+        assert res.status == LINPROG_STATUS.get(ref.status, ref.message)
+        if ref.x is None:
+            assert res.x is None and res.objective is None
+        else:
+            assert res.objective == ref.fun
+            assert np.array_equal(res.x, ref.x)
+        return res
+
+
+@contextmanager
+def against_linprog():
+    """Install `_AgainstLinprog` as the LP backend for the block."""
+    real = lp.get_backend()
+    lp.set_backend(_AgainstLinprog(real))
+    try:
+        yield
     finally:
         lp.set_backend(real)

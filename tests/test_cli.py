@@ -390,3 +390,25 @@ def test_fractional_node_id_is_config_error(tmp_path, capsys):
     }))
     rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
     _assert_config_error(rc, capsys)
+
+
+def test_model_the_solver_refuses_is_a_solver_error_not_infeasible(tmp_path, capsys):
+    # HiGHS refuses to load a matrix coefficient this large (c * p = 9e18)
+    net_path = tmp_path / "huge.json"
+    net_path.write_text(json.dumps({
+        "nodes": [{"id": 0, "q": 0.9}, {"id": 1, "q": 0.9}, {"id": 2, "q": 0.9}],
+        "links": [{"u": 0, "v": 1, "c": 10**19, "p": 0.9}, {"u": 1, "v": 2, "c": 2, "p": 0.9}],
+        "sd_pairs": [[0, 2]],
+    }))
+    load_path = _gen_load(tmp_path, net_path)
+    capsys.readouterr()
+    rc = cli.main([
+        "simulate", "--net", str(net_path), "--workload", str(load_path),
+        "--policy", "ESDI-B", "--seed", "1",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: "), lines
+    assert "infeasible" not in lines[0] and "kModelError" in lines[0]

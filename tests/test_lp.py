@@ -1,0 +1,103 @@
+"""The direct HiGHS backend: status mapping, post-solve check, input forms."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+from conftest import LINPROG_STATUS, against_linprog
+from entsched import cli, lp
+from entsched.lp import CHECK_TOL, LpStatus, SolverError, check_point, classify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("model_status", list(HighsModelStatus.__members__.values()),
+                         ids=list(HighsModelStatus.__members__))
+def test_status_mapping_matches_linprog_except_model_error(model_status):
+    scipy_status, _ = _highs_to_scipy_status_message(model_status, "")
+    # LINPROG_STATUS is how a linprog-based backend reads linprog's status
+    expected = LINPROG_STATUS.get(scipy_status)
+    if model_status == HighsModelStatus.kModelError:
+        # linprog read a model HiGHS refused to load as infeasible
+        assert expected == LpStatus.INFEASIBLE
+        expected = None
+    if expected is None:
+        with pytest.raises(SolverError, match=model_status.name):
+            classify(model_status)
+    else:
+        assert classify(model_status) == expected
+
+
+def _check(x=(0.5, 1.0), objective=1.0, ub_slack=(0.0,), eq_residual=(0.0,)):
+    check_point(np.array(x, dtype=float), objective, np.zeros(2), np.ones(2),
+                np.array(ub_slack, dtype=float), np.array(eq_residual, dtype=float))
+
+
+def test_check_accepts_a_point_within_tolerance():
+    t = 0.9 * CHECK_TOL
+    _check(x=(-t, 1 + t), ub_slack=(-t,), eq_residual=(-t,))
+    _check(eq_residual=(t,))
+
+
+@pytest.mark.parametrize("case", [
+    {"x": (np.nan, 0.5)},
+    {"x": (0.5, np.inf)},
+    {"objective": np.nan},
+    {"x": (-1.1 * CHECK_TOL, 0.5)},
+    {"x": (0.5, 1 + 1.1 * CHECK_TOL)},
+    {"ub_slack": (-1.1 * CHECK_TOL,)},
+    {"eq_residual": (1.1 * CHECK_TOL,)},
+    {"eq_residual": (-1.1 * CHECK_TOL,)},
+    {"ub_slack": (np.nan,)},
+    {"eq_residual": (np.nan,)},
+], ids=["nan-x", "inf-x", "nan-objective", "below-lower", "above-upper",
+        "ub-slack", "eq-residual-high", "eq-residual-low", "nan-slack", "nan-residual"])
+def test_check_rejects_an_infeasible_point(case):
+    with pytest.raises(SolverError):
+        _check(**case)
+
+
+def test_linprog_input_forms():
+    # dense lists, default bounds, one (lo, hi) pair for all, infinite bounds
+    with against_linprog():
+        lp.solve_lp([-1, -2], A_ub=[[1, 1]], b_ub=[4])
+        lp.solve_lp([-1, -2], A_ub=[[1, 1]], b_ub=[4], bounds=(0, 3))
+        lp.solve_lp([1, 1], A_eq=[[1, -1]], b_eq=[1], bounds=[(-np.inf, np.inf), (0, np.inf)])
+        lp.solve_lp([-1, 0], A_eq=[[1, -1]], b_eq=[0], bounds=(0, np.inf))
+        lp.solve_lp([1, 1], A_ub=[[-1, -1]], b_ub=[-3], bounds=(0, 1))
+
+
+def test_oversized_coefficient_is_a_solver_error_not_infeasible():
+    with pytest.raises(SolverError, match="kModelError"):
+        lp.get_backend().solve([-1.0], A_ub=[[1e19]], b_ub=[1.0])
+
+
+def test_missing_bindings_end_simulate_with_one_solver_line(tmp_path):
+    net, load = tmp_path / "net.json", tmp_path / "load.jsonl"
+    assert cli.main(["gen-topology", "--nodes", "5", "--sd-count", "2", "--seed", "3",
+                     "--out", str(net)]) == 0
+    assert cli.main(["gen-workload", "--net", str(net), "--rate", "0.6", "--mean-demand", "3",
+                     "--min-demand", "1", "--horizon", "5", "--seed", "5",
+                     "--out", str(load)]) == 0
+    # a None entry in sys.modules makes importing the bindings fail
+    script = (
+        "import sys; sys.modules['scipy.optimize._highspy._core'] = None; "
+        "from entsched import cli; "
+        f"sys.exit(cli.main(['simulate', '--net', {str(net)!r}, '--workload', {str(load)!r}, "
+        "'--policy', 'ESDI-B', '--seed', '1']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("solver error: scipy-highs: cannot load scipy's HiGHS bindings")
+    assert scipy.__version__ in lines[0]

@@ -499,6 +499,22 @@ def test_dc_infeasible_first_stage_is_a_verdict_not_an_error(star):
     assert stub.calls == 1
 
 
+@pytest.mark.parametrize("case", ["huge-capacity", "huge-window"])
+def test_dc_model_the_solver_refuses_raises_instead_of_reading_infeasible(star, case):
+    # HiGHS refuses to load a matrix coefficient of 9e18 (capacity * p) or
+    # 1e19 (a deadline row's window); neither program is infeasible
+    if case == "huge-capacity":
+        net = build_manual(nodes=[(0, 0.9), (1, 0.9), (2, 0.9)],
+                           links=[(0, 1, 10**19, 0.9), (1, 2, 2, 0.9)], sd_pairs=[(0, 2)])
+        entries = [(P(0, 2), 6, 4)]
+    else:
+        # the pair's need 10 exceeds its max-total surplus, so the probe
+        # runs its first stage
+        net, entries = star, [(P(0, 1), 10**20, 10**19)]
+    with pytest.raises(SolverError, match="kModelError"):
+        build_and_check_mred_dc(net, entries)
+
+
 # -- validation ---------------------------------------------------------------
 
 def test_solver_outputs_validate_on_random_networks():

@@ -8,7 +8,9 @@ fresh model's max-total solve. The examples are derandomized, so the
 suite runs the same instances every time. A fixed-plan test checks that
 long runs deliver the planned end-to-end rates. A deadline probe on a
 model whose max-total optimum is already solved is checked against the
-cold two-stage solve.
+cold two-stage solve. Every program the model hands the LP backend on
+random instances is also solved by `scipy.optimize.linprog`, the
+reference the direct HiGHS backend must match bit for bit.
 """
 
 import math
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import against_linprog
 from entsched import engine, mred
 from entsched.mred import (
     build_and_check_mred_dc,
@@ -24,6 +27,7 @@ from entsched.mred import (
     check_solution,
     solve_lexicographic,
     solve_max_total,
+    solve_single_pair_edr,
 )
 from entsched.protocol import compile_plan
 from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_ORDERED
@@ -148,6 +152,34 @@ def test_warm_deadline_probe_agrees_with_cold_two_stage_solve(nodes, net_seed, s
     warm_log, cold_log = dict(warm.objective_log), dict(cold.objective_log)
     assert abs(warm_log["total"] - cold_log["total"]) <= mred._lex_eps(v)
     assert warm_log["priority_total"] == pytest.approx(cold_log["priority_total"], rel=1e-6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(5, 10),
+    net_seed=st.integers(0, 10_000),
+    sd_count=st.integers(1, 4),
+    share=st.floats(0.1, 0.99),
+    delta=st.integers(1, 12),
+)
+def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, share, delta):
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    with against_linprog():
+        m = build_mred(net)
+        v = m.max_total_optimum()[0]
+        solve_max_total(net, m)
+        ranked = solve_lexicographic(net, net.sorted_sd[::-1], m)
+        solve_single_pair_edr(net, net.sorted_sd[0], m)
+        # a share of a plan's own rates is within reach, and unlike the
+        # max-total point the lexicographic one may leave the probe uncovered;
+        # more than V on one pair is out of reach
+        reachable = [(sd, share * ranked.eta.get(sd, 0.0) * delta, float(delta))
+                     for sd in net.sorted_sd]
+        assert build_and_check_mred_dc(net, reachable, m) is not None
+        beyond = [(net.sorted_sd[0], 2 * v * delta + 1, float(delta))]
+        assert build_and_check_mred_dc(net, beyond, m) is None
 
 
 # Realized/planned rate over 2000 slots on 6-node networks (seeds 0-39, 93
