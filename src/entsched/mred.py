@@ -24,8 +24,9 @@ list of stages, each an objective plus the rows it adds; `_lexmax` runs
 a stage list, holding each stage at its optimum before the next. A model
 runs each distinct program at most once: `MredModel.solve` keeps every
 optimal result by program, so a repeated plan, probe or solo rate costs
-no LP. A deadline probe whose rows the max-total point already meets
-takes that point's optimum as its first stage without a solve.
+no LP. A deadline probe is first answered from the max-total face: the
+max-total point that feeds the probe's pairs most, one program per set
+of admitted pairs, is the plan when it meets every pair's need.
 
 Swap columns scale as |V|^3 / 2 with node count: every (produced pair,
 swap node) combination gets one, links or not, because buffered ebits
@@ -236,13 +237,6 @@ class MredModel:
         """The sum of the SD surpluses."""
         return {self.eta_col[pr]: 1.0 for pr in self.net.sorted_sd}
 
-    def max_total_optimum(self) -> tuple[float, dict[NodePair, float]]:
-        """The unconstrained `total` stage's optimum V and its SD surpluses."""
-        res = self.solve(self.total_objective())
-        if res.status != LpStatus.OPTIMAL:
-            raise SolverError(f"total stage: solver returned {res.status}")
-        return res.objective, {pr: float(res.x[self.eta_col[pr]]) for pr in self.net.sorted_sd}
-
     def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
         fv = x[:self.n_f_vars]
         swaps = {
@@ -277,32 +271,26 @@ def _model_for(net: Network, model: MredModel | None) -> MredModel:
     return MredModel(net)
 
 
-def _lexmax(
-    m: MredModel, stages: Iterable[tuple[str, dict, list, float | None]]
-) -> RateSolution | None:
+def _lexmax(m: MredModel, stages: Iterable[tuple[str, dict, list]]) -> RateSolution | None:
     """Maximize each stage's objective in turn, holding earlier stages.
 
-    A stage is (label, objective, rows, optimum): its rows join the
-    program, then its objective is maximized and held at its optimum less
-    `_lex_eps` for the stages after it. A stage whose optimum is given
-    (a covered deadline probe's `total`) runs no solve and is held at
-    that value; the last stage is always solved. The plan is the last
-    stage's solution, and its objective log lists each stage's label and
-    optimum. Returns None when the first
-    stage's own rows make the program infeasible; any other outcome short
-    of optimal raises `SolverError`.
+    A stage is (label, objective, rows): its rows join the program, then
+    its objective is maximized and held at its optimum less `_lex_eps` for
+    the stages after it. The plan is the last stage's solution, and its
+    objective log lists each stage's label and optimum. Returns None when
+    the first stage's own rows make the program infeasible; any other
+    outcome short of optimal raises `SolverError`.
     """
     held: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
-    for label, objective, rows, v in stages:
+    for label, objective, rows in stages:
         held.extend(rows)
-        if v is None:
-            res = m.solve(objective, extra_ub=held)
-            if res.status == LpStatus.INFEASIBLE and not log and rows:
-                return None
-            if res.status != LpStatus.OPTIMAL:
-                raise SolverError(f"{label} stage: solver returned {res.status}")
-            v = res.objective
+        res = m.solve(objective, extra_ub=held)
+        if res.status == LpStatus.INFEASIBLE and not log and rows:
+            return None
+        if res.status != LpStatus.OPTIMAL:
+            raise SolverError(f"{label} stage: solver returned {res.status}")
+        v = res.objective
         log.append((label, v))
         held.append(({col: -w for col, w in objective.items()}, -(v - _lex_eps(v))))
     return m.extract(res.x, log)
@@ -320,8 +308,8 @@ def solve_max_total(net: Network, model: MredModel | None = None) -> RateSolutio
     m = _model_for(net, model)
     floor_rows = [({m.floor_col: 1.0, m.eta_col[pr]: -1.0}, 0.0) for pr in net.sorted_sd]
     return _lexmax(m, [
-        ("total", m.total_objective(), [], None),
-        ("min_share", {m.floor_col: 1.0}, floor_rows, None),
+        ("total", m.total_objective(), []),
+        ("min_share", {m.floor_col: 1.0}, floor_rows),
     ])
 
 
@@ -358,8 +346,8 @@ def solve_lexicographic(
         return solve_max_total(net, model)
 
     m = _model_for(net, model)
-    stages = [(f"eta[{pr}]", {m.eta_col[pr]: 1.0}, [], None) for pr in prio]
-    return _lexmax(m, stages + [("total", m.total_objective(), [], None)])
+    stages = [(f"eta[{pr}]", {m.eta_col[pr]: 1.0}, []) for pr in prio]
+    return _lexmax(m, stages + [("total", m.total_objective(), [])])
 
 
 def _prefix_rows(entries) -> dict[NodePair, list[tuple[float, float]]]:
@@ -392,15 +380,24 @@ def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[Nod
             for sd, rows in _prefix_rows(entries).items()}
 
 
-def deadline_covered(m: MredModel, entries: Iterable[tuple[NodePair, float, float]]) -> bool:
-    """True when the model's max-total point meets every pair's deadline
-    need (see `deadline_needs`).
+def _priority_stage(m: MredModel, entries) -> tuple[str, dict, list]:
+    """The stage that feeds the prioritized pairs most, at a held total."""
+    return "priority_total", {m.eta_col[sd]: 1.0 for sd, _, _ in entries}, []
 
-    Then that point is feasible under the deadline rows, so the
-    constrained max-total optimum is the unconstrained one, V.
+
+def face_plan(m: MredModel, entries: Sequence[tuple[NodePair, float, float]]) -> RateSolution | None:
+    """The max-total plan that feeds the entries' pairs most, when it meets
+    every pair's deadline need (see `deadline_needs`); None otherwise.
+
+    Its `total` stage is the model's max-total solve and its
+    `priority_total` program depends only on which pairs the entries
+    name, so the model's memo answers every later probe on those pairs.
+    A plan that meets the needs is feasible for the deadline program at a
+    total within `_lex_eps` of V, its unconstrained optimum.
     """
-    eta = m.max_total_optimum()[1]
-    return all(eta[sd] >= need for sd, need in deadline_needs(entries).items())
+    plan = _lexmax(m, [("total", m.total_objective(), []), _priority_stage(m, entries)])
+    needs = deadline_needs(entries)
+    return plan if all(plan.eta.get(sd, 0.0) >= need for sd, need in needs.items()) else None
 
 
 def build_and_check_mred_dc(
@@ -417,12 +414,11 @@ def build_and_check_mred_dc(
     the constrained program is infeasible; an empty list degenerates to
     the plain fair max-total solve.
 
-    A feasible program is solved in two stages: the constrained max-total
-    optimum, then, holding that total, the most rate for the prioritized
-    pairs. The plan's objective log carries both values. When the
-    model's max-total point meets every row (`deadline_covered`), the
-    first stage's optimum is that point's V and only the second stage
-    runs.
+    A probe is first answered by `face_plan`, which costs at most one LP
+    per set of prioritized pairs. When that plan misses a need, the
+    program is solved in two stages: the constrained max-total optimum,
+    then, holding that total, the most rate for the prioritized pairs.
+    The plan's objective log carries both values.
     """
     entries = []
     for sd, theta, delta in prioritized:
@@ -438,16 +434,14 @@ def build_and_check_mred_dc(
         return solve_max_total(net, model)
 
     m = _model_for(net, model)
+    plan = face_plan(m, entries)
+    if plan is not None:
+        return plan
     rows = [({m.eta_col[sd]: -delta}, -cum)
             for sd, prefix in _prefix_rows(entries).items() for cum, delta in prefix]
-    v = m.max_total_optimum()[0] if deadline_covered(m, entries) else None
-
     # among max-total optima prefer feeding the prioritized pairs, so the
     # executed plan concentrates on the admitted deadlines
-    return _lexmax(m, [
-        ("total", m.total_objective(), rows, v),
-        ("priority_total", {m.eta_col[sd]: 1.0 for sd, _, _ in entries}, [], None),
-    ])
+    return _lexmax(m, [("total", m.total_objective(), rows), _priority_stage(m, entries)])
 
 
 def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> dict:

@@ -11,9 +11,10 @@ A run solves each distinct program at most once, since the run's
 `MredModel` keeps every optimum it has solved: a repeated priority list,
 probe, fallback plan or solo rate costs no LP. An ESDI-E candidate whose
 pair needs more than the pair's solo rate is skipped without an LP, once
-that pair has had an infeasible probe, and a probe the model's max-total
-point already covers runs one LP. Each re-plan's event records whether
-an ESDI-O plan ran no LP and how each ESDI-E probe ended.
+that pair has had an infeasible probe, and a probe the max-total face
+covers costs at most one LP per set of admitted pairs. Each re-plan's
+event records whether an ESDI-O plan ran no LP and how each ESDI-E probe
+ended.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .mred import (
     RateSolution,
     build_and_check_mred_dc,
     build_mred,
-    deadline_covered,
     deadline_needs,
+    face_plan,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
@@ -119,8 +120,8 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
     plain fair solve, which also serves deadline-free commodities.
 
     Each probe's outcome is counted: `solo_rejected` by the bound,
-    `infeasible` by the LP, `covered` when the model's max-total point
-    met its rows so one LP ran, `solved` for a feasible two-stage probe.
+    `infeasible` by the LP, `covered` when `mred.face_plan` met its needs,
+    `solved` for a feasible two-stage probe.
     """
     candidates = [c for c in active if c.deadline is not None]
     candidates.sort(key=lambda c: (c.deadline - slot + 1, c.arrival, c.id))
@@ -141,7 +142,7 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
             probes["infeasible"] += 1
             state.bound_armed.add(c.sd)
         else:
-            probes["covered" if deadline_covered(state.model, entries) else "solved"] += 1
+            probes["covered" if face_plan(state.model, entries) is not None else "solved"] += 1
             admitted.append(entry)
             plan = probe
     if plan is None:

@@ -385,35 +385,57 @@ def test_dc_needs_are_the_greatest_prefix_demand_over_window():
     assert needs == {a: 1.25, b: 0.2}
 
 
-def _covering_and_not(star, m):
-    """A probe the model's max-total point covers, and a feasible one it does not."""
-    eta = m.max_total_optimum()[1]
-    rich, poor = max(star.sorted_sd, key=eta.get), min(star.sorted_sd, key=eta.get)
-    # the max-total point splits 2 between the pairs; either pair alone gets 2
-    return [(rich, 1.0, 4.0)], [(poor, 6.0, 4.0)]
+def _covering_and_not(star):
+    """Two probes the max-total face covers, and a feasible one it does not.
+
+    Either pair alone gets the hub's whole rate 2, while the max-total
+    point gives 0:1 all of it; the face point feeding both pairs is that
+    same vertex, which misses the 1.2/0.8 split.
+    """
+    rich, poor = P(0, 1), P(0, 3)
+    return [(rich, 1.0, 4.0)], [(poor, 6.0, 4.0)], [(rich, 4.8, 4.0), (poor, 3.2, 4.0)]
 
 
 def test_dc_probe_solve_counts(star):
     m = build_mred(star)
-    covered, uncovered = _covering_and_not(star, m)
+    v = m.solve(m.total_objective()).objective
+    covered, poor, uncovered = _covering_and_not(star)
     assert m.solves == 1
-    assert mred.deadline_covered(m, covered) and not mred.deadline_covered(m, uncovered)
 
     sol = build_and_check_mred_dc(star, covered, model=m)
     assert m.solves == 2
-    # the covered first stage logs the cached optimum itself
-    assert sol.objective_log[0] == ("total", m.max_total_optimum()[0])
+    # the face plan logs the max-total optimum itself
+    assert sol.objective_log[0] == ("total", v)
     assert check_solution(star, sol)["ok"]
 
-    assert build_and_check_mred_dc(star, uncovered, model=m) is not None
+    # the max-total point gives the poor pair nothing, but its face plan
+    # feeds it the whole rate: one LP for the pair set
+    assert build_and_check_mred_dc(star, poor, model=m).eta == {P(0, 3): 2.0}
+    assert m.solves == 3
+    assert mred.face_plan(m, uncovered) is None
     assert m.solves == 4
+    # a probe the face misses runs both stages after it
+    assert build_and_check_mred_dc(star, uncovered, model=m) is not None
+    assert m.solves == 6
 
     # a fresh model's first probe adds one solve for the max-total optimum
     fresh = build_mred(star)
     build_and_check_mred_dc(star, covered, model=fresh)
     assert fresh.solves == 2
+    build_and_check_mred_dc(star, poor, model=fresh)
+    assert fresh.solves == 3
     build_and_check_mred_dc(star, uncovered, model=fresh)
-    assert fresh.solves == 4
+    assert fresh.solves == 6
+
+
+def test_face_plan_answers_every_probe_on_its_pair_set(star):
+    m = build_mred(star)
+    plan = mred.face_plan(m, [(P(0, 3), 6.0, 4.0)])
+    before = m.solves
+    # the program depends only on the pairs, so other needs cost no LP
+    assert mred.face_plan(m, [(P(0, 3), 1.0, 2.0), (P(0, 3), 7.0, 9.0)]) == plan
+    assert mred.face_plan(m, [(P(0, 3), 9.0, 4.0)]) is None
+    assert m.solves == before
 
 
 def test_max_total_after_a_probe_reuses_the_total_stage():
@@ -432,7 +454,7 @@ def test_max_total_after_a_probe_reuses_the_total_stage():
 
 def test_repeated_probe_runs_no_lp(star):
     m = build_mred(star)
-    for entries in _covering_and_not(star, m):
+    for entries in _covering_and_not(star):
         first = build_and_check_mred_dc(star, entries, model=m)
         before = m.solves
         assert build_and_check_mred_dc(star, entries, model=m) == first
@@ -480,19 +502,23 @@ def test_failed_stage_raises_with_its_label(star):
 
 def test_dc_infeasible_first_stage_is_a_verdict_not_an_error(star):
     m = build_mred(star)
-    eta = m.max_total_optimum()[1]
-    # 1.5 exceeds what the cached max-total point gives this pair, so the
-    # probe is uncovered and runs its first stage
-    sd = min(star.sorted_sd, key=eta.get)
-    entries = [(sd, 6, 4)]
+    m.solve(m.total_objective())
+    entries = _covering_and_not(star)[2]
+    # the face program runs first; its one row holds the total, so failing
+    # is a fault
     with failing_backend(LpStatus.INFEASIBLE) as stub:
-        assert build_and_check_mred_dc(star, entries, model=m) is None
+        with pytest.raises(SolverError, match=r"^priority_total stage"):
+            build_and_check_mred_dc(star, entries, model=m)
     assert stub.calls == 1
+    # the face point misses a need, so the deadline rows' first stage runs
+    with failing_backend(LpStatus.INFEASIBLE, after=1) as stub:
+        assert build_and_check_mred_dc(star, entries, model=m) is None
+    assert stub.calls == 2
     # the prefix rows were feasible, so a later infeasible stage is a fault
     with failing_backend(LpStatus.INFEASIBLE, after=1):
         with pytest.raises(SolverError, match=r"^priority_total stage"):
             build_and_check_mred_dc(star, entries, model=m)
-    # the cached max-total solve has no rows of its own: failing is a fault
+    # the max-total solve has no rows of its own: failing is a fault
     with failing_backend(LpStatus.INFEASIBLE) as stub:
         with pytest.raises(SolverError, match=r"^total stage"):
             build_and_check_mred_dc(star, entries)

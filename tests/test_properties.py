@@ -16,11 +16,12 @@ reference the direct HiGHS backend must match bit for bit.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import against_linprog
 from entsched import engine, mred
+from entsched.lp import LpStatus
 from entsched.mred import (
     build_and_check_mred_dc,
     build_mred,
@@ -107,7 +108,9 @@ def test_random_instances_conserve_plan_validly_and_repeat(
 
 
 def _cold_probe(net, entries):
-    """The deadline probe as two solved stages on a fresh model."""
+    """The deadline probe as two solved stages on a fresh model, with every
+    deadline prefix written as a row: the reference for the face plan and
+    for needs as surplus bounds."""
     m = build_mred(net)
     rows = []
     for sd in sorted({sd for sd, _, _ in entries}):
@@ -118,10 +121,9 @@ def _cold_probe(net, entries):
             rows.append(({m.eta_col[sd]: -delta}, -cum))
     total = {m.eta_col[sd]: 1.0 for sd in net.sorted_sd}
     prioritized = {m.eta_col[sd]: 1.0 for sd, _, _ in entries}
-    return mred._lexmax(m, [
-        ("total", total, rows, None),
-        ("priority_total", prioritized, [], None),
-    ])
+    if m.solve(total, extra_ub=rows).status == LpStatus.INFEASIBLE:
+        return None
+    return mred._lexmax(m, [("total", total, rows), ("priority_total", prioritized, [])])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -137,21 +139,59 @@ def test_warm_deadline_probe_agrees_with_cold_two_stage_solve(nodes, net_seed, s
                           seed=net_seed)
     net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
     m = build_mred(net)
-    v = m.max_total_optimum()[0]
+    v = m.solve(m.total_objective()).objective
     # a pair's demand is a share of the whole max-total rate over its window,
     # so probes range from covered through uncovered to infeasible
     entries = [(net.sorted_sd[i % sd_count], share * v * delta, float(delta))
                for i, share, delta in picks]
+    before = m.solves
     warm = build_and_check_mred_dc(net, entries, model=m)
+    added = m.solves - before
+    face = mred.face_plan(m, entries)
     cold = _cold_probe(net, entries)
     assert (warm is None) == (cold is None), entries
     if warm is None:
+        event("probe: infeasible")
         return
+    if face is not None:
+        event("probe: face-covered")
+        assert warm == face and added <= 1
+        needs = mred.deadline_needs(entries)
+        assert all(face.eta.get(sd, 0.0) >= need for sd, need in needs.items()), entries
+    else:
+        event("probe: two-stage")
     for plan in (warm, cold):
         assert check_solution(net, plan)["ok"]
     warm_log, cold_log = dict(warm.objective_log), dict(cold.objective_log)
     assert abs(warm_log["total"] - cold_log["total"]) <= mred._lex_eps(v)
     assert warm_log["priority_total"] == pytest.approx(cold_log["priority_total"], rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(4, 9),
+    net_seed=st.integers(0, 10_000),
+    sd_count=st.integers(1, 4),
+    pick=st.integers(0, 3),
+    ratio=st.floats(0.0, 2.0),
+    delta=st.integers(1, 40),
+)
+def test_single_entry_probe_is_feasible_exactly_within_the_solo_rate(
+    nodes, net_seed, sd_count, pick, ratio, delta
+):
+    # the premise of the scheduler's solo-rate bound: at kappa 1 a probe
+    # admits one commodity, and its pair alone can be served `rate`
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    sd = net.sorted_sd[pick % len(net.sorted_sd)]
+    rate = solve_single_pair_edr(net, sd)
+    need = ratio * rate
+    assume(abs(need - rate) > 1e-6 * max(1.0, rate))
+    entries = [(sd, need * delta, float(delta))]
+    event("need within the solo rate" if need <= rate else "need beyond the solo rate")
+    assert (_cold_probe(net, entries) is not None) == (need <= rate), entries
+    assert (build_and_check_mred_dc(net, entries) is not None) == (need <= rate), entries
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -168,7 +208,7 @@ def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, sha
     net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
     with against_linprog():
         m = build_mred(net)
-        v = m.max_total_optimum()[0]
+        v = m.solve(m.total_objective()).objective
         solve_max_total(net, m)
         ranked = solve_lexicographic(net, net.sorted_sd[::-1], m)
         solve_single_pair_edr(net, net.sorted_sd[0], m)

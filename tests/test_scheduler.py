@@ -160,9 +160,10 @@ def test_deadline_fallback_is_solved_once_per_run():
     plan, fresh = framework_step(state, [c0, c1], slot=2)
     assert fresh and plan == first
     assert [e["priority"] for e in state.events] == [[], []]
-    # 0:1 is rejected by its solo rate (one solve), 0:3 by one LP probe, and
-    # the fallback plan is the one solved at slot 1
-    assert state.model.solves - before == 2
+    # 0:1 is rejected by its solo rate (one solve), 0:3 by its face LP and
+    # the constrained total stage, and the fallback plan is the one solved
+    # at slot 1
+    assert state.model.solves - before == 3
     assert state.bound_armed == {AB, AD}
 
 
@@ -201,7 +202,7 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
 
     def recording_probe(net, entries, model=None):
         res = probe(net, entries, model=model)
-        probes.append((tuple(entries), res is not None, mred.deadline_covered(model, entries)))
+        probes.append((tuple(entries), res is not None, mred.face_plan(model, entries) is not None))
         return res
 
     monkeypatch.setattr(scheduler, "build_and_check_mred_dc", recording_probe)
@@ -220,15 +221,17 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
         assert probes and all(feasible for _, feasible, _ in probes)
         assert not state.bound_armed
         # each re-plan is one feasible probe, as without the bound. The
-        # model runs each distinct program once: the max-total solve behind
-        # the cover check, then one solve per distinct entry list, and one
-        # more when the max-total point does not cover it
+        # model runs each distinct program once: the max-total solve, one
+        # face solve per distinct admitted pair set, and both stages of each
+        # distinct entry list the face does not cover
         assert len(probes) == len(result.events)
         distinct = {entries: covered for entries, _, covered in probes}
+        pair_sets = {frozenset(sd for sd, _, _ in entries) for entries in distinct}
         uncovered = sum(not covered for covered in distinct.values())
-        assert result.metrics.solver_calls == 1 + len(distinct) + uncovered
-        # seed 5 probes the list ((5:6, 2.0, 5.0),) twice and solves it once
-        assert seed != 5 or result.metrics.solver_calls == 6
+        assert result.metrics.solver_calls == 1 + len(pair_sets) + 2 * uncovered
+        # seed 5's six probes name three pairs and the face covers them all:
+        # the max-total solve and three face solves
+        assert seed != 5 or result.metrics.solver_calls == 4
         states.clear()
         probes.clear()
 
@@ -311,7 +314,7 @@ def test_events_count_probe_outcomes_and_mark_reused_plans():
     state = new_state(net, POLICY_DEADLINE, kappa=2)
     # 0:1 alone is feasible; 0:3 with it needs 1.5 + 1.0 of a hub rate of 2
     framework_step(state, [_c(0, AB, 6, deadline=4), _c(1, AD, 6, deadline=6)], slot=1)
-    covered = build_mred(net).max_total_optimum()[1][AB] >= 1.5
+    covered = mred.face_plan(build_mred(net), [(AB, 6.0, 4.0)]) is not None
     assert state.events[0]["probes"] == {
         "covered": int(covered), "solved": int(not covered), "infeasible": 1, "solo_rejected": 0,
     }
