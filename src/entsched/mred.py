@@ -36,7 +36,7 @@ between non-adjacent nodes are still usable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -198,25 +198,30 @@ class MredModel:
         objective: dict[int, float],
         extra_ub: Sequence[tuple[dict[int, float], float]] = (),
         eta_free: Iterable[NodePair] | None = None,
+        eta_lower: Mapping[NodePair, float] | None = None,
     ) -> lp.LpResult:
         """Maximize a linear objective over the balance polytope.
 
         `eta_free` selects which pairs may run a surplus (defaults to the
-        network's SD set). The floor column is freed only when
-        `objective` uses it. An optimal result is kept, with a read-only
-        `x`, and returned for the same program without a solve, since the
-        solver returns the same optimum for the same input. The key keeps
-        the rows in order, as row order reaches the solver.
+        network's SD set), and `eta_lower` bounds surpluses from below.
+        The floor column is freed only when `objective` uses it. An
+        optimal result is kept, with a read-only `x`, and returned for the
+        same program without a solve, since the solver returns the same
+        optimum for the same input. The key keeps the rows in order, as
+        row order reaches the solver.
         """
         free = tuple(sorted(eta_free)) if eta_free is not None else self.net.sorted_sd
+        lower = tuple(sorted(eta_lower.items())) if eta_lower else ()
         key = (tuple(sorted(objective.items())), free,
-               tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub))
+               tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub), lower)
         kept = self._optima.get(key)
         if kept is not None:
             return kept
         bounds = self._base_bounds.copy()
         for pr in free:
             bounds[self.eta_col[pr], 1] = np.inf
+        for pr, lo in lower:
+            bounds[self.eta_col[pr], 0] = lo
         if self.floor_col in objective:
             bounds[self.floor_col, 1] = np.inf
 
@@ -271,22 +276,27 @@ def _model_for(net: Network, model: MredModel | None) -> MredModel:
     return MredModel(net)
 
 
-def _lexmax(m: MredModel, stages: Iterable[tuple[str, dict, list]]) -> RateSolution | None:
+def _lexmax(
+    m: MredModel,
+    stages: Iterable[tuple[str, dict, list]],
+    eta_lower: Mapping[NodePair, float] | None = None,
+) -> RateSolution | None:
     """Maximize each stage's objective in turn, holding earlier stages.
 
     A stage is (label, objective, rows): its rows join the program, then
     its objective is maximized and held at its optimum less `_lex_eps` for
-    the stages after it. The plan is the last stage's solution, and its
-    objective log lists each stage's label and optimum. Returns None when
-    the first stage's own rows make the program infeasible; any other
-    outcome short of optimal raises `SolverError`.
+    the stages after it. `eta_lower` bounds surpluses in every stage. The
+    plan is the last stage's solution, and its objective log lists each
+    stage's label and optimum. Returns None when those bounds make the
+    first stage infeasible; any other outcome short of optimal raises
+    `SolverError`.
     """
     held: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
     for label, objective, rows in stages:
         held.extend(rows)
-        res = m.solve(objective, extra_ub=held)
-        if res.status == LpStatus.INFEASIBLE and not log and rows:
+        res = m.solve(objective, extra_ub=held, eta_lower=eta_lower)
+        if res.status == LpStatus.INFEASIBLE and not log and eta_lower:
             return None
         if res.status != LpStatus.OPTIMAL:
             raise SolverError(f"{label} stage: solver returned {res.status}")
@@ -350,34 +360,27 @@ def solve_lexicographic(
     return _lexmax(m, stages + [("total", m.total_objective(), [])])
 
 
-def _prefix_rows(entries) -> dict[NodePair, list[tuple[float, float]]]:
-    """Per SD pair, its deadline-prefix rows as (cumulative demand, window).
+def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[NodePair, float]:
+    """Per SD pair, the least surplus that meets all its deadline-prefix
+    rows ``eta * window >= cumulative demand``: the greatest cumulative
+    demand over window among them.
 
-    A pair's entries are sorted by window (stably), and each row sums the
-    demands up to and including its entry.
+    `entries` are canonical (sd pair, remaining demand, remaining slots)
+    triples, as `build_and_check_mred_dc` takes them. A pair's entries are
+    sorted by window (stably), and each row sums the demands up to and
+    including its entry.
     """
     groups: dict[NodePair, list[tuple[float, float]]] = {}
     for sd, theta, delta in entries:
         groups.setdefault(sd, []).append((theta, delta))
-    rows = {}
+    needs = {}
     for sd in sorted(groups):
-        cum = 0.0
-        rows[sd] = []
+        cum = need = 0.0
         for theta, delta in sorted(groups[sd], key=lambda td: td[1]):
             cum += theta
-            rows[sd].append((cum, delta))
-    return rows
-
-
-def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[NodePair, float]:
-    """Per SD pair, the least surplus that meets all its deadline-prefix
-    rows: the greatest cumulative demand over window among them.
-
-    `entries` are canonical (sd pair, remaining demand, remaining slots)
-    triples, as `build_and_check_mred_dc` takes them.
-    """
-    return {sd: max(cum / delta for cum, delta in rows)
-            for sd, rows in _prefix_rows(entries).items()}
+            need = max(need, cum / delta)
+        needs[sd] = need
+    return needs
 
 
 def _priority_stage(m: MredModel, entries) -> tuple[str, dict, list]:
@@ -410,15 +413,17 @@ def build_and_check_mred_dc(
     `prioritized` holds (sd pair, remaining demand, remaining slots)
     entries. Per SD pair, entries sorted by remaining slots must each be
     coverable by that pair's surplus within their window, cumulatively:
-    ``eta * slots_l >= sum of the l tightest demands``. Returns None when
-    the constrained program is infeasible; an empty list degenerates to
-    the plain fair max-total solve.
+    ``eta * slots_l >= sum of the l tightest demands``. Together a pair's
+    rows are one lower bound on its surplus, its need (`deadline_needs`).
+    Returns None when the constrained program is infeasible; an empty list
+    degenerates to the plain fair max-total solve.
 
     A probe is first answered by `face_plan`, which costs at most one LP
     per set of prioritized pairs. When that plan misses a need, the
-    program is solved in two stages: the constrained max-total optimum,
-    then, holding that total, the most rate for the prioritized pairs.
-    The plan's objective log carries both values.
+    program is solved in two stages with the needs as surplus bounds: the
+    constrained max-total optimum, then, holding that total, the most rate
+    for the prioritized pairs. The plan's objective log carries both
+    values.
     """
     entries = []
     for sd, theta, delta in prioritized:
@@ -437,11 +442,10 @@ def build_and_check_mred_dc(
     plan = face_plan(m, entries)
     if plan is not None:
         return plan
-    rows = [({m.eta_col[sd]: -delta}, -cum)
-            for sd, prefix in _prefix_rows(entries).items() for cum, delta in prefix]
-    # among max-total optima prefer feeding the prioritized pairs, so the
-    # executed plan concentrates on the admitted deadlines
-    return _lexmax(m, [("total", m.total_objective(), rows), _priority_stage(m, entries)])
+    # among constrained max-total optima prefer feeding the prioritized
+    # pairs, so the executed plan concentrates on the admitted deadlines
+    return _lexmax(m, [("total", m.total_objective(), []), _priority_stage(m, entries)],
+                   eta_lower=deadline_needs(entries))
 
 
 def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> dict:

@@ -480,6 +480,17 @@ def test_memo_solves_again_when_a_row_bound_differs(star):
     assert tight.x[m.eta_col[P(0, 1)]] == pytest.approx(0.5, abs=1e-6)
 
 
+def test_memo_solves_again_when_a_surplus_lower_bound_differs(star):
+    m = build_mred(star)
+    loose = m.solve(m.total_objective(), eta_lower={P(0, 3): 0.5})
+    assert m.solve(m.total_objective(), eta_lower={P(0, 3): 0.5}) is loose
+    assert m.solves == 1
+    tight = m.solve(m.total_objective(), eta_lower={P(0, 3): 1.5})
+    assert m.solves == 2
+    assert tight.x[m.eta_col[P(0, 3)]] >= 1.5
+    assert m.solve(m.total_objective(), eta_lower={P(0, 3): 2.5}).status == LpStatus.INFEASIBLE
+
+
 @pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])
 def test_memo_keeps_only_optimal_results(star, status):
     m = build_mred(star)
@@ -525,20 +536,20 @@ def test_dc_infeasible_first_stage_is_a_verdict_not_an_error(star):
     assert stub.calls == 1
 
 
-@pytest.mark.parametrize("case", ["huge-capacity", "huge-window"])
-def test_dc_model_the_solver_refuses_raises_instead_of_reading_infeasible(star, case):
-    # HiGHS refuses to load a matrix coefficient of 9e18 (capacity * p) or
-    # 1e19 (a deadline row's window); neither program is infeasible
-    if case == "huge-capacity":
-        net = build_manual(nodes=[(0, 0.9), (1, 0.9), (2, 0.9)],
-                           links=[(0, 1, 10**19, 0.9), (1, 2, 2, 0.9)], sd_pairs=[(0, 2)])
-        entries = [(P(0, 2), 6, 4)]
-    else:
-        # the pair's need 10 exceeds its max-total surplus, so the probe
-        # runs its first stage
-        net, entries = star, [(P(0, 1), 10**20, 10**19)]
+@pytest.mark.parametrize("case", ["huge-capacity"])
+def test_dc_model_the_solver_refuses_raises_instead_of_reading_infeasible(case):
+    # HiGHS refuses to load a matrix coefficient of 9e18 (capacity * p);
+    # the program is not infeasible
+    net = build_manual(nodes=[(0, 0.9), (1, 0.9), (2, 0.9)],
+                       links=[(0, 1, 10**19, 0.9), (1, 2, 2, 0.9)], sd_pairs=[(0, 2)])
     with pytest.raises(SolverError, match="kModelError"):
-        build_and_check_mred_dc(net, entries)
+        build_and_check_mred_dc(net, [(P(0, 2), 6, 4)])
+
+
+def test_dc_huge_window_is_a_verdict(star):
+    # a need is a column bound, not a row coefficient, so a window of 1e19
+    # reaches the solver as the need 10, beyond the hub rate 2
+    assert build_and_check_mred_dc(star, [(P(0, 1), 10**20, 10**19)]) is None
 
 
 # -- validation ---------------------------------------------------------------
