@@ -22,6 +22,12 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 
+# the largest link capacity a network file or a generated network may
+# hold: capacity * p is a coefficient of the rate LP, and HiGHS refuses a
+# model whose coefficients exceed 1e15
+MAX_CAPACITY = 10**9
+
+
 class DegeneratePair(ValueError):
     """Both endpoints of a node pair are the same node."""
 
@@ -168,6 +174,8 @@ def check_waxman_params(n: int, alpha: float, beta: float, cap_lo: int, cap_hi: 
         raise ValidationError(f"beta {beta} must lie in (0, 1]")
     if cap_lo < 1 or cap_hi < cap_lo:
         raise ValidationError(f"capacity range [{cap_lo}, {cap_hi}] invalid")
+    if cap_hi > MAX_CAPACITY:
+        raise ValidationError(f"capacity {cap_hi} exceeds the maximum {MAX_CAPACITY}")
     if not 0 < p <= 1 or not 0 < q <= 1:
         raise ValidationError("p and q must lie in (0, 1]")
 
@@ -257,11 +265,20 @@ def _whole(v, what: str) -> int:
     return int(v)
 
 
+def _capacity(v) -> int:
+    cap = _whole(v, "link capacity")
+    if cap > MAX_CAPACITY:
+        raise ValidationError(f"link capacity {cap} exceeds the maximum {MAX_CAPACITY}")
+    return cap
+
+
 def from_json(obj: dict) -> Network:
+    """The network a `to_json` object describes; ids, endpoints and
+    capacities must be whole, and capacities at most `MAX_CAPACITY`."""
     try:
         nodes = [(_whole(e["id"], "node id"), e["q"]) for e in obj["nodes"]]
         links = [(_whole(e["u"], "link u"), _whole(e["v"], "link v"),
-                  _whole(e["c"], "link capacity"), e["p"]) for e in obj.get("links", [])]
+                  _capacity(e["c"]), e["p"]) for e in obj.get("links", [])]
         sd = [(_whole(s, "sd pair endpoint"), _whole(t, "sd pair endpoint"))
               for s, t in obj.get("sd_pairs", [])]
         return build_manual(nodes, links, sd)

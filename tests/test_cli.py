@@ -6,7 +6,7 @@ import pytest
 from conftest import failing_backend
 from entsched import cli
 from entsched.lp import LpStatus
-from entsched.topology import read_network
+from entsched.topology import MAX_CAPACITY, read_network
 from entsched.workload import read_workload
 
 
@@ -392,23 +392,21 @@ def test_fractional_node_id_is_config_error(tmp_path, capsys):
     _assert_config_error(rc, capsys)
 
 
-def test_model_the_solver_refuses_is_a_solver_error_not_infeasible(tmp_path, capsys):
-    # HiGHS refuses to load a matrix coefficient this large (c * p = 9e18)
+def test_capacity_the_solver_cannot_hold_is_a_config_error(tmp_path, capsys):
+    # capacity * p = 9e18 would exceed HiGHS's largest matrix value, 1e15
     net_path = tmp_path / "huge.json"
     net_path.write_text(json.dumps({
         "nodes": [{"id": 0, "q": 0.9}, {"id": 1, "q": 0.9}, {"id": 2, "q": 0.9}],
         "links": [{"u": 0, "v": 1, "c": 10**19, "p": 0.9}, {"u": 1, "v": 2, "c": 2, "p": 0.9}],
         "sd_pairs": [[0, 2]],
     }))
-    load_path = _gen_load(tmp_path, net_path)
-    capsys.readouterr()
-    rc = cli.main([
-        "simulate", "--net", str(net_path), "--workload", str(load_path),
-        "--policy", "ESDI-B", "--seed", "1",
-    ])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("solver error: "), lines
-    assert "infeasible" not in lines[0] and "kModelError" in lines[0]
+    rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: link capacity {10**19} exceeds the maximum {MAX_CAPACITY}\n")
+    rc = cli.main(["gen-topology", "--nodes", "4", "--cap-hi", str(10**10),
+                   "--out", str(tmp_path / "net.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: capacity {10**10} exceeds the maximum {MAX_CAPACITY}\n")
+    assert not (tmp_path / "net.json").exists()

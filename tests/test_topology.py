@@ -136,3 +136,18 @@ def test_from_json_refuses_ids_and_capacities_that_are_not_whole(star, value):
         obj[section][i][key] = value
         with pytest.raises(ValidationError, match="whole number"):
             topology.from_json(obj)
+
+
+def test_capacities_are_bounded_by_the_maximum(star):
+    obj = topology.to_json(star)
+    obj["links"][0]["c"] = topology.MAX_CAPACITY
+    assert topology.from_json(obj).links[topology.canonical_pair(0, 2)].capacity == 10**9
+    obj["links"][0]["c"] = topology.MAX_CAPACITY + 1
+    with pytest.raises(ValidationError, match="exceeds the maximum"):
+        topology.from_json(obj)
+    topology.check_waxman_params(4, 0.8, 0.8, 1, topology.MAX_CAPACITY, 0.9, 0.9)
+    with pytest.raises(ValidationError, match="exceeds the maximum"):
+        topology.check_waxman_params(4, 0.8, 0.8, 1, topology.MAX_CAPACITY + 1, 0.9, 0.9)
+    # networks built in code are not bounded, so tests can hand HiGHS a
+    # model it refuses
+    assert topology.build_manual([(0, 0.9), (1, 0.9)], [(0, 1, 10**19, 0.9)]).links
