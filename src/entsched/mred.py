@@ -388,7 +388,9 @@ def _priority_stage(m: MredModel, entries) -> tuple[str, dict, list]:
     return "priority_total", {m.eta_col[sd]: 1.0 for sd, _, _ in entries}, []
 
 
-def face_plan(m: MredModel, entries: Sequence[tuple[NodePair, float, float]]) -> RateSolution | None:
+def face_plan(
+    m: MredModel, entries: Sequence[tuple[NodePair, float, float]]
+) -> RateSolution | None:
     """The max-total plan that feeds the entries' pairs most, when it meets
     every pair's deadline need (see `deadline_needs`); None otherwise.
 

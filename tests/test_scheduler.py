@@ -202,7 +202,8 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
 
     def recording_probe(net, entries, model=None):
         res = probe(net, entries, model=model)
-        probes.append((tuple(entries), res is not None, mred.face_plan(model, entries) is not None))
+        covered = mred.face_plan(model, entries) is not None
+        probes.append((tuple(entries), res is not None, covered))
         return res
 
     monkeypatch.setattr(scheduler, "build_and_check_mred_dc", recording_probe)
