@@ -21,7 +21,8 @@ from .mred import (
     solve_max_total,
     solve_single_pair_edr,
 )
-from .protocol import BufferState, ProtocolConfig, SlotRng
+from .protocol import BufferState, ProtocolConfig
+from .rng import SlotRng
 from .scheduler import (
     POLICIES,
     POLICY_BASELINE,

@@ -22,7 +22,6 @@ from .protocol import (
     BufferState,
     PlanTable,
     ProtocolConfig,
-    SlotRng,
     compile_plan,
     expire_old_ebits,
     phase_distribute,
@@ -30,6 +29,7 @@ from .protocol import (
     phase_swap,
     reconcile_buffers,
 )
+from .rng import SlotRng
 from .scheduler import SchedulerState, framework_step, new_state
 from .topology import Network, ValidationError
 from .workload import ACTIVE, COMPLETED, PENDING, Commodity, active_set
@@ -117,7 +117,10 @@ def run_simulation(
         if fresh:
             table = compile_plan(net, plan)
             reconcile_buffers(buffers, table, slot, srng.stream(slot, PHASE_RECONCILE))
-        made = phase_generate(table, buffers, slot, srng.stream(slot, PHASE_GENERATE))
+        # births are read only by expiry; without an age limit every ebit
+        # gets birth 0, so each pool counter stays one batch
+        birth = slot if config.max_buffer_age is not None else 0
+        made = phase_generate(table, buffers, birth, srng.stream(slot, PHASE_GENERATE))
         attempts, wins = phase_swap(table, buffers, slot, srng.stream(slot, PHASE_SWAP), config)
         handed, finished = phase_distribute(buffers, active, mode)
         after = buffers.total_ebits()

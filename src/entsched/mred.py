@@ -134,17 +134,22 @@ class MredModel:
         nodes = net.nodes
         pairs = net.all_pairs()
         pidx = {pr: i for i, pr in enumerate(pairs)}
+        # balance row of a pair by its endpoints in either order, so a
+        # swap's lane rows (see `lane_keys`) need no canonical_pair call
+        row: dict[tuple[int, int], int] = {}
+        for pr, i in pidx.items():
+            row[pr.lo, pr.hi] = row[pr.hi, pr.lo] = i
 
         swap_ids: list[SwapId] = []
         swap_rows: list[tuple[int, int, int]] = []
         swap_q: list[float] = []
-        for produced in pairs:
+        for produced, i in pidx.items():
+            lo, hi = produced
             for k in nodes:
-                if k == produced.lo or k == produced.hi:
+                if k == lo or k == hi:
                     continue
-                (left, _), (right, _) = lane_keys(produced, k)
                 swap_ids.append((produced, k))
-                swap_rows.append((pidx[produced], pidx[left], pidx[right]))
+                swap_rows.append((i, row[lo, k], row[k, hi]))
                 swap_q.append(net.q[k])
 
         nf = len(swap_ids)

@@ -5,14 +5,15 @@ distribute end-to-end ebits to commodities; when a new plan arrives,
 buffered ebits are first reconciled with it. The phases read the plan's
 execution table (`PlanTable`), which `compile_plan` builds once per
 plan. Every random draw comes from a stream derived from (seed, slot,
-phase), so runs are reproducible regardless of how many slots executed
-before or what other phases consumed.
+phase) (`rng.SlotRng`), so runs are reproducible regardless of how many
+slots executed before or what other phases consumed.
 
 Ebits live in three pools keyed by node pair: `staged` lanes hold ebits
 committed to a particular swap, `ready` holds end-to-end ebits awaiting
 handoff, and `parked` holds ebits whose pair currently has no outlet.
-All pools remember birth slots so an optional maximum buffer age can
-retire ebits that waited too long.
+Pools keep ebits in batches by birth slot, so an optional maximum buffer
+age can retire ebits that waited too long. Without an age limit the
+engine gives every ebit the same birth, so each counter is one batch.
 """
 
 from __future__ import annotations
@@ -38,17 +39,6 @@ DIST_EDF = "edf"
 
 # snap guard for LP dust around integers
 _INT_EPS = 1e-9
-
-
-class SlotRng:
-    """Per-(slot, phase) random streams for one simulation run."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-
-    def stream(self, slot: int, phase: int) -> np.random.Generator:
-        seq = np.random.SeedSequence((self.seed, slot, phase))
-        return np.random.Generator(np.random.PCG64(seq))
 
 
 @dataclass(frozen=True)
@@ -205,8 +195,12 @@ def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> 
     Each bucket gets the floor of its expected share; the leftover units
     are placed by systematic sampling over the fractional remainders, so
     the split is unbiased, never off by more than one per bucket, and
-    fully deterministic when the expected shares are integers.
+    fully deterministic when the expected shares are integers. A
+    single-outlet row (normalized, so its one entry is 1.0) takes
+    everything and draws nothing.
     """
+    if len(probs) == 1:
+        return [count]
     shares = [count * p for p in probs]
     counts = [math.floor(s + _INT_EPS) for s in shares]
     leftover = count - sum(counts)
@@ -291,14 +285,14 @@ def reconcile_buffers(
 def phase_generate(
     table: PlanTable,
     state: BufferState,
-    slot: int,
+    birth: int,
     rng: np.random.Generator,
 ) -> int:
     """Attempt link-level generation per the plan's usage fractions.
 
     Each link makes its table's whole attempts, plus one more with the
-    table's chance; each attempt succeeds with the link's p. Returns the
-    number of fresh ebits created.
+    table's chance; each attempt succeeds with the link's p. Fresh ebits
+    are recorded with birth slot `birth`. Returns the number created.
     """
     generated = 0
     for pair, base, frac, p in table.links:
@@ -306,7 +300,7 @@ def phase_generate(
         made = int(rng.binomial(attempts, p)) if attempts else 0
         if made:
             generated += made
-            switch_batch(state, table, pair, slot, made, rng)
+            switch_batch(state, table, pair, birth, made, rng)
     return generated
 
 

@@ -1,10 +1,12 @@
-"""Named deterministic random substreams.
+"""Deterministic random streams.
 
-Every stochastic component of a run (workload draws, per-slot protocol
-phases, topology placement) pulls from its own generator derived from a
-master seed plus a string label. Streams are independent of each other
-and stable across processes, so adding a consumer never perturbs the
-draws seen by existing ones.
+Topology placement and workload draws pull from substreams named by a
+master seed plus string labels (`substream`, `child_int`). The protocol's
+per-slot draws come from `SlotRng`: one counter-based Philox generator
+(Salmon et al., SC'11) keyed by the run seed, whose counter is set to
+(slot, phase) for each stream. Every stream is a pure function of its
+seed and name, independent of the others and stable across processes, so
+adding a consumer never perturbs the draws seen by existing ones.
 """
 
 from __future__ import annotations
@@ -36,3 +38,30 @@ def substream(master: int, *labels: object) -> np.random.Generator:
 def child_int(master: int, *labels: object) -> int:
     """Plain integer seed for the substream named by `labels`."""
     return int(child_seed(master, *labels).generate_state(1, np.uint64)[0])
+
+
+class SlotRng:
+    """Per-(slot, phase) random streams for one simulation run.
+
+    One Philox bit generator keyed by the run seed serves every stream:
+    `stream(slot, phase)` sets its counter to (0, 0, phase, slot) and
+    empties its output buffer, so the draws are a pure function of
+    (seed, slot, phase), whatever was drawn before. The returned
+    generator is shared: the next `stream` call repositions it, so draw
+    from one stream before asking for the next.
+    """
+
+    def __init__(self, seed: int):
+        key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+        self._bits = np.random.Philox(key=key)
+        self._gen = np.random.Generator(self._bits)
+        # the state just after keying: empty buffer, no cached 32-bit half;
+        # `stream` writes (phase, slot) into its counter and assigns it back
+        self._reset = self._bits.state
+        self._counter = self._reset["state"]["counter"]
+
+    def stream(self, slot: int, phase: int) -> np.random.Generator:
+        self._counter[2] = phase
+        self._counter[3] = slot
+        self._bits.state = self._reset
+        return self._gen

@@ -39,6 +39,18 @@ def three_hop_line(c=1, p=0.9, q=0.9) -> Network:
     )
 
 
+def same_state(a, b) -> bool:
+    """Whether two bit-generator states are equal, comparing the numpy
+    arrays a Philox state holds by value."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    return a == b
+
+
 @pytest.fixture
 def star():
     return star_net()

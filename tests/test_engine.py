@@ -227,8 +227,33 @@ def test_random_runs_hold_conservation_and_finish():
 
 def test_buffer_age_knob_runs_clean():
     net, demands = _random_case(1)
+    rows = []
     result = run_simulation(
         net, demands, POLICY_ORDERED, seed=1, horizon_cap=2000,
-        config=ProtocolConfig(max_buffer_age=1),
+        config=ProtocolConfig(max_buffer_age=1), trace=rows.append,
     )
     assert result.metrics.n_commodities == len(demands)
+    assert any(row["dropped"] > 0 for row in rows)
+
+
+@pytest.mark.parametrize("max_age", [None, 10**6])
+def test_birth_slots_are_recorded_only_under_an_age_limit(monkeypatch, max_age):
+    # without an age limit every ebit has one birth, so each counter is a
+    # single batch; a limit that never drops must still keep births apart
+    net, demands = _random_case(1)
+    most = []
+    distribute = engine.phase_distribute
+
+    def spy(state, active, mode):
+        out = distribute(state, active, mode)
+        pools = (state.parked, state.staged, state.ready)
+        most.append(max((len(c.batches) for pool in pools for c in pool.values()), default=0))
+        return out
+
+    monkeypatch.setattr(engine, "phase_distribute", spy)
+    result = run_simulation(
+        net, demands, POLICY_ORDERED, seed=1, horizon_cap=2000,
+        config=ProtocolConfig(max_buffer_age=max_age),
+    )
+    assert len(most) == result.metrics.slots
+    assert max(most) == 1 if max_age is None else max(most) > 1

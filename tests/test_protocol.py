@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import star_net, two_hop_line
+from conftest import same_state, star_net, two_hop_line
 from entsched.mred import RateSolution, solve_max_total
 from entsched.protocol import (
     DIST_EDF,
@@ -10,7 +10,6 @@ from entsched.protocol import (
     FifoCounter,
     PlanTable,
     ProtocolConfig,
-    SlotRng,
     allocate_batch,
     compile_plan,
     expire_old_ebits,
@@ -21,6 +20,7 @@ from entsched.protocol import (
     switch_batch,
     switch_probabilities,
 )
+from entsched.rng import SlotRng
 from entsched.topology import ValidationError, build_manual, canonical_pair
 from entsched.workload import Commodity
 
@@ -29,18 +29,6 @@ P = canonical_pair
 
 def _rng(seed=0, slot=1, phase=0):
     return SlotRng(seed).stream(slot, phase)
-
-
-# -- rng streams --------------------------------------------------------------
-
-def test_slot_rng_streams_are_stable_and_distinct():
-    a = SlotRng(42).stream(7, 1).integers(1 << 30, size=4)
-    b = SlotRng(42).stream(7, 1).integers(1 << 30, size=4)
-    c = SlotRng(42).stream(7, 2).integers(1 << 30, size=4)
-    d = SlotRng(43).stream(7, 1).integers(1 << 30, size=4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
 
 
 def test_protocol_config_validation():
@@ -178,7 +166,7 @@ def test_allocate_batch_matches_numpy_reference():
     for i, (count, probs) in enumerate(rows):
         rng, ref = _rng(seed=i), _rng(seed=i)
         assert allocate_batch(count, probs, rng) == _numpy_allocate(count, probs, ref), (count, probs)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
 def test_switch_batch_parks_without_outlet():
@@ -237,7 +225,7 @@ def test_reconcile_again_on_the_same_table_moves_and_draws_nothing():
     pools, draws = _pools(state), rng.bit_generator.state
     reconcile_buffers(state, table, slot=4, rng=rng)
     assert _pools(state) == pools
-    assert rng.bit_generator.state == draws
+    assert same_state(rng.bit_generator.state, draws)
 
 
 def test_reconcile_keeps_live_lanes_untouched():
@@ -255,7 +243,7 @@ def test_phase_generate_integral_usage_is_exact():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 2, 1.0)], [(0, 1)])
     plan = compile_plan(net, RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={P(0, 1): 2.0}))
     state = BufferState()
-    made = phase_generate(plan, state, slot=1, rng=_rng(phase=1))
+    made = phase_generate(plan, state, birth=1, rng=_rng(phase=1))
     assert made == 2
     assert state.ready[P(0, 1)].total == 2
 
