@@ -116,12 +116,12 @@ def run_simulation(
         dropped = expire_old_ebits(buffers, slot, config.max_buffer_age)
         if fresh:
             table = compile_plan(net, plan)
-            reconcile_buffers(buffers, table, slot, srng.stream(slot, PHASE_RECONCILE))
+            reconcile_buffers(buffers, table, srng.stream(slot, PHASE_RECONCILE))
         # births are read only by expiry; without an age limit every ebit
-        # gets birth 0, so each pool counter stays one batch
+        # gets birth 0, so the ledger keeps one cohort
         birth = slot if config.max_buffer_age is not None else 0
         made = phase_generate(table, buffers, birth, srng.stream(slot, PHASE_GENERATE))
-        attempts, wins = phase_swap(table, buffers, slot, srng.stream(slot, PHASE_SWAP), config)
+        attempts, wins = phase_swap(table, buffers, srng.stream(slot, PHASE_SWAP), config)
         handed, finished = phase_distribute(buffers, active, mode)
         after = buffers.total_ebits()
 

@@ -8,21 +8,22 @@ plan. Every random draw comes from a stream derived from (seed, slot,
 phase) (`rng.SlotRng`), so runs are reproducible regardless of how many
 slots executed before or what other phases consumed.
 
-Ebits live in three pools keyed by node pair: `staged` lanes hold ebits
-committed to a particular swap, `ready` holds end-to-end ebits awaiting
-handoff, and `parked` holds ebits whose pair currently has no outlet.
-Pools keep ebits in batches by birth slot, so an optional maximum buffer
-age can retire ebits that waited too long. Without an age limit the
-engine gives every ebit the same birth, so each counter is one batch.
+Buffered ebits live in one integer ledger (`BufferState`) keyed by
+`staged` lanes (ebits committed to a swap), `ready` pairs (end-to-end
+ebits awaiting handoff) and `parked` pairs (ebits with no outlet). It
+holds each key's total and its counts per birth cohort, oldest first, so
+an optional maximum buffer age retires whole cohorts; without one every
+ebit has the same birth and there is one cohort.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
@@ -59,64 +60,6 @@ class ProtocolConfig:
             raise ValidationError(f"cascade_depth must be >= 1, got {self.cascade_depth}")
         if self.max_buffer_age is not None and self.max_buffer_age < 0:
             raise ValidationError(f"max_buffer_age must be >= 0, got {self.max_buffer_age}")
-
-
-class FifoCounter:
-    """Integer counter split into birth-slot batches, oldest first."""
-
-    __slots__ = ("batches", "total")
-
-    def __init__(self) -> None:
-        self.batches: deque[list[int]] = deque()
-        self.total = 0
-
-    def add(self, birth: int, count: int) -> None:
-        if count <= 0:
-            return
-        if self.batches and self.batches[-1][0] == birth:
-            self.batches[-1][1] += count
-        else:
-            self.batches.append([birth, count])
-        self.total += count
-
-    def take(self, count: int) -> list[tuple[int, int]]:
-        """Remove `count` ebits oldest-first, returned as (birth, n) chunks."""
-        if count > self.total:
-            raise ValueError(f"take({count}) from counter holding {self.total}")
-        out: list[tuple[int, int]] = []
-        left = count
-        while left > 0:
-            birth, n = self.batches[0]
-            if n <= left:
-                out.append((birth, n))
-                left -= n
-                self.batches.popleft()
-            else:
-                out.append((birth, left))
-                self.batches[0][1] = n - left
-                left = 0
-        self.total -= count
-        return out
-
-    def drop_born_before(self, cutoff: int) -> int:
-        dropped = 0
-        while self.batches and self.batches[0][0] < cutoff:
-            dropped += self.batches.popleft()[1]
-        self.total -= dropped
-        return dropped
-
-
-@dataclass
-class BufferState:
-    """The three pools; a key keeps its counter for the whole run."""
-
-    parked: dict[NodePair, FifoCounter] = field(default_factory=lambda: defaultdict(FifoCounter))
-    staged: dict[LaneKey, FifoCounter] = field(default_factory=lambda: defaultdict(FifoCounter))
-    ready: dict[NodePair, FifoCounter] = field(default_factory=lambda: defaultdict(FifoCounter))
-
-    def total_ebits(self) -> int:
-        pools = (self.parked, self.staged, self.ready)
-        return sum(c.total for pool in pools for c in pool.values())
 
 
 @dataclass(frozen=True)
@@ -189,18 +132,93 @@ def switch_probabilities(table: PlanTable, pair: NodePair):
     return table.rows.get(pair)
 
 
+# where a pair's ebits go, in ledger indices: (targets, probs), where probs
+# is None when the one target takes every batch
+Route = tuple[tuple[int, ...], list[float] | None]
+
+
+class BufferState:
+    """Every buffered ebit, as an integer ledger.
+
+    `parked`, `staged` and `ready` map each pool's keys to ledger
+    indices, given on first sight and never removed. `total[i]` is key
+    i's count, and `cohorts` holds (birth, counts) with births strictly
+    increasing, so `total[i]` is the sum of `counts[i]` over cohorts.
+    """
+
+    __slots__ = ("parked", "staged", "ready", "total", "cohorts", "_table", "_bound")
+
+    def __init__(self) -> None:
+        self.parked: dict[NodePair, int] = {}
+        self.staged: dict[LaneKey, int] = {}
+        self.ready: dict[NodePair, int] = {}
+        self.total: list[int] = []
+        self.cohorts: deque[tuple[int, list[int]]] = deque()
+        self._table: PlanTable | None = None
+
+    def index(self, pool: dict, key) -> int:
+        """The ledger index of `key` in `pool`."""
+        i = pool.get(key)
+        if i is None:
+            i = pool[key] = len(self.total)
+            self.total.append(0)
+            for _, counts in self.cohorts:
+                counts.append(0)
+        return i
+
+    def cohort(self, birth: int) -> list[int]:
+        """The counts of the newest cohort, which a later `birth` opens."""
+        if not self.cohorts or self.cohorts[-1][0] < birth:
+            self.cohorts.append((birth, [0] * len(self.total)))
+        elif self.cohorts[-1][0] > birth:
+            raise ValueError(f"birth {birth} is older than the newest cohort")
+        return self.cohorts[-1][1]
+
+    def take(self, i: int, n: int) -> None:
+        """Remove `n` ebits of key `i`, oldest cohorts first."""
+        if n > self.total[i]:
+            raise ValueError(f"take({n}) from key {i} holding {self.total[i]}")
+        self.total[i] -= n
+        for _, counts in self.cohorts:
+            got = min(counts[i], n)
+            counts[i] -= got
+            n -= got
+
+    def total_ebits(self) -> int:
+        return sum(self.total)
+
+    def route(self, table: PlanTable, pair: NodePair) -> Route:
+        """Where `table` forwards ebits of `pair`: its row's targets, or the
+        parked pool when the plan gives the pair no outlet."""
+        dist = switch_probabilities(table, pair)
+        if dist is None:
+            return (self.index(self.parked, pair),), None
+        keys = tuple(self.index(self.ready, pair) if t is None else self.index(self.staged, t)
+                     for t in dist[0])
+        return keys, dist[1] if len(keys) > 1 else None
+
+    def bind(self, table: PlanTable) -> tuple[tuple, tuple]:
+        """`table` in ledger indices, resolved once per table: per link
+        (whole attempts, chance of one more, p, route), per swap (q, left
+        lane, right lane, route of the produced pair)."""
+        if table is not self._table:
+            index, staged = self.index, self.staged
+            links = tuple((base, frac, p, self.route(table, pair))
+                          for pair, base, frac, p in table.links)
+            swaps = tuple((q, index(staged, left), index(staged, right), self.route(table, prod))
+                          for prod, q, left, right in table.swaps)
+            self._table, self._bound = table, (links, swaps)
+        return self._bound
+
+
 def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> list[int]:
     """Split `count` units over `probs` with stratified rounding.
 
     Each bucket gets the floor of its expected share; the leftover units
     are placed by systematic sampling over the fractional remainders, so
     the split is unbiased, never off by more than one per bucket, and
-    fully deterministic when the expected shares are integers. A
-    single-outlet row (normalized, so its one entry is 1.0) takes
-    everything and draws nothing.
+    fully deterministic when the expected shares are integers.
     """
-    if len(probs) == 1:
-        return [count]
     shares = [count * p for p in probs]
     counts = [math.floor(s + _INT_EPS) for s in shares]
     leftover = count - sum(counts)
@@ -218,68 +236,56 @@ def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> 
 
 
 def switch_batch(
-    state: BufferState,
-    table: PlanTable,
-    pair: NodePair,
-    birth: int,
-    count: int,
-    rng: np.random.Generator,
+    state: BufferState, route: Route, counts: list[int], count: int, rng: np.random.Generator
 ) -> None:
-    """Forward `count` ebits of `pair` into lanes or the ready pool."""
-    if count <= 0:
-        return
-    dist = switch_probabilities(table, pair)
-    if dist is None:
-        state.parked[pair].add(birth, count)
-        return
-    targets, probs = dist
-    for target, n in zip(targets, allocate_batch(count, probs, rng)):
-        if target is None:
-            state.ready[pair].add(birth, n)
-        else:
-            state.staged[target].add(birth, n)
+    """Forward `count` ebits along `route` into the cohort `counts`,
+    splitting the batch by `allocate_batch` over more than one target."""
+    targets, probs = route
+    total = state.total
+    for i, n in zip(targets, (count,) if probs is None else allocate_batch(count, probs, rng)):
+        total[i] += n
+        counts[i] += n
 
 
 def expire_old_ebits(state: BufferState, slot: int, max_age: int | None) -> int:
-    """Drop ebits older than `max_age` slots from every pool."""
+    """Drop the cohorts born more than `max_age` slots ago, and leading
+    cohorts that have emptied; returns the ebits dropped."""
     if max_age is None:
         return 0
-    cutoff = slot - max_age
+    cohorts, total = state.cohorts, state.total
     dropped = 0
-    for pool in (state.parked, state.staged, state.ready):
-        for counter in pool.values():
-            dropped += counter.drop_born_before(cutoff)
+    while cohorts and (cohorts[0][0] < slot - max_age or not any(cohorts[0][1])):
+        counts = cohorts.popleft()[1]
+        dropped += sum(counts)
+        total[:] = map(sub, total, counts)
     return dropped
 
 
-def reconcile_buffers(
-    state: BufferState,
-    table: PlanTable,
-    slot: int,
-    rng: np.random.Generator,
-) -> None:
+def reconcile_buffers(state: BufferState, table: PlanTable, rng: np.random.Generator) -> None:
     """Realign buffered ebits with a newly compiled plan.
 
     Lanes of swaps the plan no longer runs are drained to the parked pool,
-    then every parked ebit whose pair has an outlet again is re-switched.
-    The engine calls it only when the plan changes: under an unchanged
-    table every staged ebit sits in a live lane and every parked pair
-    still has no outlet, so a second call moves and draws nothing.
+    then every parked ebit whose pair has an outlet again is re-switched,
+    pair by pair in sorted order, oldest cohort first. The engine calls
+    it only when the plan changes: under an unchanged table every staged
+    ebit sits in a live lane and every parked pair still has no outlet,
+    so a second call moves and draws nothing.
     """
-    for key in sorted(state.staged):
-        if key in table.live:
-            continue
-        counter = state.staged[key]
-        if counter.total:
-            for birth, n in counter.take(counter.total):
-                state.parked[key[0]].add(birth, n)
-    retry = []
-    for pair in sorted(state.parked):
-        counter = state.parked[pair]
-        if counter.total and switch_probabilities(table, pair) is not None:
-            retry.extend((pair, birth, n) for birth, n in counter.take(counter.total))
-    for pair, birth, n in retry:
-        switch_batch(state, table, pair, birth, n, rng)
+    total, cohorts = state.total, state.cohorts
+    for lane, i in sorted(state.staged.items()):
+        if total[i] and lane not in table.live:
+            j = state.index(state.parked, lane[0])
+            for _, counts in cohorts:
+                counts[j], counts[i] = counts[j] + counts[i], 0
+            total[j], total[i] = total[j] + total[i], 0
+    for pair, j in sorted(state.parked.items()):
+        if total[j] and switch_probabilities(table, pair) is not None:
+            route = state.route(table, pair)
+            for _, counts in cohorts:
+                n, counts[j] = counts[j], 0
+                if n:
+                    total[j] -= n
+                    switch_batch(state, route, counts, n, rng)
 
 
 def phase_generate(
@@ -292,95 +298,87 @@ def phase_generate(
 
     Each link makes its table's whole attempts, plus one more with the
     table's chance; each attempt succeeds with the link's p. Fresh ebits
-    are recorded with birth slot `birth`. Returns the number created.
+    join the cohort born at `birth`. Returns the number created.
     """
+    links, _ = state.bind(table)
+    counts = state.cohort(birth)
     generated = 0
-    for pair, base, frac, p in table.links:
+    for base, frac, p, route in links:
         attempts = base + (1 if frac > 0.0 and rng.random() < frac else 0)
         made = int(rng.binomial(attempts, p)) if attempts else 0
         if made:
             generated += made
-            switch_batch(state, table, pair, birth, made, rng)
+            switch_batch(state, route, counts, made, rng)
     return generated
 
 
-def _zip_chunks(left: list[tuple[int, int]], right: list[tuple[int, int]]):
-    """Pair two equal-total chunk lists; each piece keeps the older birth."""
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    li = ri = 0
-    while i < len(left) and j < len(right):
-        lb, ln = left[i]
-        rb, rn = right[j]
-        n = min(ln - li, rn - ri)
-        out.append((min(lb, rb), n))
-        li += n
-        ri += n
-        if li == ln:
-            i += 1
-            li = 0
-        if ri == rn:
-            j += 1
-            ri = 0
-    return out
-
-
-def _split_successes(chunks, successes: int, rng: np.random.Generator):
-    """Attribute swap successes to age chunks without replacement."""
-    out = []
-    rem_total = sum(n for _, n in chunks)
-    rem_good = successes
-    for birth, n in chunks[:-1]:
-        if rem_good <= 0:
-            hit = 0
-        elif rem_good >= rem_total:
-            hit = n
-        else:
-            hit = int(rng.hypergeometric(rem_good, rem_total - rem_good, n))
-        out.append((birth, hit))
-        rem_good -= hit
-        rem_total -= n
-    out.append((chunks[-1][0], rem_good))
-    return out
+def _pair_off(cohorts, left: int, right: int, w: int):
+    """Take `w` ebits from each of two lanes, oldest first, and pair the
+    k-th of one with the k-th of the other; yields (counts, n) for the n
+    pairs whose older parent is in the cohort whose counts are `counts`."""
+    cl = cr = done = 0
+    for _, counts in cohorts:
+        n = min(counts[left], w - cl)
+        counts[left] -= n
+        cl += n
+        n = min(counts[right], w - cr)
+        counts[right] -= n
+        cr += n
+        # pair k's older parent is in the first cohort where max(cl, cr) > k
+        if max(cl, cr) > done:
+            yield counts, max(cl, cr) - done
+            done = max(cl, cr)
+        if cl == cr == w:
+            return
 
 
 def phase_swap(
     table: PlanTable,
     state: BufferState,
-    slot: int,
     rng: np.random.Generator,
     config: ProtocolConfig = ProtocolConfig(),
 ) -> tuple[int, int]:
     """Execute planned swaps on buffered ebits.
 
     Each executable swap pairs off the two staged lanes' current
-    holdings; every attempt consumes one ebit from each lane and yields
-    the produced pair's ebit with the swap node's success probability.
-    Products are forwarded only after the full pass, so within a slot a
-    product cascades into further swaps only up to the configured depth.
-    Returns (attempts, successes).
+    holdings, oldest first; every attempt consumes one ebit from each
+    lane and yields the produced pair's ebit with the swap node's
+    success probability, in the cohort of its older parent. The pairs
+    are walked cohort by cohort with one binomial draw per cohort that
+    holds older parents, which has the law of one draw over all pairs
+    followed by a split without replacement; with one cohort it is that
+    one draw. Products are forwarded only after the full pass, so within
+    a slot a product cascades into further swaps only up to the
+    configured depth. Returns (attempts, successes).
     """
-    attempts = 0
-    successes = 0
+    _, swaps = state.bind(table)
+    total, cohorts = state.total, state.cohorts
+    attempts = successes = 0
     for _ in range(config.cascade_depth):
-        products: list[tuple[NodePair, int, int]] = []
-        for produced, q, key_l, key_r in table.swaps:
-            left, right = state.staged[key_l], state.staged[key_r]
-            w = min(left.total, right.total)
-            if w <= 0:
+        products: list[tuple[Route, list[int], int]] = []
+        for q, left, right, route in swaps:
+            w = min(total[left], total[right])
+            if not w:
                 continue
-            won = int(rng.binomial(w, q))
-            chunks = _zip_chunks(left.take(w), right.take(w))
+            total[left] -= w
+            total[right] -= w
             attempts += w
-            successes += won
-            if won:
-                products.extend(
-                    (produced, birth, n) for birth, n in _split_successes(chunks, won, rng) if n
-                )
+            if len(cohorts) == 1:
+                counts = cohorts[0][1]
+                counts[left] -= w
+                counts[right] -= w
+                pieces = ((counts, w),)
+            else:
+                pieces = _pair_off(cohorts, left, right, w)
+            for counts, n in pieces:
+                won = int(rng.binomial(n, q))
+                if won:
+                    successes += won
+                    products.append((route, counts, won))
         if not products:
             break
-        for produced, birth, n in products:
-            switch_batch(state, table, produced, birth, n, rng)
+        for route, counts, won in products:
+            switch_batch(state, route, counts, won, rng)
     return attempts, successes
 
 
@@ -405,9 +403,10 @@ def phase_distribute(
 
     handed = 0
     completed: list[Commodity] = []
+    total = state.total
     for pair in sorted(by_pair):
-        pool = state.ready[pair]
-        if pool.total == 0:
+        i = state.ready.get(pair)
+        if i is None or not total[i]:
             continue
         if mode == DIST_SJF:
             queue = sorted(by_pair[pair], key=lambda c: (c.remaining, c.id))
@@ -417,10 +416,10 @@ def phase_distribute(
                 key=lambda c: (c.deadline is None, c.deadline or 0, c.id),
             )
         for c in queue:
-            if pool.total == 0:
+            if not total[i]:
                 break
-            n = min(pool.total, c.remaining)
-            pool.take(n)
+            n = min(total[i], c.remaining)
+            state.take(i, n)
             c.remaining -= n
             handed += n
             if c.remaining == 0:

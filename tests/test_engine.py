@@ -50,13 +50,18 @@ def test_ordered_serves_sequentially(star):
 
 
 def test_buffers_are_reconciled_only_when_the_plan_changes(star, monkeypatch):
-    slots = []
-    reconcile = engine.reconcile_buffers
+    slots, now = [], []
+    reconcile, active_set = engine.reconcile_buffers, engine.active_set
 
-    def recording(state, table, slot, rng):
-        slots.append(slot)
-        return reconcile(state, table, slot, rng)
+    def clock(work, slot):
+        now.append(slot)
+        return active_set(work, slot)
 
+    def recording(state, table, rng):
+        slots.append(now[-1])
+        return reconcile(state, table, rng)
+
+    monkeypatch.setattr(engine, "active_set", clock)
     monkeypatch.setattr(engine, "reconcile_buffers", recording)
     result = run_simulation(star, [_c(0, AB, 6), _c(1, AD, 6)], POLICY_ORDERED, seed=3)
     assert slots == [e["slot"] for e in result.events] == [1, 4]
@@ -236,24 +241,56 @@ def test_buffer_age_knob_runs_clean():
     assert any(row["dropped"] > 0 for row in rows)
 
 
-@pytest.mark.parametrize("max_age", [None, 10**6])
-def test_birth_slots_are_recorded_only_under_an_age_limit(monkeypatch, max_age):
-    # without an age limit every ebit has one birth, so each counter is a
-    # single batch; a limit that never drops must still keep births apart
-    net, demands = _random_case(1)
-    most = []
+def _spy_after_each_slot(monkeypatch, check):
+    """Call check(slot, state) after every slot's last phase."""
+    slots = []
     distribute = engine.phase_distribute
 
     def spy(state, active, mode):
         out = distribute(state, active, mode)
-        pools = (state.parked, state.staged, state.ready)
-        most.append(max((len(c.batches) for pool in pools for c in pool.values()), default=0))
+        slots.append(len(slots) + 1)
+        check(slots[-1], state)
         return out
 
     monkeypatch.setattr(engine, "phase_distribute", spy)
+    return slots
+
+
+@pytest.mark.parametrize("max_age", [None, 10**6])
+def test_birth_slots_are_recorded_only_under_an_age_limit(monkeypatch, max_age):
+    # without an age limit every ebit has one birth, so the ledger keeps
+    # one cohort; a limit that never drops must still keep births apart
+    net, demands = _random_case(1)
+    cohorts = []
+    slots = _spy_after_each_slot(monkeypatch, lambda _, state: cohorts.append(len(state.cohorts)))
     result = run_simulation(
         net, demands, POLICY_ORDERED, seed=1, horizon_cap=2000,
         config=ProtocolConfig(max_buffer_age=max_age),
     )
-    assert len(most) == result.metrics.slots
-    assert max(most) == 1 if max_age is None else max(most) > 1
+    assert len(slots) == result.metrics.slots
+    assert set(cohorts) == {1} if max_age is None else max(cohorts) > 1
+
+
+@pytest.mark.parametrize("max_age", [0, 2])
+def test_age_limit_retires_every_overaged_ebit(monkeypatch, max_age):
+    # a swap product inherits its older parent's birth and must join that
+    # birth's cohort, so that expiry still finds it; the late arrival keeps
+    # the first plan stocking buffers for 60 slots
+    net, _ = _random_case(0)
+    demands = [_c(i, sd, 2) for i, sd in enumerate(net.sorted_sd)]
+    demands.append(_c(9, net.sorted_sd[0], 1, arrival=60))
+
+    def check(slot, state):
+        born = [birth for birth, _ in state.cohorts]
+        assert born == sorted(set(born)), (slot, born)
+        assert all(birth >= slot - max_age for birth in born), (slot, born)
+
+    rows = []
+    slots = _spy_after_each_slot(monkeypatch, check)
+    run_simulation(
+        net, demands, POLICY_BASELINE, seed=7, horizon_cap=200,
+        config=ProtocolConfig(max_buffer_age=max_age), trace=rows.append,
+    )
+    assert len(slots) == 60
+    assert sum(row["swap_successes"] for row in rows) > 0
+    assert sum(row["dropped"] for row in rows) > 0

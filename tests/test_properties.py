@@ -11,7 +11,9 @@ model whose max-total optimum is already solved is checked against the
 cold two-stage solve. Every program the model hands the LP backend on
 random instances is also solved by `scipy.optimize.linprog`, the
 reference the direct HiGHS backend must match bit for bit. The model's
-swap columns are checked against ones built through `lane_keys`.
+swap columns are checked against ones built through `lane_keys`. The
+protocol's ebit ledger is checked after every slot of random runs, with
+and without an age limit.
 """
 
 import math
@@ -33,7 +35,7 @@ from entsched.mred import (
     solve_max_total,
     solve_single_pair_edr,
 )
-from entsched.protocol import compile_plan
+from entsched.protocol import ProtocolConfig, compile_plan
 from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_ORDERED
 from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
 from entsched.workload import Commodity, DeadlineSpec, WorkloadConfig, generate_workload
@@ -270,3 +272,47 @@ def test_fixed_plan_delivers_planned_rate(seed):
         delivered = c.demand - c.remaining
         # deliveries are whole ebits; a dust eta (~1e-6) plans none in the run
         assert delivered >= math.floor((1 - EPS) * plan.eta.get(c.sd, 0.0) * SLOTS), c.sd
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(4, 7),
+    net_seed=st.integers(0, 10_000),
+    policy=st.sampled_from(POLICIES),
+    max_age=st.sampled_from([None, 0, 1, 3]),
+    depth=st.sampled_from([1, 2]),
+    run_seed=st.integers(0, 10_000),
+)
+def test_ledger_holds_its_invariants_after_every_slot(
+    nodes, net_seed, policy, max_age, depth, run_seed
+):
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, 2, seed=net_seed + 1)
+    cfg = WorkloadConfig(rate=1.0, mean_demand=6.0, min_demand=1, horizon=4)
+    commodities = generate_workload(cfg, net.sorted_sd, seed=net_seed + 2)
+    seen = []
+    distribute = engine.phase_distribute
+
+    def check(state, active, mode):
+        out = distribute(state, active, mode)
+        births = [birth for birth, _ in state.cohorts]
+        assert all(a < b for a, b in zip(births, births[1:])), births
+        assert all(len(counts) == len(state.total) for _, counts in state.cohorts)
+        for i, held in enumerate(state.total):
+            assert held == sum(counts[i] for _, counts in state.cohorts), i
+            assert min([held] + [counts[i] for _, counts in state.cohorts]) >= 0, i
+        seen.append(len(births))
+        if max_age is None:
+            assert len(births) == 1, births
+        else:
+            assert births[0] >= len(seen) - max_age, (len(seen), births)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "phase_distribute", check)
+        result = engine.run_simulation(
+            net, commodities, policy, seed=run_seed, horizon_cap=500,
+            config=ProtocolConfig(cascade_depth=depth, max_buffer_age=max_age))
+    assert len(seen) == result.metrics.slots
+    event("cohorts max %d" % max(seen, default=0))

@@ -7,7 +7,6 @@ from entsched.protocol import (
     DIST_EDF,
     DIST_SJF,
     BufferState,
-    FifoCounter,
     PlanTable,
     ProtocolConfig,
     allocate_batch,
@@ -31,6 +30,23 @@ def _rng(seed=0, slot=1, phase=0):
     return SlotRng(seed).stream(slot, phase)
 
 
+def _put(state, pool, key, birth, n):
+    """Buffer `n` ebits of `key` in `pool`, born at `birth`."""
+    i = state.index(pool, key)
+    state.cohort(birth)[i] += n
+    state.total[i] += n
+
+
+def _held(state, pool, key):
+    return state.total[pool[key]] if key in pool else 0
+
+
+def _births(state, pool, key):
+    """The (birth, count) cohorts that hold ebits of `key`, oldest first."""
+    i = pool[key]
+    return [(birth, counts[i]) for birth, counts in state.cohorts if counts[i]]
+
+
 def test_protocol_config_validation():
     with pytest.raises(ValidationError):
         ProtocolConfig(cascade_depth=0)
@@ -41,38 +57,67 @@ def test_protocol_config_validation():
 
 # -- buffer bookkeeping -------------------------------------------------------
 
-def test_fifo_counter_merges_and_takes_oldest_first():
-    c = FifoCounter()
-    c.add(1, 2)
-    c.add(1, 3)
-    c.add(4, 1)
-    assert c.total == 6
-    assert list(c.batches) == [[1, 5], [4, 1]]
-    assert c.take(4) == [(1, 4)]
-    assert c.take(2) == [(1, 1), (4, 1)]
-    assert c.total == 0
+def test_ledger_merges_cohorts_and_takes_oldest_first():
+    state = BufferState()
+    _put(state, state.ready, P(0, 1), 1, 2)
+    _put(state, state.ready, P(0, 1), 1, 3)
+    _put(state, state.ready, P(0, 1), 4, 1)
+    i = state.ready[P(0, 1)]
+    assert state.total[i] == 6
+    assert _births(state, state.ready, P(0, 1)) == [(1, 5), (4, 1)]
+    state.take(i, 4)
+    assert _births(state, state.ready, P(0, 1)) == [(1, 1), (4, 1)]
+    state.take(i, 2)
+    assert state.total[i] == 0
+    assert _births(state, state.ready, P(0, 1)) == []
     with pytest.raises(ValueError):
-        c.take(1)
+        state.take(i, 1)
 
 
-def test_fifo_counter_drop_born_before():
-    c = FifoCounter()
-    c.add(1, 2)
-    c.add(3, 2)
-    c.add(5, 2)
-    assert c.drop_born_before(4) == 4
-    assert c.total == 2
-    assert c.drop_born_before(4) == 0
+def test_ledger_keeps_cohorts_in_birth_order():
+    # births only open new cohorts at the young end; a product of older
+    # parents is added to the parent's cohort, never appended behind it
+    state = BufferState()
+    _put(state, state.ready, P(0, 1), 2, 1)
+    _put(state, state.staged, (P(0, 1), P(0, 2)), 3, 1)
+    _put(state, state.ready, P(0, 1), 5, 1)
+    assert [birth for birth, _ in state.cohorts] == [2, 3, 5]
+    with pytest.raises(ValueError):
+        state.cohort(4)
+    state.take(state.ready[P(0, 1)], 1)
+    assert _births(state, state.ready, P(0, 1)) == [(5, 1)]
+
+
+def test_expire_drops_cohorts_born_before_the_cutoff():
+    state = BufferState()
+    for birth in (1, 3, 5):
+        _put(state, state.parked, P(0, 1), birth, 2)
+    assert expire_old_ebits(state, slot=6, max_age=2) == 4
+    assert state.total[state.parked[P(0, 1)]] == 2
+    assert [birth for birth, _ in state.cohorts] == [5]
+    assert expire_old_ebits(state, slot=6, max_age=2) == 0
+
+
+def test_expire_drops_leading_empty_cohorts():
+    state = BufferState()
+    _put(state, state.ready, P(0, 1), 1, 1)
+    _put(state, state.ready, P(0, 1), 2, 1)
+    state.take(state.ready[P(0, 1)], 1)
+    assert expire_old_ebits(state, slot=2, max_age=5) == 0
+    assert [birth for birth, _ in state.cohorts] == [2]
 
 
 def test_buffer_state_totals_and_prune():
     state = BufferState()
-    state.parked[P(0, 1)].add(1, 2)
-    state.staged[(P(0, 1), P(0, 2))].add(1, 3)
-    state.ready[P(0, 2)].add(1, 1)
+    _put(state, state.parked, P(0, 1), 1, 2)
+    _put(state, state.staged, (P(0, 1), P(0, 2)), 1, 3)
+    _put(state, state.ready, P(0, 2), 1, 1)
     assert state.total_ebits() == 6
-    assert state.staged[(P(0, 1), P(0, 2))].total == 3
-    assert state.ready[P(0, 2)].total == 1
+    assert _held(state, state.staged, (P(0, 1), P(0, 2))) == 3
+    assert _held(state, state.ready, P(0, 2)) == 1
+    # the same pair keeps separate keys in the parked and ready pools
+    assert _held(state, state.ready, P(0, 1)) == 0
+    assert len(state.total) == 3 and all(len(c) == 3 for _, c in state.cohorts)
 
 
 # -- switching ----------------------------------------------------------------
@@ -171,16 +216,38 @@ def test_allocate_batch_matches_numpy_reference():
 
 def test_switch_batch_parks_without_outlet():
     state = BufferState()
-    switch_batch(state, PlanTable(), P(0, 1), birth=2, count=3, rng=_rng())
-    assert state.parked[P(0, 1)].total == 3
+    route = state.route(PlanTable(), P(0, 1))
+    switch_batch(state, route, state.cohort(2), count=3, rng=_rng())
+    assert _held(state, state.parked, P(0, 1)) == 3
+    assert _births(state, state.parked, P(0, 1)) == [(2, 3)]
+
+
+def test_route_and_bind_resolve_the_table_to_ledger_indices():
+    table = compile_plan(star_net(), RateSolution(
+        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 3.0}, g={P(1, 2): 0.5}, eta={P(0, 1): 1.0}))
+    state = BufferState()
+    targets, probs = state.route(table, P(0, 2))
+    assert targets == (state.staged[(P(0, 2), P(0, 1))], state.staged[(P(0, 2), P(0, 3))])
+    assert probs == pytest.approx([0.25, 0.75])
+    # a one-target row and an unrouted pair take every batch without a split
+    assert state.route(table, P(1, 2)) == ((state.staged[(P(1, 2), P(0, 1))],), None)
+    assert state.route(table, P(0, 1)) == ((state.ready[P(0, 1)],), None)
+    assert state.route(table, P(1, 3)) == ((state.parked[P(1, 3)],), None)
+    links, swaps = state.bind(table)
+    assert state.bind(table) is state.bind(table)
+    assert links == ((1, 0.0, 1.0, state.route(table, P(1, 2))),)
+    assert swaps == tuple(
+        (q, state.staged[left], state.staged[right], state.route(table, produced))
+        for produced, q, left, right in table.swaps)
+    assert len(state.total) == len(state.parked) + len(state.staged) + len(state.ready)
 
 
 # -- expiry and reconciliation ------------------------------------------------
 
 def test_expire_old_ebits_cutoff():
     state = BufferState()
-    state.ready[P(0, 1)].add(3, 2)
-    state.staged[(P(0, 1), P(0, 2))].add(1, 1)
+    _put(state, state.staged, (P(0, 1), P(0, 2)), 1, 1)
+    _put(state, state.ready, P(0, 1), 3, 2)
     assert expire_old_ebits(state, slot=5, max_age=2) == 1
     assert expire_old_ebits(state, slot=6, max_age=2) == 2
     assert state.total_ebits() == 0
@@ -190,40 +257,40 @@ def test_expire_old_ebits_cutoff():
 def test_reconcile_drains_stale_lanes_and_retries_parked():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
-    state.staged[lane].add(1, 4)
-    reconcile_buffers(state, PlanTable(), slot=2, rng=_rng(slot=2))
-    assert all(c.total == 0 for c in state.staged.values())
-    assert state.parked[P(0, 1)].total == 4
+    _put(state, state.staged, lane, 1, 4)
+    reconcile_buffers(state, PlanTable(), rng=_rng(slot=2))
+    assert all(state.total[i] == 0 for i in state.staged.values())
+    assert _held(state, state.parked, P(0, 1)) == 4
 
     plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 1.0}, g={}, eta={}))
-    reconcile_buffers(state, plan, slot=3, rng=_rng(slot=3))
-    assert all(c.total == 0 for c in state.parked.values())
-    assert state.staged[lane].total == 4
+    reconcile_buffers(state, plan, rng=_rng(slot=3))
+    assert all(state.total[i] == 0 for i in state.parked.values())
+    assert _held(state, state.staged, lane) == 4
     # births survived the round trip
-    assert list(state.staged[lane].batches) == [[1, 4]]
+    assert _births(state, state.staged, lane) == [(1, 4)]
 
 
 def _pools(state):
-    return [{key: [list(b) for b in c.batches] for key, c in pool.items()}
-            for pool in (state.parked, state.staged, state.ready)]
+    return ([dict(pool) for pool in (state.parked, state.staged, state.ready)],
+            list(state.total), [(birth, list(counts)) for birth, counts in state.cohorts])
 
 
 def test_reconcile_again_on_the_same_table_moves_and_draws_nothing():
     state = BufferState()
-    state.staged[(P(1, 3), P(0, 3))].add(1, 2)   # stale lane; 1:3 has no outlet
-    state.staged[(P(0, 2), P(0, 1))].add(1, 1)   # live lane
-    state.parked[P(0, 2)].add(1, 2)              # regains an outlet split over two lanes
+    _put(state, state.staged, (P(1, 3), P(0, 3)), 1, 2)   # stale lane; 1:3 has no outlet
+    _put(state, state.staged, (P(0, 2), P(0, 1)), 1, 1)   # live lane
+    _put(state, state.parked, P(0, 2), 1, 2)              # regains an outlet split over two lanes
     table = compile_plan(star_net(), RateSolution(
         swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 1.0}, g={}, eta={}))
     rng = _rng(slot=3)
-    reconcile_buffers(state, table, slot=3, rng=rng)
-    assert state.parked[P(1, 3)].total == 2
-    assert state.parked[P(0, 2)].total == 0
-    assert state.staged[(P(0, 2), P(0, 1))].total == 2
-    assert state.staged[(P(0, 2), P(0, 3))].total == 1
+    reconcile_buffers(state, table, rng=rng)
+    assert _held(state, state.parked, P(1, 3)) == 2
+    assert _held(state, state.parked, P(0, 2)) == 0
+    assert _held(state, state.staged, (P(0, 2), P(0, 1))) == 2
+    assert _held(state, state.staged, (P(0, 2), P(0, 3))) == 1
 
     pools, draws = _pools(state), rng.bit_generator.state
-    reconcile_buffers(state, table, slot=4, rng=rng)
+    reconcile_buffers(state, table, rng=rng)
     assert _pools(state) == pools
     assert same_state(rng.bit_generator.state, draws)
 
@@ -231,10 +298,10 @@ def test_reconcile_again_on_the_same_table_moves_and_draws_nothing():
 def test_reconcile_keeps_live_lanes_untouched():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
-    state.staged[lane].add(1, 2)
+    _put(state, state.staged, lane, 1, 2)
     plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 0.5}, g={}, eta={}))
-    reconcile_buffers(state, plan, slot=2, rng=_rng(slot=2))
-    assert state.staged[lane].total == 2
+    reconcile_buffers(state, plan, rng=_rng(slot=2))
+    assert _held(state, state.staged, lane) == 2
 
 
 # -- generation ---------------------------------------------------------------
@@ -245,7 +312,7 @@ def test_phase_generate_integral_usage_is_exact():
     state = BufferState()
     made = phase_generate(plan, state, birth=1, rng=_rng(phase=1))
     assert made == 2
-    assert state.ready[P(0, 1)].total == 2
+    assert _held(state, state.ready, P(0, 1)) == 2
 
 
 def test_phase_generate_fractional_usage_matches_expectation():
@@ -258,7 +325,7 @@ def test_phase_generate_fractional_usage_matches_expectation():
     for slot in range(1, slots + 1):
         total += phase_generate(plan, state, slot, srng.stream(slot, 1))
     assert total / slots == pytest.approx(0.4, abs=0.02)
-    assert state.ready[P(0, 1)].total == total
+    assert _held(state, state.ready, P(0, 1)) == total
 
 
 def test_idle_table_leaves_every_phase_a_noop():
@@ -266,13 +333,13 @@ def test_idle_table_leaves_every_phase_a_noop():
     idle = PlanTable()
     assert switch_probabilities(idle, P(0, 1)) is None
     state = BufferState()
-    state.parked[P(0, 1)].add(1, 2)
-    state.ready[P(0, 2)].add(1, 1)
-    reconcile_buffers(state, idle, slot=2, rng=_rng(slot=2))
+    _put(state, state.parked, P(0, 1), 1, 2)
+    _put(state, state.ready, P(0, 2), 1, 1)
+    reconcile_buffers(state, idle, rng=_rng(slot=2))
     assert phase_generate(idle, state, 2, _rng(slot=2, phase=1)) == 0
-    assert phase_swap(idle, state, 2, _rng(slot=2, phase=2)) == (0, 0)
-    assert state.parked[P(0, 1)].total == 2
-    assert state.ready[P(0, 2)].total == 1
+    assert phase_swap(idle, state, _rng(slot=2, phase=2)) == (0, 0)
+    assert _held(state, state.parked, P(0, 1)) == 2
+    assert _held(state, state.ready, P(0, 2)) == 1
     assert state.total_ebits() == 3
 
 
@@ -290,13 +357,13 @@ def test_phase_swap_consumes_both_lanes():
     net = two_hop_line(q=1.0)
     plan = _two_hop_plan(net)
     state = BufferState()
-    state.staged[(P(0, 1), P(0, 2))].add(1, 3)
-    state.staged[(P(1, 2), P(0, 2))].add(1, 2)
-    attempts, wins = phase_swap(plan, state, slot=2, rng=_rng(slot=2, phase=2))
+    _put(state, state.staged, (P(0, 1), P(0, 2)), 1, 3)
+    _put(state, state.staged, (P(1, 2), P(0, 2)), 1, 2)
+    attempts, wins = phase_swap(plan, state, rng=_rng(slot=2, phase=2))
     assert (attempts, wins) == (2, 2)
-    assert state.ready[P(0, 2)].total == 2
-    assert state.staged[(P(0, 1), P(0, 2))].total == 1
-    assert state.staged[(P(1, 2), P(0, 2))].total == 0
+    assert _held(state, state.ready, P(0, 2)) == 2
+    assert _held(state, state.staged, (P(0, 1), P(0, 2))) == 1
+    assert _held(state, state.staged, (P(1, 2), P(0, 2))) == 0
 
 
 def test_phase_swap_success_rate_matches_q():
@@ -306,9 +373,9 @@ def test_phase_swap_success_rate_matches_q():
     attempts = wins = 0
     for slot in range(1, 4001):
         state = BufferState()
-        state.staged[(P(0, 1), P(0, 2))].add(slot, 5)
-        state.staged[(P(1, 2), P(0, 2))].add(slot, 5)
-        a, w = phase_swap(plan, state, slot, srng.stream(slot, 2))
+        _put(state, state.staged, (P(0, 1), P(0, 2)), slot, 5)
+        _put(state, state.staged, (P(1, 2), P(0, 2)), slot, 5)
+        a, w = phase_swap(plan, state, srng.stream(slot, 2))
         attempts += a
         wins += w
     assert attempts == 20000
@@ -319,10 +386,10 @@ def test_phase_swap_product_inherits_older_birth():
     net = two_hop_line(q=1.0)
     plan = _two_hop_plan(net)
     state = BufferState()
-    state.staged[(P(0, 1), P(0, 2))].add(1, 1)
-    state.staged[(P(1, 2), P(0, 2))].add(5, 1)
-    phase_swap(plan, state, slot=6, rng=_rng(slot=6, phase=2))
-    assert list(state.ready[P(0, 2)].batches) == [[1, 1]]
+    _put(state, state.staged, (P(0, 1), P(0, 2)), 1, 1)
+    _put(state, state.staged, (P(1, 2), P(0, 2)), 5, 1)
+    phase_swap(plan, state, rng=_rng(slot=6, phase=2))
+    assert _births(state, state.ready, P(0, 2)) == [(1, 1)]
 
 
 def _three_hop_plan(net):
@@ -339,17 +406,17 @@ def test_phase_swap_cascade_depth_controls_same_slot_chaining():
     net = three_hop_line(c=1, p=1.0, q=1.0)
     for depth, want_ready in ((1, 0), (2, 1)):
         state = BufferState()
-        state.staged[(P(0, 1), P(0, 2))].add(1, 1)
-        state.staged[(P(1, 2), P(0, 2))].add(1, 1)
-        state.staged[(P(2, 3), P(0, 3))].add(1, 1)
+        _put(state, state.staged, (P(0, 1), P(0, 2)), 1, 1)
+        _put(state, state.staged, (P(1, 2), P(0, 2)), 1, 1)
+        _put(state, state.staged, (P(2, 3), P(0, 3)), 1, 1)
         phase_swap(
-            _three_hop_plan(net), state, slot=2,
+            _three_hop_plan(net), state,
             rng=_rng(slot=2, phase=2),
             config=ProtocolConfig(cascade_depth=depth),
         )
-        assert state.ready[P(0, 3)].total == want_ready
+        assert _held(state, state.ready, P(0, 3)) == want_ready
         if depth == 1:
-            assert state.staged[(P(0, 2), P(0, 3))].total == 1
+            assert _held(state, state.staged, (P(0, 2), P(0, 3))) == 1
 
 
 # -- distribution -------------------------------------------------------------
@@ -363,19 +430,19 @@ def _commodity(cid, sd, demand, arrival=1, deadline=None, remaining=None):
 
 def test_distribute_shortest_remaining_first():
     state = BufferState()
-    state.ready[P(0, 1)].add(1, 4)
+    _put(state, state.ready, P(0, 1), 1, 4)
     a = _commodity(0, P(0, 1), 6, remaining=5)
     b = _commodity(1, P(0, 1), 6, remaining=3)
     handed, done = phase_distribute(state, [a, b], DIST_SJF)
     assert handed == 4
     assert done == [b]
     assert b.remaining == 0 and a.remaining == 4
-    assert state.ready[P(0, 1)].total == 0
+    assert _held(state, state.ready, P(0, 1)) == 0
 
 
 def test_distribute_earliest_deadline_first():
     state = BufferState()
-    state.ready[P(0, 1)].add(1, 2)
+    _put(state, state.ready, P(0, 1), 1, 2)
     late = _commodity(0, P(0, 1), 2, deadline=9)
     soon = _commodity(1, P(0, 1), 2, deadline=4)
     never = _commodity(2, P(0, 1), 2)
@@ -387,11 +454,11 @@ def test_distribute_earliest_deadline_first():
 
 def test_distribute_leftover_stays_ready():
     state = BufferState()
-    state.ready[P(0, 1)].add(1, 5)
+    _put(state, state.ready, P(0, 1), 1, 5)
     c = _commodity(0, P(0, 1), 2)
     handed, done = phase_distribute(state, [c], DIST_SJF)
     assert handed == 2 and done == [c]
-    assert state.ready[P(0, 1)].total == 3
+    assert _held(state, state.ready, P(0, 1)) == 3
 
 
 def test_distribute_rejects_unknown_mode():
@@ -409,10 +476,10 @@ def test_phases_conserve_ebits_on_a_solved_plan():
     sink = _commodity(0, P(0, 2), 10 ** 9)
     for slot in range(1, 301):
         before = state.total_ebits()
-        reconcile_buffers(state, plan, slot, srng.stream(slot, 0))
+        reconcile_buffers(state, plan, srng.stream(slot, 0))
         assert state.total_ebits() == before
         made = phase_generate(plan, state, slot, srng.stream(slot, 1))
-        attempts, wins = phase_swap(plan, state, slot, srng.stream(slot, 2))
+        attempts, wins = phase_swap(plan, state, srng.stream(slot, 2))
         handed, _ = phase_distribute(state, [sink], DIST_SJF)
         after = state.total_ebits()
         assert made == (after - before) + 2 * attempts - wins + handed
