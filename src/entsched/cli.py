@@ -352,6 +352,10 @@ def cmd_sweep(args) -> int:
         if params["kappa"] < 1:
             raise ValidationError(f"kappa must be >= 1, got {params['kappa']}")
 
+    # a bad --out-dir fails before any run is computed
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
     specs = [
         {"value": value, "policy": policy, "seed": seed,
          "params": _apply_axis(base, args.axis, value)}
@@ -371,8 +375,6 @@ def cmd_sweep(args) -> int:
     metric = "success_ratio" if base["deadline_mu"] is not None else "avg_completion_time"
     aggregates = _aggregate(records, values, policies, metric)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "axis": args.axis,
         "values": values,

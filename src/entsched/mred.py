@@ -12,12 +12,14 @@ rate (ebits made available) and output rate (ebits consumed by swaps):
 
 Pairs outside the source-destination set must balance exactly; SD pairs
 may run a surplus, and that surplus is their end-to-end rate ``eta``.
-The surplus variables are materialized as one LP column per pair, pinned
-to zero for non-SD pairs, which lets a single factorized model serve
-whole-set, prioritized, and single-pair solves by swapping bounds. One
-more column, the fair-share floor, is pinned at zero unless an objective
-maximizes it. The equality rows are the per-pair balance rows and
-nothing else.
+Each SD pair has one surplus column, always free, so whole-set,
+prioritized and single-pair solves differ only in their objectives and
+rows. A pair's solo rate maximizes its surplus with the other SD pairs
+free too; by free disposal that is the same optimum as serving it alone,
+and the same program as the first stage of a plan that ranks it first.
+One more column, the fair-share floor, is pinned at zero unless an
+objective maximizes it. The equality rows are the per-pair balance rows
+and nothing else.
 
 Every multi-objective plan is a lexicographic maximization written as a
 list of stages, each an objective plus the rows it adds; `_lexmax` runs
@@ -118,13 +120,15 @@ class MredModel:
 
     Column layout: one swap column per entry of `swap_ids`, each a
     (produced pair, swap node) and the key of `RateSolution.swaps`, then
-    link usage, then one surplus column per node pair, then the floor
-    column `floor_col`. A swap column's value is the swap's rate, which is
-    also the staged flow of each of its two lanes: it adds ``q_k`` to the
-    produced pair's balance row and takes 1 from each lane pair's row.
-    The floor column appears in no balance row; rows that bound it by
-    surpluses make maximizing it a maximin. Equality rows: one balance
-    row per pair. `solves` counts the LP solves run on this model.
+    link usage, then one surplus column per SD pair (`eta_col`, in
+    `net.sorted_sd` order), then the floor column `floor_col`. A swap
+    column's value is the swap's rate, which is also the staged flow of
+    each of its two lanes: it adds ``q_k`` to the produced pair's balance
+    row and takes 1 from each lane pair's row. The floor column appears
+    in no balance row; rows that bound it by surpluses make maximizing it
+    a maximin. Equality rows: one balance row per pair, with a surplus
+    entry only in SD rows. `solves` counts the LP solves run on this
+    model.
     """
 
     def __init__(self, net: Network):
@@ -154,25 +158,25 @@ class MredModel:
 
         nf = len(swap_ids)
         ng = len(net.sorted_links)
+        nsd = len(net.sorted_sd)
         npair = len(pairs)
         self.swap_ids = swap_ids
         self.g_col = {lk: nf + j for j, lk in enumerate(net.sorted_links)}
-        self.eta_col = {pr: nf + ng + j for j, pr in enumerate(pairs)}
-        self.floor_col = nf + ng + npair
+        self.eta_col = {pr: nf + ng + j for j, pr in enumerate(net.sorted_sd)}
+        self.floor_col = nf + ng + nsd
         self.ncols = self.floor_col + 1
         self.n_f_vars = nf
-        self.n_g_vars = ng
-        self.n_balance_rows = npair
 
         # balance rows: input - output - surplus = 0
         sr = np.asarray(swap_rows, dtype=np.int64).reshape(-1, 3)
         fcols = np.arange(nf, dtype=np.int64)
         link_rows = np.array([pidx[lk] for lk in net.sorted_links], dtype=np.int64)
         link_vals = np.array([net.links[lk].capacity * net.links[lk].p for lk in net.sorted_links])
-        rows = [sr[:, 0], sr[:, 1], sr[:, 2], link_rows, np.arange(npair, dtype=np.int64)]
+        sd_rows = np.array([pidx[pr] for pr in net.sorted_sd], dtype=np.int64)
+        rows = [sr[:, 0], sr[:, 1], sr[:, 2], link_rows, sd_rows]
         cols = [fcols, fcols, fcols, nf + np.arange(ng, dtype=np.int64),
-                nf + ng + np.arange(npair, dtype=np.int64)]
-        vals = [np.asarray(swap_q), -np.ones(nf), -np.ones(nf), link_vals, -np.ones(npair)]
+                nf + ng + np.arange(nsd, dtype=np.int64)]
+        vals = [np.asarray(swap_q), -np.ones(nf), -np.ones(nf), link_vals, -np.ones(nsd)]
         self.A_eq = sparse.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(npair, self.ncols),
@@ -182,7 +186,8 @@ class MredModel:
         bounds = np.zeros((self.ncols, 2))
         bounds[:nf, 1] = np.inf
         bounds[nf:nf + ng, 1] = 1.0
-        # surplus and floor columns stay pinned at zero unless freed per solve
+        bounds[nf + ng:self.floor_col, 1] = np.inf
+        # the floor column stays pinned at zero unless an objective uses it
         self._base_bounds = bounds
 
     def _assemble_ub(self, extra_ub):
@@ -202,29 +207,24 @@ class MredModel:
         self,
         objective: dict[int, float],
         extra_ub: Sequence[tuple[dict[int, float], float]] = (),
-        eta_free: Iterable[NodePair] | None = None,
         eta_lower: Mapping[NodePair, float] | None = None,
     ) -> lp.LpResult:
         """Maximize a linear objective over the balance polytope.
 
-        `eta_free` selects which pairs may run a surplus (defaults to the
-        network's SD set), and `eta_lower` bounds surpluses from below.
+        Every SD surplus is free; `eta_lower` bounds surpluses from below.
         The floor column is freed only when `objective` uses it. An
         optimal result is kept, with a read-only `x`, and returned for the
         same program without a solve, since the solver returns the same
         optimum for the same input. The key keeps the rows in order, as
         row order reaches the solver.
         """
-        free = tuple(sorted(eta_free)) if eta_free is not None else self.net.sorted_sd
         lower = tuple(sorted(eta_lower.items())) if eta_lower else ()
-        key = (tuple(sorted(objective.items())), free,
+        key = (tuple(sorted(objective.items())),
                tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub), lower)
         kept = self._optima.get(key)
         if kept is not None:
             return kept
         bounds = self._base_bounds.copy()
-        for pr in free:
-            bounds[self.eta_col[pr], 1] = np.inf
         for pr, lo in lower:
             bounds[self.eta_col[pr], 0] = lo
         if self.floor_col in objective:
@@ -329,11 +329,14 @@ def solve_max_total(net: Network, model: MredModel | None = None) -> RateSolutio
 
 
 def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel | None = None) -> float:
-    """Best end-to-end rate for `sd` when it is the only pair served."""
+    """Best end-to-end rate for SD pair `sd` when it is the only pair served:
+    by free disposal, its most surplus while every SD surplus is free, the
+    first stage of a plan ranking it first, so the model's memo shares it."""
     sd = canonical_pair(sd[0], sd[1])
-    net.require_pair(sd)
+    if sd not in net.sd_pairs:
+        raise ValidationError(f"pair {sd} is not an SD pair")
     m = _model_for(net, model)
-    res = m.solve({m.eta_col[sd]: 1.0}, eta_free=(sd,))
+    res = m.solve({m.eta_col[sd]: 1.0})
     if res.status != LpStatus.OPTIMAL:
         raise SolverError(f"single-pair rate for {sd}: solver returned {res.status}")
     return max(0.0, res.objective)

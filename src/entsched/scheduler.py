@@ -9,11 +9,13 @@ constraints stay jointly feasible.
 
 A run solves each distinct program at most once, since the run's
 `MredModel` keeps every optimum it has solved: a repeated priority list,
-probe, fallback plan or solo rate costs no LP. An ESDI-E candidate whose
-pair needs more than the pair's solo rate is skipped without an LP, once
-that pair has had an infeasible probe, and a probe the max-total face
-covers costs at most one LP per set of admitted pairs. Each re-plan's
-event records whether an ESDI-O plan ran no LP and how each ESDI-E probe
+probe, fallback plan or solo rate costs no LP. A pair's solo rate is the
+first stage of the ESDI-O plan that ranks it first, so once the ranking
+has computed it, that stage costs no LP. An ESDI-E candidate whose pair
+needs more than the pair's solo rate is skipped without an LP, once that
+pair has had an infeasible probe, and a probe the max-total face covers
+costs at most one LP per set of admitted pairs. Each re-plan's event
+records whether an ESDI-O plan ran no LP and how each ESDI-E probe
 ended.
 """
 

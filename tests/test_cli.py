@@ -254,6 +254,18 @@ def test_sweep_validation_errors(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_sweep_out_dir_that_is_a_file_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "run_sweep_case", runs.append)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = cli.main(["sweep", "--axis", "kappa", "--values", "1", "--nodes", "4",
+                   "--horizon", "2", "--mean-demand", "3", "--seeds", "1",
+                   "--policies", "ESDI-B", "--out-dir", str(taken)])
+    _assert_config_error(rc, capsys)
+    assert runs == []
+
+
 def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
     started = []
 

@@ -71,11 +71,11 @@ def test_model_counts_on_star(star):
     model = build_mred(star)
     # every (produced pair, swap node) combination yields one swap column
     assert model.n_f_vars == 6 * 2
-    assert model.n_g_vars == 3
-    assert model.n_balance_rows == 6
-    # swap, link usage and surplus columns, then the fair-share floor
-    assert model.A_eq.shape == (6, 12 + 3 + 6 + 1)
-    assert len(model.eta_col) == 6
+    assert len(model.g_col) == 3
+    # one balance row per pair; swap, link usage and SD surplus columns,
+    # then the fair-share floor
+    assert model.A_eq.shape == (6, 12 + 3 + 2 + 1)
+    assert len(model.eta_col) == 2
 
 
 def test_two_node_model_has_no_staged_flows():
@@ -150,6 +150,11 @@ def test_max_total_hands_out_no_dust_surplus():
 def test_single_pair_edr_star(star):
     assert solve_single_pair_edr(star, P(0, 1)) == pytest.approx(2.0, abs=1e-6)
     assert solve_single_pair_edr(star, P(0, 3)) == pytest.approx(2.0, abs=1e-6)
+
+
+def test_single_pair_edr_refuses_a_non_sd_pair(star):
+    with pytest.raises(ValidationError, match="1:3"):
+        solve_single_pair_edr(star, P(1, 3))
 
 
 def test_single_pair_edr_disconnected_is_zero():
@@ -245,7 +250,8 @@ def _two_lane_optimum(net, objective_pairs, free_pairs):
     return -res.fun
 
 
-@pytest.mark.parametrize("seed", range(5))
+# the solo-rate reference frees only that pair, so this also checks free disposal
+@pytest.mark.parametrize("seed", range(12))
 def test_swap_columns_match_two_lane_reference(seed):
     net = _random_net(seed, n=6 + seed % 3)
     sd = net.sorted_sd
@@ -461,11 +467,11 @@ def test_repeated_probe_runs_no_lp(star):
         assert m.solves == before
 
 
-def test_memo_keys_free_pairs_as_a_set(star):
+def test_memo_returns_a_kept_optimum_read_only(star):
     m = build_mred(star)
     res = m.solve(m.total_objective())
     assert m.solves == 1 and not res.x.flags.writeable
-    assert m.solve(m.total_objective(), eta_free=iter(reversed(star.sorted_sd))) is res
+    assert m.solve(m.total_objective()) is res
     assert m.solves == 1
 
 

@@ -135,15 +135,21 @@ def test_ordered_reuses_plan_of_a_priority_list_already_solved():
     net = star_net()
     state = new_state(net, POLICY_ORDERED, kappa=1)
     c0, c1, c2 = _c(0, AB, 4), _c(1, AD, 6), _c(2, AB, 2)
-    first, _ = framework_step(state, [c0, c1], slot=1)
-    framework_step(state, [c1], slot=3)
-    before = state.model.solves
-    plan, fresh = framework_step(state, [c1, c2], slot=5)
-    assert fresh
+    plans, solves = [], []
+    for active, slot in (([c0, c1], 1), ([c1], 3), ([c1, c2], 5)):
+        before = state.model.solves
+        plan, fresh = framework_step(state, active, slot=slot)
+        assert fresh
+        plans.append(plan)
+        solves.append(state.model.solves - before)
     assert [e["priority"] for e in state.events] == [["0:1"], ["0:3"], ["0:1"]]
-    # the list 0:1 was solved at slot 1, so this re-plan runs no solve
-    assert state.model.solves == before
+    # slot 1 solves both solo rates, and the plan's first stage is 0:1's
+    # solo rate, so only its total stage runs; slot 3 runs 0:3's total
+    # stage; the list 0:1 was solved at slot 1, so slot 5 runs no solve
+    assert solves == [3, 1, 0]
+    first, plan = plans[0], plans[2]
     assert plan == first
+    assert solve_single_pair_edr(net, AB, build_mred(net)) == first.objective_log[0][1]
     ref = solve_lexicographic(net, [AB], model=build_mred(net))
     assert plan.swaps == ref.swaps
     assert plan.g == ref.g
