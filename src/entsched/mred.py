@@ -26,9 +26,14 @@ list of stages, each an objective plus the rows it adds; `_lexmax` runs
 a stage list, holding each stage at its optimum before the next. A model
 runs each distinct program at most once: `MredModel.solve` keeps every
 optimal result by program, so a repeated plan, probe or solo rate costs
-no LP. A deadline probe is first answered from the max-total face: the
-max-total point that feeds the probe's pairs most, one program per set
-of admitted pairs, is the plan when it meets every pair's need.
+no LP. An admission probe, admitted deadline entries plus one
+candidate, gets one verdict from `deadline_verdict`, cheapest check
+first: the candidate pair's solo rate once that pair has had an
+infeasible probe, then the max-total face (the max-total point that
+feeds the probe's pairs most, one program per set of admitted pairs),
+then the first stage of the need-bounded solve. The admitted list's plan
+is solved once, by `build_and_check_mred_dc`, whose programs the
+verdicts have already run.
 
 Swap columns scale as |V|^3 / 2 with node count: every (produced pair,
 swap node) combination gets one, links or not, because buffered ebits
@@ -128,13 +133,15 @@ class MredModel:
     in no balance row; rows that bound it by surpluses make maximizing it
     a maximin. Equality rows: one balance row per pair, with a surplus
     entry only in SD rows. `solves` counts the LP solves run on this
-    model.
+    model, and `bound_armed` holds the SD pairs whose deadline probe was
+    LP-infeasible (see `deadline_verdict`).
     """
 
     def __init__(self, net: Network):
         self.net = net
         self.solves = 0
         self._optima: dict[tuple, lp.LpResult] = {}
+        self.bound_armed: set[NodePair] = set()
         nodes = net.nodes
         pairs = net.all_pairs()
         pidx = {pr: i for i, pr in enumerate(pairs)}
@@ -391,9 +398,11 @@ def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[Nod
     return needs
 
 
-def _priority_stage(m: MredModel, entries) -> tuple[str, dict, list]:
-    """The stage that feeds the prioritized pairs most, at a held total."""
-    return "priority_total", {m.eta_col[sd]: 1.0 for sd, _, _ in entries}, []
+def _deadline_stages(m: MredModel, entries) -> list[tuple[str, dict, list]]:
+    """The max-total stage, then the stage that feeds the entries' pairs
+    most at that held total."""
+    return [("total", m.total_objective(), []),
+            ("priority_total", {m.eta_col[sd]: 1.0 for sd, _, _ in entries}, [])]
 
 
 def face_plan(
@@ -408,9 +417,37 @@ def face_plan(
     A plan that meets the needs is feasible for the deadline program at a
     total within `_lex_eps` of V, its unconstrained optimum.
     """
-    plan = _lexmax(m, [("total", m.total_objective(), []), _priority_stage(m, entries)])
+    plan = _lexmax(m, _deadline_stages(m, entries))
     needs = deadline_needs(entries)
     return plan if all(plan.eta.get(sd, 0.0) >= need for sd, need in needs.items()) else None
+
+
+def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, float]],
+                     entry: tuple[NodePair, float, float]) -> str:
+    """Whether `entry` can join `admitted`, deadline entries already
+    feasible together: `solo_rejected`, `covered`, `solved` or `infeasible`.
+
+    Entries are canonical (sd pair, remaining demand, remaining slots)
+    triples. Once the entry's pair is in `m.bound_armed`, a need above its
+    solo rate, past the solver's 1e-7 feasibility tolerance, rejects it
+    without a deadline LP; only that pair is checked, since the admitted
+    entries fit together. Otherwise `face_plan` covers the probe, or the
+    first stage of `build_and_check_mred_dc`'s need-bounded solve decides
+    it, and an infeasible one arms the pair. So a feasible verdict runs no
+    second stage, and the admitted list's plan reuses the verdicts'
+    programs through the memo.
+    """
+    entries = [*admitted, entry]
+    sd = entry[0]
+    needs = deadline_needs(entries)
+    if sd in m.bound_armed and needs[sd] > solve_single_pair_edr(m.net, sd, m) * (1 + 1e-7) + 1e-7:
+        return "solo_rejected"
+    if face_plan(m, entries) is not None:
+        return "covered"
+    if _lexmax(m, _deadline_stages(m, entries)[:1], eta_lower=needs) is None:
+        m.bound_armed.add(sd)
+        return "infeasible"
+    return "solved"
 
 
 def build_and_check_mred_dc(
@@ -428,12 +465,13 @@ def build_and_check_mred_dc(
     Returns None when the constrained program is infeasible; an empty list
     degenerates to the plain fair max-total solve.
 
-    A probe is first answered by `face_plan`, which costs at most one LP
-    per set of prioritized pairs. When that plan misses a need, the
+    The program is first answered by `face_plan`, which costs at most one
+    LP per set of prioritized pairs. When that plan misses a need, the
     program is solved in two stages with the needs as surplus bounds: the
     constrained max-total optimum, then, holding that total, the most rate
     for the prioritized pairs. The plan's objective log carries both
-    values.
+    values. `deadline_verdict` runs the same programs up to that first
+    stage, so a list it found feasible costs here at most one more LP.
     """
     entries = []
     for sd, theta, delta in prioritized:
@@ -454,12 +492,12 @@ def build_and_check_mred_dc(
         return plan
     # among constrained max-total optima prefer feeding the prioritized
     # pairs, so the executed plan concentrates on the admitted deadlines
-    return _lexmax(m, [("total", m.total_objective(), []), _priority_stage(m, entries)],
-                   eta_lower=deadline_needs(entries))
+    return _lexmax(m, _deadline_stages(m, entries), eta_lower=deadline_needs(entries))
 
 
-def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> dict:
-    """Residual report for a rate plan against the balance constraints."""
+def check_solution(net: Network, sol: RateSolution) -> dict:
+    """Residual report for a rate plan against the balance constraints;
+    `ok` when every residual is within `FEAS_TOL`."""
     balance = 0.0
     sd_deficit = 0.0
     eta_gap = 0.0
@@ -483,5 +521,5 @@ def check_solution(net: Network, sol: RateSolution, tol: float = FEAS_TOL) -> di
         "swap_negative": swap_neg,
         "eta_negative": eta_neg,
     }
-    report["ok"] = all(v <= tol for k, v in report.items() if k != "ok")
+    report["ok"] = all(v <= FEAS_TOL for k, v in report.items() if k != "ok")
     return report

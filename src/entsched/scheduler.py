@@ -7,15 +7,15 @@ the active set changes. The deadline variant greedily admits commodities
 in earliest-deadline order, keeping only a prefix whose deadline
 constraints stay jointly feasible.
 
-A run solves each distinct program at most once, since the run's
-`MredModel` keeps every optimum it has solved: a repeated priority list,
-probe, fallback plan or solo rate costs no LP. A pair's solo rate is the
-first stage of the ESDI-O plan that ranks it first, so once the ranking
-has computed it, that stage costs no LP. An ESDI-E candidate whose pair
-needs more than the pair's solo rate is skipped without an LP, once that
-pair has had an infeasible probe, and a probe the max-total face covers
-costs at most one LP per set of admitted pairs. Each re-plan's event
-records whether an ESDI-O plan ran no LP and how each ESDI-E probe
+The scheduler holds no solver state: the run's `MredModel` keeps every
+optimum it has solved, so a repeated priority list, probe, plan or solo
+rate costs no LP. A pair's solo rate is the first stage of the ESDI-O
+plan that ranks it first, so once the ranking has computed it, that
+stage costs no LP. ESDI-E admits first and plans once: each probe gets
+one verdict from `mred.deadline_verdict`, and the admitted list is then
+planned by one `build_and_check_mred_dc` call, which reuses the
+verdicts' programs and adds at most its second stage. Each re-plan's
+event records whether an ESDI-O plan ran no LP and how each ESDI-E probe
 ended.
 """
 
@@ -30,8 +30,7 @@ from .mred import (
     RateSolution,
     build_and_check_mred_dc,
     build_mred,
-    deadline_needs,
-    face_plan,
+    deadline_verdict,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
@@ -55,8 +54,6 @@ class SchedulerState:
     kappa: int
     plan: RateSolution | None = None
     fingerprint: frozenset[int] | None = None
-    # pairs with an LP-infeasible deadline probe, whose probes check the solo-rate bound
-    bound_armed: set[NodePair] = field(default_factory=set)
     events: list[dict] = field(default_factory=list)
 
 
@@ -98,57 +95,33 @@ def _plan_ordered(state: SchedulerState, active: list[Commodity]):
     return plan, priority, {"reused": state.model.solves == before}
 
 
-def _exceeds_solo_rate(state: SchedulerState, entries, sd: NodePair) -> bool:
-    """True when `sd` needs more than it gets served alone, past the
-    solver's feasibility tolerance, so the probe must be infeasible.
-
-    The need is `mred.deadline_needs`: the greatest cumulative demand over
-    window among `sd`'s deadline-prefix rows.
-    """
-    rate = solve_single_pair_edr(state.net, sd, state.model)
-    return deadline_needs(entries)[sd] > rate * (1 + 1e-7) + 1e-7
-
-
 def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
-    """Admit deadline commodities greedily while jointly feasible.
+    """Admit deadline commodities greedily while jointly feasible, then
+    plan the admitted list once.
 
     Candidates are tried in (slots left, arrival, id) order with their
-    remaining demand; an infeasible candidate is skipped rather than
-    ending admission. Each probe is the full two-stage deadline solve, so
-    the last feasible probe is the plan. Once a pair has had an infeasible
-    probe, its later candidates are first checked against its solo rate;
-    only the candidate's pair is checked, since the admitted entries were
-    feasible together. Without any admission the plan falls back to the
-    plain fair solve, which also serves deadline-free commodities.
-
-    Each probe's outcome is counted: `solo_rejected` by the bound,
-    `infeasible` by the LP, `covered` when `mred.face_plan` met its needs,
-    `solved` for a feasible two-stage probe.
+    remaining demand, until `kappa` are admitted; an infeasible candidate
+    is skipped rather than ending admission. Each probe, the admitted
+    entries plus one candidate, is answered by `mred.deadline_verdict`,
+    and a `covered` or `solved` candidate is admitted. The verdicts are
+    counted by outcome. The plan is the deadline solve of the admitted
+    list; with none admitted it is the plain fair solve, which also serves
+    deadline-free commodities.
     """
     candidates = [c for c in active if c.deadline is not None]
     candidates.sort(key=lambda c: (c.deadline - slot + 1, c.arrival, c.id))
 
     admitted: list[tuple[NodePair, float, float]] = []
     probes = dict.fromkeys(("covered", "solved", "infeasible", "solo_rejected"), 0)
-    plan = None
     for c in candidates:
         if len(admitted) >= state.kappa:
             break
         entry = (c.sd, float(c.remaining), float(c.deadline - slot + 1))
-        entries = admitted + [entry]
-        if c.sd in state.bound_armed and _exceeds_solo_rate(state, entries, c.sd):
-            probes["solo_rejected"] += 1
-            continue
-        probe = build_and_check_mred_dc(state.net, entries, model=state.model)
-        if probe is None:
-            probes["infeasible"] += 1
-            state.bound_armed.add(c.sd)
-        else:
-            probes["covered" if face_plan(state.model, entries) is not None else "solved"] += 1
+        verdict = deadline_verdict(state.model, admitted, entry)
+        probes[verdict] += 1
+        if verdict in ("covered", "solved"):
             admitted.append(entry)
-            plan = probe
-    if plan is None:
-        plan = solve_max_total(state.net, state.model)
+    plan = build_and_check_mred_dc(state.net, admitted, model=state.model)
     return plan, [sd for sd, _, _ in admitted], {"probes": probes}
 
 

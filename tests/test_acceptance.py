@@ -151,7 +151,7 @@ def test_c4_solutions_satisfy_balance_residuals():
         )
         net = sample_sd_pairs(net, 3, seed=seed + 500)
         sol = solve_max_total(net)
-        report = check_solution(net, sol, tol=1e-6)
+        report = check_solution(net, sol)
         assert report["ok"], (seed, report)
         worst = max(worst, max(v for k, v in report.items() if k != "ok"))
     elapsed = time.perf_counter() - started

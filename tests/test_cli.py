@@ -5,8 +5,9 @@ import pytest
 
 from conftest import failing_backend
 from entsched import cli
-from entsched.lp import LpStatus
-from entsched.topology import MAX_CAPACITY, read_network
+from entsched.engine import ConservationError
+from entsched.lp import LpStatus, SolverError
+from entsched.topology import MAX_CAPACITY, MAX_NODES, read_network
 from entsched.workload import read_workload
 
 
@@ -422,3 +423,92 @@ def test_capacity_the_solver_cannot_hold_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: capacity {10**10} exceeds the maximum {MAX_CAPACITY}\n")
     assert not (tmp_path / "net.json").exists()
+
+
+def test_sweep_bad_or_empty_lists_are_config_errors(tmp_path, capsys):
+    argv = ["sweep", "--axis", "kappa", "--nodes", "4", "--horizon", "2"]
+    for i, (flags, prefix) in enumerate((
+        (["--values", "1", "--seeds", "1,x"], "error: bad --seeds: "),
+        (["--values", ","], "error: --values is empty\n"),
+        (["--values", "1", "--seeds", ","], "error: --seeds is empty\n"),
+        (["--values", "1", "--policies", ","], "error: --policies is empty\n"),
+        (["--values", "1", "--workers", "0"], "error: --workers must be >= 1, got 0\n"),
+    )):
+        out_dir = tmp_path / f"s{i}"
+        rc = cli.main([*argv, *flags, "--out-dir", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, (flags, err)
+        assert not out_dir.exists(), flags
+
+
+def test_simulate_unreadable_network_is_config_error(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    rc = cli.main(["simulate", "--net", str(absent), "--workload", str(tmp_path / "w.jsonl"),
+                   "--policy", "ESDI-B"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read network {absent}: "), err
+    assert err.count("\n") == 1, err
+
+
+def test_simulate_invariant_failure_exits_with_invariant_code(tmp_path, monkeypatch, capsys):
+    net_path = _gen_net(tmp_path)
+    load_path = _gen_load(tmp_path, net_path)
+    capsys.readouterr()
+
+    def broken_run(*args, **kwargs):
+        raise ConservationError("slot 4: generated 7 != accounted 6")
+
+    monkeypatch.setattr(cli, "run_simulation", broken_run)
+    rc = cli.main(["simulate", "--net", str(net_path), "--workload", str(load_path),
+                   "--policy", "ESDI-B"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violated: slot 4: generated 7 != accounted 6\n"
+
+
+def test_sweep_records_a_failed_run_and_finishes(tmp_path, monkeypatch, capsys):
+    run = cli.run_simulation
+
+    def failing_for_ordered(net, commodities, policy, **kwargs):
+        if policy == "ESDI-O":
+            raise SolverError("total stage: solver returned unbounded")
+        return run(net, commodities, policy, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", failing_for_ordered)
+    out_dir = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--axis", "kappa", "--values", "1", "--nodes", "4",
+                   "--horizon", "2", "--mean-demand", "3", "--seeds", "1",
+                   "--policies", "ESDI-B,ESDI-O", "--horizon-cap", "3000",
+                   "--out-dir", str(out_dir)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("(2 runs, 1 failed)\n")
+    payload = json.loads((out_dir / "results.json").read_text())
+    ok, failed = payload["runs"]
+    assert ok["status"] == "ok"
+    assert failed == {"sweep_value": 1, "policy": "ESDI-O", "seed": 1, "status": "error",
+                      "error": "SolverError: total stage: solver returned unbounded"}
+    with open(out_dir / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["policy"], r["n_runs"]) for r in rows] == [("ESDI-B", "1"), ("ESDI-O", "0")]
+
+
+def test_network_too_large_to_plan_is_config_error(tmp_path, capsys):
+    out = tmp_path / "net.json"
+    rc = cli.main(["gen-topology", "--nodes", str(MAX_NODES + 1), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: node count {MAX_NODES + 1} exceeds the maximum {MAX_NODES}\n")
+    assert not out.exists()
+    out.write_text(json.dumps({
+        "nodes": [{"id": v, "q": 0.9} for v in range(MAX_NODES + 1)],
+        "links": [{"u": v, "v": v + 1, "c": 1, "p": 0.9} for v in range(MAX_NODES)],
+        "sd_pairs": [[0, MAX_NODES]],
+    }))
+    rc = cli.main(["gen-workload", "--net", str(out), "--out", str(tmp_path / "w.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: node count {MAX_NODES + 1} exceeds the maximum {MAX_NODES}\n")
+    assert not (tmp_path / "w.jsonl").exists()

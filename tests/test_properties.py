@@ -8,9 +8,11 @@ fresh model's max-total solve. The examples are derandomized, so the
 suite runs the same instances every time. A fixed-plan test checks that
 long runs deliver the planned end-to-end rates. A deadline probe on a
 model whose max-total optimum is already solved is checked against the
-cold two-stage solve. Every program the model hands the LP backend on
-random instances is also solved by `scipy.optimize.linprog`, the
-reference the direct HiGHS backend must match bit for bit. The model's
+cold two-stage solve. ESDI-E runs at kappa 2 and 3 must match a
+reference admission that solves every feasible probe's whole plan. Every
+program the model hands the LP backend on random instances is also
+solved by `scipy.optimize.linprog`, the reference the direct HiGHS
+backend must match bit for bit. The model's
 swap columns are checked against ones built through `lane_keys`. The
 protocol's ebit ledger is checked after every slot of random runs, with
 and without an age limit.
@@ -24,7 +26,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import against_linprog
-from entsched import engine, mred
+from entsched import engine, mred, scheduler
 from entsched.lp import LpStatus
 from entsched.mred import (
     build_and_check_mred_dc,
@@ -36,7 +38,7 @@ from entsched.mred import (
     solve_single_pair_edr,
 )
 from entsched.protocol import ProtocolConfig, compile_plan
-from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_ORDERED
+from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
 from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
 from entsched.workload import Commodity, DeadlineSpec, WorkloadConfig, generate_workload
 
@@ -197,6 +199,98 @@ def test_single_entry_probe_is_feasible_exactly_within_the_solo_rate(
     event("need within the solo rate" if need <= rate else "need beyond the solo rate")
     assert (_cold_probe(net, entries) is not None) == (need <= rate), entries
     assert (build_and_check_mred_dc(net, entries) is not None) == (need <= rate), entries
+
+
+def _per_probe_plan_deadline(armed):
+    """ESDI-E's admission as it ran before verdicts: each probe is the full
+    deadline solve, the last feasible probe is the plan, and the fair
+    max-total solve is the fallback. `armed` holds the pairs with an
+    LP-infeasible probe, whose later probes check the solo-rate bound
+    first. The reference for admitting first and planning once."""
+
+    def plan_deadline(state, active, slot):
+        candidates = sorted((c for c in active if c.deadline is not None),
+                            key=lambda c: (c.deadline - slot + 1, c.arrival, c.id))
+        admitted, plan = [], None
+        probes = dict.fromkeys(("covered", "solved", "infeasible", "solo_rejected"), 0)
+        for c in candidates:
+            if len(admitted) >= state.kappa:
+                break
+            entry = (c.sd, float(c.remaining), float(c.deadline - slot + 1))
+            entries = admitted + [entry]
+            if c.sd in armed:
+                rate = solve_single_pair_edr(state.net, c.sd, state.model)
+                if mred.deadline_needs(entries)[c.sd] > rate * (1 + 1e-7) + 1e-7:
+                    probes["solo_rejected"] += 1
+                    continue
+            probe = build_and_check_mred_dc(state.net, entries, model=state.model)
+            if probe is None:
+                probes["infeasible"] += 1
+                armed.add(c.sd)
+            else:
+                covered = mred.face_plan(state.model, entries) is not None
+                probes["covered" if covered else "solved"] += 1
+                admitted.append(entry)
+                plan = probe
+        if plan is None:
+            plan = solve_max_total(state.net, state.model)
+        return plan, [sd for sd, _, _ in admitted], {"probes": probes}
+
+    return plan_deadline
+
+
+def _commodity_states(result):
+    return [(c.id, c.status, c.remaining, c.completed_slot, c.expired_slot)
+            for c in result.commodities]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(5, 8),
+    net_seed=st.integers(0, 10_000),
+    sd_count=st.integers(2, 4),
+    mean_demand=st.floats(3.0, 12.0),
+    horizon=st.integers(2, 6),
+    mu=st.sampled_from([0.4, 1.0]),
+    kappa=st.sampled_from([2, 3]),
+    run_seed=st.integers(0, 10_000),
+)
+def test_admit_then_plan_once_matches_per_probe_admission(
+    nodes, net_seed, sd_count, mean_demand, horizon, mu, kappa, run_seed
+):
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    cfg = WorkloadConfig(rate=3.0, mean_demand=mean_demand, min_demand=1, horizon=horizon,
+                         deadline=DeadlineSpec(mu, 0.1))
+    commodities = generate_workload(cfg, net.sorted_sd, seed=net_seed + 2)
+    run = lambda: engine.run_simulation(net, commodities, POLICY_DEADLINE, kappa=kappa,
+                                        seed=run_seed, horizon_cap=3000)
+    plans = []
+    plan_once = scheduler.build_and_check_mred_dc
+
+    def recording_plan(net, admitted, model=None):
+        plans.append([str(sd) for sd, _, _ in admitted])
+        return plan_once(net, admitted, model=model)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "build_and_check_mred_dc", recording_plan)
+        result = run()
+    # one plan per re-plan, of the list its verdicts admitted
+    assert plans == [e["priority"] for e in result.events]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "_plan_deadline", _per_probe_plan_deadline(set()))
+        ref = run()
+    (metrics, events), (ref_metrics, ref_events) = _without_wall(result), _without_wall(ref)
+    assert events == ref_events
+    assert _commodity_states(result) == _commodity_states(ref)
+    solves, ref_solves = metrics.pop("solver_calls"), ref_metrics.pop("solver_calls")
+    assert metrics == ref_metrics
+    assert solves <= ref_solves
+    event("fewer solves" if solves < ref_solves else "as many solves")
+    for outcome in ("solved", "infeasible", "solo_rejected"):
+        if any(e["probes"][outcome] for e in events):
+            event(f"some probe {outcome}")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

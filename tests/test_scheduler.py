@@ -161,7 +161,7 @@ def test_deadline_fallback_is_solved_once_per_run():
     state = new_state(star_net(), POLICY_DEADLINE)
     c0, c1 = _c(0, AB, 100, deadline=2), _c(1, AD, 100, deadline=3)
     first, _ = framework_step(state, [c0], slot=1)
-    assert state.bound_armed == {AB}
+    assert state.model.bound_armed == {AB}
     before = state.model.solves
     plan, fresh = framework_step(state, [c0, c1], slot=2)
     assert fresh and plan == first
@@ -170,7 +170,7 @@ def test_deadline_fallback_is_solved_once_per_run():
     # the constrained total stage, and the fallback plan is the one solved
     # at slot 1
     assert state.model.solves - before == 3
-    assert state.bound_armed == {AB, AD}
+    assert state.model.bound_armed == {AB, AD}
 
 
 def _random_deadline_run(seed, mu, kappa):
@@ -186,15 +186,15 @@ def _random_deadline_run(seed, mu, kappa):
 
 def test_solo_rate_bound_rejects_only_infeasible_probes(monkeypatch):
     rejected = []
-    bound = scheduler._exceeds_solo_rate
+    verdict = scheduler.deadline_verdict
 
-    def recording_bound(state, entries, sd):
-        hit = bound(state, entries, sd)
-        if hit:
-            rejected.append((state.net, list(entries)))
-        return hit
+    def recording_verdict(m, admitted, entry):
+        outcome = verdict(m, admitted, entry)
+        if outcome == "solo_rejected":
+            rejected.append((m.net, [*admitted, entry]))
+        return outcome
 
-    monkeypatch.setattr(scheduler, "_exceeds_solo_rate", recording_bound)
+    monkeypatch.setattr(scheduler, "deadline_verdict", recording_verdict)
     for seed in range(6):
         _random_deadline_run(seed, mu=0.3, kappa=3)
     assert len(rejected) > 20
@@ -203,16 +203,24 @@ def test_solo_rate_bound_rejects_only_infeasible_probes(monkeypatch):
 
 
 def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
-    probes = []
-    probe = scheduler.build_and_check_mred_dc
+    probes, plans = [], []
+    verdict = scheduler.deadline_verdict
+    plan_once = scheduler.build_and_check_mred_dc
 
-    def recording_probe(net, entries, model=None):
-        res = probe(net, entries, model=model)
-        covered = mred.face_plan(model, entries) is not None
-        probes.append((tuple(entries), res is not None, covered))
-        return res
+    def recording_verdict(m, admitted, entry):
+        outcome = verdict(m, admitted, entry)
+        entries = (*admitted, entry)
+        covered = mred.face_plan(m, entries) is not None
+        assert covered == (outcome == "covered"), (entries, outcome)
+        probes.append((entries, outcome in ("covered", "solved"), covered))
+        return outcome
 
-    monkeypatch.setattr(scheduler, "build_and_check_mred_dc", recording_probe)
+    def recording_plan(net, entries, model=None):
+        plans.append(tuple(entries))
+        return plan_once(net, entries, model=model)
+
+    monkeypatch.setattr(scheduler, "deadline_verdict", recording_verdict)
+    monkeypatch.setattr(scheduler, "build_and_check_mred_dc", recording_plan)
     states = []
     step = engine.framework_step
 
@@ -226,12 +234,14 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
         result = _random_deadline_run(seed, mu=2.0, kappa=1)
         state = states[-1]
         assert probes and all(feasible for _, feasible, _ in probes)
-        assert not state.bound_armed
-        # each re-plan is one feasible probe, as without the bound. The
-        # model runs each distinct program once: the max-total solve, one
-        # face solve per distinct admitted pair set, and both stages of each
-        # distinct entry list the face does not cover
+        assert not state.model.bound_armed
+        # each re-plan is one feasible probe, as without the bound, and one
+        # plan of the list it admitted. The model runs each distinct program
+        # once: the max-total solve, one face solve per distinct admitted
+        # pair set, and both stages of each distinct entry list the face
+        # does not cover
         assert len(probes) == len(result.events)
+        assert plans == [entries for entries, _, _ in probes]
         distinct = {entries: covered for entries, _, covered in probes}
         pair_sets = {frozenset(sd for sd, _, _ in entries) for entries in distinct}
         uncovered = sum(not covered for covered in distinct.values())
@@ -241,6 +251,7 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
         assert seed != 5 or result.metrics.solver_calls == 4
         states.clear()
         probes.clear()
+        plans.clear()
 
 
 def test_repeated_single_pair_rate_runs_no_lp():

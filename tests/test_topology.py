@@ -151,3 +151,17 @@ def test_capacities_are_bounded_by_the_maximum(star):
     # networks built in code are not bounded, so tests can hand HiGHS a
     # model it refuses
     assert topology.build_manual([(0, 0.9), (1, 0.9)], [(0, 1, 10**19, 0.9)]).links
+
+
+def test_node_count_is_bounded_by_the_maximum():
+    n = topology.MAX_NODES
+    topology.check_waxman_params(n, 0.8, 0.8, 1, 2, 0.9, 0.9)
+    with pytest.raises(ValidationError, match=f"node count {n + 1} exceeds the maximum {n}"):
+        topology.check_waxman_params(n + 1, 0.8, 0.8, 1, 2, 0.9, 0.9)
+    obj = {"nodes": [{"id": v, "q": 0.9} for v in range(n)], "links": [], "sd_pairs": []}
+    assert len(topology.from_json(obj).nodes) == n
+    obj["nodes"].append({"id": n, "q": 0.9})
+    with pytest.raises(ValidationError, match=f"node count {n + 1} exceeds the maximum {n}"):
+        topology.from_json(obj)
+    # networks built in code are not bounded
+    assert len(build_manual([(v, 0.9) for v in range(n + 1)], []).nodes) == n + 1
