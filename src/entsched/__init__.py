@@ -15,8 +15,6 @@ from .mred import (
     build_and_check_mred_dc,
     build_mred,
     check_solution,
-    input_rate,
-    output_rate,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
@@ -90,10 +88,8 @@ __all__ = [
     "framework_step",
     "generate_waxman",
     "generate_workload",
-    "input_rate",
     "is_connected",
     "new_state",
-    "output_rate",
     "read_network",
     "read_workload",
     "run_simulation",

@@ -15,6 +15,7 @@ import json
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from .engine import ConservationError, run_simulation
@@ -217,19 +218,13 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read workload {args.workload}: {exc}") from exc
 
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    trace = None
-    if trace_fh is not None:
-        trace = lambda row: print(json.dumps(row), file=trace_fh)
-    try:
+    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as trace_fh:
+        trace = None if trace_fh is None else lambda row: print(json.dumps(row), file=trace_fh)
         result = run_simulation(
             net, commodities, args.policy,
             kappa=args.kappa, seed=args.seed,
             horizon_cap=args.horizon_cap, config=_protocol_config(vars(args)), trace=trace,
         )
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
 
     payload = json.dumps(result.metrics.to_json(), indent=2)
     if args.out:
@@ -241,25 +236,16 @@ def cmd_simulate(args) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
-def _parse_values(axis: str, raw: str) -> list:
-    kind = int if SWEEP_AXES[axis] in ("nodes", "kappa") else float
+def _parse_list(flag: str, raw: str, kind) -> list:
+    """The comma-separated `raw` of `flag`, each stripped token read as
+    `kind`; blank tokens are skipped, and a bad or empty list refused."""
     try:
-        values = [kind(tok) for tok in raw.split(",") if tok.strip()]
+        items = [kind(tok.strip()) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValidationError(f"bad --values for axis {axis}: {exc}") from exc
-    if not values:
-        raise ValidationError("--values is empty")
-    return values
-
-
-def _parse_seeds(raw: str) -> list[int]:
-    try:
-        seeds = [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad --seeds: {exc}") from exc
-    if not seeds:
-        raise ValidationError("--seeds is empty")
-    return seeds
+        raise ValidationError(f"bad {flag}: {exc}") from exc
+    if not items:
+        raise ValidationError(f"{flag} is empty")
+    return items
 
 
 def _base_params(args) -> dict:
@@ -323,14 +309,13 @@ def _aggregate(records: list[dict], values: list, policies: list[str], metric: s
 
 
 def cmd_sweep(args) -> int:
-    values = _parse_values(args.axis, args.values)
-    seeds = _parse_seeds(args.seeds)
-    policies = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
+    values = _parse_list("--values", args.values,
+                         int if SWEEP_AXES[args.axis] in ("nodes", "kappa") else float)
+    seeds = _parse_list("--seeds", args.seeds, int)
+    policies = _parse_list("--policies", args.policies, str)
     for policy in policies:
         if policy not in POLICIES:
             raise ValidationError(f"unknown policy {policy!r} in --policies")
-    if not policies:
-        raise ValidationError("--policies is empty")
     if args.workers < 1:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
     base = _base_params(args)

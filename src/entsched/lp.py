@@ -1,10 +1,11 @@
 """Linear-programming backend behind a single swappable handle.
 
-Every optimization in the package funnels through ``solve_lp`` so the
-underlying solver can be replaced in one place (tests install stubs the
-same way). The default backend calls the HiGHS bindings that scipy
-bundles (``scipy.optimize._highspy._core``) directly: one fresh solver,
-one array ``passModel`` and one ``run`` per LP.
+Every optimization in the package funnels through ``get_backend().solve``
+so the underlying solver can be replaced in one place (tests install
+stubs the same way, through ``set_backend``). The default backend calls
+the HiGHS bindings that scipy bundles (``scipy.optimize._highspy._core``)
+directly: one fresh solver, one array ``passModel`` and one ``run`` per
+LP.
 
 It hands HiGHS exactly the model and options that
 ``scipy.optimize.linprog(method="highs")`` would: the rows of ``A_ub``
@@ -166,7 +167,3 @@ def get_backend():
 def set_backend(backend) -> None:
     global _backend
     _backend = backend
-
-
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
-    return _backend.solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)

@@ -102,24 +102,6 @@ def zero_solution(objective_log: Iterable[tuple[str, float]] = ()) -> RateSoluti
     return RateSolution(swaps={}, g={}, eta={}, objective_log=tuple(objective_log))
 
 
-def input_rate(net: Network, pair: NodePair, sol: RateSolution) -> float:
-    """Expected ebits per slot made available between `pair`."""
-    net.require_pair(pair)
-    total = 0.0
-    link = net.links.get(pair)
-    if link is not None:
-        total += link.capacity * link.p * sol.g.get(pair, 0.0)
-    for (produced, k), w in sol.swaps.items():
-        if produced == pair:
-            total += net.q[k] * w
-    return total
-
-
-def output_rate(pair: NodePair, sol: RateSolution) -> float:
-    """Expected ebits per slot of `pair` consumed by swaps."""
-    return sum(w for swap, w in sol.swaps.items() for lane, _ in lane_keys(*swap) if lane == pair)
-
-
 class MredModel:
     """Sparse constraint matrices for one network, reusable across solves.
 
@@ -242,7 +224,8 @@ class MredModel:
             c[col] = -w
         A_ub, b_ub = self._assemble_ub(extra_ub)
         self.solves += 1
-        res = lp.solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq, bounds=bounds)
+        res = lp.get_backend().solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq,
+                                     bounds=bounds)
         if res.objective is not None:
             res = lp.LpResult(status=res.status, x=res.x, objective=-res.objective)
         if res.status == LpStatus.OPTIMAL:
@@ -497,12 +480,32 @@ def build_and_check_mred_dc(
 
 def check_solution(net: Network, sol: RateSolution) -> dict:
     """Residual report for a rate plan against the balance constraints;
-    `ok` when every residual is within `FEAS_TOL`."""
+    `ok` when every residual is within `FEAS_TOL`.
+
+    One pass over the plan totals each pair's input and output: a link
+    pair makes ``capacity * p * g``, a swap makes ``q_k * w`` of its
+    produced pair and uses ``w`` of each of its two lane pairs
+    (`lane_keys`). A pair's slack is its input less its output. Only the
+    plan and the network are read, not the LP model, so the report checks
+    the model too. A plan naming a pair, link or node outside the network
+    raises `KeyError`.
+    """
+    pairs = net.all_pairs()
+    made = dict.fromkeys(pairs, 0.0)
+    used = dict.fromkeys(pairs, 0.0)
+    for lk, g in sol.g.items():
+        link = net.links[lk]
+        made[lk] += link.capacity * link.p * g
+    for (produced, k), w in sol.swaps.items():
+        made[produced] += net.q[k] * w
+        for lane, _ in lane_keys(produced, k):
+            used[lane] += w
+
     balance = 0.0
     sd_deficit = 0.0
     eta_gap = 0.0
-    for pr in net.all_pairs():
-        slack = input_rate(net, pr, sol) - output_rate(pr, sol)
+    for pr in pairs:
+        slack = made[pr] - used[pr]
         if pr in net.sd_pairs:
             sd_deficit = max(sd_deficit, -slack)
             eta_gap = max(eta_gap, abs(slack - sol.eta.get(pr, 0.0)))

@@ -1,7 +1,7 @@
 """Deterministic random streams.
 
-Topology placement and workload draws pull from substreams named by a
-master seed plus string labels (`substream`, `child_int`). The protocol's
+Topology placement and workload draws take seeds derived from a master
+seed plus string labels (`child_seed`, `child_int`). The protocol's
 per-slot draws come from `SlotRng`: one counter-based Philox generator
 (Salmon et al., SC'11) keyed by the run seed, whose counter is set to
 (slot, phase) for each stream. Every stream is a pure function of its
@@ -24,19 +24,14 @@ def _label_entropy(label: object) -> int:
 
 
 def child_seed(master: int, *labels: object) -> np.random.SeedSequence:
-    """SeedSequence for the substream named by `labels` under `master`."""
+    """SeedSequence for the stream named by `labels` under `master`."""
     entropy = [int(master) & _MASK64]
     entropy.extend(_label_entropy(lab) for lab in labels)
     return np.random.SeedSequence(entropy)
 
 
-def substream(master: int, *labels: object) -> np.random.Generator:
-    """Generator for the substream named by `labels` under `master`."""
-    return np.random.default_rng(child_seed(master, *labels))
-
-
 def child_int(master: int, *labels: object) -> int:
-    """Plain integer seed for the substream named by `labels`."""
+    """Plain integer seed for the stream named by `labels`."""
     return int(child_seed(master, *labels).generate_state(1, np.uint64)[0])
 
 

@@ -95,10 +95,6 @@ class Network:
         ns = self.nodes
         return [NodePair(ns[i], ns[j]) for i in range(len(ns)) for j in range(i + 1, len(ns))]
 
-    def require_pair(self, pair: NodePair) -> None:
-        if pair.lo not in self.q or pair.hi not in self.q:
-            raise KeyError(f"pair {pair} has endpoints outside the network")
-
 
 def build_manual(
     nodes: Iterable[tuple[int, float]],
@@ -272,6 +268,14 @@ def _whole(v, what: str) -> int:
     return int(v)
 
 
+def _number(v, what: str) -> float:
+    """`v` unchanged when it is an int or a float; a bool is refused
+    rather than read as 0 or 1."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {v!r}")
+    return v
+
+
 def _capacity(v) -> int:
     cap = _whole(v, "link capacity")
     if cap > MAX_CAPACITY:
@@ -281,14 +285,14 @@ def _capacity(v) -> int:
 
 def from_json(obj: dict) -> Network:
     """The network a `to_json` object describes; ids, endpoints and
-    capacities must be whole, capacities at most `MAX_CAPACITY` and nodes
-    at most `MAX_NODES`."""
+    capacities must be whole, probabilities numbers, capacities at most
+    `MAX_CAPACITY` and nodes at most `MAX_NODES`."""
     try:
-        nodes = [(_whole(e["id"], "node id"), e["q"]) for e in obj["nodes"]]
+        nodes = [(_whole(e["id"], "node id"), _number(e["q"], "node q")) for e in obj["nodes"]]
         if len(nodes) > MAX_NODES:
             raise ValidationError(f"node count {len(nodes)} exceeds the maximum {MAX_NODES}")
         links = [(_whole(e["u"], "link u"), _whole(e["v"], "link v"),
-                  _capacity(e["c"]), e["p"]) for e in obj.get("links", [])]
+                  _capacity(e["c"]), _number(e["p"], "link p")) for e in obj.get("links", [])]
         sd = [(_whole(s, "sd pair endpoint"), _whole(t, "sd pair endpoint"))
               for s, t in obj.get("sd_pairs", [])]
         return build_manual(nodes, links, sd)

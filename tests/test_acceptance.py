@@ -9,6 +9,7 @@ ten-minute envelope of the trend study.
 import json
 import time
 
+import numpy as np
 import pytest
 
 from conftest import star_net, two_hop_line
@@ -20,7 +21,7 @@ from entsched.mred import (
     solve_lexicographic,
     solve_max_total,
 )
-from entsched.rng import child_int, substream
+from entsched.rng import child_int, child_seed
 from entsched.scheduler import POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
 from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
 from entsched.workload import Commodity, DeadlineSpec, WorkloadConfig, generate_workload
@@ -200,7 +201,7 @@ def test_c6_admission_feasibility_is_monotone_under_removal():
         )
         net = sample_sd_pairs(net, 3, seed=seed + 300)
         witness = solve_max_total(net)
-        rng = substream(seed, "dc-entries")
+        rng = np.random.default_rng(child_seed(seed, "dc-entries"))
         entries = []
         for sd in net.sorted_sd:
             rate = witness.eta.get(sd, 0.0)

@@ -512,3 +512,26 @@ def test_network_too_large_to_plan_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: node count {MAX_NODES + 1} exceeds the maximum {MAX_NODES}\n")
     assert not (tmp_path / "w.jsonl").exists()
+
+
+@pytest.mark.parametrize("section,key,value,line", [
+    ("nodes", "q", True, "error: node q must be a number, got True\n"),
+    ("links", "p", "0.9", "error: link p must be a number, got '0.9'\n"),
+    ("links", "p", None, "error: link p must be a number, got None\n"),
+    ("nodes", "q", 1, None),
+])
+def test_network_file_probabilities_must_be_numbers(tmp_path, capsys, section, key, value, line):
+    obj = {"nodes": [{"id": v, "q": 0.9} for v in range(3)],
+           "links": [{"u": 0, "v": 1, "c": 2, "p": 0.9}, {"u": 1, "v": 2, "c": 2, "p": 0.9}],
+           "sd_pairs": [[0, 2]]}
+    obj[section][0][key] = value
+    net, load = tmp_path / "net.json", tmp_path / "w.jsonl"
+    net.write_text(json.dumps(obj))
+    rc = cli.main(["gen-workload", "--net", str(net), "--horizon", "3", "--out", str(load)])
+    if line is None:  # an integer probability is a number
+        assert rc == 0
+        assert read_network(str(net)).q[0] == 1.0
+    else:
+        assert rc == 1
+        assert capsys.readouterr().err == line
+        assert not load.exists()

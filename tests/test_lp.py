@@ -67,11 +67,12 @@ def test_check_rejects_an_infeasible_point(case):
 def test_linprog_input_forms():
     # dense lists, default bounds, one (lo, hi) pair for all, infinite bounds
     with against_linprog():
-        lp.solve_lp([-1, -2], A_ub=[[1, 1]], b_ub=[4])
-        lp.solve_lp([-1, -2], A_ub=[[1, 1]], b_ub=[4], bounds=(0, 3))
-        lp.solve_lp([1, 1], A_eq=[[1, -1]], b_eq=[1], bounds=[(-np.inf, np.inf), (0, np.inf)])
-        lp.solve_lp([-1, 0], A_eq=[[1, -1]], b_eq=[0], bounds=(0, np.inf))
-        lp.solve_lp([1, 1], A_ub=[[-1, -1]], b_ub=[-3], bounds=(0, 1))
+        solve = lp.get_backend().solve
+        solve([-1, -2], A_ub=[[1, 1]], b_ub=[4])
+        solve([-1, -2], A_ub=[[1, 1]], b_ub=[4], bounds=(0, 3))
+        solve([1, 1], A_eq=[[1, -1]], b_eq=[1], bounds=[(-np.inf, np.inf), (0, np.inf)])
+        solve([-1, 0], A_eq=[[1, -1]], b_eq=[0], bounds=(0, np.inf))
+        solve([1, 1], A_ub=[[-1, -1]], b_ub=[-3], bounds=(0, 1))
 
 
 def test_oversized_coefficient_is_a_solver_error_not_infeasible():

@@ -11,8 +11,6 @@ from entsched.mred import (
     build_and_check_mred_dc,
     build_mred,
     check_solution,
-    input_rate,
-    output_rate,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
@@ -37,32 +35,34 @@ def _random_net(seed, n=8, sd_count=3):
 
 # -- rate bookkeeping ---------------------------------------------------------
 
-def test_input_rate_generation_only():
+def test_check_solution_residuals_of_hand_built_plans(star):
+    # generation: a used two-node link makes 1.0, which the surplus must claim
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)], [(0, 1)])
     sol = RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={})
-    assert input_rate(net, P(0, 1), sol) == pytest.approx(1.0)
+    assert check_solution(net, sol)["eta_gap"] == pytest.approx(1.0)
+    assert check_solution(net, RateSolution(swaps={}, g=sol.g, eta={P(0, 1): 1.0}))["ok"]
 
-
-def test_input_rate_swap_term():
+    # the swap term: one swap at 1 makes q = 0.9 of 0:2 and uses up both links' output
     net = two_hop_line(q=0.9)
     sol = RateSolution(swaps={(P(0, 2), 1): 1.0}, g={P(0, 1): 1.0, P(1, 2): 1.0}, eta={})
-    assert input_rate(net, P(0, 2), sol) == pytest.approx(0.9)
+    report = check_solution(net, sol)
+    assert report["balance"] == 0.0
+    assert report["eta_gap"] == pytest.approx(0.9)
 
-
-def test_input_rate_zero_for_untouched_pair(star):
-    assert input_rate(star, P(1, 3), zero_solution()) == 0.0
-
-
-def test_input_rate_unknown_pair_raises(star):
-    with pytest.raises(KeyError):
-        input_rate(star, NodePair(0, 99), zero_solution())
-
-
-def test_output_rate_sums_consumption():
-    # 0:1 is the left lane of the swap at 1 toward 0:2 and of the swap at 0 toward 1:3
+    # lane consumption: 0:1 is the left lane of the swap at 1 toward 0:2 and of
+    # the swap at 0 toward 1:3, so the SD pair 0:1 runs 0.3 + 0.7 short
     sol = RateSolution(swaps={(P(0, 2), 1): 0.3, (P(1, 3), 0): 0.7}, g={}, eta={})
-    assert output_rate(P(0, 1), sol) == pytest.approx(1.0)
-    assert output_rate(P(2, 3), sol) == 0.0
+    assert check_solution(star, sol)["sd_deficit"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sol", [
+    RateSolution(swaps={(NodePair(0, 99), 2): 0.5}, g={}, eta={}),
+    RateSolution(swaps={(P(0, 1), 99): 0.5}, g={}, eta={}),
+    RateSolution(swaps={}, g={NodePair(0, 99): 0.5}, eta={}),
+], ids=["produced-pair", "swap-node", "link"])
+def test_check_solution_plan_outside_network_raises(star, sol):
+    with pytest.raises(KeyError):
+        check_solution(star, sol)
 
 
 # -- model construction -------------------------------------------------------
@@ -103,8 +103,10 @@ def test_extract_clamps_solver_dust(star):
 
 
 def test_zero_assignment_satisfies_balance(star):
+    # untouched pairs have no residual
     report = check_solution(star, zero_solution())
-    assert report["ok"]
+    assert report.pop("ok")
+    assert set(report.values()) == {0.0}
 
 
 # -- whole-set solves ---------------------------------------------------------

@@ -13,7 +13,9 @@ reference admission that solves every feasible probe's whole plan. Every
 program the model hands the LP backend on random instances is also
 solved by `scipy.optimize.linprog`, the reference the direct HiGHS
 backend must match bit for bit. The model's
-swap columns are checked against ones built through `lane_keys`. The
+swap columns are checked against ones built through `lane_keys`, and
+`check_solution` on random plans, tampered or not, against the per-pair
+formulation it replaced. The
 protocol's ebit ledger is checked after every slot of random runs, with
 and without an age limit.
 """
@@ -342,6 +344,71 @@ def test_model_swap_columns_match_lane_keys(nodes, net_seed):
             want[row[right], j] -= 1.0
     assert m.swap_ids == ids
     assert np.array_equal(m.A_eq[:, :m.n_f_vars].toarray(), want)
+
+
+def _per_pair_report(net, sol):
+    """The per-pair formulation `check_solution` replaced, kept as its
+    reference: each pair's input and output summed over the whole plan."""
+    balance = sd_deficit = eta_gap = 0.0
+    for pr in net.all_pairs():
+        made = 0.0
+        link = net.links.get(pr)
+        if link is not None:
+            made += link.capacity * link.p * sol.g.get(pr, 0.0)
+        for (produced, k), w in sol.swaps.items():
+            if produced == pr:
+                made += net.q[k] * w
+        used = sum(w for swap, w in sol.swaps.items() for lane, _ in lane_keys(*swap) if lane == pr)
+        slack = made - used
+        if pr in net.sd_pairs:
+            sd_deficit = max(sd_deficit, -slack)
+            eta_gap = max(eta_gap, abs(slack - sol.eta.get(pr, 0.0)))
+        else:
+            balance = max(balance, abs(slack))
+    report = {
+        "balance": balance,
+        "sd_deficit": sd_deficit,
+        "eta_gap": eta_gap,
+        "g_out_of_range": max((max(-v, v - 1.0, 0.0) for v in sol.g.values()), default=0.0),
+        "swap_negative": max((max(0.0, -v) for v in sol.swaps.values()), default=0.0),
+        "eta_negative": max((max(0.0, -v) for v in sol.eta.values()), default=0.0),
+    }
+    report["ok"] = all(v <= mred.FEAS_TOL for v in report.values())
+    return report
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(2, 9),
+    net_seed=st.integers(0, 10_000),
+    sd_count=st.integers(1, 4),
+    q=st.floats(0.5, 1.0),
+    lexicographic=st.booleans(),
+    tampers=st.lists(st.tuples(st.sampled_from(["swaps", "g", "eta"]), st.integers(0, 10_000),
+                               st.floats(-1.0, 1.0)), max_size=3),
+)
+def test_check_solution_matches_per_pair_reference(
+    nodes, net_seed, sd_count, q, lexicographic, tampers
+):
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=4, p=0.9, q=q,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    plan = (solve_lexicographic(net, net.sorted_sd[::-1]) if lexicographic
+            else solve_max_total(net))
+    parts = {"swaps": dict(plan.swaps), "g": dict(plan.g), "eta": dict(plan.eta)}
+    # each tamper shifts one entry of the plan, or adds one, by up to 1
+    keys = {"swaps": build_mred(net).swap_ids, "g": net.sorted_links, "eta": net.sorted_sd}
+    for part, pick, shift in tampers:
+        if keys[part]:
+            key = keys[part][pick % len(keys[part])]
+            parts[part][key] = parts[part].get(key, 0.0) + shift
+    sol = mred.RateSolution(**parts)
+    report = check_solution(net, sol)
+    want = _per_pair_report(net, sol)
+    assert report["ok"] == want.pop("ok")
+    for key, value in want.items():
+        assert abs(report[key] - value) <= 1e-12, (key, report[key], value)
+    event("ok" if report["ok"] else "not ok")
 
 
 # Realized/planned rate over 2000 slots on 6-node networks (seeds 0-39, 93
