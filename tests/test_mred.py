@@ -35,22 +35,36 @@ def _random_net(seed, n=8, sd_count=3):
 
 # -- rate bookkeeping ---------------------------------------------------------
 
-def test_check_solution_residuals_of_hand_built_plans(star):
-    # generation: a used two-node link makes 1.0, which the surplus must claim
+def test_input_rate_generation_only():
+    # a used two-node link makes 1.0, which the SD surplus must claim
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)], [(0, 1)])
     sol = RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={})
     assert check_solution(net, sol)["eta_gap"] == pytest.approx(1.0)
     assert check_solution(net, RateSolution(swaps={}, g=sol.g, eta={P(0, 1): 1.0}))["ok"]
 
-    # the swap term: one swap at 1 makes q = 0.9 of 0:2 and uses up both links' output
+
+def test_input_rate_swap_term():
+    # one swap at 1 makes q = 0.9 of 0:2 and uses up both links' output
     net = two_hop_line(q=0.9)
     sol = RateSolution(swaps={(P(0, 2), 1): 1.0}, g={P(0, 1): 1.0, P(1, 2): 1.0}, eta={})
     report = check_solution(net, sol)
     assert report["balance"] == 0.0
     assert report["eta_gap"] == pytest.approx(0.9)
 
-    # lane consumption: 0:1 is the left lane of the swap at 1 toward 0:2 and of
-    # the swap at 0 toward 1:3, so the SD pair 0:1 runs 0.3 + 0.7 short
+
+def test_input_rate_zero_for_untouched_pair(star):
+    # a swap at the hub makes 0:1 from links 0:2 and 1:2, each run at half;
+    # 1:3, 2:3 and 0:3 are untouched and leave no residual
+    sol = RateSolution(swaps={(P(0, 1), 2): 1.0}, g={P(0, 2): 0.5, P(1, 2): 0.5},
+                       eta={P(0, 1): 1.0})
+    report = check_solution(star, sol)
+    assert report.pop("ok")
+    assert set(report.values()) == {0.0}
+
+
+def test_output_rate_sums_consumption(star):
+    # 0:1 is the left lane of the swap at 1 toward 0:2 and of the swap at 0
+    # toward 1:3, so the SD pair 0:1 runs 0.3 + 0.7 short
     sol = RateSolution(swaps={(P(0, 2), 1): 0.3, (P(1, 3), 0): 0.7}, g={}, eta={})
     assert check_solution(star, sol)["sd_deficit"] == pytest.approx(1.0)
 
