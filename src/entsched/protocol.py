@@ -132,9 +132,43 @@ def switch_probabilities(table: PlanTable, pair: NodePair):
     return table.rows.get(pair)
 
 
-# where a pair's ebits go, in ledger indices: (targets, probs), where probs
+def _rounding(count: int, probs: list[float]) -> tuple[list[int], int, list[float], float]:
+    """The deterministic part of splitting `count` units over `probs`:
+    (floors, leftover, cumulative remainders, step). Leftover units are
+    placed by one uniform start and a bisection each; when there are none
+    to place by sampling, leftover is 0 and the floors are final."""
+    shares = [count * p for p in probs]
+    floors = [math.floor(s + _INT_EPS) for s in shares]
+    leftover = count - sum(floors)
+    if leftover <= 0:
+        return floors, 0, [], 0.0
+    cum = list(accumulate(max(0.0, s - b) for s, b in zip(shares, floors)))
+    rem_sum = cum[-1]
+    if rem_sum <= 0.0:
+        floors[probs.index(max(probs))] += leftover
+        return floors, 0, [], 0.0
+    return floors, leftover, cum, rem_sum / leftover
+
+
+class Split(dict):
+    """A forwarding row's probabilities, with its `_rounding` memoized by
+    batch size. It lives on the route that holds it, so it is dropped
+    with the plan it was bound for."""
+
+    __slots__ = ("probs",)
+
+    def __init__(self, probs: list[float]) -> None:
+        super().__init__()
+        self.probs = probs
+
+    def __missing__(self, count: int):
+        rounding = self[count] = _rounding(count, self.probs)
+        return rounding
+
+
+# where a pair's ebits go, in ledger indices: (targets, split), where split
 # is None when the one target takes every batch
-Route = tuple[tuple[int, ...], list[float] | None]
+Route = tuple[tuple[int, ...], Split | None]
 
 
 class BufferState:
@@ -195,12 +229,13 @@ class BufferState:
             return (self.index(self.parked, pair),), None
         keys = tuple(self.index(self.ready, pair) if t is None else self.index(self.staged, t)
                      for t in dist[0])
-        return keys, dist[1] if len(keys) > 1 else None
+        return keys, Split(dist[1]) if len(keys) > 1 else None
 
     def bind(self, table: PlanTable) -> tuple[tuple, tuple]:
         """`table` in ledger indices, resolved once per table: per link
         (whole attempts, chance of one more, p, route), per swap (q, left
-        lane, right lane, route of the produced pair)."""
+        lane, right lane, route of the produced pair). The routes, and so
+        their splits, are kept until another table is bound."""
         if table is not self._table:
             index, staged = self.index, self.staged
             links = tuple((base, frac, p, self.route(table, pair))
@@ -219,32 +254,37 @@ def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> 
     the split is unbiased, never off by more than one per bucket, and
     fully deterministic when the expected shares are integers.
     """
-    shares = [count * p for p in probs]
-    counts = [math.floor(s + _INT_EPS) for s in shares]
-    leftover = count - sum(counts)
-    if leftover <= 0:
-        return counts
-    cum = list(accumulate(max(0.0, s - b) for s, b in zip(shares, counts)))
-    rem_sum = cum[-1]
-    if rem_sum <= 0.0:
-        counts[probs.index(max(probs))] += leftover
-        return counts
-    start, step, last = rng.random(), rem_sum / leftover, len(probs) - 1
-    for i in range(leftover):
-        counts[min(bisect_right(cum, (start + i) * step), last)] += 1
-    return counts
+    floors, leftover, cum, step = _rounding(count, probs)
+    if leftover:
+        start, last = rng.random(), len(probs) - 1
+        for i in range(leftover):
+            floors[min(bisect_right(cum, (start + i) * step), last)] += 1
+    return floors
 
 
 def switch_batch(
     state: BufferState, route: Route, counts: list[int], count: int, rng: np.random.Generator
 ) -> None:
-    """Forward `count` ebits along `route` into the cohort `counts`,
-    splitting the batch by `allocate_batch` over more than one target."""
-    targets, probs = route
+    """Forward `count` ebits along `route` into the cohort `counts`. Over
+    more than one target the batch is split as `allocate_batch` splits it,
+    from the floors the route's split holds for `count`."""
+    targets, split = route
     total = state.total
-    for i, n in zip(targets, (count,) if probs is None else allocate_batch(count, probs, rng)):
+    if split is None:
+        i = targets[0]
+        total[i] += count
+        counts[i] += count
+        return
+    floors, leftover, cum, step = split[count]
+    for i, n in zip(targets, floors):
         total[i] += n
         counts[i] += n
+    if leftover:
+        start, last = rng.random(), len(targets) - 1
+        for k in range(leftover):
+            i = targets[min(bisect_right(cum, (start + k) * step), last)]
+            total[i] += 1
+            counts[i] += 1
 
 
 def expire_old_ebits(state: BufferState, slot: int, max_age: int | None) -> int:

@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import star_net
-from entsched import engine, lp
+from entsched import engine, lp, protocol
 from entsched.engine import ConservationError, RunMetrics, RunResult, run_simulation
-from entsched.protocol import ProtocolConfig
+from entsched.protocol import ProtocolConfig, allocate_batch
 from entsched.scheduler import POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
 from entsched.topology import ValidationError, build_manual, canonical_pair, generate_waxman, sample_sd_pairs
 from entsched.workload import COMPLETED, EXPIRED, Commodity, WorkloadConfig, generate_workload
@@ -294,3 +294,54 @@ def test_age_limit_retires_every_overaged_ebit(monkeypatch, max_age):
     assert len(slots) == 60
     assert sum(row["swap_successes"] for row in rows) > 0
     assert sum(row["dropped"] for row in rows) > 0
+
+
+def _counted(calls, name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+def _per_call_switch_batch(calls):
+    """`protocol.switch_batch` as it was before routes held their splits:
+    every batch over more than one target is split by `allocate_batch`."""
+
+    def switch_batch(state, route, counts, count, rng):
+        targets, split = route
+        if split is not None:
+            calls["split"] += 1
+        for i, n in zip(targets, (count,) if split is None else allocate_batch(count, split.probs, rng)):
+            state.total[i] += n
+            counts[i] += n
+
+    return switch_batch
+
+
+@pytest.mark.parametrize("policy, seed, config, path, least", [
+    # several cohorts and a second swap pass: products split by _pair_off
+    (POLICY_BASELINE, 2, ProtocolConfig(max_buffer_age=3, cascade_depth=2), "_pair_off", 1),
+    # several re-plans, each table bound in turn
+    (POLICY_ORDERED, 1, ProtocolConfig(), "compile_plan", 4),
+])
+def test_bound_splits_match_a_per_call_split_over_whole_runs(monkeypatch, policy, seed, config, path,
+                                                             least):
+    net, demands = _random_case(seed)
+
+    def run():
+        rows = []
+        result = run_simulation(net, demands, policy, seed=seed, horizon_cap=4000,
+                                config=config, trace=rows.append)
+        metrics = result.metrics.to_json()
+        metrics.pop("wall_ms")
+        return metrics, rows
+
+    bound = run()
+    calls = {"split": 0, "_pair_off": 0, "compile_plan": 0}
+    for module, name in ((protocol, "_pair_off"), (engine, "compile_plan")):
+        monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+    monkeypatch.setattr(protocol, "switch_batch", _per_call_switch_batch(calls))
+    assert run() == bound
+    assert calls["split"] > 0
+    assert calls[path] >= least

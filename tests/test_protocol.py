@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import same_state, star_net, two_hop_line
 from entsched.mred import RateSolution, solve_max_total
@@ -226,9 +231,12 @@ def test_route_and_bind_resolve_the_table_to_ledger_indices():
     table = compile_plan(star_net(), RateSolution(
         swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 3.0}, g={P(1, 2): 0.5}, eta={P(0, 1): 1.0}))
     state = BufferState()
-    targets, probs = state.route(table, P(0, 2))
+    targets, split = state.route(table, P(0, 2))
     assert targets == (state.staged[(P(0, 2), P(0, 1))], state.staged[(P(0, 2), P(0, 3))])
-    assert probs == pytest.approx([0.25, 0.75])
+    assert split.probs == pytest.approx([0.25, 0.75])
+    # the split fills its memo by batch size, as batches arrive
+    assert split == {}
+    assert split[4] == ([1, 3], 0, [], 0.0) and list(split) == [4]
     # a one-target row and an unrouted pair take every batch without a split
     assert state.route(table, P(1, 2)) == ((state.staged[(P(1, 2), P(0, 1))],), None)
     assert state.route(table, P(0, 1)) == ((state.ready[P(0, 1)],), None)
@@ -240,6 +248,63 @@ def test_route_and_bind_resolve_the_table_to_ledger_indices():
         (q, state.staged[left], state.staged[right], state.route(table, produced))
         for produced, q, left, right in table.swaps)
     assert len(state.total) == len(state.parked) + len(state.staged) + len(state.ready)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.3, 1.0, 2.0, 7.0]),
+                     min_size=1, max_size=20).filter(lambda w: sum(w) > 0),
+    counts=st.lists(st.integers(0, 60), min_size=1, max_size=20),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_bound_route_splits_batches_as_allocate_batch(weights, counts, seed):
+    # zero weights are drawn often; every count comes twice, so the second
+    # batch of each size reads the memo
+    probs = [w / sum(weights) for w in weights]
+    targets = [(P(0, 1), P(0, k + 2)) for k in range(len(probs))]
+    table = PlanTable(links=((P(0, 1), 1, 0.0, 1.0),), rows={P(0, 1): (targets, probs)})
+    state = BufferState()
+    route = state.bind(table)[0][0][3]
+    keys = [state.staged[t] for t in targets]
+    rng, per_call, ref = _rng(seed=seed), _rng(seed=seed), _rng(seed=seed)
+    for count in counts + counts:
+        before = [state.total[i] for i in keys]
+        switch_batch(state, route, state.cohort(0), count, rng)
+        got = [state.total[i] - b for i, b in zip(keys, before)]
+        assert got == allocate_batch(count, probs, per_call) == _numpy_allocate(count, probs, ref)
+        assert same_state(rng.bit_generator.state, per_call.bit_generator.state)
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+def test_a_newly_bound_table_splits_by_its_own_rows():
+    # a memo keyed by id() of a freed row could serve table B with table A's
+    # split; the split lives on the bound route, so B's batches follow B
+    net = build_manual([(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
+                       [(0, 2, 4, 1.0), (1, 2, 2, 1.0), (3, 2, 2, 1.0)], [(0, 1), (0, 3)])
+    lanes = [(P(0, 2), P(0, 1)), (P(0, 2), P(0, 3))]
+
+    def table(w1, w3):
+        return compile_plan(net, RateSolution(
+            swaps={(P(0, 1), 2): w1, (P(0, 3), 2): w3}, g={P(0, 2): 1.0}, eta={}))
+
+    def slot(tab, n):
+        before = state.total_ebits()
+        reconcile_buffers(state, tab, _rng(slot=n, phase=0))
+        made = phase_generate(tab, state, 0, _rng(slot=n, phase=1))
+        attempts, wins = phase_swap(tab, state, _rng(slot=n, phase=2))
+        assert made == (state.total_ebits() - before) + 2 * attempts - wins
+        return [_held(state, state.staged, lane) for lane in lanes]
+
+    state = BufferState()
+    a = table(1.0, 3.0)
+    assert slot(a, 1) == [1, 3]
+    freed = weakref.ref(a)
+    # binding another table is what lets the state drop A's routes
+    state.bind(PlanTable())
+    del a
+    gc.collect()
+    assert freed() is None
+    assert slot(table(3.0, 1.0), 2) == [4, 4]
 
 
 # -- expiry and reconciliation ------------------------------------------------
