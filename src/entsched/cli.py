@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
-from .engine import ConservationError, run_simulation
+from .engine import HORIZON_CAP, ConservationError, run_simulation
 from .lp import SolverError
 from .protocol import ProtocolConfig
 from .rng import child_int
@@ -115,7 +115,7 @@ def _protocol_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kappa", type=int, default=1)
     sub.add_argument("--cascade-depth", type=int, default=1)
     sub.add_argument("--max-buffer-age", type=int, default=None)
-    sub.add_argument("--horizon-cap", type=int, default=100_000)
+    sub.add_argument("--horizon-cap", type=int, default=HORIZON_CAP)
 
 
 def build_parser() -> _Parser:
@@ -218,19 +218,16 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read workload {args.workload}: {exc}") from exc
 
-    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as trace_fh:
-        trace = None if trace_fh is None else lambda row: print(json.dumps(row), file=trace_fh)
-        result = run_simulation(
-            net, commodities, args.policy,
-            kappa=args.kappa, seed=args.seed,
-            horizon_cap=args.horizon_cap, config=_protocol_config(vars(args)), trace=trace,
-        )
-
-    payload = json.dumps(result.metrics.to_json(), indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
+    # both files are opened before the run, so a bad path fails fast
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
+        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as trace_fh:
+            trace = None if trace_fh is None else lambda row: print(json.dumps(row), file=trace_fh)
+            result = run_simulation(
+                net, commodities, args.policy,
+                kappa=args.kappa, seed=args.seed,
+                horizon_cap=args.horizon_cap, config=_protocol_config(vars(args)), trace=trace,
+            )
+        print(json.dumps(result.metrics.to_json(), indent=2), file=out_fh)
     return EXIT_OK
 
 
@@ -238,13 +235,17 @@ def cmd_simulate(args) -> int:
 
 def _parse_list(flag: str, raw: str, kind) -> list:
     """The comma-separated `raw` of `flag`, each stripped token read as
-    `kind`; blank tokens are skipped, and a bad or empty list refused."""
+    `kind`; blank tokens are skipped, and a bad, empty or repeating list
+    refused, a repeat being two tokens that read as equal values."""
     try:
         items = [kind(tok.strip()) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad {flag}: {exc}") from exc
     if not items:
         raise ValidationError(f"{flag} is empty")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValidationError(f"{flag} repeats {item!r}")
     return items
 
 

@@ -14,8 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .protocol import (
-    DIST_EDF,
-    DIST_SJF,
     PHASE_GENERATE,
     PHASE_RECONCILE,
     PHASE_SWAP,
@@ -33,6 +31,10 @@ from .rng import SlotRng
 from .scheduler import SchedulerState, framework_step, new_state
 from .topology import Network, ValidationError
 from .workload import ACTIVE, COMPLETED, PENDING, Commodity, active_set
+
+
+# slots a run may take before it stops with commodities unresolved
+HORIZON_CAP = 100_000
 
 
 class ConservationError(RuntimeError):
@@ -78,7 +80,7 @@ def run_simulation(
     policy: str,
     kappa: int = 1,
     seed: int = 0,
-    horizon_cap: int = 1_000_000,
+    horizon_cap: int = HORIZON_CAP,
     config: ProtocolConfig = ProtocolConfig(),
     trace: Callable[[dict], None] | None = None,
 ) -> RunResult:
@@ -101,7 +103,6 @@ def run_simulation(
     buffers = BufferState()
     table = PlanTable()
     srng = SlotRng(seed)
-    mode = DIST_EDF if any(c.deadline is not None for c in work) else DIST_SJF
 
     slot = 0
     while slot < horizon_cap:
@@ -122,7 +123,7 @@ def run_simulation(
         birth = slot if config.max_buffer_age is not None else 0
         made = phase_generate(table, buffers, birth, srng.stream(slot, PHASE_GENERATE))
         attempts, wins = phase_swap(table, buffers, srng.stream(slot, PHASE_SWAP), config)
-        handed, finished = phase_distribute(buffers, active, mode)
+        handed, finished = phase_distribute(buffers, active)
         after = buffers.total_ebits()
 
         if made != (after - before) + dropped + 2 * attempts - wins + handed:

@@ -29,14 +29,11 @@ import numpy as np
 
 from .mred import LaneKey, RateSolution, lane_keys
 from .topology import Network, NodePair, ValidationError
-from .workload import Commodity
+from .workload import Commodity, service_order
 
 PHASE_RECONCILE = 0
 PHASE_GENERATE = 1
 PHASE_SWAP = 2
-
-DIST_SJF = "sjf"
-DIST_EDF = "edf"
 
 # snap guard for LP dust around integers
 _INT_EPS = 1e-9
@@ -423,19 +420,15 @@ def phase_swap(
 
 
 def phase_distribute(
-    state: BufferState,
-    active: list[Commodity],
-    mode: str = DIST_SJF,
+    state: BufferState, active: list[Commodity]
 ) -> tuple[int, list[Commodity]]:
     """Hand ready end-to-end ebits to active commodities.
 
-    Within a pair, commodities are served to completion in shortest-
-    remaining order (`sjf`) or earliest-deadline order (`edf`); ids
-    break ties. Returns the ebits handed over and the commodities whose
-    demand reached zero.
+    Within a pair, commodities are served to completion in
+    `workload.service_order`: earliest deadline first, then deadline-free
+    ones by least remaining demand. Returns the ebits handed over and the
+    commodities whose demand reached zero.
     """
-    if mode not in (DIST_SJF, DIST_EDF):
-        raise ValidationError(f"unknown distribution mode {mode!r}")
     by_pair: dict[NodePair, list[Commodity]] = {}
     for c in active:
         if c.remaining > 0:
@@ -448,14 +441,7 @@ def phase_distribute(
         i = state.ready.get(pair)
         if i is None or not total[i]:
             continue
-        if mode == DIST_SJF:
-            queue = sorted(by_pair[pair], key=lambda c: (c.remaining, c.id))
-        else:
-            queue = sorted(
-                by_pair[pair],
-                key=lambda c: (c.deadline is None, c.deadline or 0, c.id),
-            )
-        for c in queue:
+        for c in sorted(by_pair[pair], key=service_order):
             if not total[i]:
                 break
             n = min(total[i], c.remaining)

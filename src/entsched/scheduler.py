@@ -36,7 +36,7 @@ from .mred import (
     solve_single_pair_edr,
 )
 from .topology import Network, NodePair, ValidationError
-from .workload import Commodity
+from .workload import Commodity, service_order
 
 POLICY_BASELINE = "ESDI-B"
 POLICY_ORDERED = "ESDI-O"
@@ -99,17 +99,16 @@ def _plan_deadline(state: SchedulerState, active: list[Commodity], slot: int):
     """Admit deadline commodities greedily while jointly feasible, then
     plan the admitted list once.
 
-    Candidates are tried in (slots left, arrival, id) order with their
-    remaining demand, until `kappa` are admitted; an infeasible candidate
-    is skipped rather than ending admission. Each probe, the admitted
+    Candidates are tried in `workload.service_order`, earliest deadline
+    first, with their remaining demand, until `kappa` are admitted; an
+    infeasible candidate is skipped rather than ending admission. Each probe, the admitted
     entries plus one candidate, is answered by `mred.deadline_verdict`,
     and a `covered` or `solved` candidate is admitted. The verdicts are
     counted by outcome. The plan is the deadline solve of the admitted
     list; with none admitted it is the plain fair solve, which also serves
     deadline-free commodities.
     """
-    candidates = [c for c in active if c.deadline is not None]
-    candidates.sort(key=lambda c: (c.deadline - slot + 1, c.arrival, c.id))
+    candidates = sorted((c for c in active if c.deadline is not None), key=service_order)
 
     admitted: list[tuple[NodePair, float, float]] = []
     probes = dict.fromkeys(("covered", "solved", "infeasible", "solo_rejected"), 0)

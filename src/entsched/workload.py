@@ -63,6 +63,13 @@ class Commodity:
         )
 
 
+def service_order(c: Commodity) -> tuple:
+    """Sort key for serving commodities: those with a deadline first,
+    earliest deadline first, then the rest by least remaining demand;
+    arrival, then id, break ties."""
+    return (c.deadline is None, c.deadline or c.remaining, c.arrival, c.id)
+
+
 @dataclass(frozen=True)
 class DeadlineSpec:
     """Lifetime scale: deadline - arrival ~ round(factor * U[mu-hw, mu+hw] * demand)."""

@@ -223,6 +223,7 @@ def test_c6_admission_feasibility_is_monotone_under_removal():
           f"all feasible in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c7_policy_trends_at_network_scale():
     """Success falls with load; deadline policy beats the baseline; ordering
     lowers mean completion time under contention."""

@@ -113,6 +113,18 @@ def test_simulate_out_and_trace_files(tmp_path):
     assert rows and rows[0]["slot"] == 1
 
 
+def test_simulate_out_in_missing_directory_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    net_path = _gen_net(tmp_path)
+    load_path = _gen_load(tmp_path, net_path)
+    capsys.readouterr()
+    runs = []
+    monkeypatch.setattr(cli, "run_simulation", lambda *args, **kwargs: runs.append(args))
+    rc = cli.main(["simulate", "--net", str(net_path), "--workload", str(load_path),
+                   "--policy", "ESDI-B", "--out", str(tmp_path / "absent" / "metrics.json")])
+    _assert_config_error(rc, capsys)
+    assert runs == []
+
+
 def test_simulate_missing_file_is_config_error(tmp_path, capsys):
     net_path = _gen_net(tmp_path)
     rc = cli.main([
@@ -267,6 +279,7 @@ def test_sweep_out_dir_that_is_a_file_fails_before_any_run(tmp_path, monkeypatch
     assert runs == []
 
 
+@pytest.mark.slow
 def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
     started = []
 
@@ -433,6 +446,11 @@ def test_sweep_bad_or_empty_lists_are_config_errors(tmp_path, capsys):
         (["--values", "1", "--seeds", ","], "error: --seeds is empty\n"),
         (["--values", "1", "--policies", ","], "error: --policies is empty\n"),
         (["--values", "1", "--workers", "0"], "error: --workers must be >= 1, got 0\n"),
+        (["--values", "1,2,1"], "error: --values repeats 1\n"),
+        # the later --axis wins: on a float axis 1 and 1.0 are one value
+        (["--axis", "arrival-rate", "--values", "1,1.0"], "error: --values repeats 1.0\n"),
+        (["--values", "1", "--seeds", "0,0"], "error: --seeds repeats 0\n"),
+        (["--values", "1", "--policies", "ESDI-B,ESDI-B"], "error: --policies repeats 'ESDI-B'\n"),
     )):
         out_dir = tmp_path / f"s{i}"
         rc = cli.main([*argv, *flags, "--out-dir", str(out_dir)])

@@ -246,8 +246,8 @@ def _spy_after_each_slot(monkeypatch, check):
     slots = []
     distribute = engine.phase_distribute
 
-    def spy(state, active, mode):
-        out = distribute(state, active, mode)
+    def spy(state, active):
+        out = distribute(state, active)
         slots.append(len(slots) + 1)
         check(slots[-1], state)
         return out

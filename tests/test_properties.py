@@ -17,7 +17,8 @@ swap columns are checked against ones built through `lane_keys`, and
 `check_solution` on random plans, tampered or not, against the per-pair
 formulation it replaced. The
 protocol's ebit ledger is checked after every slot of random runs, with
-and without an age limit.
+and without an age limit. `service_order` must sort lists that all carry
+deadlines, or none, as the keys it replaced did.
 """
 
 import math
@@ -42,7 +43,13 @@ from entsched.mred import (
 from entsched.protocol import ProtocolConfig, compile_plan
 from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
 from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
-from entsched.workload import Commodity, DeadlineSpec, WorkloadConfig, generate_workload
+from entsched.workload import (
+    Commodity,
+    DeadlineSpec,
+    WorkloadConfig,
+    generate_workload,
+    service_order,
+)
 
 
 def _without_wall(result):
@@ -455,8 +462,8 @@ def test_ledger_holds_its_invariants_after_every_slot(
     seen = []
     distribute = engine.phase_distribute
 
-    def check(state, active, mode):
-        out = distribute(state, active, mode)
+    def check(state, active):
+        out = distribute(state, active)
         births = [birth for birth, _ in state.cohorts]
         assert all(a < b for a, b in zip(births, births[1:])), births
         assert all(len(counts) == len(state.total) for _, counts in state.cohorts)
@@ -477,3 +484,38 @@ def test_ledger_holds_its_invariants_after_every_slot(
             config=ProtocolConfig(cascade_depth=depth, max_buffer_age=max_age))
     assert len(seen) == result.metrics.slots
     event("cohorts max %d" % max(seen, default=0))
+
+
+# the keys `service_order` replaced: the hand-out's shortest-job-first and
+# earliest-deadline-first orders, and ESDI-E's candidate order
+def _sjf_key(c):
+    return (c.remaining, c.id)
+
+
+def _edf_key(c):
+    return (c.deadline is None, c.deadline or 0, c.id)
+
+
+def _candidate_key(c):
+    return (c.deadline, c.arrival, c.id)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6), st.integers(0, 8)),
+                  min_size=1, max_size=12),
+    with_deadlines=st.booleans(),
+)
+def test_service_order_sorts_as_the_keys_it_replaced(rows, with_deadlines):
+    # ids in arrival order, as generate_workload numbers them
+    arrival, commodities = 1, []
+    for cid, (gap, remaining, life) in enumerate(rows):
+        arrival += gap
+        c = Commodity(id=cid, sd=canonical_pair(0, 1), demand=6, arrival=arrival,
+                      deadline=arrival + life if with_deadlines else None)
+        c.remaining = remaining
+        commodities.append(c)
+    order = [c.id for c in sorted(reversed(commodities), key=service_order)]
+    refs = (_edf_key, _candidate_key) if with_deadlines else (_sjf_key,)
+    for ref in refs:
+        assert order == [c.id for c in sorted(reversed(commodities), key=ref)], ref.__name__

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from conftest import same_state, star_net, two_hop_line
 from entsched.mred import RateSolution, solve_max_total
 from entsched.protocol import (
-    DIST_EDF,
-    DIST_SJF,
     BufferState,
     PlanTable,
     ProtocolConfig,
@@ -498,7 +496,7 @@ def test_distribute_shortest_remaining_first():
     _put(state, state.ready, P(0, 1), 1, 4)
     a = _commodity(0, P(0, 1), 6, remaining=5)
     b = _commodity(1, P(0, 1), 6, remaining=3)
-    handed, done = phase_distribute(state, [a, b], DIST_SJF)
+    handed, done = phase_distribute(state, [a, b])
     assert handed == 4
     assert done == [b]
     assert b.remaining == 0 and a.remaining == 4
@@ -511,7 +509,7 @@ def test_distribute_earliest_deadline_first():
     late = _commodity(0, P(0, 1), 2, deadline=9)
     soon = _commodity(1, P(0, 1), 2, deadline=4)
     never = _commodity(2, P(0, 1), 2)
-    handed, done = phase_distribute(state, [late, soon, never], DIST_EDF)
+    handed, done = phase_distribute(state, [late, soon, never])
     assert handed == 2
     assert done == [soon]
     assert late.remaining == 2 and never.remaining == 2
@@ -521,14 +519,24 @@ def test_distribute_leftover_stays_ready():
     state = BufferState()
     _put(state, state.ready, P(0, 1), 1, 5)
     c = _commodity(0, P(0, 1), 2)
-    handed, done = phase_distribute(state, [c], DIST_SJF)
+    handed, done = phase_distribute(state, [c])
     assert handed == 2 and done == [c]
     assert _held(state, state.ready, P(0, 1)) == 3
 
 
-def test_distribute_rejects_unknown_mode():
-    with pytest.raises(ValidationError):
-        phase_distribute(BufferState(), [], "fifo")
+def test_distribute_serves_deadlines_first_then_least_remaining():
+    # one pair holding both kinds: deadline commodities go first, earliest
+    # deadline first, then deadline-free ones by least remaining demand
+    state = BufferState()
+    _put(state, state.ready, P(0, 1), 1, 9)
+    big = _commodity(0, P(0, 1), 5)
+    late = _commodity(1, P(0, 1), 3, deadline=9)
+    small = _commodity(2, P(0, 1), 2)
+    soon = _commodity(3, P(0, 1), 3, deadline=6)
+    handed, done = phase_distribute(state, [big, late, small, soon])
+    assert handed == 9
+    assert done == [soon, late, small]
+    assert big.remaining == 4
 
 
 # -- conservation across phases ----------------------------------------------
@@ -545,6 +553,6 @@ def test_phases_conserve_ebits_on_a_solved_plan():
         assert state.total_ebits() == before
         made = phase_generate(plan, state, slot, srng.stream(slot, 1))
         attempts, wins = phase_swap(plan, state, srng.stream(slot, 2))
-        handed, _ = phase_distribute(state, [sink], DIST_SJF)
+        handed, _ = phase_distribute(state, [sink])
         after = state.total_ebits()
         assert made == (after - before) + 2 * attempts - wins + handed
