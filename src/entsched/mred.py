@@ -263,12 +263,12 @@ def build_mred(net: Network) -> MredModel:
     return MredModel(net)
 
 
-def _model_for(net: Network, model: MredModel | None) -> MredModel:
-    if model is not None:
-        if model.net is not net:
-            raise ValidationError("model was built for a different network object")
-        return model
-    return MredModel(net)
+def _model_for(net: Network, model: MredModel) -> MredModel:
+    """`model`, once checked to be built for `net`: every planner solves on
+    the run's model, so its memo and solve count see every LP."""
+    if model.net is not net:
+        raise ValidationError("model was built for a different network object")
+    return model
 
 
 def _lexmax(
@@ -301,7 +301,7 @@ def _lexmax(
     return m.extract(res.x, log)
 
 
-def solve_max_total(net: Network, model: MredModel | None = None) -> RateSolution:
+def solve_max_total(net: Network, model: MredModel) -> RateSolution:
     """Maximize total SD surplus, then even out the per-pair shares.
 
     The second stage holds the total and maximizes the floor column
@@ -318,7 +318,7 @@ def solve_max_total(net: Network, model: MredModel | None = None) -> RateSolutio
     ])
 
 
-def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel | None = None) -> float:
+def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel) -> float:
     """Best end-to-end rate for SD pair `sd` when it is the only pair served:
     by free disposal, its most surplus while every SD surplus is free, the
     first stage of a plan ranking it first, so the model's memo shares it."""
@@ -335,7 +335,7 @@ def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel | None = 
 def solve_lexicographic(
     net: Network,
     priority: Sequence[NodePair],
-    model: MredModel | None = None,
+    model: MredModel,
 ) -> RateSolution:
     """Maximize SD surpluses one at a time in priority order.
 
@@ -436,7 +436,7 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
 def build_and_check_mred_dc(
     net: Network,
     prioritized: Sequence[tuple[NodePair, float, float]],
-    model: MredModel | None = None,
+    model: MredModel,
 ) -> RateSolution | None:
     """Max-total solve under per-pair deadline prefix constraints.
 

@@ -129,28 +129,10 @@ def switch_probabilities(table: PlanTable, pair: NodePair):
     return table.rows.get(pair)
 
 
-def _rounding(count: int, probs: list[float]) -> tuple[list[int], int, list[float], float]:
-    """The deterministic part of splitting `count` units over `probs`:
-    (floors, leftover, cumulative remainders, step). Leftover units are
-    placed by one uniform start and a bisection each; when there are none
-    to place by sampling, leftover is 0 and the floors are final."""
-    shares = [count * p for p in probs]
-    floors = [math.floor(s + _INT_EPS) for s in shares]
-    leftover = count - sum(floors)
-    if leftover <= 0:
-        return floors, 0, [], 0.0
-    cum = list(accumulate(max(0.0, s - b) for s, b in zip(shares, floors)))
-    rem_sum = cum[-1]
-    if rem_sum <= 0.0:
-        floors[probs.index(max(probs))] += leftover
-        return floors, 0, [], 0.0
-    return floors, leftover, cum, rem_sum / leftover
-
-
 class Split(dict):
-    """A forwarding row's probabilities, with its `_rounding` memoized by
-    batch size. It lives on the route that holds it, so it is dropped
-    with the plan it was bound for."""
+    """A forwarding row's probabilities, with the deterministic part of
+    splitting a batch over them memoized by batch size. It lives on the
+    route that holds it, so it is dropped with the plan it was bound for."""
 
     __slots__ = ("probs",)
 
@@ -158,8 +140,22 @@ class Split(dict):
         super().__init__()
         self.probs = probs
 
-    def __missing__(self, count: int):
-        rounding = self[count] = _rounding(count, self.probs)
+    def __missing__(self, count: int) -> tuple[list[int], int, list[float], float]:
+        """(floors, leftover, cumulative remainders, step) for `count` units:
+        each target gets the floor of its share, and the leftover units are
+        placed by one uniform start and a bisection each. With no remainder
+        to sample by, the largest share takes them; when none are left to
+        place by sampling, leftover is 0 and the floors are final."""
+        probs = self.probs
+        shares = [count * p for p in probs]
+        floors = [math.floor(s + _INT_EPS) for s in shares]
+        leftover = max(0, count - sum(floors))
+        cum = list(accumulate(max(0.0, s - b) for s, b in zip(shares, floors)))
+        if leftover and cum[-1] <= 0.0:
+            floors[probs.index(max(probs))] += leftover
+            leftover = 0
+        step = cum[-1] / leftover if leftover else 0.0
+        rounding = self[count] = floors, leftover, cum if leftover else [], step
         return rounding
 
 
@@ -243,28 +239,18 @@ class BufferState:
         return self._bound
 
 
-def allocate_batch(count: int, probs: list[float], rng: np.random.Generator) -> list[int]:
-    """Split `count` units over `probs` with stratified rounding.
-
-    Each bucket gets the floor of its expected share; the leftover units
-    are placed by systematic sampling over the fractional remainders, so
-    the split is unbiased, never off by more than one per bucket, and
-    fully deterministic when the expected shares are integers.
-    """
-    floors, leftover, cum, step = _rounding(count, probs)
-    if leftover:
-        start, last = rng.random(), len(probs) - 1
-        for i in range(leftover):
-            floors[min(bisect_right(cum, (start + i) * step), last)] += 1
-    return floors
-
-
 def switch_batch(
     state: BufferState, route: Route, counts: list[int], count: int, rng: np.random.Generator
 ) -> None:
-    """Forward `count` ebits along `route` into the cohort `counts`. Over
-    more than one target the batch is split as `allocate_batch` splits it,
-    from the floors the route's split holds for `count`."""
+    """Forward `count` ebits along `route` into the cohort `counts`.
+
+    Over more than one target the batch is split by stratified rounding:
+    each target gets the floor of its expected share, from the route's
+    `Split` for `count`, and the leftover units are placed by systematic
+    sampling over the fractional remainders. So the split is unbiased,
+    never off by more than one per target, and draws nothing when the
+    expected shares are integers.
+    """
     targets, split = route
     total = state.total
     if split is None:

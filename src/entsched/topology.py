@@ -32,9 +32,9 @@ MAX_CAPACITY = 10**9
 # where building the model took 1.0-1.3 s and 144 MB on a 2-core x86 host
 MAX_NODES = 100
 
-
-class DegeneratePair(ValueError):
-    """Both endpoints of a node pair are the same node."""
+# the most placements `generate_waxman` draws before it gives up on
+# finding a connected one
+MAX_ATTEMPTS = 1000
 
 
 class ValidationError(ValueError):
@@ -56,9 +56,10 @@ class NodePair(NamedTuple):
 
 
 def canonical_pair(m: int, n: int) -> NodePair:
-    """Canonical NodePair for endpoints m and n, in either order."""
+    """Canonical NodePair for endpoints m and n, in either order; equal
+    endpoints raise ValidationError."""
     if m == n:
-        raise DegeneratePair(f"pair endpoints must differ, got {m} and {n}")
+        raise ValidationError(f"pair endpoints must differ, got {m} and {n}")
     return NodePair(m, n) if m < n else NodePair(n, m)
 
 
@@ -192,7 +193,6 @@ def generate_waxman(
     p: float,
     q: float,
     seed: int,
-    max_attempts: int = 1000,
 ) -> Network:
     """Random connected geometric network on the unit square.
 
@@ -203,7 +203,7 @@ def generate_waxman(
     edges are redrawn until the result is connected.
 
     Raises:
-        GenerationFailed: no connected draw within `max_attempts`.
+        GenerationFailed: no connected draw within `MAX_ATTEMPTS`.
         ValidationError: parameters out of range.
     """
     check_waxman_params(n, alpha, beta, cap_lo, cap_hi, p, q)
@@ -214,7 +214,7 @@ def generate_waxman(
     node_list = [(v, q) for v in range(n)]
     idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         pos = rng.random((n, 2))
         if idx_pairs:
             d = np.array([np.hypot(*(pos[i] - pos[j])) for i, j in idx_pairs])
@@ -232,7 +232,7 @@ def generate_waxman(
         net = build_manual(node_list, links)
         if is_connected(net):
             return net
-    raise GenerationFailed(f"no connected draw in {max_attempts} attempts (n={n}, beta={beta})")
+    raise GenerationFailed(f"no connected draw in {MAX_ATTEMPTS} attempts (n={n}, beta={beta})")
 
 
 def sample_sd_pairs(net: Network, count: int, seed: int) -> Network:

@@ -25,6 +25,20 @@ EXPIRED = "expired"
 
 _TERMINAL = (COMPLETED, EXPIRED)
 
+# the most arrivals a workload may expect, rate * horizon: drawing 10^6
+# took 7.2 s and 300 MB peak on a 2-core x86 host, and numpy refuses a Poisson
+# mean above about 9.2e18 outright
+MAX_ARRIVALS = 10**6
+
+# the largest mean or floor demand: numpy's exponential sampler returns at
+# most about 44.4 times its mean, so every drawn demand stays below 4.5e12
+# and, with MAX_DEADLINE_SCALE, every lifetime below 2^53 slots: both stay
+# exact as the floats the deadline LP reads
+MAX_DEMAND = 10**11
+
+# the most slots of lifetime per ebit of demand, factor * (mu + halfwidth)
+MAX_DEADLINE_SCALE = 1000
+
 
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -82,8 +96,9 @@ class DeadlineSpec:
         lo, hi = self.mu - self.halfwidth, self.mu + self.halfwidth
         if not (math.isfinite(lo) and math.isfinite(hi)) or self.halfwidth < 0 or lo <= 0:
             raise ValidationError(f"deadline window [{lo}, {hi}] must be finite and stay positive")
-        if not math.isfinite(self.factor) or self.factor <= 0:
-            raise ValidationError(f"deadline factor {self.factor} must be finite and > 0")
+        if not 0 < self.factor * hi <= MAX_DEADLINE_SCALE:
+            raise ValidationError(f"deadline factor {self.factor} times window top {hi} "
+                                  f"must lie in (0, {MAX_DEADLINE_SCALE}]")
 
 
 @dataclass(frozen=True)
@@ -97,12 +112,16 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.rate) or self.rate < 0:
             raise ValidationError(f"arrival rate {self.rate} must be finite and >= 0")
-        if not math.isfinite(self.mean_demand) or self.mean_demand <= 0:
-            raise ValidationError(f"mean demand {self.mean_demand} must be finite and > 0")
-        if self.min_demand < 1:
-            raise ValidationError(f"min demand {self.min_demand} must be >= 1")
+        if not 0 < self.mean_demand <= MAX_DEMAND:
+            raise ValidationError(f"mean demand {self.mean_demand} must lie in (0, {MAX_DEMAND}]")
+        if not 1 <= self.min_demand <= MAX_DEMAND:
+            raise ValidationError(f"min demand {self.min_demand} must lie in [1, {MAX_DEMAND}]")
         if self.horizon < 0:
             raise ValidationError(f"horizon {self.horizon} must be >= 0")
+        # by division, since rate * horizon overflows a float for a large enough horizon
+        if self.rate > 0 and self.horizon > MAX_ARRIVALS / self.rate:
+            raise ValidationError(f"arrival rate {self.rate} over {self.horizon} slots expects "
+                                  f"more than {MAX_ARRIVALS} arrivals")
 
 
 def generate_workload(

@@ -51,6 +51,28 @@ def same_state(a, b) -> bool:
     return a == b
 
 
+def numpy_allocate(count, probs, rng):
+    """Stratified rounding of `count` units over `probs` in numpy, the
+    reference `protocol.switch_batch`'s splits must match, draws included:
+    each bucket gets the floor of its share, and the leftover units are
+    placed by systematic sampling over the fractional remainders."""
+    shares = [count * p for p in probs]
+    counts = [int(np.floor(s + 1e-9)) for s in shares]
+    leftover = count - sum(counts)
+    if leftover <= 0:
+        return counts
+    rems = np.array([max(0.0, s - b) for s, b in zip(shares, counts)])
+    rem_sum = float(rems.sum())
+    if rem_sum <= 0.0:
+        counts[int(np.argmax(probs))] += leftover
+        return counts
+    points = (rng.random() + np.arange(leftover)) * (rem_sum / leftover)
+    idx = np.searchsorted(np.cumsum(rems), points, side="right")
+    for i in np.minimum(idx, len(probs) - 1):
+        counts[int(i)] += 1
+    return counts
+
+
 @pytest.fixture
 def star():
     return star_net()

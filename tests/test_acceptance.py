@@ -67,11 +67,11 @@ def test_c1_exact_small_network_behavior():
     started = time.perf_counter()
     star = star_net()
 
-    fair = solve_max_total(star)
+    fair = solve_max_total(star, build_mred(star))
     assert fair.eta[AB] == pytest.approx(1.0, abs=1e-6)
     assert fair.eta[AD] == pytest.approx(1.0, abs=1e-6)
 
-    focused = solve_lexicographic(star, [AB])
+    focused = solve_lexicographic(star, [AB], build_mred(star))
     assert focused.eta[AB] == pytest.approx(2.0, abs=1e-6)
     assert focused.eta.get(AD, 0.0) == pytest.approx(0.0, abs=1e-6)
 
@@ -112,7 +112,7 @@ def test_c2_two_hop_rate_closed_form():
             for p in (0.5, 0.9, 1.0):
                 for q in (0.5, 0.9, 1.0):
                     net = two_hop_line(c1=c1, p1=p, c2=c2, p2=p, q=q)
-                    sol = solve_max_total(net)
+                    sol = solve_max_total(net, build_mred(net))
                     expect = q * min(c1 * p, c2 * p)
                     got = sol.eta.get(P(0, 2), 0.0)
                     worst = max(worst, abs(got - expect))
@@ -151,7 +151,7 @@ def test_c4_solutions_satisfy_balance_residuals():
             10, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=4, p=0.9, q=0.9, seed=seed
         )
         net = sample_sd_pairs(net, 3, seed=seed + 500)
-        sol = solve_max_total(net)
+        sol = solve_max_total(net, build_mred(net))
         report = check_solution(net, sol)
         assert report["ok"], (seed, report)
         worst = max(worst, max(v for k, v in report.items() if k != "ok"))
@@ -170,7 +170,7 @@ def test_c5_staged_priorities_match_independent_resolves():
         )
         net = sample_sd_pairs(net, 3, seed=seed + 900)
         prio = list(net.sorted_sd[:2])
-        sol = solve_lexicographic(net, prio)
+        sol = solve_lexicographic(net, prio, build_mred(net))
         staged = dict(sol.objective_log)
 
         model = build_mred(net)
@@ -200,7 +200,7 @@ def test_c6_admission_feasibility_is_monotone_under_removal():
             8, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=4, p=0.9, q=0.9, seed=seed + 80
         )
         net = sample_sd_pairs(net, 3, seed=seed + 300)
-        witness = solve_max_total(net)
+        witness = solve_max_total(net, build_mred(net))
         rng = np.random.default_rng(child_seed(seed, "dc-entries"))
         entries = []
         for sd in net.sorted_sd:
@@ -212,10 +212,10 @@ def test_c6_admission_feasibility_is_monotone_under_removal():
             entries.append((sd, theta, float(delta)))
         if len(entries) < 2:
             continue
-        assert build_and_check_mred_dc(net, entries) is not None, (seed, entries)
+        assert build_and_check_mred_dc(net, entries, build_mred(net)) is not None, (seed, entries)
         for drop in range(len(entries)):
             subset = [e for i, e in enumerate(entries) if i != drop]
-            assert build_and_check_mred_dc(net, subset) is not None, (seed, drop)
+            assert build_and_check_mred_dc(net, subset, build_mred(net)) is not None, (seed, drop)
             checked += 1
     elapsed = time.perf_counter() - started
     assert checked >= 20

@@ -8,7 +8,7 @@ from entsched import cli
 from entsched.engine import ConservationError
 from entsched.lp import LpStatus, SolverError
 from entsched.topology import MAX_CAPACITY, MAX_NODES, read_network
-from entsched.workload import read_workload
+from entsched.workload import MAX_ARRIVALS, MAX_DEADLINE_SCALE, MAX_DEMAND, read_workload
 
 
 def _gen_net(tmp_path, name="net.json", nodes=6, sd=2, seed=3):
@@ -436,6 +436,62 @@ def test_capacity_the_solver_cannot_hold_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: capacity {10**10} exceeds the maximum {MAX_CAPACITY}\n")
     assert not (tmp_path / "net.json").exists()
+
+
+def test_pair_with_equal_endpoints_is_a_one_line_config_error(tmp_path, capsys):
+    net_path = tmp_path / "loop.json"
+    net_path.write_text(json.dumps({
+        "nodes": [{"id": 0, "q": 0.9}, {"id": 1, "q": 0.9}],
+        "links": [{"u": 0, "v": 0, "c": 1, "p": 0.9}, {"u": 0, "v": 1, "c": 1, "p": 0.9}],
+        "sd_pairs": [[0, 1]],
+    }))
+    rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: pair endpoints must differ, got 0 and 0\n"
+    assert not (tmp_path / "w.jsonl").exists()
+
+    net_path = _gen_net(tmp_path)
+    load_path = tmp_path / "same.jsonl"
+    load_path.write_text(json.dumps({"id": 0, "s": 1, "t": 1, "d": 3, "a": 1}) + "\n")
+    capsys.readouterr()
+    rc = cli.main([
+        "simulate", "--net", str(net_path), "--workload", str(load_path), "--policy", "ESDI-B",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: pair endpoints must differ, got 1 and 1\n"
+
+
+# each of these once overflowed a workload draw: numpy refused the Poisson
+# mean, or a demand or lifetime came out infinite, or the draws ran for minutes
+OVERFLOWING_DRAWS = [
+    (["--rate", "1e19"], "arrival-rate", "1e19", [],
+     f"error: arrival rate 1e+19 over 20 slots expects more than {MAX_ARRIVALS} arrivals\n"),
+    (["--rate", "9e18"], "arrival-rate", "9e18", [],
+     f"error: arrival rate 9e+18 over 20 slots expects more than {MAX_ARRIVALS} arrivals\n"),
+    (["--mean-demand", "1e308"], "mean-demand", "1e308", [],
+     f"error: mean demand 1e+308 must lie in (0, {MAX_DEMAND}]\n"),
+    (["--deadline-mu", "0.4", "--deadline-factor", "1e306", "--mean-demand", "1e6"],
+     "deadline-factor", "1e306", ["--deadline-mu", "0.4", "--mean-demand", "1e6"],
+     f"error: deadline factor 1e+306 times window top 0.5 must lie in (0, {MAX_DEADLINE_SCALE}]\n"),
+]
+
+
+@pytest.mark.parametrize("flags, axis, value, base, message", OVERFLOWING_DRAWS)
+def test_workload_draws_that_overflow_are_config_errors(tmp_path, capsys, flags, axis, value, base,
+                                                       message):
+    net_path = _gen_net(tmp_path)
+    out = tmp_path / "w.jsonl"
+    rc = cli.main(["gen-workload", "--net", str(net_path), *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # the sweep refuses the same value before any run, rather than recording failed runs
+    out_dir = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--axis", axis, "--values", value, *base, "--nodes", "4",
+                   "--horizon", "20", "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out_dir.exists()
 
 
 def test_sweep_bad_or_empty_lists_are_config_errors(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import star_net
+from conftest import numpy_allocate, star_net
 from entsched import engine, lp, protocol
 from entsched.engine import ConservationError, RunMetrics, RunResult, run_simulation
-from entsched.protocol import ProtocolConfig, allocate_batch
+from entsched.protocol import ProtocolConfig
 from entsched.scheduler import POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
 from entsched.topology import ValidationError, build_manual, canonical_pair, generate_waxman, sample_sd_pairs
 from entsched.workload import COMPLETED, EXPIRED, Commodity, WorkloadConfig, generate_workload
@@ -306,13 +306,14 @@ def _counted(calls, name, fn):
 
 def _per_call_switch_batch(calls):
     """`protocol.switch_batch` as it was before routes held their splits:
-    every batch over more than one target is split by `allocate_batch`."""
+    every batch over more than one target is split afresh, by the numpy
+    reference `numpy_allocate`."""
 
     def switch_batch(state, route, counts, count, rng):
         targets, split = route
         if split is not None:
             calls["split"] += 1
-        for i, n in zip(targets, (count,) if split is None else allocate_batch(count, split.probs, rng)):
+        for i, n in zip(targets, (count,) if split is None else numpy_allocate(count, split.probs, rng)):
             state.total[i] += n
             counts[i] += n
 

@@ -1,6 +1,9 @@
 """The package's export list stays in step with what the package holds."""
 
+import ast
 import types
+from collections import Counter
+from pathlib import Path
 
 import entsched
 
@@ -15,3 +18,31 @@ def test_export_list_is_sorted_unique_and_resolves():
     public = {n for n, v in vars(entsched).items()
               if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public == set(names)
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names `node` reads anywhere within it: as a name, an attribute
+    or an import."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_top_level_definition_is_used_outside_the_tests():
+    # a function or class only the tests call is code the package does not
+    # run; it is used when another top-level statement of the package (an
+    # import in `__init__` counts) or the benchmark harness reads its name
+    root = Path(__file__).resolve().parents[1]
+    harness = set().union(*(_names(_parse(p)) for p in (root / "perfbench").glob("*.py")))
+    tops = [(path.stem, node) for path in sorted((root / "src" / "entsched").glob("*.py"))
+            for node in _parse(path).body]
+    readers = Counter(name for _, node in tops for name in _names(node))
+    unused = [f"{module}.{node.name}" for module, node in tops
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in harness
+              # a definition that reads its own name does not count as a reader
+              and readers[node.name] == (node.name in _names(node))]
+    assert unused == []

@@ -132,12 +132,12 @@ def test_zero_assignment_satisfies_balance(star):
 ])
 def test_two_hop_closed_form(c1, p1, c2, p2, q, expect):
     net = two_hop_line(c1=c1, p1=p1, c2=c2, p2=p2, q=q)
-    sol = solve_max_total(net)
+    sol = solve_max_total(net, build_mred(net))
     assert sol.eta.get(P(0, 2), 0.0) == pytest.approx(expect, abs=1e-6)
 
 
 def test_max_total_star_fair_split(star):
-    sol = solve_max_total(star)
+    sol = solve_max_total(star, build_mred(star))
     assert sol.objective_log[0][0] == "total"
     assert sol.objective_log[0][1] == pytest.approx(2.0, abs=1e-6)
     assert sol.eta[P(0, 1)] == pytest.approx(1.0, abs=1e-6)
@@ -146,7 +146,7 @@ def test_max_total_star_fair_split(star):
 
 def test_max_total_without_sd_pairs():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)])
-    sol = solve_max_total(net)
+    sol = solve_max_total(net, build_mred(net))
     assert sol.objective_log == (("total", 0.0),)
     assert not sol.eta and not sol.swaps
 
@@ -155,7 +155,7 @@ def test_max_total_without_sd_pairs():
 def test_max_total_hands_out_no_dust_surplus():
     net = generate_waxman(6, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9, seed=0)
     net = sample_sd_pairs(net, 3, seed=100)
-    sol = solve_max_total(net)
+    sol = solve_max_total(net, build_mred(net))
     assert dict(sol.objective_log)["total"] == pytest.approx(5.4, abs=1e-6)
     # 1e-4 ebits/slot delivers less than one ebit in 10 000 slots
     for sd in net.sorted_sd:
@@ -164,13 +164,13 @@ def test_max_total_hands_out_no_dust_surplus():
 
 
 def test_single_pair_edr_star(star):
-    assert solve_single_pair_edr(star, P(0, 1)) == pytest.approx(2.0, abs=1e-6)
-    assert solve_single_pair_edr(star, P(0, 3)) == pytest.approx(2.0, abs=1e-6)
+    assert solve_single_pair_edr(star, P(0, 1), build_mred(star)) == pytest.approx(2.0, abs=1e-6)
+    assert solve_single_pair_edr(star, P(0, 3), build_mred(star)) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_single_pair_edr_refuses_a_non_sd_pair(star):
     with pytest.raises(ValidationError, match="1:3"):
-        solve_single_pair_edr(star, P(1, 3))
+        solve_single_pair_edr(star, P(1, 3), build_mred(star))
 
 
 def test_single_pair_edr_disconnected_is_zero():
@@ -179,7 +179,7 @@ def test_single_pair_edr_disconnected_is_zero():
         [(0, 1, 2, 1.0), (2, 3, 2, 1.0)],
         [(0, 2)],
     )
-    assert solve_single_pair_edr(net, P(0, 2)) == 0.0
+    assert solve_single_pair_edr(net, P(0, 2), build_mred(net)) == 0.0
 
 
 def _independent_path_edr():
@@ -222,7 +222,8 @@ def _independent_path_edr():
 
 def test_three_hop_matches_independent_enumeration():
     oracle = _independent_path_edr()
-    got = solve_single_pair_edr(three_hop_line(), P(0, 3))
+    net = three_hop_line()
+    got = solve_single_pair_edr(net, P(0, 3), build_mred(net))
     assert got == pytest.approx(oracle, abs=1e-7)
     # two sequential merges at 0.9 each over unit-rate links
     assert got == pytest.approx(0.729, abs=1e-6)
@@ -275,21 +276,21 @@ def test_swap_columns_match_two_lane_reference(seed):
     def same(got, want):
         assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
-    fair = solve_max_total(net)
+    fair = solve_max_total(net, build_mred(net))
     same(dict(fair.objective_log)["total"], _two_lane_optimum(net, sd, sd))
     # the floor column is a maximin: it rises to the smallest SD surplus
     assert dict(fair.objective_log)["min_share"] == pytest.approx(
         min(fair.eta.get(pr, 0.0) for pr in sd), abs=1e-6)
     for pr in sd:
-        same(solve_single_pair_edr(net, pr), _two_lane_optimum(net, [pr], [pr]))
-    first = solve_lexicographic(net, [sd[-1]]).objective_log[0][1]
+        same(solve_single_pair_edr(net, pr, build_mred(net)), _two_lane_optimum(net, [pr], [pr]))
+    first = solve_lexicographic(net, [sd[-1]], build_mred(net)).objective_log[0][1]
     same(first, _two_lane_optimum(net, [sd[-1]], sd))
 
 
 # -- lexicographic ------------------------------------------------------------
 
 def test_lexicographic_star_priority(star):
-    sol = solve_lexicographic(star, [P(0, 1)])
+    sol = solve_lexicographic(star, [P(0, 1)], build_mred(star))
     labels = [label for label, _ in sol.objective_log]
     assert labels == ["eta[0:1]", "total"]
     assert sol.objective_log[0][1] == pytest.approx(2.0, abs=1e-6)
@@ -300,8 +301,8 @@ def test_lexicographic_star_priority(star):
 
 
 def test_lexicographic_empty_equals_max_total(star):
-    a = solve_lexicographic(star, [])
-    b = solve_max_total(star)
+    a = solve_lexicographic(star, [], build_mred(star))
+    b = solve_max_total(star, build_mred(star))
     assert a.objective_log == b.objective_log
     assert a.eta.keys() == b.eta.keys()
     for pr in a.eta:
@@ -310,9 +311,9 @@ def test_lexicographic_empty_equals_max_total(star):
 
 def test_lexicographic_rejects_bad_priorities(star):
     with pytest.raises(ValidationError):
-        solve_lexicographic(star, [P(0, 1), P(0, 1)])
+        solve_lexicographic(star, [P(0, 1), P(0, 1)], build_mred(star))
     with pytest.raises(ValidationError):
-        solve_lexicographic(star, [P(1, 3)])
+        solve_lexicographic(star, [P(1, 3)], build_mred(star))
 
 
 def test_lexicographic_disjoint_order_invariance():
@@ -321,8 +322,8 @@ def test_lexicographic_disjoint_order_invariance():
         [(0, 1, 2, 1.0), (1, 2, 2, 1.0), (3, 4, 1, 1.0), (4, 5, 1, 1.0)],
         [(0, 2), (3, 5)],
     )
-    ab = solve_lexicographic(net, [P(0, 2), P(3, 5)])
-    ba = solve_lexicographic(net, [P(3, 5), P(0, 2)])
+    ab = solve_lexicographic(net, [P(0, 2), P(3, 5)], build_mred(net))
+    ba = solve_lexicographic(net, [P(3, 5), P(0, 2)], build_mred(net))
     by_label_ab = dict(ab.objective_log)
     by_label_ba = dict(ba.objective_log)
     for label in ("eta[0:2]", "eta[3:5]"):
@@ -330,7 +331,7 @@ def test_lexicographic_disjoint_order_invariance():
 
 
 def test_lexicographic_stage_matches_independent_resolve(star):
-    sol = solve_lexicographic(star, [P(0, 1), P(0, 3)])
+    sol = solve_lexicographic(star, [P(0, 1), P(0, 3)], build_mred(star))
     stage1 = sol.objective_log[0][1]
     model = build_mred(star)
     fresh = model.solve({model.eta_col[P(0, 1)]: 1.0})
@@ -346,13 +347,13 @@ def test_lexicographic_stage_matches_independent_resolve(star):
 # -- deadline-constrained solves ----------------------------------------------
 
 def test_dc_empty_equals_max_total(star):
-    a = build_and_check_mred_dc(star, [])
-    b = solve_max_total(star)
+    a = build_and_check_mred_dc(star, [], build_mred(star))
+    b = solve_max_total(star, build_mred(star))
     assert a.objective_log == b.objective_log
 
 
 def test_dc_star_single_commodity(star):
-    sol = build_and_check_mred_dc(star, [(P(0, 1), 6, 4)])
+    sol = build_and_check_mred_dc(star, [(P(0, 1), 6, 4)], build_mred(star))
     assert sol is not None
     assert sol.eta[P(0, 1)] == pytest.approx(2.0, abs=1e-6)
     assert sol.eta.get(P(0, 3), 0.0) == pytest.approx(0.0, abs=1e-6)
@@ -360,44 +361,44 @@ def test_dc_star_single_commodity(star):
 
 def test_dc_star_joint_set_infeasible(star):
     # both pairs share the hub link: 6/4 + 6/6 = 2.5 exceeds its rate 2
-    sol = build_and_check_mred_dc(star, [(P(0, 1), 6, 4), (P(0, 3), 6, 6)])
+    sol = build_and_check_mred_dc(star, [(P(0, 1), 6, 4), (P(0, 3), 6, 6)], build_mred(star))
     assert sol is None
 
 
 def test_dc_same_pair_prefix_constraints():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 2, 1.0)], [(0, 1)])
     sd = P(0, 1)
-    sol = build_and_check_mred_dc(net, [(sd, 2, 4), (sd, 2, 2)])
+    sol = build_and_check_mred_dc(net, [(sd, 2, 4), (sd, 2, 2)], build_mred(net))
     assert sol is not None
     assert sol.eta[sd] >= 1.0 - 1e-6
 
-    tight = build_and_check_mred_dc(net, [(sd, 3, 4), (sd, 2, 2)])
+    tight = build_and_check_mred_dc(net, [(sd, 3, 4), (sd, 2, 2)], build_mred(net))
     assert tight is not None  # needs eta >= 1.25, max is 2
 
     slim = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)], [(0, 1)])
-    assert build_and_check_mred_dc(slim, [(sd, 3, 4), (sd, 2, 2)]) is None
+    assert build_and_check_mred_dc(slim, [(sd, 3, 4), (sd, 2, 2)], build_mred(slim)) is None
 
 
 def test_dc_validates_entries(star):
     with pytest.raises(ValidationError):
-        build_and_check_mred_dc(star, [(P(0, 1), 3, 0.5)])
+        build_and_check_mred_dc(star, [(P(0, 1), 3, 0.5)], build_mred(star))
     with pytest.raises(ValidationError):
-        build_and_check_mred_dc(star, [(P(1, 3), 3, 4)])
+        build_and_check_mred_dc(star, [(P(1, 3), 3, 4)], build_mred(star))
 
 
 def test_dc_feasible_alone_infeasible_together(star):
-    alone = build_and_check_mred_dc(star, [(P(0, 1), 6, 4)])
+    alone = build_and_check_mred_dc(star, [(P(0, 1), 6, 4)], build_mred(star))
     assert alone is not None
     assert alone.eta[P(0, 1)] * 4 >= 6 - 1e-6
-    assert build_and_check_mred_dc(star, [(P(0, 1), 6, 4), (P(0, 3), 6, 6)]) is None
+    assert build_and_check_mred_dc(star, [(P(0, 1), 6, 4), (P(0, 3), 6, 6)], build_mred(star)) is None
 
 
 def test_dc_subsets_of_feasible_stay_feasible(star):
     entries = [(P(0, 1), 4, 4), (P(0, 3), 3, 6)]
-    assert build_and_check_mred_dc(star, entries) is not None
+    assert build_and_check_mred_dc(star, entries, build_mred(star)) is not None
     for drop in range(len(entries)):
         subset = [e for i, e in enumerate(entries) if i != drop]
-        assert build_and_check_mred_dc(star, subset) is not None
+        assert build_and_check_mred_dc(star, subset, build_mred(star)) is not None
 
 
 def test_dc_needs_are_the_greatest_prefix_demand_over_window():
@@ -529,7 +530,7 @@ def test_memo_keeps_only_optimal_results(star, status):
 def test_failed_stage_raises_with_its_label(star):
     with failing_backend(LpStatus.UNBOUNDED, after=1) as stub:
         with pytest.raises(SolverError, match=r"^min_share stage"):
-            solve_max_total(star)
+            solve_max_total(star, build_mred(star))
     assert stub.calls == 2
 
 
@@ -554,7 +555,7 @@ def test_dc_infeasible_first_stage_is_a_verdict_not_an_error(star):
     # the max-total solve has no rows of its own: failing is a fault
     with failing_backend(LpStatus.INFEASIBLE) as stub:
         with pytest.raises(SolverError, match=r"^total stage"):
-            build_and_check_mred_dc(star, entries)
+            build_and_check_mred_dc(star, entries, build_mred(star))
     assert stub.calls == 1
 
 
@@ -565,13 +566,13 @@ def test_dc_model_the_solver_refuses_raises_instead_of_reading_infeasible(case):
     net = build_manual(nodes=[(0, 0.9), (1, 0.9), (2, 0.9)],
                        links=[(0, 1, 10**19, 0.9), (1, 2, 2, 0.9)], sd_pairs=[(0, 2)])
     with pytest.raises(SolverError, match="kModelError"):
-        build_and_check_mred_dc(net, [(P(0, 2), 6, 4)])
+        build_and_check_mred_dc(net, [(P(0, 2), 6, 4)], build_mred(net))
 
 
 def test_dc_huge_window_is_a_verdict(star):
     # a need is a column bound, not a row coefficient, so a window of 1e19
     # reaches the solver as the need 10, beyond the hub rate 2
-    assert build_and_check_mred_dc(star, [(P(0, 1), 10**20, 10**19)]) is None
+    assert build_and_check_mred_dc(star, [(P(0, 1), 10**20, 10**19)], build_mred(star)) is None
 
 
 # -- validation ---------------------------------------------------------------
@@ -579,7 +580,7 @@ def test_dc_huge_window_is_a_verdict(star):
 def test_solver_outputs_validate_on_random_networks():
     for seed in range(6):
         net = _random_net(seed)
-        sol = solve_max_total(net)
+        sol = solve_max_total(net, build_mred(net))
         report = check_solution(net, sol)
         assert report["ok"], (seed, report)
         assert all(v >= 0 for v in sol.swaps.values())
@@ -587,20 +588,20 @@ def test_solver_outputs_validate_on_random_networks():
         assert all(v >= 0 for v in sol.eta.values())
 
         first_sd = net.sorted_sd[0]
-        lex = solve_lexicographic(net, [first_sd])
+        lex = solve_lexicographic(net, [first_sd], build_mred(net))
         assert check_solution(net, lex)["ok"], seed
 
 
 def test_constrained_totals_never_exceed_relaxation(star):
-    base = dict(solve_max_total(star).objective_log)["total"]
-    lex = dict(solve_lexicographic(star, [P(0, 1)]).objective_log)["total"]
-    dc = dict(build_and_check_mred_dc(star, [(P(0, 1), 6, 4)]).objective_log)["total"]
+    base = dict(solve_max_total(star, build_mred(star)).objective_log)["total"]
+    lex = dict(solve_lexicographic(star, [P(0, 1)], build_mred(star)).objective_log)["total"]
+    dc = dict(build_and_check_mred_dc(star, [(P(0, 1), 6, 4)], build_mred(star)).objective_log)["total"]
     assert lex <= base + 1e-6
     assert dc <= base + 1e-6
 
 
 def test_check_solution_flags_tampering(star):
-    good = solve_max_total(star)
+    good = solve_max_total(star, build_mred(star))
     assert check_solution(star, good)["ok"]
 
     bumped = dict(good.swaps)

@@ -201,13 +201,13 @@ def test_single_entry_probe_is_feasible_exactly_within_the_solo_rate(
                           seed=net_seed)
     net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
     sd = net.sorted_sd[pick % len(net.sorted_sd)]
-    rate = solve_single_pair_edr(net, sd)
+    rate = solve_single_pair_edr(net, sd, build_mred(net))
     need = ratio * rate
     assume(abs(need - rate) > 1e-6 * max(1.0, rate))
     entries = [(sd, need * delta, float(delta))]
     event("need within the solo rate" if need <= rate else "need beyond the solo rate")
     assert (_cold_probe(net, entries) is not None) == (need <= rate), entries
-    assert (build_and_check_mred_dc(net, entries) is not None) == (need <= rate), entries
+    assert (build_and_check_mred_dc(net, entries, build_mred(net)) is not None) == (need <= rate), entries
 
 
 def _per_probe_plan_deadline(armed):
@@ -400,8 +400,8 @@ def test_check_solution_matches_per_pair_reference(
     net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=4, p=0.9, q=q,
                           seed=net_seed)
     net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
-    plan = (solve_lexicographic(net, net.sorted_sd[::-1]) if lexicographic
-            else solve_max_total(net))
+    plan = (solve_lexicographic(net, net.sorted_sd[::-1], build_mred(net)) if lexicographic
+            else solve_max_total(net, build_mred(net)))
     parts = {"swaps": dict(plan.swaps), "g": dict(plan.g), "eta": dict(plan.eta)}
     # each tamper shifts one entry of the plan, or adds one, by up to 1
     keys = {"swaps": build_mred(net).swap_ids, "g": net.sorted_links, "eta": net.sorted_sd}
@@ -432,7 +432,7 @@ def test_fixed_plan_delivers_planned_rate(seed):
     net = generate_waxman(6, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9, seed=seed)
     net = sample_sd_pairs(net, 3, seed=seed + 100)
     # ESDI-B keeps this plan for the whole run
-    plan = solve_max_total(net)
+    plan = solve_max_total(net, build_mred(net))
     sinks = [Commodity(id=i, sd=sd, demand=10**9, arrival=1) for i, sd in enumerate(net.sorted_sd)]
     result = engine.run_simulation(net, sinks, POLICY_BASELINE, seed=seed, horizon_cap=SLOTS)
     assert result.metrics.slots == SLOTS

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import same_state, star_net, two_hop_line
-from entsched.mred import RateSolution, solve_max_total
+from conftest import numpy_allocate, same_state, star_net, two_hop_line
+from entsched.mred import RateSolution, build_mred, solve_max_total
 from entsched.protocol import (
     BufferState,
     PlanTable,
     ProtocolConfig,
-    allocate_batch,
     compile_plan,
     expire_old_ebits,
     phase_distribute,
@@ -155,11 +154,28 @@ def test_switch_probabilities_pure_surplus():
     assert probs == [1.0]
 
 
+def _row(probs):
+    """A table whose one link forwards pair 0:1 over `probs`, one staged
+    lane per entry, and those lanes."""
+    targets = [(P(0, 1), P(0, k + 2)) for k in range(len(probs))]
+    return PlanTable(links=((P(0, 1), 1, 0.0, 1.0),), rows={P(0, 1): (targets, probs)}), targets
+
+
+def _switched(count, probs, rng):
+    """The split `switch_batch` makes of `count` ebits over `probs`, along
+    a freshly bound route."""
+    table, targets = _row(probs)
+    state = BufferState()
+    route = state.bind(table)[0][0][3]
+    switch_batch(state, route, state.cohort(0), count, rng)
+    return [_held(state, state.staged, t) for t in targets]
+
+
 def test_allocate_batch_integral_shares_are_deterministic():
     for _ in range(5):
-        assert allocate_batch(4, [0.5, 0.5], _rng()) == [2, 2]
-        assert allocate_batch(10, [0.3, 0.7], _rng()) == [3, 7]
-        assert allocate_batch(3, [1.0], _rng()) == [3]
+        assert _switched(4, [0.5, 0.5], _rng()) == [2, 2]
+        assert _switched(10, [0.3, 0.7], _rng()) == [3, 7]
+        assert _switched(3, [1.0], _rng()) == [3]
 
 
 def test_allocate_batch_conserves_count_and_stays_near_share():
@@ -169,7 +185,7 @@ def test_allocate_batch_conserves_count_and_stays_near_share():
         raw = rng.random(k) + 1e-3
         probs = list(raw / raw.sum())
         n = int(rng.integers(0, 40))
-        counts = allocate_batch(n, probs, rng)
+        counts = _switched(n, probs, rng)
         assert sum(counts) == n
         for share, got in zip((n * p for p in probs), counts):
             assert np.floor(share) - 1e-9 <= got <= np.ceil(share) + 1e-9
@@ -180,27 +196,8 @@ def test_allocate_batch_is_unbiased():
     total = np.zeros(2)
     trials = 4000
     for _ in range(trials):
-        total += allocate_batch(10, [1 / 3, 2 / 3], rng)
+        total += _switched(10, [1 / 3, 2 / 3], rng)
     assert total[0] / trials == pytest.approx(10 / 3, abs=0.05)
-
-
-def _numpy_allocate(count, probs, rng):
-    """The numpy formulation `allocate_batch` replaced, kept as its reference."""
-    shares = [count * p for p in probs]
-    counts = [int(np.floor(s + 1e-9)) for s in shares]
-    leftover = count - sum(counts)
-    if leftover <= 0:
-        return counts
-    rems = np.array([max(0.0, s - b) for s, b in zip(shares, counts)])
-    rem_sum = float(rems.sum())
-    if rem_sum <= 0.0:
-        counts[int(np.argmax(probs))] += leftover
-        return counts
-    points = (rng.random() + np.arange(leftover)) * (rem_sum / leftover)
-    idx = np.searchsorted(np.cumsum(rems), points, side="right")
-    for i in np.minimum(idx, len(probs) - 1):
-        counts[int(i)] += 1
-    return counts
 
 
 def test_allocate_batch_matches_numpy_reference():
@@ -213,7 +210,7 @@ def test_allocate_batch_matches_numpy_reference():
         rows.append((int(draw.integers(0, 60)), [w / denom for w in weights]))
     for i, (count, probs) in enumerate(rows):
         rng, ref = _rng(seed=i), _rng(seed=i)
-        assert allocate_batch(count, probs, rng) == _numpy_allocate(count, probs, ref), (count, probs)
+        assert _switched(count, probs, rng) == numpy_allocate(count, probs, ref), (count, probs)
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
@@ -255,22 +252,20 @@ def test_route_and_bind_resolve_the_table_to_ledger_indices():
     counts=st.lists(st.integers(0, 60), min_size=1, max_size=20),
     seed=st.integers(0, 2 ** 16),
 )
-def test_bound_route_splits_batches_as_allocate_batch(weights, counts, seed):
+def test_bound_route_splits_batches_as_the_numpy_reference(weights, counts, seed):
     # zero weights are drawn often; every count comes twice, so the second
     # batch of each size reads the memo
     probs = [w / sum(weights) for w in weights]
-    targets = [(P(0, 1), P(0, k + 2)) for k in range(len(probs))]
-    table = PlanTable(links=((P(0, 1), 1, 0.0, 1.0),), rows={P(0, 1): (targets, probs)})
+    table, targets = _row(probs)
     state = BufferState()
     route = state.bind(table)[0][0][3]
     keys = [state.staged[t] for t in targets]
-    rng, per_call, ref = _rng(seed=seed), _rng(seed=seed), _rng(seed=seed)
+    rng, ref = _rng(seed=seed), _rng(seed=seed)
     for count in counts + counts:
         before = [state.total[i] for i in keys]
         switch_batch(state, route, state.cohort(0), count, rng)
         got = [state.total[i] - b for i, b in zip(keys, before)]
-        assert got == allocate_batch(count, probs, per_call) == _numpy_allocate(count, probs, ref)
-        assert same_state(rng.bit_generator.state, per_call.bit_generator.state)
+        assert got == numpy_allocate(count, probs, ref)
         assert same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
@@ -543,7 +538,7 @@ def test_distribute_serves_deadlines_first_then_least_remaining():
 
 def test_phases_conserve_ebits_on_a_solved_plan():
     net = two_hop_line(c1=3, p1=0.8, c2=2, p2=0.9, q=0.85)
-    plan = compile_plan(net, solve_max_total(net))
+    plan = compile_plan(net, solve_max_total(net, build_mred(net)))
     state = BufferState()
     srng = SlotRng(17)
     sink = _commodity(0, P(0, 2), 10 ** 9)

@@ -9,6 +9,9 @@ from entsched.workload import (
     EXPIRED,
     PENDING,
     Commodity,
+    MAX_ARRIVALS,
+    MAX_DEADLINE_SCALE,
+    MAX_DEMAND,
     DeadlineSpec,
     WorkloadConfig,
     active_set,
@@ -58,6 +61,38 @@ def test_config_validation():
             DeadlineSpec(mu=0.4, halfwidth=bad)
         with pytest.raises(ValidationError):
             DeadlineSpec(mu=0.4, halfwidth=0.1, factor=bad)
+
+
+def test_config_refuses_draws_past_the_limits():
+    # at each limit the config stands; past it, it is refused
+    _cfg(rate=MAX_ARRIVALS / 40, horizon=40)
+    with pytest.raises(ValidationError, match="expects more than"):
+        _cfg(rate=MAX_ARRIVALS / 40 * 1.01, horizon=40)
+    # numpy refuses this Poisson mean, and the product with the horizon
+    # is never formed as a float
+    for rate, horizon in ((1e19, 1), (1e-300, 10**400)):
+        with pytest.raises(ValidationError):
+            _cfg(rate=rate, horizon=horizon)
+    _cfg(rate=1e19, horizon=0)
+    _cfg(mean_demand=MAX_DEMAND, min_demand=MAX_DEMAND)
+    with pytest.raises(ValidationError, match="mean demand 1e\\+308 must lie in"):
+        _cfg(mean_demand=1e308)
+    with pytest.raises(ValidationError, match="min demand"):
+        _cfg(min_demand=MAX_DEMAND + 1)
+    DeadlineSpec(mu=0.4, halfwidth=0.1, factor=MAX_DEADLINE_SCALE / 0.5)
+    with pytest.raises(ValidationError, match="times window top"):
+        DeadlineSpec(mu=0.4, halfwidth=0.1, factor=MAX_DEADLINE_SCALE / 0.5 * 1.01)
+    with pytest.raises(ValidationError):
+        DeadlineSpec(mu=0.4, halfwidth=0.1, factor=1e306)
+
+
+def test_draws_at_the_limits_stay_exact_floats():
+    spec = DeadlineSpec(mu=MAX_DEADLINE_SCALE - 1.0, halfwidth=1.0)
+    cfg = WorkloadConfig(rate=50.0, mean_demand=MAX_DEMAND, min_demand=1, horizon=40, deadline=spec)
+    cmds = generate_workload(cfg, UNIVERSE, seed=3)
+    assert len(cmds) > 1000
+    assert max(c.demand for c in cmds) < 2**53
+    assert max(c.deadline for c in cmds) < 2**53
 
 
 def test_generate_respects_floors_and_windows():
