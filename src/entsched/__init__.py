@@ -7,7 +7,7 @@ integer buffers slot by slot, and `engine` runs whole simulations. The
 `cli` module wires everything into a command line tool.
 """
 
-from .engine import ConservationError, RunMetrics, RunResult, run_simulation
+from .engine import RunMetrics, RunResult, run_simulation
 from .lp import SolverError
 from .mred import (
     MredModel,
@@ -19,7 +19,7 @@ from .mred import (
     solve_max_total,
     solve_single_pair_edr,
 )
-from .protocol import BufferState, ProtocolConfig
+from .protocol import BufferState, ConservationError, ProtocolConfig
 from .rng import SlotRng
 from .scheduler import (
     POLICIES,
@@ -31,7 +31,6 @@ from .scheduler import (
     new_state,
 )
 from .topology import (
-    GenerationFailed,
     Link,
     Network,
     NodePair,
@@ -61,7 +60,6 @@ __all__ = [
     "Commodity",
     "ConservationError",
     "DeadlineSpec",
-    "GenerationFailed",
     "Link",
     "MredModel",
     "Network",

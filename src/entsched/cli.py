@@ -4,7 +4,8 @@ Subcommands cover the full workflow: generate a topology, generate a
 workload, run one simulation, and sweep a parameter across policies and
 seeds. Exit codes: 0 on success, 1 for configuration problems (bad
 arguments, unreadable or invalid files), 2 when the LP solver fails, 3
-when a run breaks the per-slot conservation identity.
+when a run breaks the per-slot conservation identity or its buffer
+ledger.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
-from .engine import HORIZON_CAP, ConservationError, run_simulation
+from .engine import HORIZON_CAP, run_simulation
 from .lp import SolverError
-from .protocol import ProtocolConfig
+from .protocol import ConservationError, ProtocolConfig
 from .rng import child_int
 from .scheduler import POLICIES
 from .topology import (
-    GenerationFailed,
     ValidationError,
     check_waxman_params,
     generate_waxman,
@@ -186,13 +186,6 @@ def _protocol_config(params: dict) -> ProtocolConfig:
                           max_buffer_age=params["max_buffer_age"])
 
 
-def _load_net(path: str):
-    try:
-        return read_network(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read network {path}: {exc}") from exc
-
-
 def cmd_gen_topology(args) -> int:
     net = _network(vars(args), args.seed, child_int(args.seed, "sd-pairs"))
     write_network(net, args.out)
@@ -202,7 +195,7 @@ def cmd_gen_topology(args) -> int:
 
 
 def cmd_gen_workload(args) -> int:
-    net = _load_net(args.net)
+    net = read_network(args.net)
     if not net.sd_pairs:
         raise ValidationError(f"network {args.net} declares no SD pairs")
     commodities = generate_workload(_workload_config(vars(args)), net.sorted_sd, seed=args.seed)
@@ -212,11 +205,8 @@ def cmd_gen_workload(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    net = _load_net(args.net)
-    try:
-        commodities = read_workload(args.workload)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read workload {args.workload}: {exc}") from exc
+    net = read_network(args.net)
+    commodities = read_workload(args.workload)
 
     # both files are opened before the run, so a bad path fails fast
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
@@ -403,7 +393,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, GenerationFailed, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

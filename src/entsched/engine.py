@@ -18,6 +18,7 @@ from .protocol import (
     PHASE_RECONCILE,
     PHASE_SWAP,
     BufferState,
+    ConservationError,
     PlanTable,
     ProtocolConfig,
     compile_plan,
@@ -35,10 +36,6 @@ from .workload import ACTIVE, COMPLETED, PENDING, Commodity, active_set
 
 # slots a run may take before it stops with commodities unresolved
 HORIZON_CAP = 100_000
-
-
-class ConservationError(RuntimeError):
-    """Raised when a slot's ebit flow identity fails to balance."""
 
 
 @dataclass(frozen=True)

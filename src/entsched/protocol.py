@@ -39,6 +39,12 @@ PHASE_SWAP = 2
 _INT_EPS = 1e-9
 
 
+class ConservationError(RuntimeError):
+    """Ebits were created or lost outside the modeled channels: a slot's
+    flow identity fails to balance, or the ledger is asked for ebits it
+    does not hold."""
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Knobs for the slot executor.
@@ -198,13 +204,13 @@ class BufferState:
         if not self.cohorts or self.cohorts[-1][0] < birth:
             self.cohorts.append((birth, [0] * len(self.total)))
         elif self.cohorts[-1][0] > birth:
-            raise ValueError(f"birth {birth} is older than the newest cohort")
+            raise ConservationError(f"birth {birth} is older than the newest cohort")
         return self.cohorts[-1][1]
 
     def take(self, i: int, n: int) -> None:
         """Remove `n` ebits of key `i`, oldest cohorts first."""
         if n > self.total[i]:
-            raise ValueError(f"take({n}) from key {i} holding {self.total[i]}")
+            raise ConservationError(f"take({n}) from key {i} holding {self.total[i]}")
         self.total[i] -= n
         for _, counts in self.cohorts:
             got = min(counts[i], n)

@@ -22,14 +22,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 
-# the largest link capacity a network file or a generated network may
-# hold: capacity * p is a coefficient of the rate LP, and HiGHS refuses a
-# model whose coefficients exceed 1e15
+# the largest link capacity a network may hold: capacity * p is a
+# coefficient of the rate LP, and HiGHS refuses a model whose coefficients
+# exceed 1e15
 MAX_CAPACITY = 10**9
 
-# the most nodes a network file or a generated network may hold: the rate
-# LP has one swap column per (node pair, swap node), 485 100 at 100 nodes,
-# where building the model took 1.0-1.3 s and 144 MB on a 2-core x86 host
+# the most nodes a network may hold: the rate LP has one swap column per
+# (node pair, swap node), 485 100 at 100 nodes, where building the model
+# took 1.0-1.3 s and 144 MB on a 2-core x86 host
 MAX_NODES = 100
 
 # the most placements `generate_waxman` draws before it gives up on
@@ -39,10 +39,6 @@ MAX_ATTEMPTS = 1000
 
 class ValidationError(ValueError):
     """Network data fails structural validation."""
-
-
-class GenerationFailed(RuntimeError):
-    """Random generation exhausted its retry budget."""
 
 
 class NodePair(NamedTuple):
@@ -111,8 +107,12 @@ def build_manual(
 
     Raises:
         ValidationError: on duplicate ids, unknown endpoints, or
-            out-of-range parameters.
+            out-of-range parameters, more than `MAX_NODES` nodes or a
+            capacity above `MAX_CAPACITY` among them.
     """
+    nodes = list(nodes)
+    if len(nodes) > MAX_NODES:
+        raise ValidationError(f"node count {len(nodes)} exceeds the maximum {MAX_NODES}")
     q: dict[int, float] = {}
     for node_id, qv in nodes:
         node_id = int(node_id)
@@ -131,6 +131,8 @@ def build_manual(
             raise ValidationError(f"duplicate link {lp}")
         if int(cap) != cap or cap < 1:
             raise ValidationError(f"link {lp}: capacity {cap} must be an integer >= 1")
+        if cap > MAX_CAPACITY:
+            raise ValidationError(f"link capacity {cap} exceeds the maximum {MAX_CAPACITY}")
         if not 0.0 < p <= 1.0:
             raise ValidationError(f"link {lp}: success probability {p} not in (0, 1]")
         link_map[lp] = Link(capacity=int(cap), p=float(p))
@@ -203,8 +205,8 @@ def generate_waxman(
     edges are redrawn until the result is connected.
 
     Raises:
-        GenerationFailed: no connected draw within `MAX_ATTEMPTS`.
-        ValidationError: parameters out of range.
+        ValidationError: parameters out of range, or no connected draw
+            within `MAX_ATTEMPTS`.
     """
     check_waxman_params(n, alpha, beta, cap_lo, cap_hi, p, q)
     if seed < 0:
@@ -232,7 +234,7 @@ def generate_waxman(
         net = build_manual(node_list, links)
         if is_connected(net):
             return net
-    raise GenerationFailed(f"no connected draw in {MAX_ATTEMPTS} attempts (n={n}, beta={beta})")
+    raise ValidationError(f"no connected draw in {MAX_ATTEMPTS} attempts (n={n}, beta={beta})")
 
 
 def sample_sd_pairs(net: Network, count: int, seed: int) -> Network:
@@ -276,23 +278,15 @@ def _number(v, what: str) -> float:
     return v
 
 
-def _capacity(v) -> int:
-    cap = _whole(v, "link capacity")
-    if cap > MAX_CAPACITY:
-        raise ValidationError(f"link capacity {cap} exceeds the maximum {MAX_CAPACITY}")
-    return cap
-
-
 def from_json(obj: dict) -> Network:
     """The network a `to_json` object describes; ids, endpoints and
-    capacities must be whole, probabilities numbers, capacities at most
-    `MAX_CAPACITY` and nodes at most `MAX_NODES`."""
+    capacities must be whole and probabilities numbers, and
+    `build_manual` checks the rest."""
     try:
         nodes = [(_whole(e["id"], "node id"), _number(e["q"], "node q")) for e in obj["nodes"]]
-        if len(nodes) > MAX_NODES:
-            raise ValidationError(f"node count {len(nodes)} exceeds the maximum {MAX_NODES}")
         links = [(_whole(e["u"], "link u"), _whole(e["v"], "link v"),
-                  _capacity(e["c"]), _number(e["p"], "link p")) for e in obj.get("links", [])]
+                  _whole(e["c"], "link capacity"), _number(e["p"], "link p"))
+                 for e in obj.get("links", [])]
         sd = [(_whole(s, "sd pair endpoint"), _whole(t, "sd pair endpoint"))
               for s, t in obj.get("sd_pairs", [])]
         return build_manual(nodes, links, sd)
@@ -309,5 +303,12 @@ def write_network(net: Network, path: str) -> None:
 
 
 def read_network(path: str) -> Network:
+    """The network in the JSON file at `path`. Content that is not UTF-8 or
+    JSON, nests too deeply to parse, or holds an integer too large for a
+    float raises ValidationError naming the file; a path that cannot be
+    opened raises OSError."""
     with open(path, encoding="utf-8") as fh:
-        return from_json(json.load(fh))
+        try:
+            return from_json(json.load(fh))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, OverflowError) as exc:
+            raise ValidationError(f"cannot read network {path}: {exc}") from exc

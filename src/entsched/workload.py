@@ -39,6 +39,17 @@ MAX_DEMAND = 10**11
 # the most slots of lifetime per ebit of demand, factor * (mu + halfwidth)
 MAX_DEADLINE_SCALE = 1000
 
+# the longest horizon a workload may be drawn over: the draw walks every
+# slot, and 10^7 slots at rate 0 took 9.6-10.1 s on a 2-core x86 host,
+# about 1 us a slot
+MAX_HORIZON = 10**7
+
+# the largest demand a commodity may hold, read or drawn: the deadline LP
+# reads remaining demands as floats, exact up to 2^53, and HiGHS refuses a
+# model whose surplus bound reaches 1e20, as a demand of 1e30 due in two
+# slots did
+MAX_COMMODITY_DEMAND = 2**53
+
 
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -61,6 +72,9 @@ class Commodity:
     def __post_init__(self) -> None:
         if self.demand < 1:
             raise ValidationError(f"commodity {self.id}: demand {self.demand} must be >= 1")
+        if self.demand > MAX_COMMODITY_DEMAND:
+            raise ValidationError(f"commodity {self.id}: demand {self.demand} exceeds the "
+                                  f"maximum {MAX_COMMODITY_DEMAND}")
         if self.arrival < 1:
             raise ValidationError(f"commodity {self.id}: arrival {self.arrival} must be >= 1")
         if self.deadline is not None and self.deadline < self.arrival:
@@ -116,8 +130,8 @@ class WorkloadConfig:
             raise ValidationError(f"mean demand {self.mean_demand} must lie in (0, {MAX_DEMAND}]")
         if not 1 <= self.min_demand <= MAX_DEMAND:
             raise ValidationError(f"min demand {self.min_demand} must lie in [1, {MAX_DEMAND}]")
-        if self.horizon < 0:
-            raise ValidationError(f"horizon {self.horizon} must be >= 0")
+        if not 0 <= self.horizon <= MAX_HORIZON:
+            raise ValidationError(f"horizon {self.horizon} must lie in [0, {MAX_HORIZON}]")
         # by division, since rate * horizon overflows a float for a large enough horizon
         if self.rate > 0 and self.horizon > MAX_ARRIVALS / self.rate:
             raise ValidationError(f"arrival rate {self.rate} over {self.horizon} slots expects "
@@ -193,21 +207,29 @@ def _field(obj: dict, key: str) -> int:
 
 
 def read_workload(path: str) -> list[Commodity]:
+    """The commodities in the JSON-lines file at `path`, one object a line.
+    Content that is not UTF-8 raises ValidationError naming the file, and a
+    line that is not a commodity object, nests too deeply to parse or holds
+    an integer too large for a float one naming the file and the line; a
+    path that cannot be opened raises OSError."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
+        try:
+            for n, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 out.append(Commodity(
                     id=_field(obj, "id"), sd=canonical_pair(_field(obj, "s"), _field(obj, "t")),
                     demand=_field(obj, "d"), arrival=_field(obj, "a"),
                     deadline=None if obj.get("deadline") is None else _field(obj, "deadline"),
                 ))
-            except ValidationError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"malformed workload line: {line!r}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"cannot read workload {path}: {exc}") from exc
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:
+            raise ValidationError(
+                f"cannot read workload {path} line {n}: {type(exc).__name__}: {exc}") from exc
     return out

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -8,7 +9,14 @@ from entsched import cli
 from entsched.engine import ConservationError
 from entsched.lp import LpStatus, SolverError
 from entsched.topology import MAX_CAPACITY, MAX_NODES, read_network
-from entsched.workload import MAX_ARRIVALS, MAX_DEADLINE_SCALE, MAX_DEMAND, read_workload
+from entsched.workload import (
+    MAX_ARRIVALS,
+    MAX_COMMODITY_DEMAND,
+    MAX_DEADLINE_SCALE,
+    MAX_DEMAND,
+    MAX_HORIZON,
+    read_workload,
+)
 
 
 def _gen_net(tmp_path, name="net.json", nodes=6, sd=2, seed=3):
@@ -494,6 +502,86 @@ def test_workload_draws_that_overflow_are_config_errors(tmp_path, capsys, flags,
     assert not out_dir.exists()
 
 
+def test_horizon_past_the_limit_is_refused_before_any_draw(tmp_path, capsys):
+    # the draw walks every slot, about 1 us each, so 10^12 empty slots would run for days
+    net_path = _gen_net(tmp_path)
+    message = f"error: horizon {10**12} must lie in [0, {MAX_HORIZON}]\n"
+    out = tmp_path / "w.jsonl"
+    started = time.perf_counter()
+    rc = cli.main(["gen-workload", "--net", str(net_path), "--rate", "0",
+                   "--horizon", str(10**12), "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    out_dir = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--axis", "arrival-rate", "--values", "0", "--nodes", "4",
+                   "--horizon", str(10**12), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out_dir.exists()
+
+
+def test_demand_the_deadline_lp_cannot_hold_is_a_config_error(tmp_path, capsys):
+    # a demand of 1e30 due in two slots once reached HiGHS as a surplus
+    # bound past its infinite bound, 1e20, and the run exited 2
+    net_path = _gen_net(tmp_path)
+    s, t = read_network(str(net_path)).sorted_sd[0]
+    load_path = tmp_path / "huge.jsonl"
+    argv = ["simulate", "--net", str(net_path), "--workload", str(load_path), "--policy", "ESDI-E"]
+    capsys.readouterr()
+    for demand, rc in ((10**30, 1), (MAX_COMMODITY_DEMAND, 0)):
+        load_path.write_text(json.dumps({"id": 0, "s": s, "t": t, "d": demand, "a": 1,
+                                         "deadline": 3}) + "\n")
+        assert cli.main(argv) == rc
+        captured = capsys.readouterr()
+        if rc:
+            assert captured.out == ""
+            assert captured.err == (f"error: commodity 0: demand {demand} exceeds the maximum "
+                                    f"{MAX_COMMODITY_DEMAND}\n")
+        else:
+            # at the limit the deadline program holds the need and rejects it
+            assert json.loads(captured.out)["success_ratio"] == 0.0
+            assert captured.err == ""
+
+
+def _bad_file(kind: str, flag: str) -> bytes:
+    """The content of a bad file of `kind` given as `flag`."""
+    if kind == "huge-int":
+        if flag == "--net":
+            return json.dumps({"nodes": [{"id": 0, "q": 0.9}, {"id": 1, "q": 0.9}],
+                               "links": [{"u": 0, "v": 1, "c": 10**400, "p": 0.9}],
+                               "sd_pairs": [[0, 1]]}).encode()
+        return json.dumps({"id": 10**400, "s": 0, "t": 1, "d": 3, "a": 1}).encode()
+    return {"not-utf8": b"\xff\xfe\x00garbage", "too-deep": b"[" * 200_000,
+            "malformed": b'{"nodes": [{"id": 0, "q"'}[kind]
+
+
+# each but the absent and the malformed file once ended in a traceback:
+# UnicodeDecodeError, RecursionError or OverflowError
+@pytest.mark.parametrize("kind", ["not-utf8", "too-deep", "huge-int", "malformed", "absent"])
+@pytest.mark.parametrize("command, flag", [("gen-workload", "--net"), ("simulate", "--net"),
+                                           ("simulate", "--workload")])
+def test_bad_file_is_a_one_line_config_error(tmp_path, capsys, kind, command, flag):
+    net_path = _gen_net(tmp_path)
+    files = {"--net": net_path, "--workload": _gen_load(tmp_path, net_path)}
+    bad = files[flag] = tmp_path / "bad"
+    if kind != "absent":
+        bad.write_bytes(_bad_file(kind, flag))
+    out = tmp_path / "out"
+    argv = [command, "--net", str(files["--net"]), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--workload", str(files["--workload"]), "--policy", "ESDI-B"]
+    capsys.readouterr()
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert str(bad) in captured.err, captured.err
+    assert not out.exists()
+
+
 def test_sweep_bad_or_empty_lists_are_config_errors(tmp_path, capsys):
     argv = ["sweep", "--axis", "kappa", "--nodes", "4", "--horizon", "2"]
     for i, (flags, prefix) in enumerate((
@@ -522,8 +610,7 @@ def test_simulate_unreadable_network_is_config_error(tmp_path, capsys):
                    "--policy", "ESDI-B"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read network {absent}: "), err
-    assert err.count("\n") == 1, err
+    assert err == f"error: [Errno 2] No such file or directory: '{absent}'\n", err
 
 
 def test_simulate_invariant_failure_exits_with_invariant_code(tmp_path, monkeypatch, capsys):

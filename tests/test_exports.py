@@ -1,6 +1,7 @@
 """The package's export list stays in step with what the package holds."""
 
 import ast
+import builtins
 import types
 from collections import Counter
 from pathlib import Path
@@ -46,3 +47,34 @@ def test_every_top_level_definition_is_used_outside_the_tests():
               # a definition that reads its own name does not count as a reader
               and readers[node.name] == (node.name in _names(node))]
     assert unused == []
+
+
+# the exception of each exit code: 1 bad input, 2 the LP solver, 3 a broken invariant
+EXIT_EXCEPTIONS = {"ValidationError", "SolverError", "ConservationError"}
+
+
+def _raised(exc: ast.expr) -> str:
+    """The name a `raise` statement raises: the class it calls or names."""
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+
+
+def test_the_package_raises_one_exception_per_exit_code():
+    # the CLI maps each exception to its exit code, so a fourth type would
+    # end in a traceback or share a code with one of the three
+    package = Path(__file__).resolve().parents[1] / "src" / "entsched"
+    trees = {path.stem: _parse(path) for path in sorted(package.glob("*.py"))}
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    while grown := {name for name, names in bases.items() if names & exceptions} - exceptions:
+        exceptions |= grown
+    defined = set(bases) & exceptions
+    stray = [f"{module}:{node.lineno} raises {_raised(node.exc)}"
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _raised(node.exc) not in EXIT_EXCEPTIONS]
+    assert (defined, stray) == (EXIT_EXCEPTIONS, [])

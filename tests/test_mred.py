@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import failing_backend, star_net, three_hop_line, two_hop_line
-from entsched import mred
+from entsched import mred, topology
 from entsched.lp import LpStatus, SolverError
 from entsched.mred import (
     MredModel,
@@ -560,9 +560,11 @@ def test_dc_infeasible_first_stage_is_a_verdict_not_an_error(star):
 
 
 @pytest.mark.parametrize("case", ["huge-capacity"])
-def test_dc_model_the_solver_refuses_raises_instead_of_reading_infeasible(case):
+def test_dc_model_the_solver_refuses_raises_instead_of_reading_infeasible(case, monkeypatch):
     # HiGHS refuses to load a matrix coefficient of 9e18 (capacity * p);
-    # the program is not infeasible
+    # the program is not infeasible. Such a network passes only with the
+    # capacity limit raised past it
+    monkeypatch.setattr(topology, "MAX_CAPACITY", 10**20)
     net = build_manual(nodes=[(0, 0.9), (1, 0.9), (2, 0.9)],
                        links=[(0, 1, 10**19, 0.9), (1, 2, 2, 0.9)], sd_pairs=[(0, 2)])
     with pytest.raises(SolverError, match="kModelError"):

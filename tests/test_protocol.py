@@ -10,6 +10,7 @@ from conftest import numpy_allocate, same_state, star_net, two_hop_line
 from entsched.mred import RateSolution, build_mred, solve_max_total
 from entsched.protocol import (
     BufferState,
+    ConservationError,
     PlanTable,
     ProtocolConfig,
     compile_plan,
@@ -72,7 +73,7 @@ def test_ledger_merges_cohorts_and_takes_oldest_first():
     state.take(i, 2)
     assert state.total[i] == 0
     assert _births(state, state.ready, P(0, 1)) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ConservationError, match="take"):
         state.take(i, 1)
 
 
@@ -84,7 +85,7 @@ def test_ledger_keeps_cohorts_in_birth_order():
     _put(state, state.staged, (P(0, 1), P(0, 2)), 3, 1)
     _put(state, state.ready, P(0, 1), 5, 1)
     assert [birth for birth, _ in state.cohorts] == [2, 3, 5]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConservationError, match="birth 4 is older"):
         state.cohort(4)
     state.take(state.ready[P(0, 1)], 1)
     assert _births(state, state.ready, P(0, 1)) == [(5, 1)]

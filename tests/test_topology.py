@@ -4,7 +4,6 @@ import pytest
 
 from entsched import topology
 from entsched.topology import (
-    GenerationFailed,
     NodePair,
     ValidationError,
     build_manual,
@@ -93,7 +92,7 @@ def test_waxman_deterministic():
 
 def test_waxman_exhausts_budget(monkeypatch):
     monkeypatch.setattr(topology, "MAX_ATTEMPTS", 50)
-    with pytest.raises(GenerationFailed, match="no connected draw in 50 attempts"):
+    with pytest.raises(ValidationError, match="no connected draw in 50 attempts"):
         generate_waxman(10, alpha=0.8, beta=1e-9, cap_lo=1, cap_hi=1, p=1.0, q=1.0, seed=0)
 
 
@@ -150,9 +149,9 @@ def test_capacities_are_bounded_by_the_maximum(star):
     topology.check_waxman_params(4, 0.8, 0.8, 1, topology.MAX_CAPACITY, 0.9, 0.9)
     with pytest.raises(ValidationError, match="exceeds the maximum"):
         topology.check_waxman_params(4, 0.8, 0.8, 1, topology.MAX_CAPACITY + 1, 0.9, 0.9)
-    # networks built in code are not bounded, so tests can hand HiGHS a
-    # model it refuses
-    assert topology.build_manual([(0, 0.9), (1, 0.9)], [(0, 1, 10**19, 0.9)]).links
+    # networks built in code are bounded too
+    with pytest.raises(ValidationError, match=f"link capacity {10**19} exceeds the maximum"):
+        topology.build_manual([(0, 0.9), (1, 0.9)], [(0, 1, 10**19, 0.9)])
 
 
 def test_node_count_is_bounded_by_the_maximum():
@@ -165,5 +164,6 @@ def test_node_count_is_bounded_by_the_maximum():
     obj["nodes"].append({"id": n, "q": 0.9})
     with pytest.raises(ValidationError, match=f"node count {n + 1} exceeds the maximum {n}"):
         topology.from_json(obj)
-    # networks built in code are not bounded
-    assert len(build_manual([(v, 0.9) for v in range(n + 1)], []).nodes) == n + 1
+    # networks built in code are bounded too
+    with pytest.raises(ValidationError, match=f"node count {n + 1} exceeds the maximum {n}"):
+        build_manual([(v, 0.9) for v in range(n + 1)], [])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,8 +12,10 @@ from entsched.workload import (
     PENDING,
     Commodity,
     MAX_ARRIVALS,
+    MAX_COMMODITY_DEMAND,
     MAX_DEADLINE_SCALE,
     MAX_DEMAND,
+    MAX_HORIZON,
     DeadlineSpec,
     WorkloadConfig,
     active_set,
@@ -86,6 +90,15 @@ def test_config_refuses_draws_past_the_limits():
         DeadlineSpec(mu=0.4, halfwidth=0.1, factor=1e306)
 
 
+def test_horizon_is_bounded_by_the_maximum():
+    # the draw walks every slot, so even at rate 0 the horizon bounds its run time
+    assert _cfg(rate=0.0, horizon=MAX_HORIZON).horizon == MAX_HORIZON
+    for horizon in (MAX_HORIZON + 1, 10**12):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"horizon {horizon} must lie in [0, {MAX_HORIZON}]")):
+            _cfg(rate=0.0, horizon=horizon)
+
+
 def test_draws_at_the_limits_stay_exact_floats():
     spec = DeadlineSpec(mu=MAX_DEADLINE_SCALE - 1.0, halfwidth=1.0)
     cfg = WorkloadConfig(rate=50.0, mean_demand=MAX_DEMAND, min_demand=1, horizon=40, deadline=spec)
@@ -150,6 +163,18 @@ def test_commodity_validation():
         Commodity(id=0, sd=NodePair(0, 1), demand=5, arrival=3, deadline=2)
 
 
+def test_commodity_demand_is_bounded_by_the_exact_float_limit(tmp_path):
+    c = Commodity(id=0, sd=NodePair(0, 1), demand=MAX_COMMODITY_DEMAND, arrival=1, deadline=3)
+    assert c.fresh_copy().demand == MAX_COMMODITY_DEMAND
+    message = f"commodity 0: demand {MAX_COMMODITY_DEMAND + 1} exceeds the maximum"
+    with pytest.raises(ValidationError, match=message):
+        Commodity(id=0, sd=NodePair(0, 1), demand=MAX_COMMODITY_DEMAND + 1, arrival=1)
+    path = tmp_path / "wl.jsonl"
+    path.write_text('{"id": 0, "s": 0, "t": 1, "d": %d, "a": 1}\n' % (MAX_COMMODITY_DEMAND + 1))
+    with pytest.raises(ValidationError, match=message):
+        read_workload(str(path))
+
+
 def test_active_set_admission_and_expiry():
     cs = [
         Commodity(id=0, sd=NodePair(0, 1), demand=4, arrival=1, deadline=4),
@@ -198,3 +223,12 @@ def test_workload_jsonl_round_trip(tmp_path):
     bad.write_text('{"id": 0}\n')
     with pytest.raises(ValidationError):
         read_workload(str(bad))
+
+
+def test_workload_line_that_does_not_parse_is_named_by_file_and_number(tmp_path):
+    path = tmp_path / "wl.jsonl"
+    write_workload([Commodity(id=0, sd=canonical_pair(0, 1), demand=3, arrival=1)], str(path))
+    path.write_text(path.read_text() + "\n" + '{"id": 1, "s": 0, "t": 1, "d": 3, "a": [' + "\n")
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"cannot read workload {path} line 3: JSONDecodeError: ")):
+        read_workload(str(path))
