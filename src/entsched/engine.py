@@ -113,7 +113,7 @@ def run_simulation(
         before = buffers.total_ebits()
         dropped = expire_old_ebits(buffers, slot, config.max_buffer_age)
         if fresh:
-            table = compile_plan(net, plan)
+            table = compile_plan(net, plan, buffers)
             reconcile_buffers(buffers, table, srng.stream(slot, PHASE_RECONCILE))
         # births are read only by expiry; without an age limit every ebit
         # gets birth 0, so the ledger keeps one cohort

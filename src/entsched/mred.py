@@ -51,6 +51,7 @@ from scipy import sparse
 from . import lp
 from .lp import LpStatus, SolverError
 from .topology import Network, NodePair, ValidationError, canonical_pair
+from .workload import MAX_COMMODITY_DEMAND
 
 # post-solve cleanup: clamp negative dust within HiGHS's primal feasibility
 # tolerance (1e-7) to zero, since a negative rate is a negative switch share
@@ -358,6 +359,25 @@ def solve_lexicographic(
     return _lexmax(m, stages + [("total", m.total_objective(), [])])
 
 
+def _entry(net: Network, entry: tuple[NodePair, float, float]) -> tuple[NodePair, float, float]:
+    """`entry` as a canonical (sd pair, remaining demand, remaining slots)
+    triple of floats, refused unless its pair is an SD pair, its window at
+    least one slot and its demand within [0, `MAX_COMMODITY_DEMAND`], past
+    which its need could reach HiGHS's infinite bound; NaN fails both."""
+    sd, theta, delta = entry
+    sd = canonical_pair(sd[0], sd[1])
+    if sd not in net.sd_pairs:
+        raise ValidationError(f"prioritized pair {sd} is not an SD pair")
+    if not delta >= 1:
+        raise ValidationError(f"remaining slots {delta} for {sd} must be >= 1")
+    if not theta >= 0:
+        raise ValidationError(f"remaining demand {theta} for {sd} must be >= 0")
+    if theta > MAX_COMMODITY_DEMAND:
+        raise ValidationError(f"remaining demand {theta} for {sd} exceeds the maximum "
+                              f"{MAX_COMMODITY_DEMAND}")
+    return sd, float(theta), float(delta)
+
+
 def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[NodePair, float]:
     """Per SD pair, the least surplus that meets all its deadline-prefix
     rows ``eta * window >= cumulative demand``: the greatest cumulative
@@ -411,7 +431,8 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     feasible together: `solo_rejected`, `covered`, `solved` or `infeasible`.
 
     Entries are canonical (sd pair, remaining demand, remaining slots)
-    triples. Once the entry's pair is in `m.bound_armed`, a need above its
+    triples; `entry` is checked as `build_and_check_mred_dc` checks each
+    of its entries. Once the entry's pair is in `m.bound_armed`, a need above its
     solo rate, past the solver's 1e-7 feasibility tolerance, rejects it
     without a deadline LP; only that pair is checked, since the admitted
     entries fit together. Otherwise `face_plan` covers the probe, or the
@@ -420,6 +441,7 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     second stage, and the admitted list's plan reuses the verdicts'
     programs through the memo.
     """
+    entry = _entry(m.net, entry)
     entries = [*admitted, entry]
     sd = entry[0]
     needs = deadline_needs(entries)
@@ -456,16 +478,7 @@ def build_and_check_mred_dc(
     values. `deadline_verdict` runs the same programs up to that first
     stage, so a list it found feasible costs here at most one more LP.
     """
-    entries = []
-    for sd, theta, delta in prioritized:
-        sd = canonical_pair(sd[0], sd[1])
-        if sd not in net.sd_pairs:
-            raise ValidationError(f"prioritized pair {sd} is not an SD pair")
-        if delta < 1:
-            raise ValidationError(f"remaining slots {delta} for {sd} must be >= 1")
-        if theta < 0:
-            raise ValidationError(f"remaining demand {theta} for {sd} must be >= 0")
-        entries.append((sd, float(theta), float(delta)))
+    entries = [_entry(net, e) for e in prioritized]
     if not entries:
         return solve_max_total(net, model)
 

@@ -4,9 +4,11 @@ Each slot runs fixed phases: generate link ebits, perform swaps,
 distribute end-to-end ebits to commodities; when a new plan arrives,
 buffered ebits are first reconciled with it. The phases read the plan's
 execution table (`PlanTable`), which `compile_plan` builds once per
-plan. Every random draw comes from a stream derived from (seed, slot,
-phase) (`rng.SlotRng`), so runs are reproducible regardless of how many
-slots executed before or what other phases consumed.
+plan straight onto the ledger's indices. The ledger keeps no plan, so a
+table's routes and their splits are freed with the table. Every random
+draw comes from a stream derived from (seed, slot, phase)
+(`rng.SlotRng`), so runs are reproducible regardless of how many slots
+executed before or what other phases consumed.
 
 Buffered ebits live in one integer ledger (`BufferState`) keyed by
 `staged` lanes (ebits committed to a swap), `ready` pairs (end-to-end
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import sub
 
@@ -67,32 +69,57 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class PlanTable:
-    """A rate plan compiled for execution, built once per fresh plan.
+    """A rate plan compiled onto one ledger, once per fresh plan.
 
-    links: per link the plan uses, in pair order, (pair, whole attempts,
-    chance of one more attempt, p).
-    rows: per pair with an outlet, its forwarding row (targets, probs);
-    a target is a staged-lane key, or None for the ready pool.
+    Its indices are valid only for the `BufferState` it was compiled on,
+    and its routes, with their splits, are freed with the table.
+    links: per link the plan uses, in pair order, (whole attempts, chance
+    of one more attempt, p, route).
+    rows: per pair with an outlet, its route: the staged lanes that
+    consume its ebits, then the ready pool for an SD surplus.
     swaps: the swaps with a positive rate, in (produced, node) order, as
-    (produced, q of the swap node, left lane, right lane).
-    live: the lanes of those swaps.
-    The default table is idle: it generates, forwards and swaps nothing.
+    (q of the swap node, left lane, right lane, route of the produced
+    pair), each lane as its ledger index.
+    live: the ledger indices of those lanes.
+    The default table is idle on every ledger: it generates, forwards and
+    swaps nothing.
     """
 
-    links: tuple[tuple[NodePair, int, float, float], ...] = ()
-    rows: dict[NodePair, tuple[list[LaneKey | None], list[float]]] = field(default_factory=dict)
-    swaps: tuple[tuple[NodePair, float, LaneKey, LaneKey], ...] = ()
-    live: frozenset[LaneKey] = frozenset()
+    links: tuple[tuple[int, float, float, Route], ...] = ()
+    rows: dict[NodePair, Route] = field(default_factory=dict)
+    swaps: tuple[tuple[float, int, int, Route], ...] = ()
+    live: frozenset[int] = frozenset()
 
 
-def compile_plan(net: Network, plan: RateSolution) -> PlanTable:
-    """The execution table of `plan` on `net`.
+def compile_plan(net: Network, plan: RateSolution, state: BufferState) -> PlanTable:
+    """The execution table of `plan` on `net`, in `state`'s ledger indices.
 
     A link with expected usage x = capacity * g makes floor(x) attempts
     plus one more with probability frac(x). A fresh ebit of a pair goes
     to each lane that consumes it, and to the ready pool for an SD
-    surplus, in proportion to the planned rates.
+    surplus, in proportion to the planned rates; without an outlet it is
+    parked. No other code turns a plan's pairs and lanes into indices.
     """
+    index, staged = state.index, state.staged
+    outflow: dict[NodePair, list[tuple[int, float]]] = {}
+    for lane, w in sorted((lane, w) for swap, w in plan.swaps.items() for lane in lane_keys(*swap)):
+        outflow.setdefault(lane[0], []).append((index(staged, lane), w))
+    rows = {}
+    for pair in outflow.keys() | plan.eta.keys():
+        out = outflow.get(pair, [])
+        surplus = plan.eta.get(pair, 0.0)
+        denom = sum(w for _, w in out) + surplus
+        if denom <= 0.0:
+            continue
+        if surplus > 0.0:
+            out.append((index(state.ready, pair), surplus))
+        split = Split([w / denom for _, w in out]) if len(out) > 1 else None
+        rows[pair] = tuple(i for i, _ in out), split
+    table = PlanTable(rows=rows)
+
+    def route(pair: NodePair) -> Route:
+        return switch_probabilities(table, pair) or ((index(state.parked, pair),), None)
+
     links = []
     for pair in sorted(plan.g):
         link = net.links[pair]
@@ -101,44 +128,27 @@ def compile_plan(net: Network, plan: RateSolution) -> PlanTable:
         frac = expected - base
         if frac < _INT_EPS:
             frac = 0.0
-        links.append((pair, base, frac, link.p))
-
-    outflow: dict[NodePair, list[tuple[LaneKey, float]]] = {}
-    for lane, w in sorted((lane, w) for swap, w in plan.swaps.items() for lane in lane_keys(*swap)):
-        outflow.setdefault(lane[0], []).append((lane, w))
-    rows = {}
-    for pair in outflow.keys() | plan.eta.keys():
-        out = outflow.get(pair, ())
-        surplus = plan.eta.get(pair, 0.0)
-        denom = sum(w for _, w in out) + surplus
-        if denom <= 0.0:
-            continue
-        targets: list[LaneKey | None] = [lane for lane, _ in out]
-        probs = [w / denom for _, w in out]
-        if surplus > 0.0:
-            targets.append(None)
-            probs.append(surplus / denom)
-        rows[pair] = (targets, probs)
-
+        links.append((base, frac, link.p, route(pair)))
     swaps = tuple(
-        (produced, net.q[k], *lane_keys(produced, k))
+        (net.q[k], *(staged[lane] for lane in lane_keys(produced, k)), route(produced))
         for (produced, k), w in sorted(plan.swaps.items())
         if w > 0
     )
-    live = frozenset(lane for _, _, left, right in swaps for lane in (left, right))
-    return PlanTable(links=tuple(links), rows=rows, swaps=swaps, live=live)
+    live = frozenset(i for _, left, right, _ in swaps for i in (left, right))
+    return replace(table, links=tuple(links), swaps=swaps, live=live)
 
 
-def switch_probabilities(table: PlanTable, pair: NodePair):
-    """The forwarding row (targets, probs) of `pair`, or None when the
-    plan gives it no outlet and its ebits should be parked."""
+def switch_probabilities(table: PlanTable, pair: NodePair) -> Route | None:
+    """The route of `pair`'s row, or None when the plan gives it no
+    outlet and its ebits should be parked."""
     return table.rows.get(pair)
 
 
 class Split(dict):
     """A forwarding row's probabilities, with the deterministic part of
     splitting a batch over them memoized by batch size. It lives on the
-    route that holds it, so it is dropped with the plan it was bound for."""
+    route that holds it, so it is freed with the table it was compiled
+    into."""
 
     __slots__ = ("probs",)
 
@@ -177,9 +187,10 @@ class BufferState:
     indices, given on first sight and never removed. `total[i]` is key
     i's count, and `cohorts` holds (birth, counts) with births strictly
     increasing, so `total[i]` is the sum of `counts[i]` over cohorts.
+    The ledger holds no plan: `compile_plan` resolves each plan into it.
     """
 
-    __slots__ = ("parked", "staged", "ready", "total", "cohorts", "_table", "_bound")
+    __slots__ = ("parked", "staged", "ready", "total", "cohorts")
 
     def __init__(self) -> None:
         self.parked: dict[NodePair, int] = {}
@@ -187,7 +198,6 @@ class BufferState:
         self.ready: dict[NodePair, int] = {}
         self.total: list[int] = []
         self.cohorts: deque[tuple[int, list[int]]] = deque()
-        self._table: PlanTable | None = None
 
     def index(self, pool: dict, key) -> int:
         """The ledger index of `key` in `pool`."""
@@ -219,30 +229,6 @@ class BufferState:
 
     def total_ebits(self) -> int:
         return sum(self.total)
-
-    def route(self, table: PlanTable, pair: NodePair) -> Route:
-        """Where `table` forwards ebits of `pair`: its row's targets, or the
-        parked pool when the plan gives the pair no outlet."""
-        dist = switch_probabilities(table, pair)
-        if dist is None:
-            return (self.index(self.parked, pair),), None
-        keys = tuple(self.index(self.ready, pair) if t is None else self.index(self.staged, t)
-                     for t in dist[0])
-        return keys, Split(dist[1]) if len(keys) > 1 else None
-
-    def bind(self, table: PlanTable) -> tuple[tuple, tuple]:
-        """`table` in ledger indices, resolved once per table: per link
-        (whole attempts, chance of one more, p, route), per swap (q, left
-        lane, right lane, route of the produced pair). The routes, and so
-        their splits, are kept until another table is bound."""
-        if table is not self._table:
-            index, staged = self.index, self.staged
-            links = tuple((base, frac, p, self.route(table, pair))
-                          for pair, base, frac, p in table.links)
-            swaps = tuple((q, index(staged, left), index(staged, right), self.route(table, prod))
-                          for prod, q, left, right in table.swaps)
-            self._table, self._bound = table, (links, swaps)
-        return self._bound
 
 
 def switch_batch(
@@ -302,14 +288,13 @@ def reconcile_buffers(state: BufferState, table: PlanTable, rng: np.random.Gener
     """
     total, cohorts = state.total, state.cohorts
     for lane, i in sorted(state.staged.items()):
-        if total[i] and lane not in table.live:
+        if total[i] and i not in table.live:
             j = state.index(state.parked, lane[0])
             for _, counts in cohorts:
                 counts[j], counts[i] = counts[j] + counts[i], 0
             total[j], total[i] = total[j] + total[i], 0
     for pair, j in sorted(state.parked.items()):
-        if total[j] and switch_probabilities(table, pair) is not None:
-            route = state.route(table, pair)
+        if total[j] and (route := switch_probabilities(table, pair)) is not None:
             for _, counts in cohorts:
                 n, counts[j] = counts[j], 0
                 if n:
@@ -329,10 +314,9 @@ def phase_generate(
     table's chance; each attempt succeeds with the link's p. Fresh ebits
     join the cohort born at `birth`. Returns the number created.
     """
-    links, _ = state.bind(table)
     counts = state.cohort(birth)
     generated = 0
-    for base, frac, p, route in links:
+    for base, frac, p, route in table.links:
         attempts = base + (1 if frac > 0.0 and rng.random() < frac else 0)
         made = int(rng.binomial(attempts, p)) if attempts else 0
         if made:
@@ -380,12 +364,11 @@ def phase_swap(
     a slot a product cascades into further swaps only up to the
     configured depth. Returns (attempts, successes).
     """
-    _, swaps = state.bind(table)
     total, cohorts = state.total, state.cohorts
     attempts = successes = 0
     for _ in range(config.cascade_depth):
         products: list[tuple[Route, list[int], int]] = []
-        for q, left, right, route in swaps:
+        for q, left, right, route in table.swaps:
             w = min(total[left], total[right])
             if not w:
                 continue

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -11,6 +13,7 @@ from entsched.mred import (
     build_and_check_mred_dc,
     build_mred,
     check_solution,
+    deadline_verdict,
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
@@ -24,6 +27,7 @@ from entsched.topology import (
     generate_waxman,
     sample_sd_pairs,
 )
+from entsched.workload import MAX_COMMODITY_DEMAND
 
 P = canonical_pair
 
@@ -384,6 +388,13 @@ def test_dc_validates_entries(star):
         build_and_check_mred_dc(star, [(P(0, 1), 3, 0.5)], build_mred(star))
     with pytest.raises(ValidationError):
         build_and_check_mred_dc(star, [(P(1, 3), 3, 4)], build_mred(star))
+    # a NaN window or demand compares false both ways, and was planned as covered
+    nan = float("nan")
+    for entry, field in (((P(0, 1), 3.0, nan), "slots"), ((P(0, 1), nan, 4.0), "demand")):
+        with pytest.raises(ValidationError, match=f"remaining {field} nan"):
+            build_and_check_mred_dc(star, [entry], build_mred(star))
+        with pytest.raises(ValidationError, match=f"remaining {field} nan"):
+            deadline_verdict(build_mred(star), [], entry)
 
 
 def test_dc_feasible_alone_infeasible_together(star):
@@ -572,9 +583,36 @@ def test_dc_model_the_solver_refuses_raises_instead_of_reading_infeasible(case, 
 
 
 def test_dc_huge_window_is_a_verdict(star):
-    # a need is a column bound, not a row coefficient, so a window of 1e19
-    # reaches the solver as the need 10, beyond the hub rate 2
-    assert build_and_check_mred_dc(star, [(P(0, 1), 10**20, 10**19)], build_mred(star)) is None
+    # a need is a column bound, not a row coefficient, so a window of 1e15
+    # reaches the solver as the need 9.007, beyond the hub rate 2, and a
+    # window of 1e19 as the need 9e-4, which the plan meets
+    assert build_and_check_mred_dc(star, [(P(0, 1), MAX_COMMODITY_DEMAND, 10**15)],
+                                   build_mred(star)) is None
+    plan = build_and_check_mred_dc(star, [(P(0, 1), MAX_COMMODITY_DEMAND, 10**19)], build_mred(star))
+    assert plan.eta[P(0, 1)] * 10**19 >= MAX_COMMODITY_DEMAND
+    # the demand of 1e20 this case once used is past the limit
+    with pytest.raises(ValidationError, match="exceeds the maximum"):
+        build_and_check_mred_dc(star, [(P(0, 1), 10**20, 10**19)], build_mred(star))
+
+
+@pytest.mark.parametrize("demand", [1e21, 1e30])
+def test_dc_demand_past_the_limit_is_a_config_error(star, demand):
+    # a need of 1e20 or more is HiGHS's infinite bound, and the model was
+    # refused with kModelError; both entry points refuse the entry first
+    message = re.escape(f"remaining demand {demand} for {P(0, 1)} exceeds the maximum "
+                        f"{MAX_COMMODITY_DEMAND}")
+    m = build_mred(star)
+    with pytest.raises(ValidationError, match=message):
+        build_and_check_mred_dc(star, [(P(0, 1), demand, 1.0)], m)
+    with pytest.raises(ValidationError, match=message):
+        deadline_verdict(m, [], (P(0, 1), demand, 1.0))
+    assert m.solves == 0
+
+
+def test_dc_demand_at_the_limit_keeps_its_verdict(star):
+    entry = (P(0, 1), float(MAX_COMMODITY_DEMAND), 1.0)
+    assert build_and_check_mred_dc(star, [entry], build_mred(star)) is None
+    assert deadline_verdict(build_mred(star), [], entry) == "infeasible"
 
 
 # -- validation ---------------------------------------------------------------

@@ -40,7 +40,7 @@ from entsched.mred import (
     solve_max_total,
     solve_single_pair_edr,
 )
-from entsched.protocol import ProtocolConfig, compile_plan
+from entsched.protocol import BufferState, ProtocolConfig, compile_plan
 from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
 from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
 from entsched.workload import (
@@ -59,13 +59,18 @@ def _without_wall(result):
     return metrics, events
 
 
-def _check_table(plan, table):
-    """Rows are distributions, every executed lane is fed, every SD surplus has an outlet."""
-    for targets, probs in table.rows.values():
+def _check_table(plan, table, state):
+    """Rows are distributions, every executed lane is fed, every SD surplus
+    has an outlet; lanes are read back from `state`'s staged indices."""
+    for targets, split in table.rows.values():
+        probs = [1.0] if split is None else split.probs
+        assert len(probs) == len(targets), (targets, probs)
         assert abs(sum(probs) - 1.0) <= 1e-12, (targets, probs)
-    for _, _, left, right in table.swaps:
-        for lane in (left, right):
-            assert lane in table.rows[lane[0]][0], lane
+    lanes = {i: lane for lane, i in state.staged.items()}
+    for _, left, right, _ in table.swaps:
+        for i in (left, right):
+            assert i in table.rows[lanes[i][0]][0], lanes[i]
+    assert table.live == {i for _, left, right, _ in table.swaps for i in (left, right)}
     for sd, eta in plan.eta.items():
         if eta > 0:
             assert sd in table.rows, sd
@@ -111,7 +116,8 @@ def test_random_instances_conserve_plan_validly_and_repeat(
             report = check_solution(net, plan)
             assert report["ok"], (policy, report)
             assert all(w >= 0 for w in plan.swaps.values()), policy
-            _check_table(plan, compile_plan(net, plan))
+            state = BufferState()
+            _check_table(plan, compile_plan(net, plan, state), state)
             # a plan served from the model's memo is the one a fresh model solves
             if policy == POLICY_ORDERED:
                 pairs = [canonical_pair(*map(int, sd.split(":"))) for sd in priority]

@@ -13,6 +13,7 @@ from entsched.protocol import (
     ConservationError,
     PlanTable,
     ProtocolConfig,
+    Split,
     compile_plan,
     expire_old_ebits,
     phase_distribute,
@@ -127,49 +128,56 @@ def test_buffer_state_totals_and_prune():
 
 def test_switch_probabilities_normalizes_over_outlets():
     # 0:1 is the left lane of the swap at 1 toward 0:2 and of the swap at 0 toward 1:3
+    state = BufferState()
     plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 1.0, (P(1, 3), 0): 2.0},
-                                                 g={}, eta={P(0, 1): 1.0}))
-    targets, probs = switch_probabilities(plan, P(0, 1))
-    assert targets == [(P(0, 1), P(0, 2)), (P(0, 1), P(1, 3)), None]
-    assert probs == pytest.approx([0.25, 0.5, 0.25])
+                                                 g={}, eta={P(0, 1): 1.0}), state)
+    targets, split = switch_probabilities(plan, P(0, 1))
+    assert targets == (state.staged[(P(0, 1), P(0, 2))], state.staged[(P(0, 1), P(1, 3))],
+                       state.ready[P(0, 1)])
+    assert split.probs == pytest.approx([0.25, 0.5, 0.25])
     assert switch_probabilities(plan, P(2, 3)) is None
 
 
 def test_plan_table_swaps_require_both_lanes():
     net = build_manual([(0, 1.0), (1, 0.7), (2, 0.8), (3, 1.0)],
                        [(0, 2, 2, 1.0), (1, 2, 2, 1.0), (3, 2, 2, 1.0)], [(0, 1), (0, 3)])
+    state = BufferState()
     table = compile_plan(net, RateSolution(
-        swaps={(P(0, 3), 2): 0.5, (P(0, 2), 1): 1.0, (P(1, 3), 2): -1e-8}, g={}, eta={}))
+        swaps={(P(0, 3), 2): 0.5, (P(0, 2), 1): 1.0, (P(1, 3), 2): -1e-8}, g={}, eta={}), state)
+    staged = state.staged
     # sorted by (produced, node), with the swap node's q; only positive rates execute
     assert table.swaps == (
-        (P(0, 2), 0.7, (P(0, 1), P(0, 2)), (P(1, 2), P(0, 2))),
-        (P(0, 3), 0.8, (P(0, 2), P(0, 3)), (P(2, 3), P(0, 3))),
+        (0.7, staged[(P(0, 1), P(0, 2))], staged[(P(1, 2), P(0, 2))],
+         ((staged[(P(0, 2), P(0, 3))],), None)),
+        (0.8, staged[(P(0, 2), P(0, 3))], staged[(P(2, 3), P(0, 3))],
+         ((state.parked[P(0, 3)],), None)),
     )
-    assert table.live == {lane for swap in table.swaps for lane in swap[2:]}
+    assert table.live == {i for swap in table.swaps for i in swap[1:3]}
+    assert staged[(P(1, 2), P(1, 3))] not in table.live
 
 
 def test_switch_probabilities_pure_surplus():
-    plan = compile_plan(star_net(), RateSolution(swaps={}, g={}, eta={P(0, 1): 2.0}))
-    targets, probs = switch_probabilities(plan, P(0, 1))
-    assert targets == [None]
-    assert probs == [1.0]
+    # the ready pool is the one target, so it takes every batch without a split
+    state = BufferState()
+    plan = compile_plan(star_net(), RateSolution(swaps={}, g={}, eta={P(0, 1): 2.0}), state)
+    assert switch_probabilities(plan, P(0, 1)) == ((state.ready[P(0, 1)],), None)
 
 
-def _row(probs):
-    """A table whose one link forwards pair 0:1 over `probs`, one staged
-    lane per entry, and those lanes."""
-    targets = [(P(0, 1), P(0, k + 2)) for k in range(len(probs))]
-    return PlanTable(links=((P(0, 1), 1, 0.0, 1.0),), rows={P(0, 1): (targets, probs)}), targets
+def _route(state, probs):
+    """A route of pair 0:1 on `state` over `probs`, one staged lane per
+    entry, in the form `compile_plan` gives a row, and those lanes."""
+    lanes = [(P(0, 1), P(0, k + 2)) for k in range(len(probs))]
+    targets = tuple(state.index(state.staged, lane) for lane in lanes)
+    return (targets, Split(probs) if len(targets) > 1 else None), lanes
 
 
 def _switched(count, probs, rng):
     """The split `switch_batch` makes of `count` ebits over `probs`, along
-    a freshly bound route."""
-    table, targets = _row(probs)
+    a fresh route."""
     state = BufferState()
-    route = state.bind(table)[0][0][3]
+    route, lanes = _route(state, probs)
     switch_batch(state, route, state.cohort(0), count, rng)
-    return [_held(state, state.staged, t) for t in targets]
+    return [_held(state, state.staged, lane) for lane in lanes]
 
 
 def test_allocate_batch_integral_shares_are_deterministic():
@@ -217,32 +225,40 @@ def test_allocate_batch_matches_numpy_reference():
 
 def test_switch_batch_parks_without_outlet():
     state = BufferState()
-    route = state.route(PlanTable(), P(0, 1))
+    # the plan produces 0:1 and gives it no outlet
+    table = compile_plan(star_net(), RateSolution(swaps={(P(0, 1), 2): 1.0}, g={}, eta={}), state)
+    route = table.swaps[0][3]
+    assert switch_probabilities(table, P(0, 1)) is None
+    assert route == ((state.parked[P(0, 1)],), None)
     switch_batch(state, route, state.cohort(2), count=3, rng=_rng())
     assert _held(state, state.parked, P(0, 1)) == 3
     assert _births(state, state.parked, P(0, 1)) == [(2, 3)]
 
 
-def test_route_and_bind_resolve_the_table_to_ledger_indices():
-    table = compile_plan(star_net(), RateSolution(
-        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 3.0}, g={P(1, 2): 0.5}, eta={P(0, 1): 1.0}))
+def test_compile_plan_resolves_the_table_to_ledger_indices():
     state = BufferState()
-    targets, split = state.route(table, P(0, 2))
-    assert targets == (state.staged[(P(0, 2), P(0, 1))], state.staged[(P(0, 2), P(0, 3))])
+    table = compile_plan(star_net(), RateSolution(
+        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 3.0}, g={P(1, 2): 0.5}, eta={P(0, 1): 1.0}), state)
+    staged = state.staged
+    targets, split = table.rows[P(0, 2)]
+    assert targets == (staged[(P(0, 2), P(0, 1))], staged[(P(0, 2), P(0, 3))])
     assert split.probs == pytest.approx([0.25, 0.75])
     # the split fills its memo by batch size, as batches arrive
     assert split == {}
     assert split[4] == ([1, 3], 0, [], 0.0) and list(split) == [4]
     # a one-target row and an unrouted pair take every batch without a split
-    assert state.route(table, P(1, 2)) == ((state.staged[(P(1, 2), P(0, 1))],), None)
-    assert state.route(table, P(0, 1)) == ((state.ready[P(0, 1)],), None)
-    assert state.route(table, P(1, 3)) == ((state.parked[P(1, 3)],), None)
-    links, swaps = state.bind(table)
-    assert state.bind(table) is state.bind(table)
-    assert links == ((1, 0.0, 1.0, state.route(table, P(1, 2))),)
-    assert swaps == tuple(
-        (q, state.staged[left], state.staged[right], state.route(table, produced))
-        for produced, q, left, right in table.swaps)
+    assert table.rows[P(1, 2)] == ((staged[(P(1, 2), P(0, 1))],), None)
+    assert table.rows[P(0, 1)] == ((state.ready[P(0, 1)],), None)
+    assert P(0, 3) not in table.rows
+    # per link (whole attempts, chance of one more, p, route); one route per pair
+    assert table.links == ((1, 0.0, 1.0, table.rows[P(1, 2)]),)
+    assert table.links[0][3] is table.rows[P(1, 2)]
+    # per swap (q, left lane, right lane, route of the produced pair)
+    assert table.swaps == (
+        (1.0, staged[(P(0, 2), P(0, 1))], staged[(P(1, 2), P(0, 1))], table.rows[P(0, 1)]),
+        (1.0, staged[(P(0, 2), P(0, 3))], staged[(P(2, 3), P(0, 3))], ((state.parked[P(0, 3)],), None)),
+    )
+    assert table.live == set(staged.values())
     assert len(state.total) == len(state.parked) + len(state.staged) + len(state.ready)
 
 
@@ -257,10 +273,9 @@ def test_bound_route_splits_batches_as_the_numpy_reference(weights, counts, seed
     # zero weights are drawn often; every count comes twice, so the second
     # batch of each size reads the memo
     probs = [w / sum(weights) for w in weights]
-    table, targets = _row(probs)
     state = BufferState()
-    route = state.bind(table)[0][0][3]
-    keys = [state.staged[t] for t in targets]
+    route, lanes = _route(state, probs)
+    keys = [state.staged[lane] for lane in lanes]
     rng, ref = _rng(seed=seed), _rng(seed=seed)
     for count in counts + counts:
         before = [state.total[i] for i in keys]
@@ -272,14 +287,14 @@ def test_bound_route_splits_batches_as_the_numpy_reference(weights, counts, seed
 
 def test_a_newly_bound_table_splits_by_its_own_rows():
     # a memo keyed by id() of a freed row could serve table B with table A's
-    # split; the split lives on the bound route, so B's batches follow B
+    # split; the split lives on the table's route, so B's batches follow B
     net = build_manual([(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
                        [(0, 2, 4, 1.0), (1, 2, 2, 1.0), (3, 2, 2, 1.0)], [(0, 1), (0, 3)])
     lanes = [(P(0, 2), P(0, 1)), (P(0, 2), P(0, 3))]
 
     def table(w1, w3):
         return compile_plan(net, RateSolution(
-            swaps={(P(0, 1), 2): w1, (P(0, 3), 2): w3}, g={P(0, 2): 1.0}, eta={}))
+            swaps={(P(0, 1), 2): w1, (P(0, 3), 2): w3}, g={P(0, 2): 1.0}, eta={}), state)
 
     def slot(tab, n):
         before = state.total_ebits()
@@ -293,8 +308,7 @@ def test_a_newly_bound_table_splits_by_its_own_rows():
     a = table(1.0, 3.0)
     assert slot(a, 1) == [1, 3]
     freed = weakref.ref(a)
-    # binding another table is what lets the state drop A's routes
-    state.bind(PlanTable())
+    # the ledger keeps no plan: A and its routes go as soon as the caller drops A
     del a
     gc.collect()
     assert freed() is None
@@ -321,7 +335,7 @@ def test_reconcile_drains_stale_lanes_and_retries_parked():
     assert all(state.total[i] == 0 for i in state.staged.values())
     assert _held(state, state.parked, P(0, 1)) == 4
 
-    plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 1.0}, g={}, eta={}))
+    plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 1.0}, g={}, eta={}), state)
     reconcile_buffers(state, plan, rng=_rng(slot=3))
     assert all(state.total[i] == 0 for i in state.parked.values())
     assert _held(state, state.staged, lane) == 4
@@ -340,7 +354,7 @@ def test_reconcile_again_on_the_same_table_moves_and_draws_nothing():
     _put(state, state.staged, (P(0, 2), P(0, 1)), 1, 1)   # live lane
     _put(state, state.parked, P(0, 2), 1, 2)              # regains an outlet split over two lanes
     table = compile_plan(star_net(), RateSolution(
-        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 1.0}, g={}, eta={}))
+        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): 1.0}, g={}, eta={}), state)
     rng = _rng(slot=3)
     reconcile_buffers(state, table, rng=rng)
     assert _held(state, state.parked, P(1, 3)) == 2
@@ -358,7 +372,7 @@ def test_reconcile_keeps_live_lanes_untouched():
     state = BufferState()
     lane = (P(0, 1), P(0, 2))
     _put(state, state.staged, lane, 1, 2)
-    plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 0.5}, g={}, eta={}))
+    plan = compile_plan(star_net(), RateSolution(swaps={(P(0, 2), 1): 0.5}, g={}, eta={}), state)
     reconcile_buffers(state, plan, rng=_rng(slot=2))
     assert _held(state, state.staged, lane) == 2
 
@@ -367,8 +381,8 @@ def test_reconcile_keeps_live_lanes_untouched():
 
 def test_phase_generate_integral_usage_is_exact():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 2, 1.0)], [(0, 1)])
-    plan = compile_plan(net, RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={P(0, 1): 2.0}))
     state = BufferState()
+    plan = compile_plan(net, RateSolution(swaps={}, g={P(0, 1): 1.0}, eta={P(0, 1): 2.0}), state)
     made = phase_generate(plan, state, birth=1, rng=_rng(phase=1))
     assert made == 2
     assert _held(state, state.ready, P(0, 1)) == 2
@@ -376,8 +390,8 @@ def test_phase_generate_integral_usage_is_exact():
 
 def test_phase_generate_fractional_usage_matches_expectation():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 0.8)], [(0, 1)])
-    plan = compile_plan(net, RateSolution(swaps={}, g={P(0, 1): 0.5}, eta={P(0, 1): 0.4}))
     state = BufferState()
+    plan = compile_plan(net, RateSolution(swaps={}, g={P(0, 1): 0.5}, eta={P(0, 1): 0.4}), state)
     slots = 20000
     total = 0
     srng = SlotRng(11)
@@ -404,18 +418,18 @@ def test_idle_table_leaves_every_phase_a_noop():
 
 # -- swapping -----------------------------------------------------------------
 
-def _two_hop_plan(net, eta=0.9):
+def _two_hop_plan(net, state, eta=0.9):
     return compile_plan(net, RateSolution(
         swaps={(P(0, 2), 1): 1.0},
         g={P(0, 1): 1.0, P(1, 2): 1.0},
         eta={P(0, 2): eta},
-    ))
+    ), state)
 
 
 def test_phase_swap_consumes_both_lanes():
     net = two_hop_line(q=1.0)
-    plan = _two_hop_plan(net)
     state = BufferState()
+    plan = _two_hop_plan(net, state)
     _put(state, state.staged, (P(0, 1), P(0, 2)), 1, 3)
     _put(state, state.staged, (P(1, 2), P(0, 2)), 1, 2)
     attempts, wins = phase_swap(plan, state, rng=_rng(slot=2, phase=2))
@@ -427,11 +441,11 @@ def test_phase_swap_consumes_both_lanes():
 
 def test_phase_swap_success_rate_matches_q():
     net = two_hop_line(q=0.7)
-    plan = _two_hop_plan(net)
     srng = SlotRng(3)
     attempts = wins = 0
     for slot in range(1, 4001):
         state = BufferState()
+        plan = _two_hop_plan(net, state)
         _put(state, state.staged, (P(0, 1), P(0, 2)), slot, 5)
         _put(state, state.staged, (P(1, 2), P(0, 2)), slot, 5)
         a, w = phase_swap(plan, state, srng.stream(slot, 2))
@@ -443,20 +457,20 @@ def test_phase_swap_success_rate_matches_q():
 
 def test_phase_swap_product_inherits_older_birth():
     net = two_hop_line(q=1.0)
-    plan = _two_hop_plan(net)
     state = BufferState()
+    plan = _two_hop_plan(net, state)
     _put(state, state.staged, (P(0, 1), P(0, 2)), 1, 1)
     _put(state, state.staged, (P(1, 2), P(0, 2)), 5, 1)
     phase_swap(plan, state, rng=_rng(slot=6, phase=2))
     assert _births(state, state.ready, P(0, 2)) == [(1, 1)]
 
 
-def _three_hop_plan(net):
+def _three_hop_plan(net, state):
     return compile_plan(net, RateSolution(
         swaps={(P(0, 2), 1): 1.0, (P(0, 3), 2): 1.0},
         g={P(0, 1): 1.0, P(1, 2): 1.0, P(2, 3): 1.0},
         eta={P(0, 3): 0.8},
-    ))
+    ), state)
 
 
 def test_phase_swap_cascade_depth_controls_same_slot_chaining():
@@ -469,7 +483,7 @@ def test_phase_swap_cascade_depth_controls_same_slot_chaining():
         _put(state, state.staged, (P(1, 2), P(0, 2)), 1, 1)
         _put(state, state.staged, (P(2, 3), P(0, 3)), 1, 1)
         phase_swap(
-            _three_hop_plan(net), state,
+            _three_hop_plan(net, state), state,
             rng=_rng(slot=2, phase=2),
             config=ProtocolConfig(cascade_depth=depth),
         )
@@ -539,8 +553,8 @@ def test_distribute_serves_deadlines_first_then_least_remaining():
 
 def test_phases_conserve_ebits_on_a_solved_plan():
     net = two_hop_line(c1=3, p1=0.8, c2=2, p2=0.9, q=0.85)
-    plan = compile_plan(net, solve_max_total(net, build_mred(net)))
     state = BufferState()
+    plan = compile_plan(net, solve_max_total(net, build_mred(net)), state)
     srng = SlotRng(17)
     sink = _commodity(0, P(0, 2), 10 ** 9)
     for slot in range(1, 301):
