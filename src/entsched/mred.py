@@ -50,7 +50,7 @@ from scipy import sparse
 
 from . import lp
 from .lp import LpStatus, SolverError
-from .topology import Network, NodePair, ValidationError, canonical_pair
+from .topology import Network, NodePair, ValidationError, canonical_pair, pair_positions
 from .workload import MAX_COMMODITY_DEMAND
 
 # post-solve cleanup: clamp negative dust within HiGHS's primal feasibility
@@ -106,17 +106,23 @@ def zero_solution(objective_log: Iterable[tuple[str, float]] = ()) -> RateSoluti
 class MredModel:
     """Sparse constraint matrices for one network, reusable across solves.
 
-    Column layout: one swap column per entry of `swap_ids`, each a
-    (produced pair, swap node) and the key of `RateSolution.swaps`, then
-    link usage, then one surplus column per SD pair (`eta_col`, in
-    `net.sorted_sd` order), then the floor column `floor_col`. A swap
+    Column layout: one swap column per (produced pair, swap node), pairs
+    in `all_pairs` order and swap nodes ascending within a pair, then
+    link usage (`g_col`, in `net.sorted_links` order), then one surplus
+    column per SD pair (`eta_col`, in `net.sorted_sd` order), then the
+    floor column `floor_col`. Equality rows: one balance row per pair, in
+    `all_pairs` order, with a surplus entry only in SD rows; row i is the
+    pair of the nodes at positions ``pair_lo[i]`` and ``pair_hi[i]`` of
+    ``net.nodes`` (`pair_positions`). Swap column j produces row
+    ``swap_pair[j]``'s pair at the node at position ``swap_node[j]``, and
+    that pair and node are its key in `RateSolution.swaps`; the matrix is
+    built from these index arrays, with no per-column Python work. A swap
     column's value is the swap's rate, which is also the staged flow of
     each of its two lanes: it adds ``q_k`` to the produced pair's balance
     row and takes 1 from each lane pair's row. The floor column appears
     in no balance row; rows that bound it by surpluses make maximizing it
-    a maximin. Equality rows: one balance row per pair, with a surplus
-    entry only in SD rows. `solves` counts the LP solves run on this
-    model, and `bound_armed` holds the SD pairs whose deadline probe was
+    a maximin. `solves` counts the LP solves run on this model, and
+    `bound_armed` holds the SD pairs whose deadline probe was
     LP-infeasible (see `deadline_verdict`).
     """
 
@@ -126,31 +132,29 @@ class MredModel:
         self._optima: dict[tuple, lp.LpResult] = {}
         self.bound_armed: set[NodePair] = set()
         nodes = net.nodes
-        pairs = net.all_pairs()
-        pidx = {pr: i for i, pr in enumerate(pairs)}
-        # balance row of a pair by its endpoints in either order, so a
-        # swap's lane rows (see `lane_keys`) need no canonical_pair call
-        row: dict[tuple[int, int], int] = {}
-        for pr, i in pidx.items():
-            row[pr.lo, pr.hi] = row[pr.hi, pr.lo] = i
+        n = len(nodes)
+        # balance row of a pair by its endpoints' node positions, in either order
+        self.pair_lo, self.pair_hi = lo, hi = pair_positions(n)
+        npair = len(lo)
+        row = np.zeros((n, n), dtype=np.int64)
+        row[lo, hi] = row[hi, lo] = np.arange(npair)
+        pos = {v: i for i, v in enumerate(nodes)}
 
-        swap_ids: list[SwapId] = []
-        swap_rows: list[tuple[int, int, int]] = []
-        swap_q: list[float] = []
-        for produced, i in pidx.items():
-            lo, hi = produced
-            for k in nodes:
-                if k == lo or k == hi:
-                    continue
-                swap_ids.append((produced, k))
-                swap_rows.append((i, row[lo, k], row[k, hi]))
-                swap_q.append(net.q[k])
+        def rows_of(prs: Sequence[NodePair]) -> np.ndarray:
+            return row[[pos[pr.lo] for pr in prs], [pos[pr.hi] for pr in prs]]
 
-        nf = len(swap_ids)
+        # one swap column per (produced pair, swap node): pairs in order,
+        # swap nodes ascending, the pair's own endpoints skipped
+        sp = np.repeat(np.arange(npair), n)
+        k = np.tile(np.arange(n), npair)
+        keep = (k != lo[sp]) & (k != hi[sp])
+        sp, k = sp[keep], k[keep]
+        self.swap_pair = sp
+        self.swap_node = k
+
+        nf = len(sp)
         ng = len(net.sorted_links)
         nsd = len(net.sorted_sd)
-        npair = len(pairs)
-        self.swap_ids = swap_ids
         self.g_col = {lk: nf + j for j, lk in enumerate(net.sorted_links)}
         self.eta_col = {pr: nf + ng + j for j, pr in enumerate(net.sorted_sd)}
         self.floor_col = nf + ng + nsd
@@ -158,15 +162,14 @@ class MredModel:
         self.n_f_vars = nf
 
         # balance rows: input - output - surplus = 0
-        sr = np.asarray(swap_rows, dtype=np.int64).reshape(-1, 3)
         fcols = np.arange(nf, dtype=np.int64)
-        link_rows = np.array([pidx[lk] for lk in net.sorted_links], dtype=np.int64)
+        q = np.array([net.q[v] for v in nodes])
         link_vals = np.array([net.links[lk].capacity * net.links[lk].p for lk in net.sorted_links])
-        sd_rows = np.array([pidx[pr] for pr in net.sorted_sd], dtype=np.int64)
-        rows = [sr[:, 0], sr[:, 1], sr[:, 2], link_rows, sd_rows]
+        rows = [sp, row[lo[sp], k], row[k, hi[sp]], rows_of(net.sorted_links),
+                rows_of(net.sorted_sd)]
         cols = [fcols, fcols, fcols, nf + np.arange(ng, dtype=np.int64),
                 nf + ng + np.arange(nsd, dtype=np.int64)]
-        vals = [np.asarray(swap_q), -np.ones(nf), -np.ones(nf), link_vals, -np.ones(nsd)]
+        vals = [q[k], -np.ones(nf), -np.ones(nf), link_vals, -np.ones(nsd)]
         self.A_eq = sparse.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(npair, self.ncols),
@@ -240,9 +243,13 @@ class MredModel:
 
     def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
         fv = x[:self.n_f_vars]
+        nz = np.flatnonzero((fv > DROP_TOL) | (fv < -NEG_CLAMP))
+        nodes = self.net.nodes
+        sp = self.swap_pair[nz]
         swaps = {
-            self.swap_ids[j]: float(fv[j])
-            for j in np.flatnonzero((fv > DROP_TOL) | (fv < -NEG_CLAMP))
+            (NodePair(nodes[a], nodes[b]), nodes[k]): w
+            for a, b, k, w in zip(self.pair_lo[sp].tolist(), self.pair_hi[sp].tolist(),
+                                  self.swap_node[nz].tolist(), fv[nz].tolist())
         }
         g = {}
         for lk, col in self.g_col.items():

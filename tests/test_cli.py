@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 
 import pytest
 
@@ -351,6 +352,19 @@ def _assert_config_error(rc, capsys):
 def test_gen_topology_negative_seed_is_config_error(tmp_path, capsys):
     rc = cli.main(["gen-topology", "--seed", "-1", "--out", str(tmp_path / "net.json")])
     _assert_config_error(rc, capsys)
+
+
+def test_gen_topology_tiny_alpha_is_one_config_line(tmp_path, capsys):
+    # every link probability underflows to zero, so no draw connects; the
+    # overflow on the way there must not reach stderr as a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["gen-topology", "--nodes", "5", "--alpha", "1e-320",
+                       "--out", str(tmp_path / "net.json")])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: no connected draw in 1000 attempts "
+                                       "(n=5, alpha=1e-320, beta=0.8)\n")
 
 
 def test_gen_topology_nan_alpha_is_config_error(tmp_path, capsys):

@@ -115,7 +115,8 @@ def test_extract_clamps_solver_dust(star):
     x[model.g_col[lk]] = 1.0 + 5e-8
     x[model.eta_col[P(0, 1)]] = -5e-8
     sol = model.extract(x, ())
-    assert sol.swaps == {model.swap_ids[1]: -1e-3, model.swap_ids[2]: 0.5}
+    # columns 1 and 2: pair 0:1 swapped at node 3, pair 0:2 at node 1
+    assert sol.swaps == {(P(0, 1), 3): -1e-3, (P(0, 2), 1): 0.5}
     assert sol.g == {lk: 1.0}
     assert sol.eta == {}
 

@@ -13,7 +13,8 @@ reference admission that solves every feasible probe's whole plan. Every
 program the model hands the LP backend on random instances is also
 solved by `scipy.optimize.linprog`, the reference the direct HiGHS
 backend must match bit for bit. The model's
-swap columns are checked against ones built through `lane_keys`, and
+whole balance matrix, on networks with scattered node ids too, is
+checked against one built column by column through `lane_keys`, and
 `check_solution` on random plans, tampered or not, against the per-pair
 formulation it replaced. The
 protocol's ebit ledger is checked after every slot of random runs, with
@@ -27,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import against_linprog
 from entsched import engine, mred, scheduler
@@ -42,7 +44,13 @@ from entsched.mred import (
 )
 from entsched.protocol import BufferState, ProtocolConfig, compile_plan
 from entsched.scheduler import POLICIES, POLICY_BASELINE, POLICY_DEADLINE, POLICY_ORDERED
-from entsched.topology import canonical_pair, generate_waxman, sample_sd_pairs
+from entsched.topology import (
+    MAX_NODES,
+    build_manual,
+    canonical_pair,
+    generate_waxman,
+    sample_sd_pairs,
+)
 from entsched.workload import (
     Commodity,
     DeadlineSpec,
@@ -336,27 +344,71 @@ def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, sha
         assert build_and_check_mred_dc(net, beyond, m) is None
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(nodes=st.integers(3, 17), net_seed=st.integers(0, 10_000))
-def test_model_swap_columns_match_lane_keys(nodes, net_seed):
-    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.7,
-                          seed=net_seed)
-    m = build_mred(net)
+def _relabelled(net, seed):
+    """`net` rebuilt through `build_manual` with node ids drawn at random,
+    non-contiguous and some negative, declared in descending order, each
+    node with its own swap probability, and three SD pairs sampled."""
+    rng = np.random.default_rng(seed)
+    ids = (rng.choice(10**6, size=len(net.nodes), replace=False) - 500_000).tolist()
+    label = dict(zip(net.nodes, ids))
+    nodes = [(v, rng.uniform(0.5, 1.0)) for v in sorted(ids, reverse=True)]
+    links = [(label[lk.lo], label[lk.hi], net.links[lk].capacity, net.links[lk].p)
+             for lk in net.sorted_links]
+    return sample_sd_pairs(build_manual(nodes, links), 3, seed=seed)
+
+
+def _reference_swap_keys(net):
+    """Every (produced pair, swap node), pairs in `all_pairs` order and swap
+    nodes ascending: the model's swap column order."""
+    return [(pr, k) for pr in net.all_pairs() for k in net.nodes if k not in pr]
+
+
+def _reference_balance_matrix(net):
+    """The balance rows column by column: swap columns through `lane_keys`,
+    then link, SD surplus and floor columns, as a dense array."""
     pairs = net.all_pairs()
     row = {pr: i for i, pr in enumerate(pairs)}
-    ids, want = [], np.zeros((len(pairs), len(m.swap_ids)))
-    for produced in pairs:
-        for k in net.nodes:
-            if k in (produced.lo, produced.hi):
-                continue
-            (left, _), (right, _) = lane_keys(produced, k)
-            j = len(ids)
-            ids.append((produced, k))
-            want[row[produced], j] += net.q[k]
-            want[row[left], j] -= 1.0
-            want[row[right], j] -= 1.0
-    assert m.swap_ids == ids
-    assert np.array_equal(m.A_eq[:, :m.n_f_vars].toarray(), want)
+    keys = _reference_swap_keys(net)
+    cols = [*keys, *net.sorted_links, *net.sorted_sd, "floor"]
+    want = np.zeros((len(pairs), len(cols)))
+    for j, (produced, k) in enumerate(keys):
+        (left, _), (right, _) = lane_keys(produced, k)
+        want[row[produced], j] += net.q[k]
+        want[row[left], j] -= 1.0
+        want[row[right], j] -= 1.0
+    for j, lk in enumerate(net.sorted_links, start=len(keys)):
+        want[row[lk], j] = net.links[lk].capacity * net.links[lk].p
+    for j, sd in enumerate(net.sorted_sd, start=len(keys) + len(net.sorted_links)):
+        want[row[sd], j] = -1.0
+    return want, keys
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(nodes=st.integers(1, 17), net_seed=st.integers(0, 10_000), relabel=st.booleans())
+def test_model_swap_columns_match_lane_keys(nodes, net_seed, relabel):
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.7,
+                          seed=net_seed)
+    net = _relabelled(net, net_seed) if relabel else sample_sd_pairs(net, 2, seed=net_seed)
+    m = build_mred(net)
+    want, keys = _reference_balance_matrix(net)
+    ref = sparse.csr_matrix(want)
+    assert m.A_eq.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(m.A_eq, part), getattr(ref, part)), part
+    # extract names each nonzero swap by its column's reference key, in order
+    rng = np.random.default_rng(net_seed)
+    x = rng.uniform(-1.0, 1.0, m.ncols) * (rng.random(m.ncols) < 0.3)
+    nz = np.flatnonzero(x[:len(keys)])
+    assert list(m.extract(x, ()).swaps.items()) == [(keys[j], x[j]) for j in nz]
+
+
+def test_model_column_count_at_max_nodes():
+    n = MAX_NODES
+    net = sample_sd_pairs(generate_waxman(n, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9,
+                                          q=0.9, seed=1), 3, seed=2)
+    m = build_mred(net)
+    assert m.ncols == n * (n - 1) * (n - 2) // 2 + len(net.links) + 3 + 1
+    assert m.A_eq.shape == (n * (n - 1) // 2, m.ncols)
 
 
 def _per_pair_report(net, sol):
@@ -410,7 +462,7 @@ def test_check_solution_matches_per_pair_reference(
             else solve_max_total(net, build_mred(net)))
     parts = {"swaps": dict(plan.swaps), "g": dict(plan.g), "eta": dict(plan.eta)}
     # each tamper shifts one entry of the plan, or adds one, by up to 1
-    keys = {"swaps": build_mred(net).swap_ids, "g": net.sorted_links, "eta": net.sorted_sd}
+    keys = {"swaps": _reference_swap_keys(net), "g": net.sorted_links, "eta": net.sorted_sd}
     for part, pick, shift in tampers:
         if keys[part]:
             key = keys[part][pick % len(keys[part])]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from entsched import topology
@@ -90,9 +92,31 @@ def test_waxman_deterministic():
     assert json.dumps(topology.to_json(a), sort_keys=True) == json.dumps(topology.to_json(b), sort_keys=True)
 
 
+# sha256 of the sorted-key JSON of `to_json(sample_sd_pairs(draw, 3, seed + 1))`
+# for the draw `generate_waxman(n, 0.8, 0.8, 3, 10, 0.9, 0.9, seed)`: a change
+# to how the generator computes its distances, probabilities or pairs must
+# draw the same networks and SD pairs
+GOLDEN_WAXMAN = {
+    (2, 0): "934143fccb1a77761bebe1c814d88ef81f6749e7916f5ede7d972495a0bd8a55",
+    (6, 3): "cc8086a80103a68f567b079e5c34b0eced23394abf056ed80b16a4996458598e",
+    (12, 7): "6c8dd92b765999d6fd50a116ed10a150604058da57f3edb9abefd0e31e0d598d",
+    (16, 11): "3d981848a057d87234d0b152ab6681fc0d23d02311038ff74479a3d8b3dfeae5",
+    (16, 42): "09a896ac7fd453d5aaf6873e797591082b5220159f3e26b85639b147819d32e9",
+    (30, 5): "d493bad28fa722e588f60dea5abaa6b467b478157a56dd5eff9b31234f2d6e2f",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(GOLDEN_WAXMAN))
+def test_waxman_draws_are_pinned(n, seed):
+    net = generate_waxman(n, alpha=0.8, beta=0.8, cap_lo=3, cap_hi=10, p=0.9, q=0.9, seed=seed)
+    text = json.dumps(topology.to_json(sample_sd_pairs(net, 3, seed=seed + 1)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WAXMAN[n, seed]
+
+
 def test_waxman_exhausts_budget(monkeypatch):
     monkeypatch.setattr(topology, "MAX_ATTEMPTS", 50)
-    with pytest.raises(ValidationError, match="no connected draw in 50 attempts"):
+    message = r"no connected draw in 50 attempts \(n=10, alpha=0.8, beta=1e-09\)"
+    with pytest.raises(ValidationError, match=message):
         generate_waxman(10, alpha=0.8, beta=1e-9, cap_lo=1, cap_hi=1, p=1.0, q=1.0, seed=0)
 
 
@@ -107,6 +131,14 @@ def test_waxman_rejects_bad_params():
         generate_waxman(5, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=2, p=1.0, q=1.0, seed=-1)
     with pytest.raises(ValidationError, match="alpha"):
         generate_waxman(5, alpha=float("nan"), beta=0.8, cap_lo=1, cap_hi=2, p=1.0, q=1.0, seed=0)
+
+
+def test_sample_sd_pairs_picks_by_all_pairs_index_on_any_ids():
+    net = build_manual([(v, 0.9) for v in (40, -7, 3, 1000, 12)], [])
+    pairs = net.all_pairs()
+    for seed in range(20):
+        chosen = np.random.default_rng(seed).choice(len(pairs), size=4, replace=False)
+        assert sample_sd_pairs(net, 4, seed).sd_pairs == frozenset(pairs[i] for i in chosen)
 
 
 def test_sample_sd_pairs_distinct_and_capped():
