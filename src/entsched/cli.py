@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -186,6 +187,21 @@ def _protocol_config(params: dict) -> ProtocolConfig:
                           max_buffer_age=params["max_buffer_age"])
 
 
+def _distinct_files(args, *flags: str) -> None:
+    """Refuse two of `flags` that name one file, compared by resolved path
+    before any file is read or opened: a run must not write over its own
+    input or its other output."""
+    seen: dict[str, str] = {}
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValidationError(f"{seen[real]} and {flag} name the same file {path}")
+        seen[real] = flag
+
+
 def cmd_gen_topology(args) -> int:
     net = _network(vars(args), args.seed, child_int(args.seed, "sd-pairs"))
     write_network(net, args.out)
@@ -195,6 +211,7 @@ def cmd_gen_topology(args) -> int:
 
 
 def cmd_gen_workload(args) -> int:
+    _distinct_files(args, "--net", "--out")
     net = read_network(args.net)
     if not net.sd_pairs:
         raise ValidationError(f"network {args.net} declares no SD pairs")
@@ -205,6 +222,7 @@ def cmd_gen_workload(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _distinct_files(args, "--net", "--workload", "--out", "--trace")
     net = read_network(args.net)
     commodities = read_workload(args.workload)
 

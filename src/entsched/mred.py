@@ -17,9 +17,10 @@ prioritized and single-pair solves differ only in their objectives and
 rows. A pair's solo rate maximizes its surplus with the other SD pairs
 free too; by free disposal that is the same optimum as serving it alone,
 and the same program as the first stage of a plan that ranks it first.
-One more column, the fair-share floor, is pinned at zero unless an
-objective maximizes it. The equality rows are the per-pair balance rows
-and nothing else.
+One more column, the fair-share floor, is free like the surpluses; it
+is in no balance row and costs nothing outside the stage that maximizes
+it, so the solver leaves it at zero there. The equality rows are the
+per-pair balance rows and nothing else.
 
 Every multi-objective plan is a lexicographic maximization written as a
 list of stages, each an objective plus the rows it adds; `_lexmax` runs
@@ -53,8 +54,9 @@ from .lp import LpStatus, SolverError
 from .topology import Network, NodePair, ValidationError, canonical_pair, pair_positions
 from .workload import MAX_COMMODITY_DEMAND
 
-# post-solve cleanup: clamp negative dust within HiGHS's primal feasibility
-# tolerance (1e-7) to zero, since a negative rate is a negative switch share
+# post-solve cleanup: a value outside its column's bound by at most HiGHS's
+# primal feasibility tolerance (1e-7) snaps onto the bound, since a negative
+# rate is a negative switch share; then any |v| < DROP_TOL reads as zero
 NEG_CLAMP = 1e-7
 DROP_TOL = 1e-12
 
@@ -64,14 +66,6 @@ FEAS_TOL = 1e-6
 
 def _lex_eps(v: float) -> float:
     return 1e-7 * max(1.0, abs(v))
-
-
-def _clean(v: float) -> float:
-    if -NEG_CLAMP <= v < 0.0:
-        return 0.0
-    if abs(v) < DROP_TOL:
-        return 0.0
-    return v
 
 
 SwapId = tuple[NodePair, int]
@@ -121,9 +115,12 @@ class MredModel:
     each of its two lanes: it adds ``q_k`` to the produced pair's balance
     row and takes 1 from each lane pair's row. The floor column appears
     in no balance row; rows that bound it by surpluses make maximizing it
-    a maximin. `solves` counts the LP solves run on this model, and
-    `bound_armed` holds the SD pairs whose deadline probe was
-    LP-infeasible (see `deadline_verdict`).
+    a maximin. Each column's bounds are stated once, in `_base_bounds`:
+    [0, 1] for link usage and [0, inf) for every other column; `solve`
+    passes them, and `extract` reads its point against them. `solves`
+    counts the LP solves run on this model, and `bound_armed` holds the
+    SD pairs whose deadline probe was LP-infeasible (see
+    `deadline_verdict`).
     """
 
     def __init__(self, net: Network):
@@ -179,8 +176,7 @@ class MredModel:
         bounds = np.zeros((self.ncols, 2))
         bounds[:nf, 1] = np.inf
         bounds[nf:nf + ng, 1] = 1.0
-        bounds[nf + ng:self.floor_col, 1] = np.inf
-        # the floor column stays pinned at zero unless an objective uses it
+        bounds[nf + ng:, 1] = np.inf
         self._base_bounds = bounds
 
     def _assemble_ub(self, extra_ub):
@@ -205,11 +201,10 @@ class MredModel:
         """Maximize a linear objective over the balance polytope.
 
         Every SD surplus is free; `eta_lower` bounds surpluses from below.
-        The floor column is freed only when `objective` uses it. An
-        optimal result is kept, with a read-only `x`, and returned for the
-        same program without a solve, since the solver returns the same
-        optimum for the same input. The key keeps the rows in order, as
-        row order reaches the solver.
+        An optimal result is kept, with a read-only `x`, and returned for
+        the same program without a solve, since the solver returns the
+        same optimum for the same input. The key keeps the rows in order,
+        as row order reaches the solver.
         """
         lower = tuple(sorted(eta_lower.items())) if eta_lower else ()
         key = (tuple(sorted(objective.items())),
@@ -220,8 +215,6 @@ class MredModel:
         bounds = self._base_bounds.copy()
         for pr, lo in lower:
             bounds[self.eta_col[pr], 0] = lo
-        if self.floor_col in objective:
-            bounds[self.floor_col, 1] = np.inf
 
         c = np.zeros(self.ncols)
         for col, w in objective.items():
@@ -242,27 +235,24 @@ class MredModel:
         return {self.eta_col[pr]: 1.0 for pr in self.net.sorted_sd}
 
     def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
-        fv = x[:self.n_f_vars]
-        nz = np.flatnonzero((fv > DROP_TOL) | (fv < -NEG_CLAMP))
+        """The plan at LP point `x`, read against the base bounds: a value
+        outside its bound by at most `NEG_CLAMP` snaps onto it, any
+        |v| < `DROP_TOL` is zero, and the plan keeps the nonzero entries.
+        Values further out are kept, for `check_solution` to flag."""
+        lo, hi = self._base_bounds.T
+        v = np.where((x < lo - NEG_CLAMP) | (x > hi + NEG_CLAMP), x, np.clip(x, lo, hi))
+        v[np.abs(v) < DROP_TOL] = 0.0
+        nf, ng = self.n_f_vars, len(self.g_col)
+        nz = np.flatnonzero(v[:nf])
         nodes = self.net.nodes
         sp = self.swap_pair[nz]
         swaps = {
             (NodePair(nodes[a], nodes[b]), nodes[k]): w
             for a, b, k, w in zip(self.pair_lo[sp].tolist(), self.pair_hi[sp].tolist(),
-                                  self.swap_node[nz].tolist(), fv[nz].tolist())
+                                  self.swap_node[nz].tolist(), v[nz].tolist())
         }
-        g = {}
-        for lk, col in self.g_col.items():
-            v = _clean(float(x[col]))
-            if 1.0 < v <= 1.0 + NEG_CLAMP:
-                v = 1.0
-            if v != 0.0:
-                g[lk] = v
-        eta = {}
-        for pr in self.net.sorted_sd:
-            v = _clean(float(x[self.eta_col[pr]]))
-            if v != 0.0:
-                eta[pr] = v
+        g = {lk: w for lk, w in zip(self.g_col, v[nf:nf + ng].tolist()) if w}
+        eta = {pr: w for pr, w in zip(self.eta_col, v[nf + ng:self.floor_col].tolist()) if w}
         return RateSolution(swaps=swaps, g=g, eta=eta, objective_log=tuple(objective_log))
 
 

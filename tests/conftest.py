@@ -78,6 +78,17 @@ def star():
     return star_net()
 
 
+@contextmanager
+def _installed(backend):
+    """Install `backend` as the LP backend for the block and yield it."""
+    real = lp.get_backend()
+    lp.set_backend(backend)
+    try:
+        yield backend
+    finally:
+        lp.set_backend(real)
+
+
 class _FailingBackend:
     """The real solver for the first `after` calls, then `status` on every call."""
 
@@ -92,16 +103,9 @@ class _FailingBackend:
         return self.real.solve(c, **kwargs)
 
 
-@contextmanager
 def failing_backend(status: str, after: int = 0):
     """Install `_FailingBackend` as the LP backend for the block."""
-    real = lp.get_backend()
-    stub = _FailingBackend(real, status, after)
-    lp.set_backend(stub)
-    try:
-        yield stub
-    finally:
-        lp.set_backend(real)
+    return _installed(_FailingBackend(lp.get_backend(), status, after))
 
 
 # linprog's integer statuses as the LP backend reads them; any other raises
@@ -127,12 +131,34 @@ class _AgainstLinprog:
         return res
 
 
-@contextmanager
 def against_linprog():
     """Install `_AgainstLinprog` as the LP backend for the block."""
-    real = lp.get_backend()
-    lp.set_backend(_AgainstLinprog(real))
-    try:
-        yield
-    finally:
-        lp.set_backend(real)
+    return _installed(_AgainstLinprog(lp.get_backend()))
+
+
+class _AgainstPinnedFloor:
+    """The real solver, with every program whose last column, the model's
+    fair-share floor, has no cost solved again with that column pinned at
+    zero, as the model once passed it: the free column must change
+    nothing, bit for bit."""
+
+    def __init__(self, real):
+        self.real = real
+        self.pinned = 0
+
+    def solve(self, c, bounds, **kwargs) -> lp.LpResult:
+        res = self.real.solve(c, bounds=bounds, **kwargs)
+        if c[-1] == 0.0:
+            self.pinned += 1
+            held = bounds.copy()
+            held[-1, 1] = 0.0
+            ref = self.real.solve(c, bounds=held, **kwargs)
+            assert res.status == ref.status
+            assert res.objective == ref.objective
+            assert (res.x is None and ref.x is None) or np.array_equal(res.x, ref.x)
+        return res
+
+
+def against_pinned_floor():
+    """Install `_AgainstPinnedFloor` as the LP backend for the block."""
+    return _installed(_AgainstPinnedFloor(lp.get_backend()))

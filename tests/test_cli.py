@@ -134,6 +134,48 @@ def test_simulate_out_in_missing_directory_fails_before_the_run(tmp_path, monkey
     assert runs == []
 
 
+# --out once overwrote the start of a --trace naming the same file, and
+# either one overwrote a --net or --workload input after reading it
+@pytest.mark.parametrize("command, writer, other", [
+    ("simulate", "--out", "--trace"),
+    ("simulate", "--out", "--workload"),
+    ("simulate", "--out", "--net"),
+    ("simulate", "--trace", "--workload"),
+    ("simulate", "--trace", "--net"),
+    ("gen-workload", "--out", "--net"),
+])
+@pytest.mark.parametrize("spelling", ["same", "symlink"])
+def test_flags_naming_one_file_are_refused_before_any_read(tmp_path, monkeypatch, capsys, command,
+                                                          writer, other, spelling):
+    net_path = _gen_net(tmp_path)
+    files = {"--net": net_path, "--workload": _gen_load(tmp_path, net_path),
+             "--trace": tmp_path / "r.json"}
+    target = files[other]
+    before = target.read_bytes() if target.exists() else None
+    alias = target
+    if spelling == "symlink":
+        alias = tmp_path / "link"
+        alias.symlink_to(target)
+    argv = [command, "--net", str(net_path), writer, str(alias)]
+    if command == "simulate":
+        argv += ["--workload", str(files["--workload"]), "--policy", "ESDI-B"]
+    if other == "--trace":
+        argv += ["--trace", str(target)]
+    monkeypatch.setattr(cli, "read_network", lambda path: pytest.fail("read --net"))
+    capsys.readouterr()
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert f" {writer} " in lines[0] and f" {other} " in lines[0], lines
+    if before is None:
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == before
+
+
 def test_simulate_missing_file_is_config_error(tmp_path, capsys):
     net_path = _gen_net(tmp_path)
     rc = cli.main([

@@ -30,7 +30,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import against_linprog
+from conftest import against_linprog, against_pinned_floor
 from entsched import engine, mred, scheduler
 from entsched.lp import LpStatus
 from entsched.mred import (
@@ -316,32 +316,50 @@ def test_admit_then_plan_once_matches_per_probe_admission(
             event(f"some probe {outcome}")
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
+def _every_program(nodes, net_seed, sd_count, share, delta):
+    """Max-total, `min_share`, lexicographic and solo-rate programs, then
+    need-bounded and face-plan probes, on one random network and model."""
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    m = build_mred(net)
+    v = m.solve(m.total_objective()).objective
+    solve_max_total(net, m)
+    ranked = solve_lexicographic(net, net.sorted_sd[::-1], m)
+    solve_single_pair_edr(net, net.sorted_sd[0], m)
+    # a share of a plan's own rates is within reach, and unlike the
+    # max-total point the lexicographic one may leave the probe uncovered;
+    # more than V on one pair is out of reach
+    reachable = [(sd, share * ranked.eta.get(sd, 0.0) * delta, float(delta))
+                 for sd in net.sorted_sd]
+    assert build_and_check_mred_dc(net, reachable, m) is not None
+    beyond = [(net.sorted_sd[0], 2 * v * delta + 1, float(delta))]
+    assert build_and_check_mred_dc(net, beyond, m) is None
+
+
+EVERY_PROGRAM = dict(
     nodes=st.integers(5, 10),
     net_seed=st.integers(0, 10_000),
     sd_count=st.integers(1, 4),
     share=st.floats(0.1, 0.99),
     delta=st.integers(1, 12),
 )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**EVERY_PROGRAM)
 def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, share, delta):
-    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
-                          seed=net_seed)
-    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
     with against_linprog():
-        m = build_mred(net)
-        v = m.solve(m.total_objective()).objective
-        solve_max_total(net, m)
-        ranked = solve_lexicographic(net, net.sorted_sd[::-1], m)
-        solve_single_pair_edr(net, net.sorted_sd[0], m)
-        # a share of a plan's own rates is within reach, and unlike the
-        # max-total point the lexicographic one may leave the probe uncovered;
-        # more than V on one pair is out of reach
-        reachable = [(sd, share * ranked.eta.get(sd, 0.0) * delta, float(delta))
-                     for sd in net.sorted_sd]
-        assert build_and_check_mred_dc(net, reachable, m) is not None
-        beyond = [(net.sorted_sd[0], 2 * v * delta + 1, float(delta))]
-        assert build_and_check_mred_dc(net, beyond, m) is None
+        _every_program(nodes, net_seed, sd_count, share, delta)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**EVERY_PROGRAM)
+def test_free_floor_matches_pinned_floor_on_every_program(nodes, net_seed, sd_count, share,
+                                                          delta):
+    with against_pinned_floor() as backend:
+        _every_program(nodes, net_seed, sd_count, share, delta)
+    assert backend.pinned > 0
 
 
 def _relabelled(net, seed):
@@ -383,6 +401,27 @@ def _reference_balance_matrix(net):
     return want, keys
 
 
+# values within, at and just beyond NEG_CLAMP of the bounds 0 and 1, below
+# DROP_TOL, and clear of both; DROP_TOL itself, where the swap rule moved,
+# is in test_mred.py
+EDGE_VALUES = [v for b in (0.0, 1.0) for v in (b - 2e-7, b - mred.NEG_CLAMP, b - 5e-8, b + 5e-8,
+                                               b + mred.NEG_CLAMP, b + 2e-7)] + [
+    -5e-13, 5e-13, 0.5, 2.0]
+
+
+def _reference_clean(v, upper=None):
+    """The per-column rule `extract` replaced for link usage (`upper` 1)
+    and surpluses: dust within NEG_CLAMP below zero and any |v| below
+    DROP_TOL reads as zero, then a value within NEG_CLAMP above `upper`
+    as `upper`. Swaps kept exactly the values above DROP_TOL or below
+    -NEG_CLAMP."""
+    if -mred.NEG_CLAMP <= v < 0.0 or abs(v) < mred.DROP_TOL:
+        v = 0.0
+    if upper is not None and upper < v <= upper + mred.NEG_CLAMP:
+        v = upper
+    return float(v)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(nodes=st.integers(1, 17), net_seed=st.integers(0, 10_000), relabel=st.booleans())
 def test_model_swap_columns_match_lane_keys(nodes, net_seed, relabel):
@@ -395,11 +434,19 @@ def test_model_swap_columns_match_lane_keys(nodes, net_seed, relabel):
     assert m.A_eq.shape == want.shape
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(m.A_eq, part), getattr(ref, part)), part
-    # extract names each nonzero swap by its column's reference key, in order
+    # extract names each nonzero swap by its column's reference key, in
+    # order, and reads every column as the per-column rules it replaced
     rng = np.random.default_rng(net_seed)
     x = rng.uniform(-1.0, 1.0, m.ncols) * (rng.random(m.ncols) < 0.3)
-    nz = np.flatnonzero(x[:len(keys)])
-    assert list(m.extract(x, ()).swaps.items()) == [(keys[j], x[j]) for j in nz]
+    dusty = rng.random(m.ncols) < 0.3
+    x[dusty] = rng.choice(EDGE_VALUES, dusty.sum())
+    sol = m.extract(x, ())
+    kept = [j for j in range(len(keys)) if x[j] > mred.DROP_TOL or x[j] < -mred.NEG_CLAMP]
+    assert list(sol.swaps.items()) == [(keys[j], x[j]) for j in kept]
+    g = [(lk, _reference_clean(x[m.g_col[lk]], upper=1.0)) for lk in net.sorted_links]
+    assert list(sol.g.items()) == [(lk, v) for lk, v in g if v]
+    eta = [(sd, _reference_clean(x[m.eta_col[sd]])) for sd in net.sorted_sd]
+    assert list(sol.eta.items()) == [(sd, v) for sd, v in eta if v]
 
 
 def test_model_column_count_at_max_nodes():

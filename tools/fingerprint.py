@@ -8,8 +8,12 @@ reads. For each workload in ``perfbench/workloads.WORKLOADS`` it runs
 the first 12 instances (sweep seeds 1000-1011) through ``build_instance``
 and ``simulate`` and prints one sha256 over every run's ``RunMetrics``
 without ``wall_ms``, its events without ``wall_ms``, its final commodity
-states and every trace row. A change meant to keep behaviour prints the
-same digests before and after.
+states and every trace row. It then runs the c3, c7, c8 and c9 tests of
+``tests/test_acceptance.py`` under pytest, with ``run_simulation``
+wrapped from session start, and prints one sha256 over every run those
+tests make: its ``RunMetrics`` and events without ``wall_ms`` and its
+final commodity states, with the run and solver-call counts. A change
+meant to keep behaviour prints the same digests before and after.
 """
 
 from __future__ import annotations
@@ -23,13 +27,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import pytest  # noqa: E402
 import workloads  # noqa: E402
+from entsched import engine  # noqa: E402
 
 SWEEP_SEEDS = range(1000, 1012)
+ACCEPTANCE = [str(ROOT / "tests" / "test_acceptance.py"), "-k", "c3 or c7 or c8 or c9",
+              "-q", "-p", "no:cacheprovider"]
 
 
 def _without_wall(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "wall_ms"}
+
+
+def _record(result) -> dict:
+    """A run's metrics and events without ``wall_ms`` and its final commodity states."""
+    return {
+        "metrics": _without_wall(result.metrics.to_json()),
+        "events": [_without_wall(e) for e in result.events],
+        "commodities": [asdict(c) for c in result.commodities],
+    }
 
 
 def digest(workload) -> str:
@@ -38,20 +55,44 @@ def digest(workload) -> str:
     for seed in SWEEP_SEEDS:
         rows: list[dict] = []
         result = workloads.simulate(workload, workloads.build_instance(workload, seed), trace=rows.append)
-        run = {
-            "metrics": _without_wall(result.metrics.to_json()),
-            "events": [_without_wall(e) for e in result.events],
-            "commodities": [asdict(c) for c in result.commodities],
-            "rows": rows,
-        }
-        h.update(json.dumps(run, sort_keys=True).encode())
+        h.update(json.dumps({**_record(result), "rows": rows}, sort_keys=True).encode())
     return h.hexdigest()
 
 
-def main() -> None:
+class _RunRecorder:
+    """pytest plugin hashing every `engine.run_simulation` call in run
+    order. It wraps the function at session start, before collection
+    imports the test modules that bind it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.runs = self.solves = 0
+
+    def pytest_sessionstart(self, session):
+        self.real = real = engine.run_simulation
+
+        def recorded(*args, **kwargs):
+            result = real(*args, **kwargs)
+            self.runs += 1
+            self.solves += result.metrics.solver_calls
+            self.hash.update(json.dumps(_record(result), sort_keys=True).encode())
+            return result
+
+        engine.run_simulation = recorded
+
+    def pytest_sessionfinish(self, session):
+        engine.run_simulation = self.real
+
+
+def main() -> int:
     for name, workload in workloads.WORKLOADS.items():
         print(name, digest(workload), flush=True)
+    recorder = _RunRecorder()
+    code = pytest.main(ACCEPTANCE, plugins=[recorder])
+    print(f"acceptance {recorder.hash.hexdigest()} ({recorder.runs} runs, "
+          f"{recorder.solves} solver calls)", flush=True)
+    return int(code)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
