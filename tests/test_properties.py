@@ -5,7 +5,10 @@ workload and runs every policy twice, checking every fresh plan and its
 execution table. Every ESDI-O plan must equal a fresh model's solve of
 its priority list, and every ESDI-B plan and ESDI-E fallback plan a
 fresh model's max-total solve. The examples are derandomized, so the
-suite runs the same instances every time. A fixed-plan test checks that
+suite runs the same instances every time, and each test's `@seed` is the
+digest hypothesis derived from the test's source when it was pinned
+(`int_from_bytes(function_digest(test))`), so editing a test's body no
+longer changes the instances it draws. A fixed-plan test checks that
 long runs deliver the planned end-to-end rates. A deadline probe on a
 model whose max-total optimum is already solved is checked against the
 cold two-stage solve. ESDI-E runs at kappa 2 and 3 must match a
@@ -26,7 +29,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, given, seed, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -84,6 +87,7 @@ def _check_table(plan, table, state):
             assert sd in table.rows, sd
 
 
+@seed(0x429760711b90ad40b189d8470c285c079f90336e1d01251f3e9478dd083bdf3238866cfdd6e013f4e4ee2c889eb69041)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     nodes=st.integers(4, 7),
@@ -156,6 +160,7 @@ def _cold_probe(net, entries):
     return mred._lexmax(m, [("total", total, rows), ("priority_total", prioritized, [])])
 
 
+@seed(0x9062fd8d7c56301f16c73c407a0e60a4b749822f15655a973698ae25d98b240ec637bfb4395e13c1ed8a2236954d3c02)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     nodes=st.integers(5, 9),
@@ -197,6 +202,7 @@ def test_warm_deadline_probe_agrees_with_cold_two_stage_solve(nodes, net_seed, s
     assert warm_log["priority_total"] == pytest.approx(cold_log["priority_total"], rel=1e-6)
 
 
+@seed(0x3e506ab4a29f62c0705ffb7fe26aa779cf31845efa2dcabb9847344415a1b62c78f5a8c07ad77e30c103219d77486f9d)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     nodes=st.integers(4, 9),
@@ -267,6 +273,7 @@ def _commodity_states(result):
             for c in result.commodities]
 
 
+@seed(0xe1f17b739e9798f1755a06efa2f45b33f54cba7e713e03a79b569d0b9c808b9026c47a98a6acb009fde69c41e3ff39fc)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     nodes=st.integers(5, 8),
@@ -346,6 +353,7 @@ EVERY_PROGRAM = dict(
 )
 
 
+@seed(0xdb42d9bf34ace514ed69e6f5e394fbb77e28af690b60d8d1cad41f21730d0cde167dc769c730e6a5832669d427938177)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(**EVERY_PROGRAM)
 def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, share, delta):
@@ -353,6 +361,7 @@ def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, sha
         _every_program(nodes, net_seed, sd_count, share, delta)
 
 
+@seed(0x84e2c108d38ba8c786049bef0f1241f43efdb2cf40da423b08d88b2654ef90bb0da7fa50fa5fb3733a48e5634a299a04)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(**EVERY_PROGRAM)
 def test_free_floor_matches_pinned_floor_on_every_program(nodes, net_seed, sd_count, share,
@@ -422,6 +431,7 @@ def _reference_clean(v, upper=None):
     return float(v)
 
 
+@seed(0x77c112799ea839d7af13707ade8cca0fe4e675667bf8bb01b1e7ada304a418f8cb86dd9fe07fc15819ff8eda1753b7aa)
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(nodes=st.integers(1, 17), net_seed=st.integers(0, 10_000), relabel=st.booleans())
 def test_model_swap_columns_match_lane_keys(nodes, net_seed, relabel):
@@ -489,6 +499,7 @@ def _per_pair_report(net, sol):
     return report
 
 
+@seed(0x5e282acc8059d1647ed298728e7ea7f0e9e35039ba34577d507d2a2d58bb03a46d4f3595d4bf5c014e40255cb0662138)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     nodes=st.integers(2, 9),
@@ -547,6 +558,7 @@ def test_fixed_plan_delivers_planned_rate(seed):
         assert delivered >= math.floor((1 - EPS) * plan.eta.get(c.sd, 0.0) * SLOTS), c.sd
 
 
+@seed(0xdc6131fbfc4a02b4a90db7ab609f58dc034ca8e5770379aab4107e290d38792d7d2be84da9ddcbe9cae17e37b2cb7429)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     nodes=st.integers(4, 7),
@@ -605,6 +617,7 @@ def _candidate_key(c):
     return (c.deadline, c.arrival, c.id)
 
 
+@seed(0xc3ae453c8130618980a82089b6cdb4e27bbcda47a401e366a88e2e5695fe909800d015395350a2dbda9d480864b95999)
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     rows=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6), st.integers(0, 8)),

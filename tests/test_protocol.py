@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import numpy_allocate, same_state, star_net, two_hop_line
@@ -262,6 +262,7 @@ def test_compile_plan_resolves_the_table_to_ledger_indices():
     assert len(state.total) == len(state.parked) + len(state.staged) + len(state.ready)
 
 
+@seed(0xac1994f0b07e7e3535063038a39cb280d89ad4473445f2c33a04e8b4a0bef5b3a381dca28221a281e8c1b36f3287aa5e)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     weights=st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.3, 1.0, 2.0, 7.0]),
