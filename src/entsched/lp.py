@@ -9,30 +9,63 @@ LP.
 
 It hands HiGHS exactly the model and options that
 ``scipy.optimize.linprog(method="highs")`` would: the rows of ``A_ub``
-followed by those of ``A_eq`` as one column-wise matrix, row bounds
-``(-inf, b_ub]`` then ``[b_eq, b_eq]``, presolve on and dual simplex.
-HiGHS's result depends on row order and options, so matching them keeps
-every plan bitwise equal to ``linprog``'s while skipping its input
-cleaning, option validation and per-column marginal loop, none of which
-the package reads. ``linprog``'s post-solve feasibility check is kept.
+followed by those of ``A_eq`` as one column-wise matrix, each column's
+entries in row order, row bounds ``(-inf, b_ub]`` then ``[b_eq, b_eq]``,
+presolve on and dual simplex. HiGHS's result depends on row order and
+options, so matching them keeps every plan bitwise equal to
+``linprog``'s while skipping its input cleaning, option validation and
+per-column marginal loop, none of which the package reads. ``linprog``'s
+post-solve feasibility check is kept. Each constraint matrix is a
+`CscMatrix`, the column-wise arrays HiGHS is passed, or a dense
+array-like, whose nonzeros are taken column by column.
 
-The bindings are private to scipy, so ``pyproject.toml`` pins the scipy
-versions they were checked against; if they cannot be imported, the
-first solve raises `SolverError`.
+The package imports only numpy and, from scipy, its top-level package
+and the ``_core`` extension: the extension is loaded from its file
+(``scipy/optimize/_highspy/_core.*.so``) under its canonical name, so
+``scipy.optimize`` (about 330 ms and 23 MB) and ``scipy.sparse`` are
+never imported, and a process that imports ``scipy.optimize`` too,
+before or after, shares the one module. The file and the bindings are
+private to scipy, so ``pyproject.toml`` pins the scipy versions (1.17.x)
+they were checked against; if the extension cannot be loaded, or
+``sys.modules`` holds None for it, the first solve raises `SolverError`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy import sparse
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_bindings():
+    """scipy's HiGHS extension module, or None when it cannot be loaded:
+    the `sys.modules` entry when there is one, else the module loaded
+    from its file and entered there under its canonical name."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    finder = importlib.machinery.FileFinder(
+        folder, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_CORE)
+    if spec is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError:
+        return None
+    sys.modules[_CORE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_bindings()
 
 
 class SolverError(RuntimeError):
@@ -104,8 +137,43 @@ def _to_highs(v, inf):
     return np.where(np.isinf(v), np.copysign(inf, v), v)
 
 
-def _rows(A, n):
-    return sparse.csr_array((0, n)) if A is None else sparse.csr_array(A, dtype=float)
+@dataclass(frozen=True)
+class CscMatrix:
+    """A constraint matrix as the column-wise arrays HiGHS is passed:
+    column j's entries are ``data[indptr[j]:indptr[j + 1]]``, in rows
+    ``indices[...]``, ascending with no row twice. Indices are int32."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+
+def _columns(A, n) -> CscMatrix:
+    """`A` as a `CscMatrix`: itself, an empty 0 x `n` matrix for None, or
+    the nonzeros of a dense array-like, column by column."""
+    if isinstance(A, CscMatrix):
+        return A
+    dense = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
+    cols, rows = np.nonzero(dense.T)
+    indptr = np.searchsorted(cols, np.arange(dense.shape[1] + 1)).astype(np.int32)
+    return CscMatrix(dense.shape, indptr, rows.astype(np.int32), dense[rows, cols])
+
+
+def _stack(top: CscMatrix, bottom: CscMatrix) -> CscMatrix:
+    """The rows of `top` above those of `bottom`: each column's entries
+    of `top` are spliced in ahead of its entries of `bottom`, so rows stay
+    ascending within every column, as ``linprog``'s stacked matrix has
+    them."""
+    indptr = top.indptr + bottom.indptr  # fails unless the column counts agree
+    at = np.repeat(bottom.indptr[:-1], np.diff(top.indptr))
+    return CscMatrix((top.shape[0] + bottom.shape[0], len(indptr) - 1), indptr,
+                     np.insert(bottom.indices + top.shape[0], at, top.indices),
+                     np.insert(bottom.data, at, top.data))
 
 
 def _rhs(b):
@@ -123,8 +191,7 @@ class ScipyHighsBackend:
         c = np.asarray(c, dtype=float).reshape(-1)
         n = c.size
         b_ub, b_eq = _rhs(b_ub), _rhs(b_eq)
-        A = sparse.vstack((_rows(A_ub, n), _rows(A_eq, n)), format="csr").tocsc()
-        A.sum_duplicates()
+        A = _stack(_columns(A_ub, n), _columns(A_eq, n))
         lhs = np.concatenate((np.full(b_ub.size, -inf), b_eq))
         rhs = np.concatenate((b_ub, b_eq))
         # one (lower, upper) row per column, or one pair for all; ±inf for none
@@ -137,7 +204,7 @@ class ScipyHighsBackend:
         loaded = highs.passModel(
             n, rhs.size, A.nnz, int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
             c, _to_highs(lb, inf), _to_highs(ub, inf), _to_highs(lhs, inf), _to_highs(rhs, inf),
-            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32), A.data,
+            A.indptr[:-1], A.indices, A.data,
             np.zeros(n, dtype=np.int32),
         )
         if loaded == h.HighsStatus.kError:  # HiGHS refused the model

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import lp
 from .lp import LpStatus, SolverError
@@ -98,7 +97,7 @@ def zero_solution(objective_log: Iterable[tuple[str, float]] = ()) -> RateSoluti
 
 
 class MredModel:
-    """Sparse constraint matrices for one network, reusable across solves.
+    """The rate LP of one network, reusable across solves.
 
     Column layout: one swap column per (produced pair, swap node), pairs
     in `all_pairs` order and swap nodes ascending within a pair, then
@@ -107,7 +106,8 @@ class MredModel:
     floor column `floor_col`. Equality rows: one balance row per pair, in
     `all_pairs` order, with a surplus entry only in SD rows; row i is the
     pair of the nodes at positions ``pair_lo[i]`` and ``pair_hi[i]`` of
-    ``net.nodes`` (`pair_positions`). Swap column j produces row
+    ``net.nodes`` (`pair_positions`). They form `A_eq`, built once as the
+    `lp.CscMatrix` HiGHS is passed. Swap column j produces row
     ``swap_pair[j]``'s pair at the node at position ``swap_node[j]``, and
     that pair and node are its key in `RateSolution.swaps`; the matrix is
     built from these index arrays, with no per-column Python work. A swap
@@ -158,19 +158,21 @@ class MredModel:
         self.ncols = self.floor_col + 1
         self.n_f_vars = nf
 
-        # balance rows: input - output - surplus = 0
-        fcols = np.arange(nf, dtype=np.int64)
+        # balance rows: input - output - surplus = 0, built column by column,
+        # rows ascending: a swap column's three rows are its produced pair's
+        # (q_k) and its two lane pairs' (-1 each), all distinct
         q = np.array([net.q[v] for v in nodes])
         link_vals = np.array([net.links[lk].capacity * net.links[lk].p for lk in net.sorted_links])
-        rows = [sp, row[lo[sp], k], row[k, hi[sp]], rows_of(net.sorted_links),
-                rows_of(net.sorted_sd)]
-        cols = [fcols, fcols, fcols, nf + np.arange(ng, dtype=np.int64),
-                nf + ng + np.arange(nsd, dtype=np.int64)]
-        vals = [q[k], -np.ones(nf), -np.ones(nf), link_vals, -np.ones(nsd)]
-        self.A_eq = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(npair, self.ncols),
-        ).tocsr()
+        swap_rows = np.sort(np.stack((sp, row[lo[sp], k], row[k, hi[sp]]), axis=1), axis=1)
+        swap_vals = np.where(swap_rows == sp[:, None], q[k][:, None], -1.0)
+        counts = np.concatenate((np.full(nf, 3), np.ones(ng + nsd, dtype=np.int64), [0]))
+        self.A_eq = lp.CscMatrix(
+            (npair, self.ncols),
+            np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
+            np.concatenate((swap_rows.ravel(), rows_of(net.sorted_links),
+                            rows_of(net.sorted_sd))).astype(np.int32),
+            np.concatenate((swap_vals.ravel(), link_vals, -np.ones(nsd))),
+        )
         self.b_eq = np.zeros(npair)
 
         bounds = np.zeros((self.ncols, 2))
@@ -180,17 +182,18 @@ class MredModel:
         self._base_bounds = bounds
 
     def _assemble_ub(self, extra_ub):
+        """The held rows as a `lp.CscMatrix` and their right-hand sides."""
         if not extra_ub:
             return None, None
-        rows, cols, vals, rhs = [], [], [], []
-        for r, (coeffs, ub) in enumerate(extra_ub):
-            for col, w in coeffs.items():
-                rows.append(r)
-                cols.append(col)
-                vals.append(w)
-            rhs.append(ub)
-        A = sparse.coo_matrix((vals, (rows, cols)), shape=(len(extra_ub), self.ncols)).tocsr()
-        return A, np.asarray(rhs)
+        rows = np.array([r for r, (coeffs, _) in enumerate(extra_ub) for _ in coeffs],
+                        dtype=np.int32)
+        cols = np.array([col for coeffs, _ in extra_ub for col in coeffs], dtype=np.int64)
+        vals = np.array([w for coeffs, _ in extra_ub for w in coeffs.values()], dtype=float)
+        order = np.lexsort((rows, cols))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.ncols))))
+        A = lp.CscMatrix((len(extra_ub), self.ncols), indptr.astype(np.int32), rows[order],
+                         vals[order])
+        return A, np.array([ub for _, ub in extra_ub], dtype=float)
 
     def solve(
         self,

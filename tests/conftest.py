@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from entsched import lp
@@ -112,16 +113,25 @@ def failing_backend(status: str, after: int = 0):
 LINPROG_STATUS = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
 
 
+def scipy_matrix(A):
+    """`A` as `linprog` takes it: a `lp.CscMatrix` as the scipy sparse array
+    of the same arrays, anything else as it is."""
+    if isinstance(A, lp.CscMatrix):
+        return sparse.csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+    return A
+
+
 class _AgainstLinprog:
     """The real solver, with every solve repeated by `linprog`, the reference
-    it must match bit for bit."""
+    it must match bit for bit; the package's matrices reach `linprog` as
+    scipy sparse arrays."""
 
     def __init__(self, real):
         self.real = real
 
     def solve(self, c, **kwargs) -> lp.LpResult:
         res = self.real.solve(c, **kwargs)
-        ref = linprog(c, method="highs", **kwargs)
+        ref = linprog(c, method="highs", **{k: scipy_matrix(v) for k, v in kwargs.items()})
         assert res.status == LINPROG_STATUS.get(ref.status, ref.message)
         if ref.x is None:
             assert res.x is None and res.objective is None

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from entsched import cli, lp
 from entsched.lp import CHECK_TOL, LpStatus, SolverError, check_point, classify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+CORE = "scipy.optimize._highspy._core"
 
 
 @pytest.mark.parametrize("model_status", list(HighsModelStatus.__members__.values()),
@@ -80,25 +83,79 @@ def test_oversized_coefficient_is_a_solver_error_not_infeasible():
         lp.get_backend().solve([-1.0], A_ub=[[1e19]], b_ub=[1.0])
 
 
-def test_missing_bindings_end_simulate_with_one_solver_line(tmp_path):
+def _fresh(script: str) -> subprocess.CompletedProcess:
+    """`script` run in a fresh interpreter that imports the package from
+    `src/` and the test helpers from `tests/`."""
+    path = os.pathsep.join((str(SRC), str(TESTS)))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def _simulate_without_bindings(tmp_path, prelude: str) -> None:
+    """Run `simulate` in a fresh interpreter after `prelude` and check
+    that it ends with exit 2 and the one line naming the bindings."""
     net, load = tmp_path / "net.json", tmp_path / "load.jsonl"
     assert cli.main(["gen-topology", "--nodes", "5", "--sd-count", "2", "--seed", "3",
                      "--out", str(net)]) == 0
     assert cli.main(["gen-workload", "--net", str(net), "--rate", "0.6", "--mean-demand", "3",
                      "--min-demand", "1", "--horizon", "5", "--seed", "5",
                      "--out", str(load)]) == 0
-    # a None entry in sys.modules makes importing the bindings fail
-    script = (
-        "import sys; sys.modules['scipy.optimize._highspy._core'] = None; "
-        "from entsched import cli; "
+    proc = _fresh(
+        f"{prelude}; from entsched import cli; "
         f"sys.exit(cli.main(['simulate', '--net', {str(net)!r}, '--workload', {str(load)!r}, "
         "'--policy', 'ESDI-B', '--seed', '1']))"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("solver error: scipy-highs: cannot load scipy's HiGHS bindings")
     assert scipy.__version__ in lines[0]
+
+
+def test_missing_bindings_end_simulate_with_one_solver_line(tmp_path):
+    # a None entry in sys.modules makes importing the bindings fail
+    _simulate_without_bindings(tmp_path, f"import sys; sys.modules[{CORE!r}] = None")
+
+
+def test_missing_extension_file_ends_simulate_with_one_solver_line(tmp_path):
+    # the extension lookup finds no _core file; every other lookup is untouched
+    _simulate_without_bindings(tmp_path, (
+        "import sys, importlib.machinery as m; find = m.FileFinder.find_spec; "
+        f"m.FileFinder.find_spec = lambda self, name, target=None: "
+        f"None if name == {CORE!r} else find(self, name, target)"
+    ))
+
+
+def test_the_package_imports_neither_scipy_optimize_nor_scipy_sparse():
+    proc = _fresh(
+        "import sys, entsched, entsched.cli; from entsched import lp; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))));"
+        f"print(lp._highs is sys.modules[{CORE!r}] is not None)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, shared = proc.stdout.splitlines()
+    # the extension registers its own submodules under its name
+    assert [m for m in eval(loaded) if not m.startswith(CORE)] == []
+    assert CORE in eval(loaded)
+    assert shared == "True"
+
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "entsched-first"])
+def test_scipy_optimize_and_the_package_share_one_extension_module(scipy_first):
+    proc = _fresh(("import scipy.optimize\n" if scipy_first else "") + textwrap.dedent(f"""
+        import sys
+        from entsched import lp, mred
+        import scipy.optimize
+        from scipy.optimize._highspy import _core, _highs_wrapper
+        print(lp._highs is _core is _highs_wrapper._h is sys.modules[{CORE!r}])
+        from conftest import against_linprog, star_net
+        net = star_net()
+        model = mred.build_mred(net)
+        with against_linprog():
+            mred.solve_max_total(net, model)
+        print(model.solves)
+    """))
+    assert proc.returncode == 0, proc.stderr
+    # both stages of the plan were solved, each matching linprog bit for bit
+    assert proc.stdout.splitlines() == ["True", "2"]

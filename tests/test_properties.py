@@ -440,10 +440,13 @@ def test_model_swap_columns_match_lane_keys(nodes, net_seed, relabel):
     net = _relabelled(net, net_seed) if relabel else sample_sd_pairs(net, 2, seed=net_seed)
     m = build_mred(net)
     want, keys = _reference_balance_matrix(net)
-    ref = sparse.csr_matrix(want)
+    # the model's column arrays, as HiGHS is passed them, are the dense
+    # reference's nonzeros column by column, in row order
+    ref = sparse.csc_array(want)
     assert m.A_eq.shape == want.shape
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(m.A_eq, part), getattr(ref, part)), part
+    assert m.A_eq.indptr.dtype == m.A_eq.indices.dtype == np.int32
     # extract names each nonzero swap by its column's reference key, in
     # order, and reads every column as the per-column rules it replaced
     rng = np.random.default_rng(net_seed)
