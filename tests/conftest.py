@@ -113,7 +113,7 @@ def failing_backend(status: str, after: int = 0):
 LINPROG_STATUS = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
 
 
-def scipy_matrix(A):
+def _scipy_matrix(A):
     """`A` as `linprog` takes it: a `lp.CscMatrix` as the scipy sparse array
     of the same arrays, anything else as it is."""
     if isinstance(A, lp.CscMatrix):
@@ -131,7 +131,7 @@ class _AgainstLinprog:
 
     def solve(self, c, **kwargs) -> lp.LpResult:
         res = self.real.solve(c, **kwargs)
-        ref = linprog(c, method="highs", **{k: scipy_matrix(v) for k, v in kwargs.items()})
+        ref = linprog(c, method="highs", **{k: _scipy_matrix(v) for k, v in kwargs.items()})
         assert res.status == LINPROG_STATUS.get(ref.status, ref.message)
         if ref.x is None:
             assert res.x is None and res.objective is None

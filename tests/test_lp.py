@@ -1,5 +1,6 @@
 """The direct HiGHS backend: status mapping, post-solve check, input forms."""
 
+import json
 import os
 import subprocess
 import sys
@@ -78,6 +79,17 @@ def test_linprog_input_forms():
         solve([1, 1], A_ub=[[-1, -1]], b_ub=[-3], bounds=(0, 1))
 
 
+@pytest.mark.parametrize("matrices, columns", [
+    ({"A_ub": [[1, 1, 1]], "b_ub": [1]}, "3 and 2"),
+    ({"A_eq": [[1, 0, 1]], "b_eq": [1]}, "2 and 3"),
+    ({"A_ub": [[1, 1, 1]], "b_ub": [1], "A_eq": [[1, 0, 1]], "b_eq": [1]}, "3 and 3"),
+    ({"A_ub": np.zeros((1, 0)), "b_ub": [1]}, "0 and 2"),
+], ids=["ub", "eq", "both", "no-columns"])
+def test_matrices_whose_width_is_not_the_costs_are_a_solver_error(matrices, columns):
+    with pytest.raises(SolverError, match=f"2 costs for matrices of {columns} columns"):
+        lp.get_backend().solve([1, 1], **matrices)
+
+
 def test_oversized_coefficient_is_a_solver_error_not_infeasible():
     with pytest.raises(SolverError, match="kModelError"):
         lp.get_backend().solve([-1.0], A_ub=[[1e19]], b_ub=[1.0])
@@ -129,15 +141,17 @@ def test_missing_extension_file_ends_simulate_with_one_solver_line(tmp_path):
 
 def test_the_package_imports_neither_scipy_optimize_nor_scipy_sparse():
     proc = _fresh(
-        "import sys, entsched, entsched.cli; from entsched import lp; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))));"
+        "import json, sys, entsched, entsched.cli; from entsched import lp; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.optimize', 'scipy.sparse'))))); "
         f"print(lp._highs is sys.modules[{CORE!r}] is not None)"
     )
     assert proc.returncode == 0, proc.stderr
     loaded, shared = proc.stdout.splitlines()
+    loaded = json.loads(loaded)
     # the extension registers its own submodules under its name
-    assert [m for m in eval(loaded) if not m.startswith(CORE)] == []
-    assert CORE in eval(loaded)
+    assert [m for m in loaded if not m.startswith(CORE)] == []
+    assert CORE in loaded
     assert shared == "True"
 
 
