@@ -15,9 +15,10 @@ presolve on and dual simplex. HiGHS's result depends on row order and
 options, so matching them keeps every plan bitwise equal to
 ``linprog``'s while skipping its input cleaning, option validation and
 per-column marginal loop, none of which the package reads. ``linprog``'s
-post-solve feasibility check is kept. Each constraint matrix is a
-`CscMatrix`, the column-wise arrays HiGHS is passed, or a dense
-array-like, whose nonzeros are taken column by column.
+post-solve feasibility check is kept. The program comes in one form:
+both constraint matrices as `CscMatrix`, the column-wise arrays HiGHS
+is passed, the right-hand sides and costs as float arrays and the
+bounds as one (lower, upper) row per column.
 
 The package imports only numpy and, from scipy, its top-level package
 and the ``_core`` extension: the extension is loaded from its file
@@ -155,17 +156,6 @@ class CscMatrix:
         return len(self.data)
 
 
-def _columns(A, n) -> CscMatrix:
-    """`A` as a `CscMatrix`: itself, an empty 0 x `n` matrix for None, or
-    the nonzeros of a dense array-like, column by column."""
-    if isinstance(A, CscMatrix):
-        return A
-    dense = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
-    cols, rows = np.nonzero(dense.T)
-    indptr = np.searchsorted(cols, np.arange(dense.shape[1] + 1)).astype(np.int32)
-    return CscMatrix(dense.shape, indptr, rows.astype(np.int32), dense[rows, cols])
-
-
 def _stack(top: CscMatrix, bottom: CscMatrix) -> CscMatrix:
     """The rows of `top` above those of `bottom`: each column's entries
     of `top` are spliced in ahead of its entries of `bottom`, so rows stay
@@ -177,32 +167,31 @@ def _stack(top: CscMatrix, bottom: CscMatrix) -> CscMatrix:
                      np.insert(bottom.data, at, top.data))
 
 
-def _rhs(b):
-    return np.zeros(0) if b is None else np.asarray(b, dtype=float).reshape(-1)
-
-
 class ScipyHighsBackend:
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, bounds."""
+    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
+    and ``bounds[:, 0] <= x <= bounds[:, 1]``.
+
+    `c` is a float array of n costs, both matrices are `CscMatrix` of n
+    columns (a program without inequality rows passes a 0 x n `A_ub`),
+    `b_ub` and `b_eq` are 1-D float arrays, one entry per row, and
+    `bounds` is an (n, 2) float array, ±inf for no bound.
+    """
 
     name = "scipy-highs"
 
-    def solve(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
+    def solve(self, c: np.ndarray, *, A_ub: CscMatrix, b_ub: np.ndarray, A_eq: CscMatrix,
+              b_eq: np.ndarray, bounds: np.ndarray) -> LpResult:
         h = _bindings()
         inf = h.kHighsInf
-        c = np.asarray(c, dtype=float).reshape(-1)
         n = c.size
-        b_ub, b_eq = _rhs(b_ub), _rhs(b_eq)
-        top, bottom = _columns(A_ub, n), _columns(A_eq, n)
         # HiGHS reads n column starts from the matrix's arrays
-        if not len(top.indptr) == len(bottom.indptr) == n + 1:
-            raise SolverError(f"scipy-highs: {n} costs for matrices of {len(top.indptr) - 1} "
-                              f"and {len(bottom.indptr) - 1} columns")
-        A = _stack(top, bottom)
+        if not len(A_ub.indptr) == len(A_eq.indptr) == n + 1:
+            raise SolverError(f"scipy-highs: {n} costs for matrices of {len(A_ub.indptr) - 1} "
+                              f"and {len(A_eq.indptr) - 1} columns")
+        A = _stack(A_ub, A_eq)
         lhs = np.concatenate((np.full(b_ub.size, -inf), b_eq))
         rhs = np.concatenate((b_ub, b_eq))
-        # one (lower, upper) row per column, or one pair for all; ±inf for none
-        lb, ub = np.broadcast_to(np.asarray((0.0, np.inf) if bounds is None else bounds,
-                                            dtype=float), (n, 2)).T
+        lb, ub = bounds.T
 
         highs = h._Highs()
         for key, value in _OPTIONS:

@@ -182,9 +182,8 @@ class MredModel:
         self._base_bounds = bounds
 
     def _assemble_ub(self, extra_ub):
-        """The held rows as a `lp.CscMatrix` and their right-hand sides."""
-        if not extra_ub:
-            return None, None
+        """The held rows as a `lp.CscMatrix` and their right-hand sides;
+        0 rows for none."""
         rows = np.array([r for r, (coeffs, _) in enumerate(extra_ub) for _ in coeffs],
                         dtype=np.int32)
         cols = np.array([col for coeffs, _ in extra_ub for col in coeffs], dtype=np.int64)

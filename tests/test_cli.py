@@ -1,7 +1,9 @@
 import csv
 import json
+import shlex
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from entsched.workload import (
     MAX_HORIZON,
     read_workload,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _gen_net(tmp_path, name="net.json", nodes=6, sd=2, seed=3):
@@ -87,6 +91,30 @@ def test_simulate_prints_metrics(tmp_path, capsys):
         "n_commodities", "solver_calls", "slots", "wall_ms",
     ]
     assert payload["policy"] == "ESDI-O"
+
+
+def _quick_start() -> tuple[list[list[str]], dict]:
+    """README's quick-start commands, each as `cli.main`'s arguments, and
+    the metrics object it shows `simulate` printing."""
+    blocks = README.read_text().split("## Quick start", 1)[1].split("```")
+    commands = [shlex.split(line) for line in blocks[1].replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert all(argv[0] == "entsched" for argv in commands)
+    return [argv[1:] for argv in commands], json.loads(blocks[3].removeprefix("json"))
+
+
+def test_readme_quick_start_prints_the_metrics_it_shows(tmp_path, monkeypatch, capsys):
+    commands, shown = _quick_start()
+    assert [argv[0] for argv in commands] == ["gen-topology", "gen-workload", "simulate"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert list(printed) == list(shown)
+    # every field but the run's wall time
+    del printed["wall_ms"], shown["wall_ms"]
+    assert printed == shown
 
 
 def test_simulate_solver_failure_exits_with_solver_code(tmp_path, capsys):

@@ -68,31 +68,59 @@ def test_check_rejects_an_infeasible_point(case):
         _check(**case)
 
 
+def _csc(shape, indptr, indices, data) -> lp.CscMatrix:
+    """A `lp.CscMatrix` written out column by column, with the backend's dtypes."""
+    return lp.CscMatrix(shape, np.array(indptr, dtype=np.int32),
+                        np.array(indices, dtype=np.int32), np.array(data, dtype=float))
+
+
+def _no_rows(n: int) -> lp.CscMatrix:
+    return _csc((0, n), [0] * (n + 1), [], [])
+
+
+NONE = np.zeros(0)
+FREE, NONNEG = (-np.inf, np.inf), (0.0, np.inf)
+
+
 def test_linprog_input_forms():
-    # dense lists, default bounds, one (lo, hi) pair for all, infinite bounds
+    # ub rows only, bounded columns, eq rows only with a free column, infinite upper bounds
+    ones, minus = _csc((1, 2), [0, 1, 2], [0, 0], [1, 1]), _csc((1, 2), [0, 1, 2], [0, 0], [1, -1])
     with against_linprog():
         solve = lp.get_backend().solve
-        solve([-1, -2], A_ub=[[1, 1]], b_ub=[4])
-        solve([-1, -2], A_ub=[[1, 1]], b_ub=[4], bounds=(0, 3))
-        solve([1, 1], A_eq=[[1, -1]], b_eq=[1], bounds=[(-np.inf, np.inf), (0, np.inf)])
-        solve([-1, 0], A_eq=[[1, -1]], b_eq=[0], bounds=(0, np.inf))
-        solve([1, 1], A_ub=[[-1, -1]], b_ub=[-3], bounds=(0, 1))
+        solve(np.array([-1.0, -2.0]), A_ub=ones, b_ub=np.array([4.0]), A_eq=_no_rows(2),
+              b_eq=NONE, bounds=np.array([NONNEG, NONNEG]))
+        solve(np.array([-1.0, -2.0]), A_ub=ones, b_ub=np.array([4.0]), A_eq=_no_rows(2),
+              b_eq=NONE, bounds=np.array([(0.0, 3.0), (0.0, 3.0)]))
+        solve(np.array([1.0, 1.0]), A_ub=_no_rows(2), b_ub=NONE, A_eq=minus,
+              b_eq=np.array([1.0]), bounds=np.array([FREE, NONNEG]))
+        solve(np.array([-1.0, 0.0]), A_ub=_no_rows(2), b_ub=NONE, A_eq=minus,
+              b_eq=np.array([0.0]), bounds=np.array([NONNEG, NONNEG]))
+        solve(np.array([1.0, 1.0]), A_ub=_csc((1, 2), [0, 1, 2], [0, 0], [-1, -1]),
+              b_ub=np.array([-3.0]), A_eq=_no_rows(2), b_eq=NONE,
+              bounds=np.array([(0.0, 1.0), (0.0, 1.0)]))
+
+
+WIDE = _csc((1, 3), [0, 1, 1, 2], [0, 0], [1, 1])
 
 
 @pytest.mark.parametrize("matrices, columns", [
-    ({"A_ub": [[1, 1, 1]], "b_ub": [1]}, "3 and 2"),
-    ({"A_eq": [[1, 0, 1]], "b_eq": [1]}, "2 and 3"),
-    ({"A_ub": [[1, 1, 1]], "b_ub": [1], "A_eq": [[1, 0, 1]], "b_eq": [1]}, "3 and 3"),
-    ({"A_ub": np.zeros((1, 0)), "b_ub": [1]}, "0 and 2"),
+    ({"A_ub": WIDE, "b_ub": np.ones(1)}, "3 and 2"),
+    ({"A_eq": WIDE, "b_eq": np.ones(1)}, "2 and 3"),
+    ({"A_ub": WIDE, "b_ub": np.ones(1), "A_eq": WIDE, "b_eq": np.ones(1)}, "3 and 3"),
+    ({"A_ub": _csc((1, 0), [0], [], []), "b_ub": np.ones(1)}, "0 and 2"),
 ], ids=["ub", "eq", "both", "no-columns"])
 def test_matrices_whose_width_is_not_the_costs_are_a_solver_error(matrices, columns):
+    program = {"A_ub": _no_rows(2), "b_ub": NONE, "A_eq": _no_rows(2), "b_eq": NONE,
+               "bounds": np.array([NONNEG, NONNEG]), **matrices}
     with pytest.raises(SolverError, match=f"2 costs for matrices of {columns} columns"):
-        lp.get_backend().solve([1, 1], **matrices)
+        lp.get_backend().solve(np.ones(2), **program)
 
 
 def test_oversized_coefficient_is_a_solver_error_not_infeasible():
     with pytest.raises(SolverError, match="kModelError"):
-        lp.get_backend().solve([-1.0], A_ub=[[1e19]], b_ub=[1.0])
+        lp.get_backend().solve(np.array([-1.0]), A_ub=_csc((1, 1), [0, 1], [0], [1e19]),
+                               b_ub=np.ones(1), A_eq=_no_rows(1), b_eq=NONE,
+                               bounds=np.array([NONNEG]))
 
 
 def _fresh(script: str) -> subprocess.CompletedProcess:

@@ -8,12 +8,16 @@ reads. For each workload in ``perfbench/workloads.WORKLOADS`` it runs
 the first 12 instances (sweep seeds 1000-1011) through ``build_instance``
 and ``simulate`` and prints one sha256 over every run's ``RunMetrics``
 without ``wall_ms``, its events without ``wall_ms``, its final commodity
-states and every trace row. It then runs the c3, c7, c8 and c9 tests of
+states and every trace row, then one sha256 over every argument (value,
+dtype and shape) those runs hand HiGHS's ``passModel``, in call order,
+with the number of calls. It then runs the c3, c7, c8 and c9 tests of
 ``tests/test_acceptance.py`` under pytest, with ``run_simulation``
 wrapped from session start, and prints one sha256 over every run those
 tests make: its ``RunMetrics`` and events without ``wall_ms`` and its
 final commodity states, with the run and solver-call counts. A change
-meant to keep behaviour prints the same digests before and after.
+meant to keep behaviour prints the same digests before and after; one
+that changes only how the package builds its programs prints the same
+``lp-input`` line too.
 """
 
 from __future__ import annotations
@@ -21,15 +25,17 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import types
 from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 import workloads  # noqa: E402
-from entsched import engine  # noqa: E402
+from entsched import engine, lp  # noqa: E402
 
 SWEEP_SEEDS = range(1000, 1012)
 ACCEPTANCE = [str(ROOT / "tests" / "test_acceptance.py"), "-k", "c3 or c7 or c8 or c9",
@@ -59,6 +65,41 @@ def digest(workload) -> str:
     return h.hexdigest()
 
 
+class _LpInputRecorder:
+    """Context manager hashing every `passModel` argument the LP backend
+    makes inside the block: it swaps `lp._highs` for a copy of the HiGHS
+    bindings whose ``_Highs`` hashes each call's arguments before passing
+    them on, and restores the bindings on exit."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.calls = 0
+
+    def record(self, args) -> None:
+        self.calls += 1
+        for a in args:
+            if isinstance(a, np.ndarray):
+                self.hash.update(f"{a.dtype.str}{a.shape}".encode())
+                self.hash.update(np.ascontiguousarray(a).tobytes())
+            else:
+                self.hash.update(f"{type(a).__name__}:{a!r}".encode())
+
+    def __enter__(self):
+        self.core = core = lp._highs
+        recorder = self
+
+        class Highs(core._Highs):
+            def passModel(self, *args):
+                recorder.record(args)
+                return super().passModel(*args)
+
+        lp._highs = types.SimpleNamespace(**{**vars(core), "_Highs": Highs})
+        return self
+
+    def __exit__(self, *exc):
+        lp._highs = self.core
+
+
 class _RunRecorder:
     """pytest plugin hashing every `engine.run_simulation` call in run
     order. It wraps the function at session start, before collection
@@ -85,8 +126,10 @@ class _RunRecorder:
 
 
 def main() -> int:
-    for name, workload in workloads.WORKLOADS.items():
-        print(name, digest(workload), flush=True)
+    with _LpInputRecorder() as lp_input:
+        for name, workload in workloads.WORKLOADS.items():
+            print(name, digest(workload), flush=True)
+    print(f"lp-input {lp_input.hash.hexdigest()} ({lp_input.calls} calls)", flush=True)
     recorder = _RunRecorder()
     code = pytest.main(ACCEPTANCE, plugins=[recorder])
     print(f"acceptance {recorder.hash.hexdigest()} ({recorder.runs} runs, "
