@@ -92,10 +92,6 @@ class RateSolution:
     objective_log: tuple[tuple[str, float], ...] = ()
 
 
-def zero_solution(objective_log: Iterable[tuple[str, float]] = ()) -> RateSolution:
-    return RateSolution(swaps={}, g={}, eta={}, objective_log=tuple(objective_log))
-
-
 class MredModel:
     """The rate LP of one network, reusable across solves.
 
@@ -156,7 +152,6 @@ class MredModel:
         self.eta_col = {pr: nf + ng + j for j, pr in enumerate(net.sorted_sd)}
         self.floor_col = nf + ng + nsd
         self.ncols = self.floor_col + 1
-        self.n_f_vars = nf
 
         # balance rows: input - output - surplus = 0, built column by column,
         # rows ascending: a swap column's three rows are its produced pair's
@@ -244,7 +239,7 @@ class MredModel:
         lo, hi = self._base_bounds.T
         v = np.where((x < lo - NEG_CLAMP) | (x > hi + NEG_CLAMP), x, np.clip(x, lo, hi))
         v[np.abs(v) < DROP_TOL] = 0.0
-        nf, ng = self.n_f_vars, len(self.g_col)
+        nf, ng = len(self.swap_pair), len(self.g_col)
         nz = np.flatnonzero(v[:nf])
         nodes = self.net.nodes
         sp = self.swap_pair[nz]
@@ -269,6 +264,15 @@ def _model_for(net: Network, model: MredModel) -> MredModel:
     if model.net is not net:
         raise ValidationError("model was built for a different network object")
     return model
+
+
+def _sd_pair(net: Network, pair: tuple[int, int]) -> NodePair:
+    """`pair` in canonical order, refused unless it is one of `net`'s SD
+    pairs: the one check every planner makes of a pair it is given."""
+    sd = canonical_pair(pair[0], pair[1])
+    if sd not in net.sd_pairs:
+        raise ValidationError(f"pair {sd} is not an SD pair")
+    return sd
 
 
 def _lexmax(
@@ -309,7 +313,7 @@ def solve_max_total(net: Network, model: MredModel) -> RateSolution:
     resolve to the fair split instead of an arbitrary solver vertex.
     """
     if not net.sd_pairs:
-        return zero_solution([("total", 0.0)])
+        return RateSolution(swaps={}, g={}, eta={}, objective_log=(("total", 0.0),))
     m = _model_for(net, model)
     floor_rows = [({m.floor_col: 1.0, m.eta_col[pr]: -1.0}, 0.0) for pr in net.sorted_sd]
     return _lexmax(m, [
@@ -322,9 +326,7 @@ def solve_single_pair_edr(net: Network, sd: NodePair, model: MredModel) -> float
     """Best end-to-end rate for SD pair `sd` when it is the only pair served:
     by free disposal, its most surplus while every SD surplus is free, the
     first stage of a plan ranking it first, so the model's memo shares it."""
-    sd = canonical_pair(sd[0], sd[1])
-    if sd not in net.sd_pairs:
-        raise ValidationError(f"pair {sd} is not an SD pair")
+    sd = _sd_pair(net, sd)
     m = _model_for(net, model)
     res = m.solve({m.eta_col[sd]: 1.0})
     if res.status != LpStatus.OPTIMAL:
@@ -344,12 +346,9 @@ def solve_lexicographic(
     maximizes the total surplus over the whole SD set so leftover
     capacity is not wasted.
     """
-    prio = [canonical_pair(p[0], p[1]) for p in priority]
+    prio = [_sd_pair(net, p) for p in priority]
     if len(set(prio)) != len(prio):
         raise ValidationError("priority list contains duplicate pairs")
-    for pr in prio:
-        if pr not in net.sd_pairs:
-            raise ValidationError(f"priority pair {pr} is not an SD pair")
     if not prio:
         return solve_max_total(net, model)
 
@@ -363,10 +362,8 @@ def _entry(net: Network, entry: tuple[NodePair, float, float]) -> tuple[NodePair
     triple of floats, refused unless its pair is an SD pair, its window at
     least one slot and its demand within [0, `MAX_COMMODITY_DEMAND`], past
     which its need could reach HiGHS's infinite bound; NaN fails both."""
-    sd, theta, delta = entry
-    sd = canonical_pair(sd[0], sd[1])
-    if sd not in net.sd_pairs:
-        raise ValidationError(f"prioritized pair {sd} is not an SD pair")
+    pair, theta, delta = entry
+    sd = _sd_pair(net, pair)
     if not delta >= 1:
         raise ValidationError(f"remaining slots {delta} for {sd} must be >= 1")
     if not theta >= 0:
@@ -400,27 +397,24 @@ def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[Nod
     return needs
 
 
-def _deadline_stages(m: MredModel, entries) -> list[tuple[str, dict, list]]:
-    """The max-total stage, then the stage that feeds the entries' pairs
-    most at that held total."""
+def _deadline_stages(m: MredModel, needs: Mapping[NodePair, float]) -> list[tuple[str, dict, list]]:
+    """The max-total stage, then the stage that feeds the needy pairs most
+    at that held total."""
     return [("total", m.total_objective(), []),
-            ("priority_total", {m.eta_col[sd]: 1.0 for sd, _, _ in entries}, [])]
+            ("priority_total", {m.eta_col[sd]: 1.0 for sd in needs}, [])]
 
 
-def face_plan(
-    m: MredModel, entries: Sequence[tuple[NodePair, float, float]]
-) -> RateSolution | None:
-    """The max-total plan that feeds the entries' pairs most, when it meets
-    every pair's deadline need (see `deadline_needs`); None otherwise.
+def face_plan(m: MredModel, needs: Mapping[NodePair, float]) -> RateSolution | None:
+    """The max-total plan that feeds the pairs of `needs` most, when it
+    meets each pair's deadline need (see `deadline_needs`); None otherwise.
 
     Its `total` stage is the model's max-total solve and its
-    `priority_total` program depends only on which pairs the entries
-    name, so the model's memo answers every later probe on those pairs.
-    A plan that meets the needs is feasible for the deadline program at a
-    total within `_lex_eps` of V, its unconstrained optimum.
+    `priority_total` program depends only on which pairs have needs, so
+    the model's memo answers every later probe on those pairs. A plan
+    that meets the needs is feasible for the deadline program at a total
+    within `_lex_eps` of V, its unconstrained optimum.
     """
-    plan = _lexmax(m, _deadline_stages(m, entries))
-    needs = deadline_needs(entries)
+    plan = _lexmax(m, _deadline_stages(m, needs))
     return plan if all(plan.eta.get(sd, 0.0) >= need for sd, need in needs.items()) else None
 
 
@@ -441,14 +435,13 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     programs through the memo.
     """
     entry = _entry(m.net, entry)
-    entries = [*admitted, entry]
     sd = entry[0]
-    needs = deadline_needs(entries)
+    needs = deadline_needs([*admitted, entry])
     if sd in m.bound_armed and needs[sd] > solve_single_pair_edr(m.net, sd, m) * (1 + 1e-7) + 1e-7:
         return "solo_rejected"
-    if face_plan(m, entries) is not None:
+    if face_plan(m, needs) is not None:
         return "covered"
-    if _lexmax(m, _deadline_stages(m, entries)[:1], eta_lower=needs) is None:
+    if _lexmax(m, _deadline_stages(m, needs)[:1], eta_lower=needs) is None:
         m.bound_armed.add(sd)
         return "infeasible"
     return "solved"
@@ -482,12 +475,13 @@ def build_and_check_mred_dc(
         return solve_max_total(net, model)
 
     m = _model_for(net, model)
-    plan = face_plan(m, entries)
+    needs = deadline_needs(entries)
+    plan = face_plan(m, needs)
     if plan is not None:
         return plan
     # among constrained max-total optima prefer feeding the prioritized
     # pairs, so the executed plan concentrates on the admitted deadlines
-    return _lexmax(m, _deadline_stages(m, entries), eta_lower=deadline_needs(entries))
+    return _lexmax(m, _deadline_stages(m, needs), eta_lower=needs)
 
 
 def check_solution(net: Network, sol: RateSolution) -> dict:

@@ -17,7 +17,6 @@ from entsched.mred import (
     solve_lexicographic,
     solve_max_total,
     solve_single_pair_edr,
-    zero_solution,
 )
 from entsched.topology import (
     NodePair,
@@ -88,7 +87,7 @@ def test_check_solution_plan_outside_network_raises(star, sol):
 def test_model_counts_on_star(star):
     model = build_mred(star)
     # every (produced pair, swap node) combination yields one swap column
-    assert model.n_f_vars == 6 * 2
+    assert len(model.swap_pair) == 6 * 2
     assert len(model.g_col) == 3
     # one balance row per pair; swap, link usage and SD surplus columns,
     # then the fair-share floor
@@ -99,7 +98,7 @@ def test_model_counts_on_star(star):
 def test_two_node_model_has_no_staged_flows():
     net = build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 3, 0.8)], [(0, 1)])
     model = build_mred(net)
-    assert model.n_f_vars == 0
+    assert len(model.swap_pair) == 0
     sol = solve_max_total(net, model)
     assert sol.eta[P(0, 1)] == pytest.approx(2.4, abs=1e-6)
     assert sol.g[P(0, 1)] == pytest.approx(1.0, abs=1e-6)
@@ -136,7 +135,7 @@ def test_extract_clamps_solver_dust(star):
 
 def test_zero_assignment_satisfies_balance(star):
     # untouched pairs have no residual
-    report = check_solution(star, zero_solution())
+    report = check_solution(star, RateSolution(swaps={}, g={}, eta={}))
     assert report.pop("ok")
     assert set(report.values()) == {0.0}
 
@@ -186,9 +185,20 @@ def test_single_pair_edr_star(star):
     assert solve_single_pair_edr(star, P(0, 3), build_mred(star)) == pytest.approx(2.0, abs=1e-6)
 
 
-def test_single_pair_edr_refuses_a_non_sd_pair(star):
-    with pytest.raises(ValidationError, match="1:3"):
-        solve_single_pair_edr(star, P(1, 3), build_mred(star))
+@pytest.mark.parametrize("plan", [
+    lambda net, m: solve_single_pair_edr(net, (3, 1), m),
+    lambda net, m: solve_lexicographic(net, [(3, 1)], m),
+    lambda net, m: build_and_check_mred_dc(net, [((3, 1), 1.0, 4.0)], m),
+    lambda net, m: deadline_verdict(m, [], ((3, 1), 1.0, 4.0)),
+], ids=["solve_single_pair_edr", "solve_lexicographic", "build_and_check_mred_dc",
+        "deadline_verdict"])
+def test_single_pair_edr_refuses_a_non_sd_pair(star, plan):
+    # every planner canonicalizes the pair it is given and refuses a non-SD
+    # pair with one message, before any LP
+    model = build_mred(star)
+    with pytest.raises(ValidationError, match=r"^pair 1:3 is not an SD pair$"):
+        plan(star, model)
+    assert model.solves == 0
 
 
 def test_single_pair_edr_disconnected_is_zero():
@@ -460,7 +470,7 @@ def test_dc_probe_solve_counts(star):
     # feeds it the whole rate: one LP for the pair set
     assert build_and_check_mred_dc(star, poor, model=m).eta == {P(0, 3): 2.0}
     assert m.solves == 3
-    assert mred.face_plan(m, uncovered) is None
+    assert mred.face_plan(m, mred.deadline_needs(uncovered)) is None
     assert m.solves == 4
     # a probe the face misses runs both stages after it
     assert build_and_check_mred_dc(star, uncovered, model=m) is not None
@@ -478,11 +488,11 @@ def test_dc_probe_solve_counts(star):
 
 def test_face_plan_answers_every_probe_on_its_pair_set(star):
     m = build_mred(star)
-    plan = mred.face_plan(m, [(P(0, 3), 6.0, 4.0)])
+    plan = mred.face_plan(m, mred.deadline_needs([(P(0, 3), 6.0, 4.0)]))
     before = m.solves
     # the program depends only on the pairs, so other needs cost no LP
-    assert mred.face_plan(m, [(P(0, 3), 1.0, 2.0), (P(0, 3), 7.0, 9.0)]) == plan
-    assert mred.face_plan(m, [(P(0, 3), 9.0, 4.0)]) is None
+    assert mred.face_plan(m, mred.deadline_needs([(P(0, 3), 1.0, 2.0), (P(0, 3), 7.0, 9.0)])) == plan
+    assert mred.face_plan(m, mred.deadline_needs([(P(0, 3), 9.0, 4.0)])) is None
     assert m.solves == before
 
 

@@ -71,13 +71,15 @@ def _without_wall(result):
 
 
 def _check_table(plan, table, state):
-    """Rows are distributions, every executed lane is fed, every SD surplus
-    has an outlet; lanes are read back from `state`'s staged indices."""
+    """Rows are distributions, every executed lane is fed, every fed lane
+    is live, every SD surplus has an outlet; lanes are read back from
+    `state`'s staged indices."""
+    lanes = {i: lane for lane, i in state.staged.items()}
     for targets, split in table.rows.values():
         probs = [1.0] if split is None else split.probs
         assert len(probs) == len(targets), (targets, probs)
         assert abs(sum(probs) - 1.0) <= 1e-12, (targets, probs)
-    lanes = {i: lane for lane, i in state.staged.items()}
+        assert all(i in table.live for i in targets if i in lanes), targets
     for _, left, right, _ in table.swaps:
         for i in (left, right):
             assert i in table.rows[lanes[i][0]][0], lanes[i]
@@ -182,7 +184,7 @@ def test_warm_deadline_probe_agrees_with_cold_two_stage_solve(nodes, net_seed, s
     before = m.solves
     warm = build_and_check_mred_dc(net, entries, model=m)
     added = m.solves - before
-    face = mred.face_plan(m, entries)
+    face = mred.face_plan(m, mred.deadline_needs(entries))
     cold = _cold_probe(net, entries)
     assert (warm is None) == (cold is None), entries
     if warm is None:
@@ -257,7 +259,7 @@ def _per_probe_plan_deadline(armed):
                 probes["infeasible"] += 1
                 armed.add(c.sd)
             else:
-                covered = mred.face_plan(state.model, entries) is not None
+                covered = mred.face_plan(state.model, mred.deadline_needs(entries)) is not None
                 probes["covered" if covered else "solved"] += 1
                 admitted.append(entry)
                 plan = probe

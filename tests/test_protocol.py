@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_allocate, same_state, star_net, two_hop_line
+from conftest import numpy_allocate, same_state, star_net, three_hop_line, two_hop_line
 from entsched.mred import RateSolution, build_mred, solve_max_total
 from entsched.protocol import (
     BufferState,
@@ -153,7 +153,8 @@ def test_plan_table_swaps_require_both_lanes():
          ((state.parked[P(0, 3)],), None)),
     )
     assert table.live == {i for swap in table.swaps for i in swap[1:3]}
-    assert staged[(P(1, 2), P(1, 3))] not in table.live
+    # a swap the table does not run feeds no row, so its lanes get no index
+    assert (P(1, 2), P(1, 3)) not in staged and (P(2, 3), P(1, 3)) not in staged
 
 
 def test_switch_probabilities_pure_surplus():
@@ -260,6 +261,21 @@ def test_compile_plan_resolves_the_table_to_ledger_indices():
     )
     assert table.live == set(staged.values())
     assert len(state.total) == len(state.parked) + len(state.staged) + len(state.ready)
+
+
+def test_compile_plan_feeds_rows_only_from_swaps_it_runs():
+    # `extract` keeps a swap rate below -NEG_CLAMP for `check_solution` to
+    # flag; as a share it gave row 0:2 the probabilities [1.000002, -2e-06]
+    # and routed ebits to the lane of a swap the table does not run
+    state = BufferState()
+    table = compile_plan(star_net(), RateSolution(
+        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): -2e-6},
+        g={P(0, 2): 1.0, P(1, 2): 0.5, P(2, 3): 0.5}, eta={P(0, 1): 1.0}), state)
+    lanes = set(state.staged.values())
+    for targets, split in table.rows.values():
+        probs = [1.0] if split is None else split.probs
+        assert min(probs) >= 0.0 and sum(probs) == pytest.approx(1.0, abs=1e-12), probs
+        assert {i for i in targets if i in lanes} <= table.live, targets
 
 
 @seed(0xac1994f0b07e7e3535063038a39cb280d89ad4473445f2c33a04e8b4a0bef5b3a381dca28221a281e8c1b36f3287aa5e)
@@ -475,8 +491,6 @@ def _three_hop_plan(net, state):
 
 
 def test_phase_swap_cascade_depth_controls_same_slot_chaining():
-    from conftest import three_hop_line
-
     net = three_hop_line(c=1, p=1.0, q=1.0)
     for depth, want_ready in ((1, 0), (2, 1)):
         state = BufferState()
@@ -491,6 +505,49 @@ def test_phase_swap_cascade_depth_controls_same_slot_chaining():
         assert _held(state, state.ready, P(0, 3)) == want_ready
         if depth == 1:
             assert _held(state, state.staged, (P(0, 2), P(0, 3))) == 1
+
+
+# -- fast paths against the reference path -----------------------------------
+
+def test_one_target_route_batches_as_a_one_entry_split():
+    # `switch_batch` skips the Split of a one-target route
+    runs = []
+    for split in (None, Split([1.0])):
+        state = BufferState()
+        route = ((state.index(state.parked, P(0, 1)),), split)
+        rng = _rng(seed=5)
+        for count in [*range(51), 10 ** 6]:
+            switch_batch(state, route, state.cohort(0), count, rng)
+        runs.append((state, rng))
+    (fast, fast_rng), (ref, ref_rng) = runs
+    assert fast.total == ref.total == [sum(range(51)) + 10 ** 6]
+    assert list(fast.cohorts) == list(ref.cohorts)
+    assert same_state(fast_rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+def test_one_cohort_swap_pass_matches_the_cohort_walk():
+    # an empty newer cohort sends `phase_swap` through `_pair_off`, the walk
+    # its one-cohort fast path must agree with in counts and draws
+    net = three_hop_line(c=1, p=1.0, q=0.7)
+    held = {(P(0, 1), P(0, 2)): 40, (P(1, 2), P(0, 2)): 30, (P(2, 3), P(0, 3)): 25}
+    for depth in (1, 2):
+        runs = []
+        for newer in (False, True):
+            state = BufferState()
+            table = _three_hop_plan(net, state)
+            for lane, n in held.items():
+                _put(state, state.staged, lane, 0, n)
+            if newer:
+                state.cohort(1)
+            rng = _rng(seed=11, slot=1, phase=2)
+            swapped = phase_swap(table, state, rng, ProtocolConfig(cascade_depth=depth))
+            runs.append((swapped, state, rng))
+        (fast, a, a_rng), (walk, b, b_rng) = runs
+        assert fast == walk and fast[1] > 0
+        assert a.total == b.total
+        assert a.cohorts[0] == b.cohorts[0]
+        assert b.cohorts[1] == (1, [0] * len(b.total))
+        assert same_state(a_rng.bit_generator.state, b_rng.bit_generator.state)
 
 
 # -- distribution -------------------------------------------------------------

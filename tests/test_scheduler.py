@@ -210,7 +210,7 @@ def test_solo_rate_bound_costs_nothing_without_an_infeasible_probe(monkeypatch):
     def recording_verdict(m, admitted, entry):
         outcome = verdict(m, admitted, entry)
         entries = (*admitted, entry)
-        covered = mred.face_plan(m, entries) is not None
+        covered = mred.face_plan(m, mred.deadline_needs(entries)) is not None
         assert covered == (outcome == "covered"), (entries, outcome)
         probes.append((entries, outcome in ("covered", "solved"), covered))
         return outcome
@@ -332,7 +332,7 @@ def test_events_count_probe_outcomes_and_mark_reused_plans():
     state = new_state(net, POLICY_DEADLINE, kappa=2)
     # 0:1 alone is feasible; 0:3 with it needs 1.5 + 1.0 of a hub rate of 2
     framework_step(state, [_c(0, AB, 6, deadline=4), _c(1, AD, 6, deadline=6)], slot=1)
-    covered = mred.face_plan(build_mred(net), [(AB, 6.0, 4.0)]) is not None
+    covered = mred.face_plan(build_mred(net), mred.deadline_needs([(AB, 6.0, 4.0)])) is not None
     assert state.events[0]["probes"] == {
         "covered": int(covered), "solved": int(not covered), "infeasible": 1, "solo_rejected": 0,
     }
