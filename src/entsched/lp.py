@@ -7,15 +7,20 @@ the HiGHS bindings that scipy bundles (``scipy.optimize._highspy._core``)
 directly: one fresh solver, one array ``passModel`` and one ``run`` per
 LP.
 
-It hands HiGHS exactly the model and options that
+A cold solve hands HiGHS exactly the model and options that
 ``scipy.optimize.linprog(method="highs")`` would: the rows of ``A_ub``
 followed by those of ``A_eq`` as one column-wise matrix, each column's
 entries in row order, row bounds ``(-inf, b_ub]`` then ``[b_eq, b_eq]``,
 presolve on and dual simplex. HiGHS's result depends on row order and
-options, so matching them keeps every plan bitwise equal to
+options, so matching them keeps every cold result bitwise equal to
 ``linprog``'s while skipping its input cleaning, option validation and
 per-column marginal loop, none of which the package reads. ``linprog``'s
-post-solve feasibility check is kept. The program comes in one form:
+post-solve feasibility check is kept. A warm solve also passes a start
+basis, the optimal basis of a program that this one extends by
+inequality rows, through ``setBasis``, and for that call only runs the
+primal simplex at a 1e-9 feasibility tolerance; HiGHS skips presolve
+when it has a basis. Its optimum matches cold ``linprog``'s at that
+tolerance, not bit for bit. The program comes in one form:
 both constraint matrices as `CscMatrix`, the column-wise arrays HiGHS
 is passed, the right-hand sides and costs as float arrays and the
 bounds as one (lower, upper) row per column.
@@ -83,9 +88,15 @@ class LpStatus:
 
 @dataclass
 class LpResult:
+    """A solve's outcome. An optimal result also carries HiGHS's optimal
+    basis, the start of a program that extends this one (see
+    `ScipyHighsBackend.solve`), and every result its simplex iterations."""
+
     status: str
     x: np.ndarray | None
     objective: float | None
+    basis: object | None = None
+    iterations: int = 0
 
 
 # what linprog(method="highs") sets; every other option keeps HiGHS's default
@@ -95,6 +106,15 @@ _OPTIONS = (
     ("highs_debug_level", 0),
     ("output_flag", False),
     ("log_to_console", False),
+)
+# what a warm solve changes: the primal simplex, as its start basis is
+# primal feasible, and a 1e-9 feasibility tolerance, since at HiGHS's 1e-7
+# a point can overshoot its stage's optimum by more than the slack that
+# the next stage's hold row leaves (seen with q = 1)
+WARM_FEASIBILITY_TOL = 1e-9
+_WARM_OPTIONS = (
+    ("simplex_strategy", 4),  # primal simplex
+    ("primal_feasibility_tolerance", WARM_FEASIBILITY_TOL),
 )
 
 # linprog's post-solve tolerance: sqrt of its default tol 1e-9, times 10
@@ -167,6 +187,23 @@ def _stack(top: CscMatrix, bottom: CscMatrix) -> CscMatrix:
                      np.insert(bottom.data, at, top.data))
 
 
+def _start_basis(h, start, n_ub: int, n_rows: int):
+    """`start`, the optimal basis of a program with the same columns and
+    equality rows but only the first of the `n_ub` inequality rows, with
+    a basic slack for each inequality row it lacks, inserted before the
+    equality rows, as the rows are stacked."""
+    rows = start.row_status
+    old_ub = len(rows) - (n_rows - n_ub)
+    if not 0 <= old_ub <= n_ub:
+        raise SolverError(f"scipy-highs: a start basis of {len(rows)} rows for {n_rows} rows")
+    basis = h.HighsBasis()
+    basis.col_status = start.col_status
+    basis.row_status = (rows[:old_ub] + [h.HighsBasisStatus.kBasic] * (n_ub - old_ub)
+                        + rows[old_ub:])
+    basis.valid = True
+    return basis
+
+
 class ScipyHighsBackend:
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``bounds[:, 0] <= x <= bounds[:, 1]``.
@@ -175,12 +212,19 @@ class ScipyHighsBackend:
     columns (a program without inequality rows passes a 0 x n `A_ub`),
     `b_ub` and `b_eq` are 1-D float arrays, one entry per row, and
     `bounds` is an (n, 2) float array, ±inf for no bound.
+
+    `start`, when given, is the `LpResult.basis` of an optimal program
+    that this one extends by inequality rows appended to its `A_ub`. The
+    solve starts from that basis, each new row's slack basic, with
+    `_WARM_OPTIONS`: the start is primal feasible wherever the new rows
+    hold at the old optimum. A start HiGHS refuses, or one with more rows
+    than the program, raises `SolverError`; there is no cold fallback.
     """
 
     name = "scipy-highs"
 
     def solve(self, c: np.ndarray, *, A_ub: CscMatrix, b_ub: np.ndarray, A_eq: CscMatrix,
-              b_eq: np.ndarray, bounds: np.ndarray) -> LpResult:
+              b_eq: np.ndarray, bounds: np.ndarray, start=None) -> LpResult:
         h = _bindings()
         inf = h.kHighsInf
         n = c.size
@@ -204,19 +248,27 @@ class ScipyHighsBackend:
         )
         if loaded == h.HighsStatus.kError:  # HiGHS refused the model
             classify(h.HighsModelStatus.kModelError)
+        if start is not None:
+            if highs.setBasis(_start_basis(h, start, b_ub.size, rhs.size)) == h.HighsStatus.kError:
+                raise SolverError("scipy-highs: HiGHS refused the start basis")
+            for key, value in _WARM_OPTIONS:
+                highs.setOptionValue(key, value)
         ran = highs.run()
         status = classify(highs.getModelStatus())
+        info = highs.getInfo()
+        iterations = info.simplex_iteration_count
         if status != LpStatus.OPTIMAL:
-            return LpResult(status=status, x=None, objective=None)
+            return LpResult(status=status, x=None, objective=None, iterations=iterations)
         if ran == h.HighsStatus.kError:
             raise SolverError("scipy-highs: HiGHS reported an error with an optimal status")
         solution = highs.getSolution()
         x = np.array(solution.col_value)
-        objective = highs.getInfo().objective_function_value
+        objective = info.objective_function_value
         row = np.array(solution.row_value)
         m = b_ub.size
         check_point(x, objective, lb, ub, b_ub - row[:m], b_eq - row[m:])
-        return LpResult(status=status, x=x, objective=float(objective))
+        return LpResult(status=status, x=x, objective=float(objective), basis=highs.getBasis(),
+                        iterations=iterations)
 
 
 _backend = ScipyHighsBackend()

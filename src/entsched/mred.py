@@ -24,7 +24,9 @@ per-pair balance rows and nothing else.
 
 Every multi-objective plan is a lexicographic maximization written as a
 list of stages, each an objective plus the rows it adds; `_lexmax` runs
-a stage list, holding each stage at its optimum before the next. A model
+a stage list, holding each stage at its optimum before the next, and
+solves each stage after the first warm, from the basis of the stage
+before it, with a tie-break toward the least link generation. A model
 runs each distinct program at most once: `MredModel.solve` keeps every
 optimal result by program, so a repeated plan, probe or solo rate costs
 no LP. An admission probe, admitted deadline entries plus one
@@ -43,7 +45,7 @@ between non-adjacent nodes are still usable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,6 +60,11 @@ from .workload import MAX_COMMODITY_DEMAND
 # rate is a negative switch share; then any |v| < DROP_TOL reads as zero
 NEG_CLAMP = 1e-7
 DROP_TOL = 1e-12
+
+# a warm stage's tie-break: each ebit per slot that link generation makes
+# costs TIE, so among a stage's optima it takes the least generation, and
+# a swap cycle, which only burns spare generation, never survives
+TIE = 1e-6
 
 # residual tolerance for solution validation
 FEAS_TOL = 1e-6
@@ -158,6 +165,8 @@ class MredModel:
         # (q_k) and its two lane pairs' (-1 each), all distinct
         q = np.array([net.q[v] for v in nodes])
         link_vals = np.array([net.links[lk].capacity * net.links[lk].p for lk in net.sorted_links])
+        self._tie = np.zeros(self.ncols)
+        self._tie[nf:nf + ng] = TIE * link_vals
         swap_rows = np.sort(np.stack((sp, row[lo[sp], k], row[k, hi[sp]]), axis=1), axis=1)
         swap_vals = np.where(swap_rows == sp[:, None], q[k][:, None], -1.0)
         counts = np.concatenate((np.full(nf, 3), np.ones(ng + nsd, dtype=np.int64), [0]))
@@ -194,18 +203,29 @@ class MredModel:
         objective: dict[int, float],
         extra_ub: Sequence[tuple[dict[int, float], float]] = (),
         eta_lower: Mapping[NodePair, float] | None = None,
+        start: lp.LpResult | None = None,
     ) -> lp.LpResult:
         """Maximize a linear objective over the balance polytope.
 
         Every SD surplus is free; `eta_lower` bounds surpluses from below.
-        An optimal result is kept, with a read-only `x`, and returned for
-        the same program without a solve, since the solver returns the
-        same optimum for the same input. The key keeps the rows in order,
-        as row order reaches the solver.
+        A program without `start` is solved cold, as ``linprog`` would.
+        `start` is the optimal result of the program that this one
+        extends by held rows, a `_lexmax` stage's predecessor: the solve
+        starts from its basis, and its costs add `TIE` per ebit of link
+        generation. The result's objective is the objective's value at
+        `x`, without that term.
+
+        An optimal result is kept, with a read-only `x` and HiGHS's basis,
+        and returned for the same program without a solve. A later stage's
+        rows hold every stage before it, so its program has one start and
+        the solver returns one optimum for it. The key keeps the rows in
+        order, as row order reaches the solver, and whether the program
+        is warm, since a warm program's costs carry the tie-break.
         """
         lower = tuple(sorted(eta_lower.items())) if eta_lower else ()
         key = (tuple(sorted(objective.items())),
-               tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub), lower)
+               tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub), lower,
+               start is not None)
         kept = self._optima.get(key)
         if kept is not None:
             return kept
@@ -213,15 +233,17 @@ class MredModel:
         for pr, lo in lower:
             bounds[self.eta_col[pr], 0] = lo
 
-        c = np.zeros(self.ncols)
+        c = np.zeros(self.ncols) if start is None else self._tie.copy()
         for col, w in objective.items():
             c[col] = -w
         A_ub, b_ub = self._assemble_ub(extra_ub)
         self.solves += 1
         res = lp.get_backend().solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq,
-                                     bounds=bounds)
+                                     bounds=bounds, start=None if start is None else start.basis)
         if res.objective is not None:
-            res = lp.LpResult(status=res.status, x=res.x, objective=-res.objective)
+            value = -res.objective if start is None else sum(
+                w * float(res.x[col]) for col, w in objective.items())
+            res = replace(res, objective=value)
         if res.status == LpStatus.OPTIMAL:
             res.x.flags.writeable = False
             self._optima[key] = res
@@ -285,16 +307,21 @@ def _lexmax(
     A stage is (label, objective, rows): its rows join the program, then
     its objective is maximized and held at its optimum less `_lex_eps` for
     the stages after it. `eta_lower` bounds surpluses in every stage. The
-    plan is the last stage's solution, and its objective log lists each
-    stage's label and optimum. Returns None when those bounds make the
-    first stage infeasible; any other outcome short of optimal raises
+    first stage is solved cold; each later one starts from the optimal
+    basis of the stage before it, which its hold row and new rows leave
+    primal feasible, and takes the least link generation among its optima
+    (`TIE`), so the plan runs no swap cycle. The plan is the last stage's
+    solution, and its objective log lists each stage's label and optimum,
+    without the tie-break. Returns None when those bounds make the first
+    stage infeasible; any other outcome short of optimal raises
     `SolverError`.
     """
     held: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
+    res = None
     for label, objective, rows in stages:
         held.extend(rows)
-        res = m.solve(objective, extra_ub=held, eta_lower=eta_lower)
+        res = m.solve(objective, extra_ub=held, eta_lower=eta_lower, start=res)
         if res.status == LpStatus.INFEASIBLE and not log and eta_lower:
             return None
         if res.status != LpStatus.OPTIMAL:

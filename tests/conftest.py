@@ -109,6 +109,23 @@ def failing_backend(status: str, after: int = 0):
     return _installed(_FailingBackend(lp.get_backend(), status, after))
 
 
+class _Recording:
+    """The real solver, keeping each call's costs and keywords in order."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = []
+
+    def solve(self, c, **kwargs) -> lp.LpResult:
+        self.calls.append((c, kwargs))
+        return self.real.solve(c, **kwargs)
+
+
+def recording_backend():
+    """Install `_Recording` as the LP backend for the block."""
+    return _installed(_Recording(lp.get_backend()))
+
+
 # linprog's integer statuses as the LP backend reads them; any other raises
 LINPROG_STATUS = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
 
@@ -123,21 +140,40 @@ def _scipy_matrix(A):
 
 class _AgainstLinprog:
     """The real solver, with every solve repeated by `linprog`, the reference
-    it must match bit for bit; the package's matrices reach `linprog` as
-    scipy sparse arrays."""
+    it must match; the package's matrices reach `linprog` as scipy sparse
+    arrays. A cold solve must match bit for bit. A warm one starts from a
+    basis `linprog` is not given, and its costs add the model's positive
+    tie-break costs to the stage's own, which are negative. `linprog`
+    solves its program with the stage's own costs, at the warm solve's
+    feasibility tolerance: the statuses must agree, the stage's value at
+    the warm point must be within 1e-9 relative of `linprog`'s optimum,
+    and the warm point must pass `lp.check_point`."""
 
     def __init__(self, real):
         self.real = real
+        self.warm = 0
 
-    def solve(self, c, **kwargs) -> lp.LpResult:
-        res = self.real.solve(c, **kwargs)
-        ref = linprog(c, method="highs", **{k: _scipy_matrix(v) for k, v in kwargs.items()})
+    def solve(self, c, start=None, **kwargs) -> lp.LpResult:
+        res = self.real.solve(c, start=start, **kwargs)
+        stage, options = c, {}
+        if start is not None:
+            stage = np.minimum(c, 0.0)
+            options = {"primal_feasibility_tolerance": lp.WARM_FEASIBILITY_TOL}
+        ref = linprog(stage, method="highs", options=options,
+                      **{k: _scipy_matrix(v) for k, v in kwargs.items()})
         assert res.status == LINPROG_STATUS.get(ref.status, ref.message)
         if ref.x is None:
             assert res.x is None and res.objective is None
-        else:
+        elif start is None:
             assert res.objective == ref.fun
             assert np.array_equal(res.x, ref.x)
+        else:
+            self.warm += 1
+            assert abs(stage @ res.x - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            A_ub, A_eq = (_scipy_matrix(kwargs[k]) for k in ("A_ub", "A_eq"))
+            lb, ub = kwargs["bounds"].T
+            lp.check_point(res.x, res.objective, lb, ub, kwargs["b_ub"] - A_ub @ res.x,
+                           kwargs["b_eq"] - A_eq @ res.x)
         return res
 
 

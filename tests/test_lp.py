@@ -116,6 +116,39 @@ def test_matrices_whose_width_is_not_the_costs_are_a_solver_error(matrices, colu
         lp.get_backend().solve(np.ones(2), **program)
 
 
+def _start():
+    """The optimal basis of max x + 2y subject to x + y <= 4, x, y >= 0."""
+    res = lp.get_backend().solve(
+        np.array([-1.0, -2.0]), A_ub=_csc((1, 2), [0, 1, 2], [0, 0], [1, 1]),
+        b_ub=np.array([4.0]), A_eq=_no_rows(2), b_eq=NONE, bounds=np.array([NONNEG, NONNEG]))
+    return res.basis
+
+
+def test_a_start_basis_takes_a_basic_slack_for_each_new_row():
+    # the held row first, then a new row x - y <= 1 that the start satisfies
+    with against_linprog() as backend:
+        res = lp.get_backend().solve(
+            np.array([-1.0, -2.0]), A_ub=_csc((2, 2), [0, 2, 4], [0, 1, 0, 1], [1, 1, 1, -1]),
+            b_ub=np.array([4.0, 1.0]), A_eq=_no_rows(2), b_eq=NONE,
+            bounds=np.array([NONNEG, NONNEG]), start=_start())
+    assert backend.warm == 1
+    assert res.objective == -8.0 and len(res.basis.row_status) == 2
+
+
+@pytest.mark.parametrize("program, message", [
+    ({"c": -np.ones(3), "A_ub": _csc((1, 3), [0, 1, 2, 3], [0, 0, 0], [1, 1, 1]),
+      "b_ub": np.array([4.0]), "A_eq": _no_rows(3), "bounds": np.array([NONNEG] * 3)},
+     "HiGHS refused the start basis"),
+    ({"c": -np.ones(2), "A_ub": _no_rows(2), "b_ub": NONE, "A_eq": _no_rows(2),
+      "bounds": np.array([NONNEG] * 2)},
+     "a start basis of 1 rows for 0 rows"),
+], ids=["more-columns", "fewer-rows"])
+def test_a_start_basis_that_does_not_fit_is_a_solver_error(program, message):
+    # no cold solve stands in for a refused start
+    with pytest.raises(SolverError, match=message):
+        lp.get_backend().solve(b_eq=NONE, start=_start(), **program)
+
+
 def test_oversized_coefficient_is_a_solver_error_not_infeasible():
     with pytest.raises(SolverError, match="kModelError"):
         lp.get_backend().solve(np.array([-1.0]), A_ub=_csc((1, 1), [0, 1], [0], [1e19]),
@@ -194,10 +227,11 @@ def test_scipy_optimize_and_the_package_share_one_extension_module(scipy_first):
         from conftest import against_linprog, star_net
         net = star_net()
         model = mred.build_mred(net)
-        with against_linprog():
+        with against_linprog() as backend:
             mred.solve_max_total(net, model)
-        print(model.solves)
+        print(model.solves, backend.warm)
     """))
     assert proc.returncode == 0, proc.stderr
-    # both stages of the plan were solved, each matching linprog bit for bit
-    assert proc.stdout.splitlines() == ["True", "2"]
+    # both stages of the plan were solved: the cold total matching linprog
+    # bit for bit, the warm min_share stage matching its optimum
+    assert proc.stdout.splitlines() == ["True", "2 1"]

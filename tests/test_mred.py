@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import failing_backend, star_net, three_hop_line, two_hop_line
-from entsched import mred, topology
+from conftest import failing_backend, recording_backend, star_net, three_hop_line, two_hop_line
+from entsched import lp, mred, topology
 from entsched.lp import LpStatus, SolverError
 from entsched.mred import (
     MredModel,
@@ -547,6 +547,19 @@ def test_memo_solves_again_when_a_surplus_lower_bound_differs(star):
     assert m.solves == 2
     assert tight.x[m.eta_col[P(0, 3)]] >= 1.5
     assert m.solve(m.total_objective(), eta_lower={P(0, 3): 2.5}).status == LpStatus.INFEASIBLE
+
+
+def test_a_later_stage_takes_fewer_iterations_warm_than_cold():
+    # a start basis the solver ignored would cost a cold solve's iterations
+    net = _random_net(3, n=10)
+    with recording_backend() as backend:
+        solve_max_total(net, build_mred(net))
+    (_, first), (c, later) = backend.calls
+    assert first["start"] is None and later["start"] is not None
+    warm = backend.real.solve(c, **later)
+    cold = backend.real.solve(c, **{**later, "start": None})
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+    assert 0 < warm.iterations < cold.iterations
 
 
 @pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])

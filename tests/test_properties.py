@@ -15,7 +15,10 @@ cold two-stage solve. ESDI-E runs at kappa 2 and 3 must match a
 reference admission that solves every feasible probe's whole plan. Every
 program the model hands the LP backend on random instances is also
 solved by `scipy.optimize.linprog`, the reference the direct HiGHS
-backend must match bit for bit. The model's
+backend must match bit for bit on a cold solve and in its stage optimum
+on a warm one (see `conftest._AgainstLinprog`). Plans from every planner,
+on networks with low generation and swap probabilities too, must run no
+swap cycle. The model's
 whole balance matrix, on networks with scattered node ids too, is
 checked against one built column by column through `lane_keys`, and
 `check_solution` on random plans, tampered or not, against the per-pair
@@ -25,6 +28,7 @@ and without an age limit. `service_order` must sort lists that all carry
 deadlines, or none, as the keys it replaced did.
 """
 
+import graphlib
 import math
 
 import numpy as np
@@ -371,6 +375,42 @@ def test_free_floor_matches_pinned_floor_on_every_program(nodes, net_seed, sd_co
     with against_pinned_floor() as backend:
         _every_program(nodes, net_seed, sd_count, share, delta)
     assert backend.pinned > 0
+
+
+def _pair_graph(plan):
+    """The plan's pair graph: an edge from each lane's consumed pair to the
+    produced pair of every swap the plan runs, as `graphlib` takes it."""
+    graph = {}
+    for (produced, k), w in plan.swaps.items():
+        if w > 0:
+            graph.setdefault(produced, set()).update(lane for lane, _ in lane_keys(produced, k))
+    return graph
+
+
+@seed(0xaa76b6b20e24ccd948fb74e87457fdf623a023ab39146a178c10d693bde0cc2cc66815e294c7421f6dff9e60d8bedcee)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(4, 10),
+    net_seed=st.integers(0, 10_000),
+    sd_count=st.integers(1, 4),
+    p=st.floats(0.05, 1.0),
+    q=st.floats(0.05, 1.0),
+    share=st.floats(0.1, 0.99),
+)
+def test_plans_have_no_swap_cycle(nodes, net_seed, sd_count, p, q, share):
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=10, p=p, q=q,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    m = build_mred(net)
+    fair = solve_max_total(net, m)
+    plans = [fair, solve_lexicographic(net, net.sorted_sd[::-1], m)]
+    # needs within, and for more than one pair likely beyond, the fair split
+    entries = [(sd, share * fair.eta.get(sd, 0.0) * 4 + share, 4.0) for sd in net.sorted_sd]
+    plans.append(build_and_check_mred_dc(net, entries, m))
+    for plan in filter(None, plans):
+        # a swap cycle only burns spare generation, which the tie-break spends on nothing
+        graphlib.TopologicalSorter(_pair_graph(plan)).prepare()
+    event("deadline plan" if plans[-1] is not None else "deadline infeasible")
 
 
 def _relabelled(net, seed):

@@ -9,11 +9,13 @@ the first 12 instances (sweep seeds 1000-1011) through ``build_instance``
 and ``simulate`` and prints one sha256 over every run's ``RunMetrics``
 without ``wall_ms``, its events without ``wall_ms``, its final commodity
 states and every trace row, then one sha256 over every argument (value,
-dtype and shape) those runs hand HiGHS's ``passModel``, in call order,
-with the number of calls. It then runs the c3, c7, c8 and c9 tests of
-``tests/test_acceptance.py`` under pytest, with ``run_simulation``
-wrapped from session start, and prints one sha256 over every run those
-tests make: its ``RunMetrics`` and events without ``wall_ms`` and its
+dtype and shape) those runs hand HiGHS's ``passModel``, every option
+they set (so each call's ``simplex_strategy``) and every status of each
+start basis they pass ``setBasis``, in call order, with the number of
+``passModel`` and ``setBasis`` calls. It then runs the c3, c7, c8 and
+c9 tests of ``tests/test_acceptance.py`` under pytest, with
+``run_simulation`` wrapped from session start, and prints one sha256
+over every run those tests make: its ``RunMetrics`` and events without ``wall_ms`` and its
 final commodity states, with the run and solver-call counts. A change
 meant to keep behaviour prints the same digests before and after; one
 that changes only how the package builds its programs prints the same
@@ -66,17 +68,17 @@ def digest(workload) -> str:
 
 
 class _LpInputRecorder:
-    """Context manager hashing every `passModel` argument the LP backend
-    makes inside the block: it swaps `lp._highs` for a copy of the HiGHS
-    bindings whose ``_Highs`` hashes each call's arguments before passing
-    them on, and restores the bindings on exit."""
+    """Context manager hashing every `passModel` argument, option and start
+    basis the LP backend hands HiGHS inside the block: it swaps `lp._highs`
+    for a copy of the HiGHS bindings whose ``_Highs`` hashes each call's
+    arguments before passing them on, and restores the bindings on exit."""
 
     def __init__(self):
         self.hash = hashlib.sha256()
-        self.calls = 0
+        self.calls = self.starts = 0
 
-    def record(self, args) -> None:
-        self.calls += 1
+    def record(self, name, args) -> None:
+        self.hash.update(name.encode())
         for a in args:
             if isinstance(a, np.ndarray):
                 self.hash.update(f"{a.dtype.str}{a.shape}".encode())
@@ -90,8 +92,19 @@ class _LpInputRecorder:
 
         class Highs(core._Highs):
             def passModel(self, *args):
-                recorder.record(args)
+                recorder.calls += 1
+                recorder.record("passModel", args)
                 return super().passModel(*args)
+
+            def setOptionValue(self, *args):
+                recorder.record("setOptionValue", args)
+                return super().setOptionValue(*args)
+
+            def setBasis(self, basis):
+                recorder.starts += 1
+                recorder.record("setBasis", [np.array([int(v) for v in basis.col_status]),
+                                             np.array([int(v) for v in basis.row_status])])
+                return super().setBasis(basis)
 
         lp._highs = types.SimpleNamespace(**{**vars(core), "_Highs": Highs})
         return self
@@ -129,7 +142,8 @@ def main() -> int:
     with _LpInputRecorder() as lp_input:
         for name, workload in workloads.WORKLOADS.items():
             print(name, digest(workload), flush=True)
-    print(f"lp-input {lp_input.hash.hexdigest()} ({lp_input.calls} calls)", flush=True)
+    print(f"lp-input {lp_input.hash.hexdigest()} ({lp_input.calls} calls, "
+          f"{lp_input.starts} warm)", flush=True)
     recorder = _RunRecorder()
     code = pytest.main(ACCEPTANCE, plugins=[recorder])
     print(f"acceptance {recorder.hash.hexdigest()} ({recorder.runs} runs, "
