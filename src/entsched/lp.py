@@ -7,20 +7,23 @@ the HiGHS bindings that scipy bundles (``scipy.optimize._highspy._core``)
 directly: one fresh solver, one array ``passModel`` and one ``run`` per
 LP.
 
-A cold solve hands HiGHS exactly the model and options that
-``scipy.optimize.linprog(method="highs")`` would: the rows of ``A_ub``
-followed by those of ``A_eq`` as one column-wise matrix, each column's
-entries in row order, row bounds ``(-inf, b_ub]`` then ``[b_eq, b_eq]``,
-presolve on and dual simplex. HiGHS's result depends on row order and
-options, so matching them keeps every cold result bitwise equal to
-``linprog``'s while skipping its input cleaning, option validation and
-per-column marginal loop, none of which the package reads. ``linprog``'s
-post-solve feasibility check is kept. A warm solve also passes a start
-basis, the optimal basis of a program that this one extends by
-inequality rows, through ``setBasis``, and for that call only runs the
-primal simplex at a 1e-9 feasibility tolerance; HiGHS skips presolve
-when it has a basis. Its optimum matches cold ``linprog``'s at that
-tolerance, not bit for bit. The program comes in one form:
+Every solve hands HiGHS the model ``scipy.optimize.linprog(method=
+"highs")`` would: the rows of ``A_ub`` followed by those of ``A_eq`` as
+one column-wise matrix, each column's entries in row order, row bounds
+``(-inf, b_ub]`` then ``[b_eq, b_eq]``. It skips ``linprog``'s input
+cleaning, option validation and per-column marginal loop, none of which
+the package reads, and keeps its post-solve feasibility check. Every
+solve runs with one set of options: presolve off, the primal simplex and
+a 1e-9 primal feasibility tolerance. A program with equality
+right-hand sides of 0, no inequality rows and no lower bound above 0,
+such as a plan's first stage, is feasible at x = 0, where HiGHS starts
+without a basis, so the simplex runs no phase 1. A solve may also pass
+a start through ``setBasis``: the optimal basis of a program with the
+same columns and equality rows and a prefix of this one's inequality
+rows, whose bounds may differ. ``linprog`` has no
+primal simplex, so an optimum matches ``linprog``'s at that tolerance,
+not bit for bit; one program solved twice, with the same start or none,
+gives bitwise-equal results. The program comes in one form:
 both constraint matrices as `CscMatrix`, the column-wise arrays HiGHS
 is passed, the right-hand sides and costs as float arrays and the
 bounds as one (lower, upper) row per column.
@@ -99,22 +102,22 @@ class LpResult:
     iterations: int = 0
 
 
-# what linprog(method="highs") sets; every other option keeps HiGHS's default
+# every solve runs the primal simplex without presolve, so a program
+# feasible at x = 0, or at its start basis, runs no phase 1. At 16 nodes
+# the cold max-total program took 9.1 ms against 24.5 with presolve and
+# the dual simplex, on a 2-core x86 host; either change alone gained
+# nothing. The 1e-9 feasibility tolerance is HiGHS's 1e-7 tightened,
+# since at 1e-7 a point can overshoot its stage's optimum by more than
+# the slack that the next stage's hold row leaves (seen with q = 1).
+# Every other option keeps HiGHS's default
+FEASIBILITY_TOL = 1e-9
 _OPTIONS = (
-    ("presolve", "on"),
-    ("simplex_strategy", 1),  # dual simplex
+    ("presolve", "off"),
+    ("simplex_strategy", 4),  # primal simplex
+    ("primal_feasibility_tolerance", FEASIBILITY_TOL),
     ("highs_debug_level", 0),
     ("output_flag", False),
     ("log_to_console", False),
-)
-# what a warm solve changes: the primal simplex, as its start basis is
-# primal feasible, and a 1e-9 feasibility tolerance, since at HiGHS's 1e-7
-# a point can overshoot its stage's optimum by more than the slack that
-# the next stage's hold row leaves (seen with q = 1)
-WARM_FEASIBILITY_TOL = 1e-9
-_WARM_OPTIONS = (
-    ("simplex_strategy", 4),  # primal simplex
-    ("primal_feasibility_tolerance", WARM_FEASIBILITY_TOL),
 )
 
 # linprog's post-solve tolerance: sqrt of its default tol 1e-9, times 10
@@ -214,11 +217,13 @@ class ScipyHighsBackend:
     `bounds` is an (n, 2) float array, ±inf for no bound.
 
     `start`, when given, is the `LpResult.basis` of an optimal program
-    that this one extends by inequality rows appended to its `A_ub`. The
-    solve starts from that basis, each new row's slack basic, with
-    `_WARM_OPTIONS`: the start is primal feasible wherever the new rows
-    hold at the old optimum. A start HiGHS refuses, or one with more rows
-    than the program, raises `SolverError`; there is no cold fallback.
+    with the same columns and equality rows and a prefix of this one's
+    inequality rows; its bounds may differ. The solve starts from that
+    basis, each new row's slack basic, where it is primal feasible when
+    the new rows and bounds hold at the old optimum; otherwise the primal
+    simplex first restores feasibility from it. A start HiGHS refuses, or
+    one with more rows than the program, raises `SolverError`; there is
+    no cold fallback.
     """
 
     name = "scipy-highs"
@@ -251,8 +256,6 @@ class ScipyHighsBackend:
         if start is not None:
             if highs.setBasis(_start_basis(h, start, b_ub.size, rhs.size)) == h.HighsStatus.kError:
                 raise SolverError("scipy-highs: HiGHS refused the start basis")
-            for key, value in _WARM_OPTIONS:
-                highs.setOptionValue(key, value)
         ran = highs.run()
         status = classify(highs.getModelStatus())
         info = highs.getInfo()

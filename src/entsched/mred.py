@@ -24,9 +24,11 @@ per-pair balance rows and nothing else.
 
 Every multi-objective plan is a lexicographic maximization written as a
 list of stages, each an objective plus the rows it adds; `_lexmax` runs
-a stage list, holding each stage at its optimum before the next, and
-solves each stage after the first warm, from the basis of the stage
-before it, with a tie-break toward the least link generation. A model
+a stage list, holding each stage at its optimum before the next. A
+first stage starts at the zero plan, or, with the needs as surplus
+bounds, from the max-total basis; each stage after the first starts
+from the basis of the stage before it, and a stage with a start takes a
+tie-break toward the least link generation. A model
 runs each distinct program at most once: `MredModel.solve` keeps every
 optimal result by program, so a repeated plan, probe or solo rate costs
 no LP. An admission probe, admitted deadline entries plus one
@@ -208,19 +210,21 @@ class MredModel:
         """Maximize a linear objective over the balance polytope.
 
         Every SD surplus is free; `eta_lower` bounds surpluses from below.
-        A program without `start` is solved cold, as ``linprog`` would.
-        `start` is the optimal result of the program that this one
-        extends by held rows, a `_lexmax` stage's predecessor: the solve
-        starts from its basis, and its costs add `TIE` per ebit of link
-        generation. The result's objective is the objective's value at
-        `x`, without that term.
+        A program without `start` starts at the zero plan. `start` is
+        the optimal result of a program with the same columns and a
+        prefix of this one's held rows: a `_lexmax` stage's predecessor,
+        or the max-total optimum for the first stage of a need-bounded
+        solve. The solve starts from its basis, and its costs add `TIE`
+        per ebit of link generation. The result's objective is the
+        objective's value at `x`, without that term.
 
         An optimal result is kept, with a read-only `x` and HiGHS's basis,
-        and returned for the same program without a solve. A later stage's
-        rows hold every stage before it, so its program has one start and
-        the solver returns one optimum for it. The key keeps the rows in
-        order, as row order reaches the solver, and whether the program
-        is warm, since a warm program's costs carry the tie-break.
+        and returned for the same program without a solve. A program has
+        one start: a later stage's rows hold every stage before it, and a
+        need-bounded first stage starts from the model's one max-total
+        optimum, so the solver returns one optimum for it. The key keeps
+        the rows in order, as row order reaches the solver, and whether
+        the program has a start, since then its costs carry the tie-break.
         """
         lower = tuple(sorted(eta_lower.items())) if eta_lower else ()
         key = (tuple(sorted(objective.items())),
@@ -301,24 +305,27 @@ def _lexmax(
     m: MredModel,
     stages: Iterable[tuple[str, dict, list]],
     eta_lower: Mapping[NodePair, float] | None = None,
+    start: lp.LpResult | None = None,
 ) -> RateSolution | None:
     """Maximize each stage's objective in turn, holding earlier stages.
 
     A stage is (label, objective, rows): its rows join the program, then
     its objective is maximized and held at its optimum less `_lex_eps` for
     the stages after it. `eta_lower` bounds surpluses in every stage. The
-    first stage is solved cold; each later one starts from the optimal
-    basis of the stage before it, which its hold row and new rows leave
-    primal feasible, and takes the least link generation among its optima
-    (`TIE`), so the plan runs no swap cycle. The plan is the last stage's
-    solution, and its objective log lists each stage's label and optimum,
-    without the tie-break. Returns None when those bounds make the first
-    stage infeasible; any other outcome short of optimal raises
-    `SolverError`.
+    first stage starts from `start`, an optimal result of a program with
+    the same columns and no held rows, when one is given, else from the
+    zero plan; each later one starts from the optimal basis of the stage
+    before it, which its hold row and new rows leave primal feasible. A
+    stage with a start takes the least link generation among its optima
+    (`TIE`), so a plan of two or more stages runs no swap cycle. The plan
+    is the last stage's solution, and its objective log lists each
+    stage's label and optimum, without the tie-break. Returns None when
+    those bounds make the first stage infeasible; any other outcome short
+    of optimal raises `SolverError`.
     """
     held: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
-    res = None
+    res = start
     for label, objective, rows in stages:
         held.extend(rows)
         res = m.solve(objective, extra_ub=held, eta_lower=eta_lower, start=res)
@@ -457,9 +464,11 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     without a deadline LP; only that pair is checked, since the admitted
     entries fit together. Otherwise `face_plan` covers the probe, or the
     first stage of `build_and_check_mred_dc`'s need-bounded solve decides
-    it, and an infeasible one arms the pair. So a feasible verdict runs no
-    second stage, and the admitted list's plan reuses the verdicts'
-    programs through the memo.
+    it, and an infeasible one arms the pair. That stage starts from the
+    max-total optimum, which `face_plan` has just solved, as the plan's
+    does, so both are one program. So a feasible verdict runs no second
+    stage, and the admitted list's plan reuses the verdicts' programs
+    through the memo.
     """
     entry = _entry(m.net, entry)
     sd = entry[0]
@@ -468,7 +477,8 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
         return "solo_rejected"
     if face_plan(m, needs) is not None:
         return "covered"
-    if _lexmax(m, _deadline_stages(m, needs)[:1], eta_lower=needs) is None:
+    if _lexmax(m, _deadline_stages(m, needs)[:1], eta_lower=needs,
+               start=m.solve(m.total_objective())) is None:
         m.bound_armed.add(sd)
         return "infeasible"
     return "solved"
@@ -492,8 +502,9 @@ def build_and_check_mred_dc(
     The program is first answered by `face_plan`, which costs at most one
     LP per set of prioritized pairs. When that plan misses a need, the
     program is solved in two stages with the needs as surplus bounds: the
-    constrained max-total optimum, then, holding that total, the most rate
-    for the prioritized pairs. The plan's objective log carries both
+    constrained max-total optimum, started from the basis of the
+    unconstrained one, then, holding that total, the most rate for the
+    prioritized pairs. The plan's objective log carries both
     values. `deadline_verdict` runs the same programs up to that first
     stage, so a list it found feasible costs here at most one more LP.
     """
@@ -508,7 +519,8 @@ def build_and_check_mred_dc(
         return plan
     # among constrained max-total optima prefer feeding the prioritized
     # pairs, so the executed plan concentrates on the admitted deadlines
-    return _lexmax(m, _deadline_stages(m, needs), eta_lower=needs)
+    return _lexmax(m, _deadline_stages(m, needs), eta_lower=needs,
+                   start=m.solve(m.total_objective()))
 
 
 def check_solution(net: Network, sol: RateSolution) -> dict:

@@ -141,13 +141,15 @@ def _scipy_matrix(A):
 class _AgainstLinprog:
     """The real solver, with every solve repeated by `linprog`, the reference
     it must match; the package's matrices reach `linprog` as scipy sparse
-    arrays. A cold solve must match bit for bit. A warm one starts from a
-    basis `linprog` is not given, and its costs add the model's positive
-    tie-break costs to the stage's own, which are negative. `linprog`
-    solves its program with the stage's own costs, at the warm solve's
+    arrays. The package runs the primal simplex without presolve, which
+    `linprog` does not offer, and a solve with a start begins from a basis
+    `linprog` is not given, its costs adding the model's positive
+    tie-break costs to the stage's own, which are negative. So `linprog`
+    solves each program with the stage's own costs, at the package's
     feasibility tolerance: the statuses must agree, the stage's value at
-    the warm point must be within 1e-9 relative of `linprog`'s optimum,
-    and the warm point must pass `lp.check_point`."""
+    the package's point must be within 1e-9 relative of `linprog`'s
+    optimum, and that point must pass `lp.check_point`. `warm` counts the
+    optimal solves that had a start."""
 
     def __init__(self, real):
         self.real = real
@@ -155,25 +157,20 @@ class _AgainstLinprog:
 
     def solve(self, c, start=None, **kwargs) -> lp.LpResult:
         res = self.real.solve(c, start=start, **kwargs)
-        stage, options = c, {}
-        if start is not None:
-            stage = np.minimum(c, 0.0)
-            options = {"primal_feasibility_tolerance": lp.WARM_FEASIBILITY_TOL}
-        ref = linprog(stage, method="highs", options=options,
+        stage = c if start is None else np.minimum(c, 0.0)
+        ref = linprog(stage, method="highs",
+                      options={"primal_feasibility_tolerance": lp.FEASIBILITY_TOL},
                       **{k: _scipy_matrix(v) for k, v in kwargs.items()})
         assert res.status == LINPROG_STATUS.get(ref.status, ref.message)
         if ref.x is None:
             assert res.x is None and res.objective is None
-        elif start is None:
-            assert res.objective == ref.fun
-            assert np.array_equal(res.x, ref.x)
-        else:
-            self.warm += 1
-            assert abs(stage @ res.x - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-            A_ub, A_eq = (_scipy_matrix(kwargs[k]) for k in ("A_ub", "A_eq"))
-            lb, ub = kwargs["bounds"].T
-            lp.check_point(res.x, res.objective, lb, ub, kwargs["b_ub"] - A_ub @ res.x,
-                           kwargs["b_eq"] - A_eq @ res.x)
+            return res
+        self.warm += start is not None
+        assert abs(stage @ res.x - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+        A_ub, A_eq = (_scipy_matrix(kwargs[k]) for k in ("A_ub", "A_eq"))
+        lb, ub = kwargs["bounds"].T
+        lp.check_point(res.x, res.objective, lb, ub, kwargs["b_ub"] - A_ub @ res.x,
+                       kwargs["b_eq"] - A_eq @ res.x)
         return res
 
 

@@ -562,6 +562,34 @@ def test_a_later_stage_takes_fewer_iterations_warm_than_cold():
     assert 0 < warm.iterations < cold.iterations
 
 
+def test_a_need_bounded_first_stage_starts_from_the_max_total_basis(star):
+    # the face plan misses the 1.2/0.8 split, so the needs bound the surpluses
+    m = build_mred(star)
+    entries = _covering_and_not(star)[2]
+    with recording_backend() as backend:
+        assert deadline_verdict(m, entries[:1], entries[1]) == "solved"
+    V = m.solve(m.total_objective())
+    bounded = [kw for _, kw in backend.calls
+               if kw["A_ub"].shape[0] == 0 and (kw["bounds"][:, 0] > 0).any()]
+    assert len(bounded) == 1 and bounded[0]["start"] is V.basis
+    needs = mred.deadline_needs(entries)
+    warm = m.solve(m.total_objective(), eta_lower=needs, start=V)
+    cold = build_mred(star).solve(m.total_objective(), eta_lower=needs)
+    assert warm.status == cold.status == LpStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.iterations < cold.iterations
+    # the plan's first stage is the verdict's program: the memo answers it
+    before = m.solves
+    build_and_check_mred_dc(star, entries, model=m)
+    assert m.solves == before + 1
+    # a need past the hub's rate is infeasible from that start too
+    beyond = (P(0, 3), 12.0, 4.0)
+    with recording_backend() as backend:
+        assert deadline_verdict(m, [], beyond) == "infeasible"
+    assert backend.calls[-1][1]["start"] is V.basis
+    assert m.bound_armed == {P(0, 3)}
+
+
 @pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])
 def test_memo_keeps_only_optimal_results(star, status):
     m = build_mred(star)

@@ -14,9 +14,9 @@ model whose max-total optimum is already solved is checked against the
 cold two-stage solve. ESDI-E runs at kappa 2 and 3 must match a
 reference admission that solves every feasible probe's whole plan. Every
 program the model hands the LP backend on random instances is also
-solved by `scipy.optimize.linprog`, the reference the direct HiGHS
-backend must match bit for bit on a cold solve and in its stage optimum
-on a warm one (see `conftest._AgainstLinprog`). Plans from every planner,
+solved by `scipy.optimize.linprog`, the reference whose stage optimum
+the direct HiGHS backend must match, from a start or without one (see
+`conftest._AgainstLinprog`). Plans from every planner,
 on networks with low generation and swap probabilities too, must run no
 swap cycle. The model's
 whole balance matrix, on networks with scattered node ids too, is
