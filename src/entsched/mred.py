@@ -27,16 +27,18 @@ list of stages, each an objective plus the rows it adds; `_lexmax` runs
 a stage list, holding each stage at its optimum before the next. A
 first stage starts at the zero plan, or, with the needs as surplus
 bounds, from the max-total basis; each stage after the first starts
-from the basis of the stage before it, and a stage with a start takes a
-tie-break toward the least link generation. A model
-runs each distinct program at most once: `MredModel.solve` keeps every
-optimal result by program, so a repeated plan, probe or solo rate costs
-no LP. An admission probe, admitted deadline entries plus one
-candidate, gets one verdict from `deadline_verdict`, cheapest check
-first: the candidate pair's solo rate once that pair has had an
-infeasible probe, then the max-total face (the max-total point that
-feeds the probe's pairs most, one program per set of admitted pairs),
-then the first stage of the need-bounded solve. The admitted list's plan
+from the basis of the stage before it. A program's shape sets its
+costs: one with held rows or surplus bounds adds a tie-break against
+link generation (`TIE`), so a start changes only where the solver
+begins. A model runs each distinct program at most once:
+`MredModel.solve` keeps every optimal result by program, so a repeated
+plan, probe or solo rate costs no LP. An admission probe, admitted
+deadline entries plus one candidate, gets one verdict from
+`deadline_verdict`, cheapest check first: the candidate pair's solo
+rate once that pair has had an infeasible probe, then the max-total
+face (the max-total point that feeds the probe's pairs most, one
+program per set of admitted pairs), then the first stage of the
+need-bounded solve. The admitted list's plan
 is solved once, by `build_and_check_mred_dc`, whose programs the
 verdicts have already run.
 
@@ -63,9 +65,12 @@ from .workload import MAX_COMMODITY_DEMAND
 NEG_CLAMP = 1e-7
 DROP_TOL = 1e-12
 
-# a warm stage's tie-break: each ebit per slot that link generation makes
-# costs TIE, so among a stage's optima it takes the least generation, and
-# a swap cycle, which only burns spare generation, never survives
+# the tie-break of a program with held rows or surplus lower bounds: each
+# ebit per slot that link generation makes costs TIE, so a swap cycle, which
+# only burns spare generation, never survives. Among a stage's optima it
+# takes the least generation only while every SD ebit the stage could add
+# costs fewer than 1/TIE = 10**6 link ebits: past that the charge outweighs
+# the ebit, and the stage leaves the pair unserved
 TIE = 1e-6
 
 # residual tolerance for solution validation
@@ -210,26 +215,23 @@ class MredModel:
         """Maximize a linear objective over the balance polytope.
 
         Every SD surplus is free; `eta_lower` bounds surpluses from below.
-        A program without `start` starts at the zero plan. `start` is
-        the optimal result of a program with the same columns and a
-        prefix of this one's held rows: a `_lexmax` stage's predecessor,
-        or the max-total optimum for the first stage of a need-bounded
-        solve. The solve starts from its basis, and its costs add `TIE`
-        per ebit of link generation. The result's objective is the
-        objective's value at `x`, without that term.
+        A program with held rows or surplus lower bounds adds `TIE` per
+        ebit of link generation to its costs, and its result's objective
+        is the objective's value at `x`, without that term; a program with
+        neither has the objective alone. `start`, when given, is the
+        optimal result of a program with the same columns and a prefix of
+        this one's held rows, and the solve begins from its basis, else
+        from the zero plan. It changes only where the solver begins.
 
         An optimal result is kept, with a read-only `x` and HiGHS's basis,
         and returned for the same program without a solve. A program has
-        one start: a later stage's rows hold every stage before it, and a
-        need-bounded first stage starts from the model's one max-total
-        optimum, so the solver returns one optimum for it. The key keeps
-        the rows in order, as row order reaches the solver, and whether
-        the program has a start, since then its costs carry the tie-break.
+        one start (see `_lexmax`), so the solver returns one optimum for
+        it. The key keeps the rows in order, as row order reaches the
+        solver.
         """
         lower = tuple(sorted(eta_lower.items())) if eta_lower else ()
         key = (tuple(sorted(objective.items())),
-               tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub), lower,
-               start is not None)
+               tuple((tuple(sorted(coeffs.items())), ub) for coeffs, ub in extra_ub), lower)
         kept = self._optima.get(key)
         if kept is not None:
             return kept
@@ -237,7 +239,8 @@ class MredModel:
         for pr, lo in lower:
             bounds[self.eta_col[pr], 0] = lo
 
-        c = np.zeros(self.ncols) if start is None else self._tie.copy()
+        tied = bool(extra_ub or lower)
+        c = self._tie.copy() if tied else np.zeros(self.ncols)
         for col, w in objective.items():
             c[col] = -w
         A_ub, b_ub = self._assemble_ub(extra_ub)
@@ -245,8 +248,8 @@ class MredModel:
         res = lp.get_backend().solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq,
                                      bounds=bounds, start=None if start is None else start.basis)
         if res.objective is not None:
-            value = -res.objective if start is None else sum(
-                w * float(res.x[col]) for col, w in objective.items())
+            value = (sum(w * float(res.x[col]) for col, w in objective.items()) if tied
+                     else -res.objective)
             res = replace(res, objective=value)
         if res.status == LpStatus.OPTIMAL:
             res.x.flags.writeable = False
@@ -305,27 +308,27 @@ def _lexmax(
     m: MredModel,
     stages: Iterable[tuple[str, dict, list]],
     eta_lower: Mapping[NodePair, float] | None = None,
-    start: lp.LpResult | None = None,
 ) -> RateSolution | None:
     """Maximize each stage's objective in turn, holding earlier stages.
 
     A stage is (label, objective, rows): its rows join the program, then
     its objective is maximized and held at its optimum less `_lex_eps` for
     the stages after it. `eta_lower` bounds surpluses in every stage. The
-    first stage starts from `start`, an optimal result of a program with
-    the same columns and no held rows, when one is given, else from the
-    zero plan; each later one starts from the optimal basis of the stage
-    before it, which its hold row and new rows leave primal feasible. A
-    stage with a start takes the least link generation among its optima
-    (`TIE`), so a plan of two or more stages runs no swap cycle. The plan
-    is the last stage's solution, and its objective log lists each
-    stage's label and optimum, without the tie-break. Returns None when
-    those bounds make the first stage infeasible; any other outcome short
-    of optimal raises `SolverError`.
+    first stage starts from the zero plan, or, with `eta_lower`, from the
+    model's max-total optimum, which `face_plan` has solved before, so
+    the memo answers it; each later one starts from the optimal basis of
+    the stage before it, which its hold row and new rows leave primal
+    feasible. Every stage but a first one without `eta_lower` carries
+    `TIE` (see `MredModel.solve`), so a plan of two or more stages runs
+    no swap cycle. The plan is the last stage's
+    solution, and its objective log lists each stage's label and optimum,
+    without the tie-break. Returns None when those bounds make the first
+    stage infeasible; any other outcome short of optimal raises
+    `SolverError`.
     """
     held: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
-    res = start
+    res = m.solve(m.total_objective()) if eta_lower else None
     for label, objective, rows in stages:
         held.extend(rows)
         res = m.solve(objective, extra_ub=held, eta_lower=eta_lower, start=res)
@@ -457,28 +460,26 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     """Whether `entry` can join `admitted`, deadline entries already
     feasible together: `solo_rejected`, `covered`, `solved` or `infeasible`.
 
-    Entries are canonical (sd pair, remaining demand, remaining slots)
-    triples; `entry` is checked as `build_and_check_mred_dc` checks each
-    of its entries. Once the entry's pair is in `m.bound_armed`, a need above its
+    Entries are (sd pair, remaining demand, remaining slots) triples,
+    each checked as `build_and_check_mred_dc` checks its entries, before
+    any LP. Once the entry's pair is in `m.bound_armed`, a need above its
     solo rate, past the solver's 1e-7 feasibility tolerance, rejects it
     without a deadline LP; only that pair is checked, since the admitted
     entries fit together. Otherwise `face_plan` covers the probe, or the
     first stage of `build_and_check_mred_dc`'s need-bounded solve decides
-    it, and an infeasible one arms the pair. That stage starts from the
-    max-total optimum, which `face_plan` has just solved, as the plan's
-    does, so both are one program. So a feasible verdict runs no second
+    it, and an infeasible one arms the pair. That stage is the plan's
+    first stage too, one program, so a feasible verdict runs no second
     stage, and the admitted list's plan reuses the verdicts' programs
     through the memo.
     """
     entry = _entry(m.net, entry)
     sd = entry[0]
-    needs = deadline_needs([*admitted, entry])
+    needs = deadline_needs([*(_entry(m.net, e) for e in admitted), entry])
     if sd in m.bound_armed and needs[sd] > solve_single_pair_edr(m.net, sd, m) * (1 + 1e-7) + 1e-7:
         return "solo_rejected"
     if face_plan(m, needs) is not None:
         return "covered"
-    if _lexmax(m, _deadline_stages(m, needs)[:1], eta_lower=needs,
-               start=m.solve(m.total_objective())) is None:
+    if _lexmax(m, _deadline_stages(m, needs)[:1], eta_lower=needs) is None:
         m.bound_armed.add(sd)
         return "infeasible"
     return "solved"
@@ -519,8 +520,7 @@ def build_and_check_mred_dc(
         return plan
     # among constrained max-total optima prefer feeding the prioritized
     # pairs, so the executed plan concentrates on the admitted deadlines
-    return _lexmax(m, _deadline_stages(m, needs), eta_lower=needs,
-                   start=m.solve(m.total_objective()))
+    return _lexmax(m, _deadline_stages(m, needs), eta_lower=needs)
 
 
 def check_solution(net: Network, sol: RateSolution) -> dict:

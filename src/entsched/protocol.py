@@ -21,6 +21,7 @@ ebit has the same birth and there is one cohort.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -61,6 +62,8 @@ class ProtocolConfig:
     max_buffer_age: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cascade_depth, numbers.Integral):
+            raise ValidationError(f"cascade_depth must be an integer, got {self.cascade_depth!r}")
         if self.cascade_depth < 1:
             raise ValidationError(f"cascade_depth must be >= 1, got {self.cascade_depth}")
         if self.max_buffer_age is not None and self.max_buffer_age < 0:

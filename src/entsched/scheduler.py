@@ -22,6 +22,7 @@ ended.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -60,6 +61,8 @@ class SchedulerState:
 def new_state(net: Network, policy: str, kappa: int = 1) -> SchedulerState:
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    if not isinstance(kappa, numbers.Integral):
+        raise ValidationError(f"kappa must be an integer, got {kappa!r}")
     if kappa < 1:
         raise ValidationError(f"kappa must be >= 1, got {kappa}")
     return SchedulerState(policy=policy, net=net, model=build_mred(net), kappa=kappa)

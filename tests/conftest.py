@@ -142,14 +142,15 @@ class _AgainstLinprog:
     """The real solver, with every solve repeated by `linprog`, the reference
     it must match; the package's matrices reach `linprog` as scipy sparse
     arrays. The package runs the primal simplex without presolve, which
-    `linprog` does not offer, and a solve with a start begins from a basis
-    `linprog` is not given, its costs adding the model's positive
-    tie-break costs to the stage's own, which are negative. So `linprog`
-    solves each program with the stage's own costs, at the package's
-    feasibility tolerance: the statuses must agree, the stage's value at
-    the package's point must be within 1e-9 relative of `linprog`'s
-    optimum, and that point must pass `lp.check_point`. `warm` counts the
-    optimal solves that had a start."""
+    `linprog` does not offer, a solve with a start begins from a basis
+    `linprog` is not given, and a program with held rows or surplus lower
+    bounds adds the model's positive tie-break costs to the stage's own,
+    which are negative. So `linprog` solves each program with the stage's
+    own costs, `np.minimum(c, 0.0)`, at the package's feasibility
+    tolerance: the statuses must agree, the stage's value at the
+    package's point must be within 1e-9 relative of `linprog`'s optimum,
+    and that point must pass `lp.check_point`. `warm` counts the optimal
+    solves that had a start."""
 
     def __init__(self, real):
         self.real = real
@@ -157,7 +158,7 @@ class _AgainstLinprog:
 
     def solve(self, c, start=None, **kwargs) -> lp.LpResult:
         res = self.real.solve(c, start=start, **kwargs)
-        stage = c if start is None else np.minimum(c, 0.0)
+        stage = np.minimum(c, 0.0)
         ref = linprog(stage, method="highs",
                       options={"primal_feasibility_tolerance": lp.FEASIBILITY_TOL},
                       **{k: _scipy_matrix(v) for k, v in kwargs.items()})

@@ -213,7 +213,7 @@ def test_a_program_gives_bitwise_equal_results_on_two_fresh_models(nodes, net_se
         plan(models[1])
     first, second = (m._optima for m in models)
     assert first.keys() == second.keys()
-    if any(lower for _, _, lower, _ in first):
+    if any(lower for _, _, lower in first):
         event("a need-bounded program")
     for key, a in first.items():
         b = second[key]

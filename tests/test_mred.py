@@ -190,8 +190,10 @@ def test_single_pair_edr_star(star):
     lambda net, m: solve_lexicographic(net, [(3, 1)], m),
     lambda net, m: build_and_check_mred_dc(net, [((3, 1), 1.0, 4.0)], m),
     lambda net, m: deadline_verdict(m, [], ((3, 1), 1.0, 4.0)),
+    lambda net, m: deadline_verdict(m, [((3, 1), 1.0, 4.0)], ((0, 1), 1.0, 4.0)),
+    lambda net, m: deadline_verdict(m, [((3, 1), 1.0, 0.0)], ((0, 1), 1.0, 4.0)),
 ], ids=["solve_single_pair_edr", "solve_lexicographic", "build_and_check_mred_dc",
-        "deadline_verdict"])
+        "deadline_verdict", "deadline_verdict_admitted", "deadline_verdict_admitted_window_0"])
 def test_single_pair_edr_refuses_a_non_sd_pair(star, plan):
     # every planner canonicalizes the pair it is given and refuses a non-SD
     # pair with one message, before any LP
@@ -588,6 +590,54 @@ def test_a_need_bounded_first_stage_starts_from_the_max_total_basis(star):
         assert deadline_verdict(m, [], beyond) == "infeasible"
     assert backend.calls[-1][1]["start"] is V.basis
     assert m.bound_armed == {P(0, 3)}
+
+
+def test_a_start_only_sets_where_the_solver_begins(star):
+    # a bounded program's costs come from its shape, so with or without a
+    # start it is one program: one memo entry, one solve, the same costs
+    needs = {P(0, 3): 0.5}
+    m = build_mred(star)
+    V = m.solve(m.total_objective())
+    with recording_backend() as backend:
+        warm = m.solve(m.total_objective(), eta_lower=needs, start=V)
+        assert m.solve(m.total_objective(), eta_lower=needs) is warm
+        cold = build_mred(star).solve(m.total_objective(), eta_lower=needs)
+    assert m.solves == 2
+    (c_warm, kw_warm), (c_cold, kw_cold) = backend.calls
+    assert kw_warm["start"] is V.basis and kw_cold["start"] is None
+    assert np.array_equal(c_warm, c_cold)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+def _dear_line(q):
+    """Path 0-1-2-3 at swap probability `q`, its links at capacity 10**6,
+    and a capacity-1 link 3-4 to a node at q = 1; SD pairs 0:3 and 3:4,
+    each of solo rate 1.0 at q = 0.001. An ebit of 0:3 takes about
+    2 / q**2 link ebits."""
+    return build_manual(
+        nodes=[(0, q), (1, q), (2, q), (3, q), (4, 1.0)],
+        links=[(0, 1, 10**6, 1.0), (1, 2, 10**6, 1.0), (2, 3, 10**6, 1.0), (3, 4, 1, 1.0)],
+        sd_pairs=[(0, 3), (3, 4)],
+    )
+
+
+def test_tie_keeps_a_pair_whose_ebits_cost_under_a_million_link_ebits():
+    net = _dear_line(0.01)
+    m = build_mred(net)
+    assert solve_single_pair_edr(net, P(0, 3), m) == pytest.approx(100.0, rel=1e-9)
+    sol = solve_lexicographic(net, [P(3, 4)], m)
+    assert dict(sol.objective_log)["total"] == pytest.approx(101.0, rel=1e-6)
+    assert sol.eta[P(0, 3)] == pytest.approx(100.0, rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="TIE outweighs an SD ebit that costs over 1/TIE link ebits")
+def test_tie_keeps_a_pair_whose_ebits_cost_over_a_million_link_ebits():
+    net = _dear_line(0.001)
+    m = build_mred(net)
+    assert solve_single_pair_edr(net, P(0, 3), m) == pytest.approx(1.0, rel=1e-9)
+    assert solve_single_pair_edr(net, P(3, 4), m) == pytest.approx(1.0, rel=1e-9)
+    sol = solve_lexicographic(net, [P(3, 4)], m)
+    assert dict(sol.objective_log)["total"] == pytest.approx(2.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])

@@ -59,6 +59,12 @@ def test_protocol_config_validation():
     assert ProtocolConfig().max_buffer_age is None
 
 
+def test_protocol_config_refuses_a_fractional_cascade_depth():
+    # range() would refuse it only once a slot's swap phase ran
+    with pytest.raises(ValidationError, match=r"^cascade_depth must be an integer, got 1\.5$"):
+        ProtocolConfig(cascade_depth=1.5)
+
+
 # -- buffer bookkeeping -------------------------------------------------------
 
 def test_ledger_merges_cohorts_and_takes_oldest_first():

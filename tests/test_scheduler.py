@@ -42,6 +42,12 @@ def test_new_state_validates():
         new_state(net, POLICY_ORDERED, kappa=0)
 
 
+def test_a_run_refuses_a_fractional_kappa():
+    # the ranked pairs' slice would refuse it only at the first ESDI-O plan
+    with pytest.raises(ValidationError, match=r"^kappa must be an integer, got 1\.5$"):
+        engine.run_simulation(star_net(), [_c(0, AB, 6)], POLICY_ORDERED, kappa=1.5)
+
+
 def test_empty_active_set_keeps_standing_plan():
     state = new_state(star_net(), POLICY_ORDERED)
     plan, fresh = framework_step(state, [], slot=1)

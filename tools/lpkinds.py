@@ -5,7 +5,7 @@
 Run it from the root of a checkout; the package is imported from the
 checkout's ``src/`` and the workloads from ``perfbench/``, which it only
 reads. For each workload in ``perfbench/workloads.WORKLOADS`` it runs
-the first 12 instances (sweep seeds 1000-1011) through ``build_instance``
+the first 60 instances (sweep seeds 1000-1059) through ``build_instance``
 and ``simulate`` with ``ScipyHighsBackend.solve`` wrapped, and prints,
 per kind of program, the programs solved, their simplex iterations and
 the milliseconds spent in the backend's ``solve``. A program's kind is
@@ -17,7 +17,9 @@ read from its shape:
   stage of a deadline program whose face plan misses a need);
 - ``later``: one or more held rows (every stage after the first).
 
-Each line also says how many of the kind's programs had a start basis.
+The shape that sets the kind also sets the costs: a need-bounded or
+later program adds ``mred.TIE`` (see ``mred.MredModel.solve``). Each
+line also says how many of the kind's programs had a start basis.
 Milliseconds are host time and vary from run to run; programs and
 iterations do not.
 """
@@ -34,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from entsched import lp  # noqa: E402
 
-SWEEP_SEEDS = range(1000, 1012)
+SWEEP_SEEDS = range(1000, 1060)
 KINDS = ("first", "need-bounded", "later")
 
 
