@@ -27,6 +27,7 @@ from .rng import child_int
 from .scheduler import POLICIES
 from .topology import (
     ValidationError,
+    _whole,
     check_waxman_params,
     generate_waxman,
     read_network,
@@ -325,13 +326,12 @@ def cmd_sweep(args) -> int:
     for policy in policies:
         if policy not in POLICIES:
             raise ValidationError(f"unknown policy {policy!r} in --policies")
-    if args.workers < 1:
-        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+    workers = _whole(args.workers, "--workers", 1)
     base = _base_params(args)
     if args.axis == "deadline-factor" and base["deadline_mu"] is None:
         raise ValidationError("deadline-factor sweep needs --deadline-mu")
-    if base["horizon_cap"] < 0:
-        raise ValidationError(f"horizon_cap must be >= 0, got {base['horizon_cap']}")
+    base["horizon_cap"] = _whole(base["horizon_cap"], "horizon_cap", 0)
+    base["kappa"] = _whole(base["kappa"], "kappa", 1)
 
     # validate the base configuration before any file is written
     for value in values:
@@ -343,8 +343,7 @@ def cmd_sweep(args) -> int:
                                   f"{params['sd_count']} leave no SD pair")
         _workload_config(params)
         _protocol_config(params)
-        if params["kappa"] < 1:
-            raise ValidationError(f"kappa must be >= 1, got {params['kappa']}")
+        _whole(params["kappa"], "kappa", 1)
 
     # a bad --out-dir fails before any run is computed
     out_dir = Path(args.out_dir)
@@ -359,7 +358,7 @@ def cmd_sweep(args) -> int:
     ]
 
     # the pool starts all its workers at once, so start no more than there are runs
-    workers = min(args.workers, len(specs))
+    workers = min(workers, len(specs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_sweep_case, specs))

@@ -30,7 +30,7 @@ from .protocol import (
 )
 from .rng import SlotRng
 from .scheduler import SchedulerState, framework_step, new_state
-from .topology import Network, ValidationError
+from .topology import Network, ValidationError, _whole
 from .workload import ACTIVE, COMPLETED, PENDING, Commodity, active_set
 
 
@@ -88,10 +88,8 @@ def run_simulation(
     meantime. Returns the run metrics together with the final commodity
     states and the scheduler's solve log.
     """
-    if horizon_cap < 0:
-        raise ValidationError(f"horizon_cap must be >= 0, got {horizon_cap}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    horizon_cap = _whole(horizon_cap, "horizon_cap", 0)
+    seed = _whole(seed, "seed", 0)
     _validate_inputs(net, commodities)
     started = time.perf_counter()
 

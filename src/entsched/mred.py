@@ -59,9 +59,10 @@ from .lp import LpStatus, SolverError
 from .topology import Network, NodePair, ValidationError, canonical_pair, pair_positions
 from .workload import MAX_COMMODITY_DEMAND
 
-# post-solve cleanup: a value outside its column's bound by at most HiGHS's
-# primal feasibility tolerance (1e-7) snaps onto the bound, since a negative
-# rate is a negative switch share; then any |v| < DROP_TOL reads as zero
+# post-solve cleanup: a value outside its column's bound by at most
+# NEG_CLAMP snaps onto the bound, since a negative rate is a negative switch
+# share; then any |v| < DROP_TOL reads as zero. The margin is deliberately
+# wider than the solver's primal feasibility tolerance, `lp.FEASIBILITY_TOL`
 NEG_CLAMP = 1e-7
 DROP_TOL = 1e-12
 
@@ -216,12 +217,12 @@ class MredModel:
 
         Every SD surplus is free; `eta_lower` bounds surpluses from below.
         A program with held rows or surplus lower bounds adds `TIE` per
-        ebit of link generation to its costs, and its result's objective
-        is the objective's value at `x`, without that term; a program with
-        neither has the objective alone. `start`, when given, is the
-        optimal result of a program with the same columns and a prefix of
-        this one's held rows, and the solve begins from its basis, else
-        from the zero plan. It changes only where the solver begins.
+        ebit of link generation to its costs. A result's objective is
+        always the objective's value at `x`, without that term. `start`,
+        when given, is the optimal result of a program with the same
+        columns and a prefix of this one's held rows, and the solve begins
+        from its basis, else from the zero plan. It changes only where the
+        solver begins.
 
         An optimal result is kept, with a read-only `x` and HiGHS's basis,
         and returned for the same program without a solve. A program has
@@ -239,8 +240,7 @@ class MredModel:
         for pr, lo in lower:
             bounds[self.eta_col[pr], 0] = lo
 
-        tied = bool(extra_ub or lower)
-        c = self._tie.copy() if tied else np.zeros(self.ncols)
+        c = self._tie.copy() if extra_ub or lower else np.zeros(self.ncols)
         for col, w in objective.items():
             c[col] = -w
         A_ub, b_ub = self._assemble_ub(extra_ub)
@@ -248,9 +248,7 @@ class MredModel:
         res = lp.get_backend().solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq,
                                      bounds=bounds, start=None if start is None else start.basis)
         if res.objective is not None:
-            value = (sum(w * float(res.x[col]) for col, w in objective.items()) if tied
-                     else -res.objective)
-            res = replace(res, objective=value)
+            res = replace(res, objective=sum(w * float(res.x[col]) for col, w in objective.items()))
         if res.status == LpStatus.OPTIMAL:
             res.x.flags.writeable = False
             self._optima[key] = res
@@ -463,7 +461,8 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     Entries are (sd pair, remaining demand, remaining slots) triples,
     each checked as `build_and_check_mred_dc` checks its entries, before
     any LP. Once the entry's pair is in `m.bound_armed`, a need above its
-    solo rate, past the solver's 1e-7 feasibility tolerance, rejects it
+    solo rate by more than `_lex_eps`, a margin deliberately wider than
+    the solver's feasibility tolerance (`lp.FEASIBILITY_TOL`), rejects it
     without a deadline LP; only that pair is checked, since the admitted
     entries fit together. Otherwise `face_plan` covers the probe, or the
     first stage of `build_and_check_mred_dc`'s need-bounded solve decides
@@ -475,8 +474,10 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     entry = _entry(m.net, entry)
     sd = entry[0]
     needs = deadline_needs([*(_entry(m.net, e) for e in admitted), entry])
-    if sd in m.bound_armed and needs[sd] > solve_single_pair_edr(m.net, sd, m) * (1 + 1e-7) + 1e-7:
-        return "solo_rejected"
+    if sd in m.bound_armed:
+        solo = solve_single_pair_edr(m.net, sd, m)
+        if needs[sd] > solo + _lex_eps(solo):
+            return "solo_rejected"
     if face_plan(m, needs) is not None:
         return "covered"
     if _lexmax(m, _deadline_stages(m, needs)[:1], eta_lower=needs) is None:

@@ -21,7 +21,6 @@ ebit has the same birth and there is one cohort.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,7 @@ from operator import sub
 import numpy as np
 
 from .mred import LaneKey, RateSolution, lane_keys
-from .topology import Network, NodePair, ValidationError
+from .topology import Network, NodePair, _whole
 from .workload import Commodity, service_order
 
 PHASE_RECONCILE = 0
@@ -62,12 +61,10 @@ class ProtocolConfig:
     max_buffer_age: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cascade_depth, numbers.Integral):
-            raise ValidationError(f"cascade_depth must be an integer, got {self.cascade_depth!r}")
-        if self.cascade_depth < 1:
-            raise ValidationError(f"cascade_depth must be >= 1, got {self.cascade_depth}")
-        if self.max_buffer_age is not None and self.max_buffer_age < 0:
-            raise ValidationError(f"max_buffer_age must be >= 0, got {self.max_buffer_age}")
+        object.__setattr__(self, "cascade_depth", _whole(self.cascade_depth, "cascade_depth", 1))
+        if self.max_buffer_age is not None:
+            object.__setattr__(self, "max_buffer_age",
+                               _whole(self.max_buffer_age, "max_buffer_age", 0))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ ended.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ from .mred import (
     solve_max_total,
     solve_single_pair_edr,
 )
-from .topology import Network, NodePair, ValidationError
+from .topology import Network, NodePair, ValidationError, _whole
 from .workload import Commodity, service_order
 
 POLICY_BASELINE = "ESDI-B"
@@ -61,10 +60,7 @@ class SchedulerState:
 def new_state(net: Network, policy: str, kappa: int = 1) -> SchedulerState:
     if policy not in POLICIES:
         raise ValidationError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    if not isinstance(kappa, numbers.Integral):
-        raise ValidationError(f"kappa must be an integer, got {kappa!r}")
-    if kappa < 1:
-        raise ValidationError(f"kappa must be >= 1, got {kappa}")
+    kappa = _whole(kappa, "kappa", 1)
     return SchedulerState(policy=policy, net=net, model=build_mred(net), kappa=kappa)
 
 

@@ -14,6 +14,7 @@ pair has exactly one representation regardless of construction order.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -114,16 +115,16 @@ def build_manual(
         sd_pairs: (s, t) endpoint pairs allowed to keep end-to-end ebits.
 
     Raises:
-        ValidationError: on duplicate ids, unknown endpoints, or
+        ValidationError: on duplicate ids, unknown endpoints, an id,
+            endpoint or capacity that is not whole (`_whole`), or
             out-of-range parameters, more than `MAX_NODES` nodes or a
             capacity above `MAX_CAPACITY` among them.
     """
     nodes = list(nodes)
-    if len(nodes) > MAX_NODES:
-        raise ValidationError(f"node count {len(nodes)} exceeds the maximum {MAX_NODES}")
+    _whole(len(nodes), "node count", most=MAX_NODES)
     q: dict[int, float] = {}
     for node_id, qv in nodes:
-        node_id = int(node_id)
+        node_id = _whole(node_id, "node id")
         if node_id in q:
             raise ValidationError(f"duplicate node id {node_id}")
         if not 0.0 < qv <= 1.0:
@@ -132,22 +133,19 @@ def build_manual(
 
     link_map: dict[NodePair, Link] = {}
     for u, v, cap, p in links:
-        lp = canonical_pair(int(u), int(v))
+        lp = canonical_pair(_whole(u, "link endpoint"), _whole(v, "link endpoint"))
         if lp.lo not in q or lp.hi not in q:
             raise ValidationError(f"link {lp} references an undeclared node")
         if lp in link_map:
             raise ValidationError(f"duplicate link {lp}")
-        if int(cap) != cap or cap < 1:
-            raise ValidationError(f"link {lp}: capacity {cap} must be an integer >= 1")
-        if cap > MAX_CAPACITY:
-            raise ValidationError(f"link capacity {cap} exceeds the maximum {MAX_CAPACITY}")
+        cap = _whole(cap, "link capacity", 1, MAX_CAPACITY)
         if not 0.0 < p <= 1.0:
             raise ValidationError(f"link {lp}: success probability {p} not in (0, 1]")
-        link_map[lp] = Link(capacity=int(cap), p=float(p))
+        link_map[lp] = Link(capacity=cap, p=float(p))
 
     sd: set[NodePair] = set()
     for s, t in sd_pairs:
-        sp = canonical_pair(int(s), int(t))
+        sp = canonical_pair(_whole(s, "sd pair endpoint"), _whole(t, "sd pair endpoint"))
         if sp.lo not in q or sp.hi not in q:
             raise ValidationError(f"sd pair {sp} references an undeclared node")
         sd.add(sp)
@@ -176,22 +174,19 @@ def is_connected(net: Network) -> bool:
 
 
 def check_waxman_params(n: int, alpha: float, beta: float, cap_lo: int, cap_hi: int,
-                        p: float, q: float) -> None:
-    """Raise ValidationError unless the `generate_waxman` shape is in range."""
-    if n < 1:
-        raise ValidationError(f"node count {n} must be >= 1")
-    if n > MAX_NODES:
-        raise ValidationError(f"node count {n} exceeds the maximum {MAX_NODES}")
+                        p: float, q: float) -> tuple[int, int, int]:
+    """`n`, `cap_lo` and `cap_hi` as ints, once the `generate_waxman` shape
+    is in range; ValidationError otherwise."""
+    n = _whole(n, "node count", 1, MAX_NODES)
     if not alpha > 0:
         raise ValidationError(f"alpha {alpha} must be > 0")
     if not 0 < beta <= 1:
         raise ValidationError(f"beta {beta} must lie in (0, 1]")
-    if cap_lo < 1 or cap_hi < cap_lo:
-        raise ValidationError(f"capacity range [{cap_lo}, {cap_hi}] invalid")
-    if cap_hi > MAX_CAPACITY:
-        raise ValidationError(f"capacity {cap_hi} exceeds the maximum {MAX_CAPACITY}")
+    cap_lo = _whole(cap_lo, "cap_lo", 1)
+    cap_hi = _whole(cap_hi, "cap_hi", cap_lo, MAX_CAPACITY)
     if not 0 < p <= 1 or not 0 < q <= 1:
         raise ValidationError("p and q must lie in (0, 1]")
+    return n, cap_lo, cap_hi
 
 
 def generate_waxman(
@@ -216,11 +211,8 @@ def generate_waxman(
         ValidationError: parameters out of range, or no connected draw
             within `MAX_ATTEMPTS`.
     """
-    check_waxman_params(n, alpha, beta, cap_lo, cap_hi, p, q)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-
-    rng = np.random.default_rng(seed)
+    n, cap_lo, cap_hi = check_waxman_params(n, alpha, beta, cap_lo, cap_hi, p, q)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     node_list = [(v, q) for v in range(n)]
     lo, hi = pair_positions(n)
 
@@ -253,8 +245,8 @@ def sample_sd_pairs(net: Network, count: int, seed: int) -> Network:
 
     Requests beyond the number of available pairs are capped.
     """
-    if count < 0:
-        raise ValidationError(f"sd pair count {count} must be >= 0")
+    count = _whole(count, "sd pair count", 0)
+    seed = _whole(seed, "seed", 0)
     # pair i of `all_pairs`, without building the others
     ns = net.nodes
     lo, hi = pair_positions(len(ns))
@@ -276,12 +268,30 @@ def to_json(net: Network) -> dict:
     }
 
 
-def _whole(v, what: str) -> int:
-    """`v` as an int; a bool or a number with a fraction is refused rather
-    than truncated."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
-        raise ValidationError(f"{what} must be a whole number, got {v!r}")
-    return int(v)
+def _whole(v, what: str, least: int | None = None, most: int | None = None) -> int:
+    """`v` as an int, the one check of every count the package takes: any
+    integral number, Python's or numpy's, or an integral float such as
+    3.0. A bool, a fraction, a non-finite value or a non-number is
+    refused rather than truncated, and so is a value outside [`least`,
+    `most`], each with a one-line ValidationError naming `what`."""
+    if type(v) is not int:
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not (isinstance(v, numbers.Integral) or float(v).is_integer())):
+            raise ValidationError(f"{what} must be a whole number, got {v!r}")
+        v = int(v)
+    if least is not None and v < least:
+        raise ValidationError(f"{what} must be >= {least}, got {v}")
+    if most is not None and v > most:
+        raise ValidationError(f"{what} {v} exceeds the maximum {most}")
+    return v
+
+
+def _json_int(literal: str) -> int:
+    """A JSON integer as an int; OverflowError when it is too large for a
+    float, which many JSON readers hold every number as."""
+    v = int(literal)
+    float(v)
+    return v
 
 
 def _number(v, what: str) -> float:
@@ -293,17 +303,12 @@ def _number(v, what: str) -> float:
 
 
 def from_json(obj: dict) -> Network:
-    """The network a `to_json` object describes; ids, endpoints and
-    capacities must be whole and probabilities numbers, and
-    `build_manual` checks the rest."""
+    """The network a `to_json` object describes; probabilities must be
+    numbers, and `build_manual` checks the rest."""
     try:
-        nodes = [(_whole(e["id"], "node id"), _number(e["q"], "node q")) for e in obj["nodes"]]
-        links = [(_whole(e["u"], "link u"), _whole(e["v"], "link v"),
-                  _whole(e["c"], "link capacity"), _number(e["p"], "link p"))
-                 for e in obj.get("links", [])]
-        sd = [(_whole(s, "sd pair endpoint"), _whole(t, "sd pair endpoint"))
-              for s, t in obj.get("sd_pairs", [])]
-        return build_manual(nodes, links, sd)
+        nodes = [(e["id"], _number(e["q"], "node q")) for e in obj["nodes"]]
+        links = [(e["u"], e["v"], e["c"], _number(e["p"], "link p")) for e in obj.get("links", [])]
+        return build_manual(nodes, links, obj.get("sd_pairs", []))
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -323,6 +328,6 @@ def read_network(path: str) -> Network:
     opened raises OSError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return from_json(json.load(fh))
+            return from_json(json.load(fh, parse_int=_json_int))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, OverflowError) as exc:
             raise ValidationError(f"cannot read network {path}: {exc}") from exc

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .topology import NodePair, ValidationError, _whole, canonical_pair
+from .topology import NodePair, ValidationError, _json_int, _whole, canonical_pair
 
 PENDING = "pending"
 ACTIVE = "active"
@@ -70,17 +70,14 @@ class Commodity:
     expired_slot: int | None = None
 
     def __post_init__(self) -> None:
-        if self.demand < 1:
-            raise ValidationError(f"commodity {self.id}: demand {self.demand} must be >= 1")
-        if self.demand > MAX_COMMODITY_DEMAND:
-            raise ValidationError(f"commodity {self.id}: demand {self.demand} exceeds the "
-                                  f"maximum {MAX_COMMODITY_DEMAND}")
-        if self.arrival < 1:
-            raise ValidationError(f"commodity {self.id}: arrival {self.arrival} must be >= 1")
-        if self.deadline is not None and self.deadline < self.arrival:
-            raise ValidationError(
-                f"commodity {self.id}: deadline {self.deadline} precedes arrival {self.arrival}"
-            )
+        self.id = _whole(self.id, "commodity id")
+        try:
+            self.demand = _whole(self.demand, "demand", 1, MAX_COMMODITY_DEMAND)
+            self.arrival = _whole(self.arrival, "arrival", 1)
+            if self.deadline is not None:
+                self.deadline = _whole(self.deadline, "deadline", self.arrival)
+        except ValidationError as exc:
+            raise ValidationError(f"commodity {self.id}: {exc}") from None
         if self.remaining < 0:
             self.remaining = self.demand
 
@@ -128,10 +125,9 @@ class WorkloadConfig:
             raise ValidationError(f"arrival rate {self.rate} must be finite and >= 0")
         if not 0 < self.mean_demand <= MAX_DEMAND:
             raise ValidationError(f"mean demand {self.mean_demand} must lie in (0, {MAX_DEMAND}]")
-        if not 1 <= self.min_demand <= MAX_DEMAND:
-            raise ValidationError(f"min demand {self.min_demand} must lie in [1, {MAX_DEMAND}]")
-        if not 0 <= self.horizon <= MAX_HORIZON:
-            raise ValidationError(f"horizon {self.horizon} must lie in [0, {MAX_HORIZON}]")
+        object.__setattr__(self, "min_demand",
+                           _whole(self.min_demand, "min demand", 1, MAX_DEMAND))
+        object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", 0, MAX_HORIZON))
         # by division, since rate * horizon overflows a float for a large enough horizon
         if self.rate > 0 and self.horizon > MAX_ARRIVALS / self.rate:
             raise ValidationError(f"arrival rate {self.rate} over {self.horizon} slots expects "
@@ -150,9 +146,7 @@ def generate_workload(
     universe = sorted(set(sd_universe))
     if not universe:
         raise ValidationError("sd universe must be non-empty")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     out: list[Commodity] = []
     for slot in range(1, cfg.horizon + 1):
         for _ in range(int(rng.poisson(cfg.rate))):
@@ -202,10 +196,6 @@ def write_workload(commodities: Iterable[Commodity], path: str) -> None:
             fh.write("\n")
 
 
-def _field(obj: dict, key: str) -> int:
-    return _whole(obj[key], f"workload field {key!r}")
-
-
 def read_workload(path: str) -> list[Commodity]:
     """The commodities in the JSON-lines file at `path`, one object a line.
     Content that is not UTF-8 raises ValidationError naming the file, and a
@@ -219,12 +209,11 @@ def read_workload(path: str) -> list[Commodity]:
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
-                out.append(Commodity(
-                    id=_field(obj, "id"), sd=canonical_pair(_field(obj, "s"), _field(obj, "t")),
-                    demand=_field(obj, "d"), arrival=_field(obj, "a"),
-                    deadline=None if obj.get("deadline") is None else _field(obj, "deadline"),
-                ))
+                obj = json.loads(line, parse_int=_json_int)
+                sd = canonical_pair(_whole(obj["s"], "sd pair endpoint"),
+                                    _whole(obj["t"], "sd pair endpoint"))
+                out.append(Commodity(id=obj["id"], sd=sd, demand=obj["d"], arrival=obj["a"],
+                                     deadline=obj.get("deadline")))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"cannot read workload {path}: {exc}") from exc
         except ValidationError:

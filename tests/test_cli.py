@@ -526,7 +526,7 @@ def test_capacity_the_solver_cannot_hold_is_a_config_error(tmp_path, capsys):
                    "--out", str(tmp_path / "net.json")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: capacity {10**10} exceeds the maximum {MAX_CAPACITY}\n")
+        f"error: cap_hi {10**10} exceeds the maximum {MAX_CAPACITY}\n")
     assert not (tmp_path / "net.json").exists()
 
 
@@ -589,7 +589,7 @@ def test_workload_draws_that_overflow_are_config_errors(tmp_path, capsys, flags,
 def test_horizon_past_the_limit_is_refused_before_any_draw(tmp_path, capsys):
     # the draw walks every slot, about 1 us each, so 10^12 empty slots would run for days
     net_path = _gen_net(tmp_path)
-    message = f"error: horizon {10**12} must lie in [0, {MAX_HORIZON}]\n"
+    message = f"error: horizon {10**12} exceeds the maximum {MAX_HORIZON}\n"
     out = tmp_path / "w.jsonl"
     started = time.perf_counter()
     rc = cli.main(["gen-workload", "--net", str(net_path), "--rate", "0",

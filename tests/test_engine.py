@@ -146,6 +146,22 @@ def test_input_validation(star):
         run_simulation(star, [], "ESDI-Z")
 
 
+def test_a_slot_whose_flows_do_not_balance_raises_naming_the_slot(star, monkeypatch):
+    rows = []
+    run_simulation(star, [_c(0, AB, 6)], POLICY_BASELINE, trace=rows.append)
+    first = next(row for row in rows if row["distributed"])
+    real = engine.phase_distribute
+
+    def under_reported(buffers, active):
+        handed, finished = real(buffers, active)
+        return handed - 1 if handed else handed, finished
+
+    monkeypatch.setattr(engine, "phase_distribute", under_reported)
+    with pytest.raises(ConservationError, match=rf"^slot {first['slot']}: generated "
+                                                rf".* \+ handed {first['distributed'] - 1}$"):
+        run_simulation(star, [_c(0, AB, 6)], POLICY_BASELINE)
+
+
 def test_solver_calls_count_the_runs_backend_solves(star):
     inner = lp.get_backend()
     calls = []

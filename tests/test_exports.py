@@ -78,3 +78,27 @@ def test_the_package_raises_one_exception_per_exit_code():
              if isinstance(node, ast.Raise) and node.exc is not None
              and _raised(node.exc) not in EXIT_EXCEPTIONS]
     assert (defined, stray) == (EXIT_EXCEPTIONS, [])
+
+
+def _int_of_itself(node: ast.AST) -> bool:
+    """Whether `node` compares `int(x)` with `x`, the truncation test of a
+    whole number."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [ast.dump(side) for side in (node.left, *node.comparators)]
+    return any(isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+               and side.func.id == "int" and len(side.args) == 1
+               and ast.dump(side.args[0]) in sides
+               for side in (node.left, *node.comparators))
+
+
+def test_whole_numbers_have_one_rule():
+    # `topology._whole` is the one check of a count; a module importing
+    # `numbers` or comparing int(x) with x is checking one a second way
+    package = Path(__file__).resolve().parents[1] / "src" / "entsched"
+    stray = [f"{path.stem}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if _int_of_itself(node) or path.stem != "topology" and (
+                 isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "numbers")]
+    assert stray == []

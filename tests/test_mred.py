@@ -203,6 +203,23 @@ def test_single_pair_edr_refuses_a_non_sd_pair(star, plan):
     assert model.solves == 0
 
 
+def test_a_planner_refuses_a_model_built_for_another_network(star):
+    # an equal network is not the model's network: the run's memo and solve
+    # count would miss the LP
+    model = build_mred(star_net())
+    with pytest.raises(ValidationError, match="^model was built for a different network"):
+        solve_single_pair_edr(star, P(0, 1), model)
+    assert model.solves == 0
+
+
+def test_a_solo_rate_the_solver_does_not_solve_is_a_solver_error(star):
+    with failing_backend(LpStatus.INFEASIBLE) as stub:
+        with pytest.raises(SolverError, match="^single-pair rate for 0:1: solver returned "
+                                              "infeasible$"):
+            solve_single_pair_edr(star, P(0, 1), build_mred(star))
+    assert stub.calls == 1
+
+
 def test_single_pair_edr_disconnected_is_zero():
     net = build_manual(
         [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],

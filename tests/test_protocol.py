@@ -61,7 +61,7 @@ def test_protocol_config_validation():
 
 def test_protocol_config_refuses_a_fractional_cascade_depth():
     # range() would refuse it only once a slot's swap phase ran
-    with pytest.raises(ValidationError, match=r"^cascade_depth must be an integer, got 1\.5$"):
+    with pytest.raises(ValidationError, match=r"^cascade_depth must be a whole number, got 1\.5$"):
         ProtocolConfig(cascade_depth=1.5)
 
 

@@ -44,7 +44,7 @@ def test_new_state_validates():
 
 def test_a_run_refuses_a_fractional_kappa():
     # the ranked pairs' slice would refuse it only at the first ESDI-O plan
-    with pytest.raises(ValidationError, match=r"^kappa must be an integer, got 1\.5$"):
+    with pytest.raises(ValidationError, match=r"^kappa must be a whole number, got 1\.5$"):
         engine.run_simulation(star_net(), [_c(0, AB, 6)], POLICY_ORDERED, kappa=1.5)
 
 

@@ -41,6 +41,13 @@ def test_build_manual_rejects_zero_p():
         build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 2, 0.0)])
 
 
+def test_build_manual_rejects_a_repeated_node_and_a_link_to_an_undeclared_one():
+    with pytest.raises(ValidationError, match=r"^duplicate node id 1$"):
+        build_manual([(0, 1.0), (1, 1.0), (1, 0.5)], [])
+    with pytest.raises(ValidationError, match=r"^link 0:9 references an undeclared node$"):
+        build_manual([(0, 1.0), (1, 1.0)], [(9, 0, 1, 1.0)])
+
+
 def test_build_manual_rejects_unknown_sd_node():
     with pytest.raises(ValidationError):
         build_manual([(0, 1.0), (1, 1.0)], [(0, 1, 1, 1.0)], sd_pairs=[(0, 9)])

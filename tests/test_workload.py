@@ -95,7 +95,7 @@ def test_horizon_is_bounded_by_the_maximum():
     assert _cfg(rate=0.0, horizon=MAX_HORIZON).horizon == MAX_HORIZON
     for horizon in (MAX_HORIZON + 1, 10**12):
         with pytest.raises(ValidationError,
-                           match=re.escape(f"horizon {horizon} must lie in [0, {MAX_HORIZON}]")):
+                           match=re.escape(f"horizon {horizon} exceeds the maximum {MAX_HORIZON}")):
             _cfg(rate=0.0, horizon=horizon)
 
 

@@ -12,10 +12,14 @@ states and every trace row, then one sha256 over every argument (value,
 dtype and shape) those runs hand HiGHS's ``passModel``, every option
 they set (so each call's ``simplex_strategy``) and every status of each
 start basis they pass ``setBasis``, in call order, with the number of
-``passModel`` and ``setBasis`` calls. It then runs the c3, c7, c8 and
-c9 tests of ``tests/test_acceptance.py`` under pytest, with
-``run_simulation`` wrapped from session start, and prints one sha256
-over every run those tests make: its ``RunMetrics`` and events without ``wall_ms`` and its
+``passModel`` and ``setBasis`` calls. The ``protocol-paths`` line is one
+sha256, taken the same way, over fixed-plan-long's and deadline-replan's
+first 12 instances run with ``max_buffer_age=6`` and ``cascade_depth=2``,
+the expiry and cascade paths no workload takes, with the number of ebits
+those runs expired. It then runs the c3, c7, c8 and c9 tests of
+``tests/test_acceptance.py`` under pytest, with ``run_simulation``
+wrapped from session start, and prints one sha256 over every run those
+tests make: its ``RunMetrics`` and events without ``wall_ms`` and its
 final commodity states, with the run and solver-call counts. A change
 meant to keep behaviour prints the same digests before and after; one
 that changes only how the package builds its programs prints the same
@@ -28,7 +32,7 @@ import hashlib
 import json
 import sys
 import types
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +44,9 @@ import workloads  # noqa: E402
 from entsched import engine, lp  # noqa: E402
 
 SWEEP_SEEDS = range(1000, 1012)
+# the protocol options no benchmark workload sets, and the workloads run with them
+PROTOCOL_PATHS = {"max_buffer_age": 6, "cascade_depth": 2}
+PROTOCOL_PATH_WORKLOADS = ("fixed-plan-long", "deadline-replan")
 ACCEPTANCE = [str(ROOT / "tests" / "test_acceptance.py"), "-k", "c3 or c7 or c8 or c9",
               "-q", "-p", "no:cacheprovider"]
 
@@ -57,14 +64,19 @@ def _record(result) -> dict:
     }
 
 
-def digest(workload) -> str:
-    """The sha256 of the workload's first instances, run in seed order."""
+def digest(*runs) -> tuple[str, int]:
+    """The sha256 of each workload's first instances, run in seed order and
+    workload after workload, and the number of ebits they expired."""
     h = hashlib.sha256()
-    for seed in SWEEP_SEEDS:
-        rows: list[dict] = []
-        result = workloads.simulate(workload, workloads.build_instance(workload, seed), trace=rows.append)
-        h.update(json.dumps({**_record(result), "rows": rows}, sort_keys=True).encode())
-    return h.hexdigest()
+    expired = 0
+    for workload in runs:
+        for seed in SWEEP_SEEDS:
+            rows: list[dict] = []
+            result = workloads.simulate(workload, workloads.build_instance(workload, seed),
+                                        trace=rows.append)
+            h.update(json.dumps({**_record(result), "rows": rows}, sort_keys=True).encode())
+            expired += sum(row["dropped"] for row in rows)
+    return h.hexdigest(), expired
 
 
 class _LpInputRecorder:
@@ -141,9 +153,12 @@ class _RunRecorder:
 def main() -> int:
     with _LpInputRecorder() as lp_input:
         for name, workload in workloads.WORKLOADS.items():
-            print(name, digest(workload), flush=True)
+            print(name, digest(workload)[0], flush=True)
     print(f"lp-input {lp_input.hash.hexdigest()} ({lp_input.calls} calls, "
           f"{lp_input.starts} warm)", flush=True)
+    paths, expired = digest(*(replace(w, params={**w.params, **PROTOCOL_PATHS})
+                              for w in map(workloads.WORKLOADS.get, PROTOCOL_PATH_WORKLOADS)))
+    print(f"protocol-paths {paths} ({expired} expired)", flush=True)
     recorder = _RunRecorder()
     code = pytest.main(ACCEPTANCE, plugins=[recorder])
     print(f"acceptance {recorder.hash.hexdigest()} ({recorder.runs} runs, "
