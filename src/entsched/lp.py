@@ -11,8 +11,10 @@ Every solve hands HiGHS the model ``scipy.optimize.linprog(method=
 "highs")`` would: the rows of ``A_ub`` followed by those of ``A_eq`` as
 one column-wise matrix, each column's entries in row order, row bounds
 ``(-inf, b_ub]`` then ``[b_eq, b_eq]``. It skips ``linprog``'s input
-cleaning, option validation and per-column marginal loop, none of which
-the package reads, and keeps its post-solve feasibility check. Every
+cleaning, option validation, per-column marginal loop and post-solve
+check. Instead `check_point` judges every optimal point by one rule,
+`margin`: a point more than ``margin(v)`` past any column bound or row
+bound v is a `SolverError`, and `mred` trusts the rest. Every
 solve runs with one set of options: presolve off, the primal simplex and
 a 1e-9 primal feasibility tolerance. A program with equality
 right-hand sides of 0, no inequality rows and no lower bound above 0,
@@ -120,8 +122,16 @@ _OPTIONS = (
     ("log_to_console", False),
 )
 
-# linprog's post-solve tolerance: sqrt of its default tol 1e-9, times 10
-CHECK_TOL = np.sqrt(1e-9) * 10
+
+def margin(v):
+    """How far a solved value may stray past a bound or right-hand side
+    `v`, elementwise: 1e-7 of |v|, at least 1e-7. It is a hundred times
+    `FEASIBILITY_TOL`, so a point HiGHS calls feasible is inside it, and
+    it is the only such judge: `check_point` refuses a point past it,
+    and `mred` holds each stage and compares a need with a solo rate by
+    it. For a float `v` it equals ``1e-7 * max(1.0, abs(v))`` bit for
+    bit; an infinite `v` gives an infinite margin."""
+    return 1e-7 * np.maximum(1.0, np.abs(v))
 
 
 def _bindings():
@@ -146,16 +156,20 @@ def classify(model_status) -> str:
     return status
 
 
-def check_point(x, objective, lb, ub, ub_slack, eq_residual) -> None:
-    """Raise `SolverError` unless an optimal point is feasible within `CHECK_TOL`."""
-    tol = CHECK_TOL
+def check_point(x, objective, bounds, b_ub, ub_slack, b_eq, eq_residual) -> None:
+    """Raise `SolverError` unless an optimal point is finite and within
+    `margin` of every bound: each column's (lower, upper) row of
+    `bounds`, each inequality row's slack ``b_ub - A_ub @ x`` at least
+    ``-margin(b_ub)`` and each equality row's residual ``b_eq - A_eq @ x``
+    at most ``margin(b_eq)`` in size. An infinite bound checks nothing."""
     if not (np.isfinite(x).all() and np.isfinite(objective)):
         raise SolverError("scipy-highs: optimal point is not finite")
-    if ((x < lb - tol) | (x > ub + tol)).any():
-        raise SolverError(f"scipy-highs: optimal point leaves its bounds by more than {tol:.2e}")
-    # written so that a NaN slack or residual fails too, as in linprog
-    if not ((ub_slack >= -tol).all() and (np.abs(eq_residual) <= tol).all()):
-        raise SolverError(f"scipy-highs: optimal point violates a row by more than {tol:.2e}")
+    lb, ub = bounds.T
+    if ((x < lb - margin(lb)) | (x > ub + margin(ub))).any():
+        raise SolverError("scipy-highs: optimal point leaves its bounds by more than the margin")
+    # written so that a NaN slack or residual fails too
+    if not ((ub_slack >= -margin(b_ub)).all() and (np.abs(eq_residual) <= margin(b_eq)).all()):
+        raise SolverError("scipy-highs: optimal point violates a row by more than the margin")
 
 
 def _to_highs(v, inf):
@@ -269,7 +283,7 @@ class ScipyHighsBackend:
         objective = info.objective_function_value
         row = np.array(solution.row_value)
         m = b_ub.size
-        check_point(x, objective, lb, ub, b_ub - row[:m], b_eq - row[m:])
+        check_point(x, objective, bounds, b_ub, b_ub - row[:m], b_eq, b_eq - row[m:])
         return LpResult(status=status, x=x, objective=float(objective), basis=highs.getBasis(),
                         iterations=iterations)
 

@@ -59,11 +59,8 @@ from .lp import LpStatus, SolverError
 from .topology import Network, NodePair, ValidationError, canonical_pair, pair_positions
 from .workload import MAX_COMMODITY_DEMAND
 
-# post-solve cleanup: a value outside its column's bound by at most
-# NEG_CLAMP snaps onto the bound, since a negative rate is a negative switch
-# share; then any |v| < DROP_TOL reads as zero. The margin is deliberately
-# wider than the solver's primal feasibility tolerance, `lp.FEASIBILITY_TOL`
-NEG_CLAMP = 1e-7
+# post-solve cleanup: after each value is clipped onto its column's bounds,
+# any |v| < DROP_TOL reads as zero
 DROP_TOL = 1e-12
 
 # the tie-break of a program with held rows or surplus lower bounds: each
@@ -76,10 +73,6 @@ TIE = 1e-6
 
 # residual tolerance for solution validation
 FEAS_TOL = 1e-6
-
-
-def _lex_eps(v: float) -> float:
-    return 1e-7 * max(1.0, abs(v))
 
 
 SwapId = tuple[NodePair, int]
@@ -128,7 +121,7 @@ class MredModel:
     in no balance row; rows that bound it by surpluses make maximizing it
     a maximin. Each column's bounds are stated once, in `_base_bounds`:
     [0, 1] for link usage and [0, inf) for every other column; `solve`
-    passes them, and `extract` reads its point against them. `solves`
+    passes them, and `extract` clips its point onto them. `solves`
     counts the LP solves run on this model, and `bound_armed` holds the
     SD pairs whose deadline probe was LP-infeasible (see
     `deadline_verdict`).
@@ -259,12 +252,11 @@ class MredModel:
         return {self.eta_col[pr]: 1.0 for pr in self.net.sorted_sd}
 
     def extract(self, x: np.ndarray, objective_log: Iterable[tuple[str, float]]) -> RateSolution:
-        """The plan at LP point `x`, read against the base bounds: a value
-        outside its bound by at most `NEG_CLAMP` snaps onto it, any
-        |v| < `DROP_TOL` is zero, and the plan keeps the nonzero entries.
-        Values further out are kept, for `check_solution` to flag."""
-        lo, hi = self._base_bounds.T
-        v = np.where((x < lo - NEG_CLAMP) | (x > hi + NEG_CLAMP), x, np.clip(x, lo, hi))
+        """The plan at LP point `x`: each value clipped onto its base
+        bounds, any |v| < `DROP_TOL` read as zero, and the nonzero entries
+        kept. The backend has refused a point more than `lp.margin` past a
+        bound, so clipping moves a value by at most that."""
+        v = np.clip(x, *self._base_bounds.T)
         v[np.abs(v) < DROP_TOL] = 0.0
         nf, ng = len(self.swap_pair), len(self.g_col)
         nz = np.flatnonzero(v[:nf])
@@ -310,7 +302,7 @@ def _lexmax(
     """Maximize each stage's objective in turn, holding earlier stages.
 
     A stage is (label, objective, rows): its rows join the program, then
-    its objective is maximized and held at its optimum less `_lex_eps` for
+    its objective is maximized and held at its optimum less `lp.margin` for
     the stages after it. `eta_lower` bounds surpluses in every stage. The
     first stage starts from the zero plan, or, with `eta_lower`, from the
     model's max-total optimum, which `face_plan` has solved before, so
@@ -336,7 +328,7 @@ def _lexmax(
             raise SolverError(f"{label} stage: solver returned {res.status}")
         v = res.objective
         log.append((label, v))
-        held.append(({col: -w for col, w in objective.items()}, -(v - _lex_eps(v))))
+        held.append(({col: -w for col, w in objective.items()}, -(v - lp.margin(v))))
     return m.extract(res.x, log)
 
 
@@ -447,7 +439,7 @@ def face_plan(m: MredModel, needs: Mapping[NodePair, float]) -> RateSolution | N
     `priority_total` program depends only on which pairs have needs, so
     the model's memo answers every later probe on those pairs. A plan
     that meets the needs is feasible for the deadline program at a total
-    within `_lex_eps` of V, its unconstrained optimum.
+    within `lp.margin` of V, its unconstrained optimum.
     """
     plan = _lexmax(m, _deadline_stages(m, needs))
     return plan if all(plan.eta.get(sd, 0.0) >= need for sd, need in needs.items()) else None
@@ -461,12 +453,12 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     Entries are (sd pair, remaining demand, remaining slots) triples,
     each checked as `build_and_check_mred_dc` checks its entries, before
     any LP. Once the entry's pair is in `m.bound_armed`, a need above its
-    solo rate by more than `_lex_eps`, a margin deliberately wider than
-    the solver's feasibility tolerance (`lp.FEASIBILITY_TOL`), rejects it
-    without a deadline LP; only that pair is checked, since the admitted
-    entries fit together. Otherwise `face_plan` covers the probe, or the
-    first stage of `build_and_check_mred_dc`'s need-bounded solve decides
-    it, and an infeasible one arms the pair. That stage is the plan's
+    solo rate by more than `lp.margin`, the margin by which the backend
+    judges every solved value, rejects it without a deadline LP; only
+    that pair is checked, since the admitted entries fit together.
+    Otherwise `face_plan` covers the probe, or the first stage of
+    `build_and_check_mred_dc`'s need-bounded solve decides it, and an
+    infeasible one arms the pair. That stage is the plan's
     first stage too, one program, so a feasible verdict runs no second
     stage, and the admitted list's plan reuses the verdicts' programs
     through the memo.
@@ -476,7 +468,7 @@ def deadline_verdict(m: MredModel, admitted: Sequence[tuple[NodePair, float, flo
     needs = deadline_needs([*(_entry(m.net, e) for e in admitted), entry])
     if sd in m.bound_armed:
         solo = solve_single_pair_edr(m.net, sd, m)
-        if needs[sd] > solo + _lex_eps(solo):
+        if needs[sd] > solo + lp.margin(solo):
             return "solo_rejected"
     if face_plan(m, needs) is not None:
         return "covered"

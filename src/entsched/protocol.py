@@ -77,7 +77,7 @@ class PlanTable:
     of one more attempt, p, route).
     rows: per pair with an outlet, its route: the staged lanes that
     consume its ebits, then the ready pool for an SD surplus.
-    swaps: the swaps with a positive rate, in (produced, node) order, as
+    swaps: the plan's swaps, in (produced, node) order, as
     (q of the swap node, left lane, right lane, route of the produced
     pair), each lane as its ledger index.
     live: the ledger indices of those lanes.
@@ -99,24 +99,22 @@ def compile_plan(net: Network, plan: RateSolution, state: BufferState) -> PlanTa
     to each lane that consumes it, and to the ready pool for an SD
     surplus, in proportion to the planned rates; without an outlet it is
     parked. No other code turns a plan's pairs and lanes into indices.
+    Every rate the plan holds runs: `MredModel.extract` has clipped each
+    onto its column's bounds.
     """
     index, staged = state.index, state.staged
     outflow: dict[NodePair, list[tuple[int, float]]] = {}
-    # a row's shares go only to the swaps the table runs and to a positive
-    # surplus: `extract` keeps a rate below zero for `check_solution` to
-    # flag, and as a share it would route ebits to a lane no swap drains
-    for lane, w in sorted((lane, w) for swap, w in plan.swaps.items() if w > 0
+    for lane, w in sorted((lane, w) for swap, w in plan.swaps.items()
                           for lane in lane_keys(*swap)):
         outflow.setdefault(lane[0], []).append((index(staged, lane), w))
     rows = {}
     for pair in outflow.keys() | plan.eta.keys():
         out = outflow.get(pair, [])
-        if (surplus := plan.eta.get(pair, 0.0)) > 0.0:
-            out.append((index(state.ready, pair), surplus))
-        if out:
-            denom = sum(w for _, w in out)
-            split = Split([w / denom for _, w in out]) if len(out) > 1 else None
-            rows[pair] = tuple(i for i, _ in out), split
+        if pair in plan.eta:
+            out.append((index(state.ready, pair), plan.eta[pair]))
+        denom = sum(w for _, w in out)
+        split = Split([w / denom for _, w in out]) if len(out) > 1 else None
+        rows[pair] = tuple(i for i, _ in out), split
     table = PlanTable(rows=rows)
 
     def route(pair: NodePair) -> Route:
@@ -133,8 +131,7 @@ def compile_plan(net: Network, plan: RateSolution, state: BufferState) -> PlanTa
         links.append((base, frac, link.p, route(pair)))
     swaps = tuple(
         (net.q[k], *(staged[lane] for lane in lane_keys(produced, k)), route(produced))
-        for (produced, k), w in sorted(plan.swaps.items())
-        if w > 0
+        for produced, k in sorted(plan.swaps)
     )
     live = frozenset(i for _, left, right, _ in swaps for i in (left, right))
     return replace(table, links=tuple(links), swaps=swaps, live=live)

@@ -46,15 +46,16 @@ POLICIES = (POLICY_BASELINE, POLICY_ORDERED, POLICY_DEADLINE)
 
 @dataclass
 class SchedulerState:
-    """Mutable policy state carried across slots of one run."""
+    """Mutable policy state carried across slots of one run; `new_state`
+    builds it, and the run sets the rest."""
 
     policy: str
     net: Network
     model: MredModel
     kappa: int
-    plan: RateSolution | None = None
-    fingerprint: frozenset[int] | None = None
-    events: list[dict] = field(default_factory=list)
+    plan: RateSolution | None = field(init=False, default=None)
+    fingerprint: frozenset[int] | None = field(init=False, default=None)
+    events: list[dict] = field(init=False, default_factory=list)
 
 
 def new_state(net: Network, policy: str, kappa: int = 1) -> SchedulerState:

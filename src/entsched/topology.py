@@ -323,11 +323,13 @@ def write_network(net: Network, path: str) -> None:
 
 def read_network(path: str) -> Network:
     """The network in the JSON file at `path`. Content that is not UTF-8 or
-    JSON, nests too deeply to parse, or holds an integer too large for a
-    float raises ValidationError naming the file; a path that cannot be
-    opened raises OSError."""
+    JSON, nests too deeply to parse, holds an integer too large for a
+    float or is not a valid network raises ValidationError prefixed
+    ``cannot read network <path>: ``; a path that cannot be opened raises
+    OSError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return from_json(json.load(fh, parse_int=_json_int))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, OverflowError) as exc:
+        except (ValidationError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+                OverflowError) as exc:
             raise ValidationError(f"cannot read network {path}: {exc}") from exc

@@ -57,17 +57,18 @@ def round_half_up(x: float) -> int:
 
 @dataclass
 class Commodity:
-    """One request; `remaining` counts ebits still owed."""
+    """One request, built from its five request fields; the run tracks
+    the rest: `remaining` counts ebits still owed, from `demand`."""
 
     id: int
     sd: NodePair
     demand: int
     arrival: int
     deadline: int | None = None
-    remaining: int = field(default=-1)
-    status: str = PENDING
-    completed_slot: int | None = None
-    expired_slot: int | None = None
+    remaining: int = field(init=False)
+    status: str = field(init=False, default=PENDING)
+    completed_slot: int | None = field(init=False, default=None)
+    expired_slot: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.id = _whole(self.id, "commodity id")
@@ -78,8 +79,7 @@ class Commodity:
                 self.deadline = _whole(self.deadline, "deadline", self.arrival)
         except ValidationError as exc:
             raise ValidationError(f"commodity {self.id}: {exc}") from None
-        if self.remaining < 0:
-            self.remaining = self.demand
+        self.remaining = self.demand
 
     def fresh_copy(self) -> "Commodity":
         return Commodity(
@@ -199,9 +199,10 @@ def write_workload(commodities: Iterable[Commodity], path: str) -> None:
 def read_workload(path: str) -> list[Commodity]:
     """The commodities in the JSON-lines file at `path`, one object a line.
     Content that is not UTF-8 raises ValidationError naming the file, and a
-    line that is not a commodity object, nests too deeply to parse or holds
-    an integer too large for a float one naming the file and the line; a
-    path that cannot be opened raises OSError."""
+    line that is not a valid commodity object, nests too deeply to parse or
+    holds an integer too large for a float one prefixed ``cannot read
+    workload <path> line <n>: ``; a path that cannot be opened raises
+    OSError."""
     out = []
     with open(path, encoding="utf-8") as fh:
         try:
@@ -216,9 +217,8 @@ def read_workload(path: str) -> list[Commodity]:
                                      deadline=obj.get("deadline")))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"cannot read workload {path}: {exc}") from exc
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:
-            raise ValidationError(
-                f"cannot read workload {path} line {n}: {type(exc).__name__}: {exc}") from exc
+        except (ValidationError, KeyError, TypeError, ValueError, RecursionError,
+                OverflowError) as exc:
+            detail = exc if isinstance(exc, ValidationError) else f"{type(exc).__name__}: {exc}"
+            raise ValidationError(f"cannot read workload {path} line {n}: {detail}") from exc
     return out

@@ -169,9 +169,9 @@ class _AgainstLinprog:
         self.warm += start is not None
         assert abs(stage @ res.x - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
         A_ub, A_eq = (_scipy_matrix(kwargs[k]) for k in ("A_ub", "A_eq"))
-        lb, ub = kwargs["bounds"].T
-        lp.check_point(res.x, res.objective, lb, ub, kwargs["b_ub"] - A_ub @ res.x,
-                       kwargs["b_eq"] - A_eq @ res.x)
+        b_ub, b_eq = kwargs["b_ub"], kwargs["b_eq"]
+        lp.check_point(res.x, res.objective, kwargs["bounds"], b_ub, b_ub - A_ub @ res.x, b_eq,
+                       b_eq - A_eq @ res.x)
         return res
 
 

@@ -520,8 +520,8 @@ def test_capacity_the_solver_cannot_hold_is_a_config_error(tmp_path, capsys):
     }))
     rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        f"error: link capacity {10**19} exceeds the maximum {MAX_CAPACITY}\n")
+    assert capsys.readouterr().err == (f"error: cannot read network {net_path}: link capacity "
+                                       f"{10**19} exceeds the maximum {MAX_CAPACITY}\n")
     rc = cli.main(["gen-topology", "--nodes", "4", "--cap-hi", str(10**10),
                    "--out", str(tmp_path / "net.json")])
     assert rc == 1
@@ -539,7 +539,8 @@ def test_pair_with_equal_endpoints_is_a_one_line_config_error(tmp_path, capsys):
     }))
     rc = cli.main(["gen-workload", "--net", str(net_path), "--out", str(tmp_path / "w.jsonl")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: pair endpoints must differ, got 0 and 0\n"
+    assert capsys.readouterr().err == (f"error: cannot read network {net_path}: "
+                                       "pair endpoints must differ, got 0 and 0\n")
     assert not (tmp_path / "w.jsonl").exists()
 
     net_path = _gen_net(tmp_path)
@@ -550,7 +551,8 @@ def test_pair_with_equal_endpoints_is_a_one_line_config_error(tmp_path, capsys):
         "simulate", "--net", str(net_path), "--workload", str(load_path), "--policy", "ESDI-B",
     ])
     assert rc == 1
-    assert capsys.readouterr().err == "error: pair endpoints must differ, got 1 and 1\n"
+    assert capsys.readouterr().err == (f"error: cannot read workload {load_path} line 1: "
+                                       "pair endpoints must differ, got 1 and 1\n")
 
 
 # each of these once overflowed a workload draw: numpy refused the Poisson
@@ -621,8 +623,8 @@ def test_demand_the_deadline_lp_cannot_hold_is_a_config_error(tmp_path, capsys):
         captured = capsys.readouterr()
         if rc:
             assert captured.out == ""
-            assert captured.err == (f"error: commodity 0: demand {demand} exceeds the maximum "
-                                    f"{MAX_COMMODITY_DEMAND}\n")
+            assert captured.err == (f"error: cannot read workload {load_path} line 1: commodity 0: "
+                                    f"demand {demand} exceeds the maximum {MAX_COMMODITY_DEMAND}\n")
         else:
             # at the limit the deadline program holds the need and rejects it
             assert json.loads(captured.out)["success_ratio"] == 0.0
@@ -664,6 +666,31 @@ def test_bad_file_is_a_one_line_config_error(tmp_path, capsys, kind, command, fl
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert str(bad) in captured.err, captured.err
     assert not out.exists()
+
+
+# each once printed its refusal without naming the file it came from
+@pytest.mark.parametrize("command, flag, content, message", [
+    ("gen-workload", "--net",
+     {"nodes": [{"id": 0, "q": 0.9}, {"id": 0, "q": 0.9}], "links": [], "sd_pairs": []},
+     "cannot read network {path}: duplicate node id 0"),
+    ("simulate", "--net", {"nodes": 5},
+     "cannot read network {path}: malformed network object: 'int' object is not iterable"),
+    ("simulate", "--workload", {"id": 0, "s": 0, "t": 1, "d": 1.5, "a": 1},
+     "cannot read workload {path} line 1: commodity 0: demand must be a whole number, got 1.5"),
+], ids=["duplicate-node", "nodes-not-a-list", "fractional-demand"])
+def test_a_refused_file_content_names_the_file(tmp_path, capsys, command, flag, content, message):
+    net_path = _gen_net(tmp_path)
+    files = {"--net": net_path, "--workload": _gen_load(tmp_path, net_path)}
+    bad = files[flag] = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content) + "\n")
+    argv = [command, "--net", str(files["--net"]), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--workload", str(files["--workload"]), "--policy", "ESDI-B"]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=bad)}\n"
 
 
 def test_sweep_bad_or_empty_lists_are_config_errors(tmp_path, capsys):
@@ -754,8 +781,8 @@ def test_network_too_large_to_plan_is_config_error(tmp_path, capsys):
     }))
     rc = cli.main(["gen-workload", "--net", str(out), "--out", str(tmp_path / "w.jsonl")])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        f"error: node count {MAX_NODES + 1} exceeds the maximum {MAX_NODES}\n")
+    assert capsys.readouterr().err == (f"error: cannot read network {out}: node count "
+                                       f"{MAX_NODES + 1} exceeds the maximum {MAX_NODES}\n")
     assert not (tmp_path / "w.jsonl").exists()
 
 
@@ -778,5 +805,6 @@ def test_network_file_probabilities_must_be_numbers(tmp_path, capsys, section, k
         assert read_network(str(net)).q[0] == 1.0
     else:
         assert rc == 1
-        assert capsys.readouterr().err == line
+        assert capsys.readouterr().err == line.replace("error: ",
+                                                       f"error: cannot read network {net}: ", 1)
         assert not load.exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import star_net
 from entsched import cli
 from entsched.engine import run_simulation
 from entsched.protocol import ProtocolConfig
-from entsched.scheduler import POLICY_BASELINE, new_state
+from entsched.scheduler import POLICY_BASELINE, SchedulerState, new_state
 from entsched.topology import (
     NodePair,
     ValidationError,
@@ -20,7 +21,7 @@ from entsched.topology import (
     generate_waxman,
     sample_sd_pairs,
 )
-from entsched.workload import Commodity, WorkloadConfig, generate_workload
+from entsched.workload import PENDING, Commodity, WorkloadConfig, generate_workload
 
 NODES = [(0, 0.9), (1, 0.9), (2, 0.9)]
 WAXMAN = {"alpha": 0.8, "beta": 0.8, "p": 0.9, "q": 0.9}
@@ -129,3 +130,19 @@ def test_whole_names_the_bound_a_value_breaks():
         _whole(1.0, "count", 2)
     with pytest.raises(ValidationError, match=r"^count 9 exceeds the maximum 8$"):
         _whole(np.int64(9), "count", most=8)
+
+
+def test_a_commodity_and_a_scheduler_state_take_only_their_request():
+    # the run's tracking fields were once settable, so a commodity owing
+    # 1.5 ebits with status "bogus" passed no whole-number check
+    assert [f.name for f in fields(Commodity) if f.init] == ["id", "sd", "demand", "arrival",
+                                                             "deadline"]
+    assert [f.name for f in fields(SchedulerState) if f.init] == ["policy", "net", "model",
+                                                                  "kappa"]
+    with pytest.raises(TypeError, match="remaining"):
+        Commodity(id=0, sd=AB, demand=3, arrival=1, remaining=1.5)
+    c = Commodity(id=0, sd=AB, demand=3.0, arrival=1)
+    assert (type(c.remaining), c.remaining, c.status, c.completed_slot, c.expired_slot) == (
+        int, 3, PENDING, None, None)
+    state = new_state(star_net(), POLICY_BASELINE)
+    assert (state.plan, state.fingerprint, state.events) == (None, None, [])

@@ -102,3 +102,13 @@ def test_whole_numbers_have_one_rule():
                  isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
                  or isinstance(node, ast.ImportFrom) and node.module == "numbers")]
     assert stray == []
+
+
+def test_solved_values_have_one_margin():
+    # `lp.margin` is the one judge of how far a solved value may stray; a
+    # 1e-7 written anywhere else is a second margin
+    package = Path(__file__).resolve().parents[1] / "src" / "entsched"
+    stray = [f"{path.stem}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             if path.stem != "lp" for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-7]
+    assert stray == []

@@ -18,7 +18,7 @@ from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from conftest import LINPROG_STATUS, against_linprog
 from entsched import cli, lp, mred
-from entsched.lp import CHECK_TOL, LpStatus, SolverError, check_point, classify
+from entsched.lp import LpStatus, SolverError, check_point, classify
 from entsched.topology import generate_waxman, sample_sd_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,32 +43,51 @@ def test_status_mapping_matches_linprog_except_model_error(model_status):
         assert classify(model_status) == expected
 
 
-def _check(x=(0.5, 1.0), objective=1.0, ub_slack=(0.0,), eq_residual=(0.0,)):
-    check_point(np.array(x, dtype=float), objective, np.zeros(2), np.ones(2),
-                np.array(ub_slack, dtype=float), np.array(eq_residual, dtype=float))
+# a column of bounds [0, 1], one of [0, 1] and one with a surplus lower
+# bound of 17; a held row with b_ub = -17 and an equality row with b_eq = 0
+BOUNDS = np.array([(0.0, 1.0), (0.0, 1.0), (17.0, np.inf)])
+
+
+def _check(x=(0.5, 1.0, 17.0), objective=1.0, ub_slack=(0.0,), eq_residual=(0.0,)):
+    check_point(np.array(x, dtype=float), objective, BOUNDS, np.array([-17.0]),
+                np.array(ub_slack, dtype=float), np.zeros(1), np.array(eq_residual, dtype=float))
+
+
+def _out(bound: float, times: float) -> float:
+    """`times` margins of `bound` past it."""
+    return times * lp.margin(bound)
+
+
+@pytest.mark.parametrize("v", [0.0, -1e-9, 0.5, 1.0, -17.0, 17.0, 3e8, -2.5e12, 1e-300])
+def test_a_scalar_margin_is_the_written_rule(v):
+    assert lp.margin(v) == 1e-7 * max(1.0, abs(v))
+    assert lp.margin(np.array([v]))[0] == lp.margin(v)
 
 
 def test_check_accepts_a_point_within_tolerance():
-    t = 0.9 * CHECK_TOL
-    _check(x=(-t, 1 + t), ub_slack=(-t,), eq_residual=(-t,))
-    _check(eq_residual=(t,))
+    _check(x=(-_out(0.0, 0.5), 1 + _out(1.0, 0.5), 17 - _out(17.0, 0.5)),
+           ub_slack=(-_out(-17.0, 0.5),), eq_residual=(-_out(0.0, 0.5),))
+    _check(eq_residual=(_out(0.0, 0.5),))
+    # an infinite bound checks nothing on its side
+    _check(x=(0.5, 1.0, 1e300))
 
 
 @pytest.mark.parametrize("case", [
-    {"x": (np.nan, 0.5)},
-    {"x": (0.5, np.inf)},
+    {"x": (np.nan, 0.5, 17.0)},
+    {"x": (0.5, np.inf, 17.0)},
     {"objective": np.nan},
-    {"x": (-1.1 * CHECK_TOL, 0.5)},
-    {"x": (0.5, 1 + 1.1 * CHECK_TOL)},
-    {"ub_slack": (-1.1 * CHECK_TOL,)},
-    {"eq_residual": (1.1 * CHECK_TOL,)},
-    {"eq_residual": (-1.1 * CHECK_TOL,)},
+    {"x": (-_out(0.0, 2), 0.5, 17.0)},
+    {"x": (0.5, 1 + _out(1.0, 2), 17.0)},
+    {"x": (0.5, 0.5, 17 - _out(17.0, 2))},
+    {"ub_slack": (-_out(-17.0, 2),)},
+    {"eq_residual": (_out(0.0, 2),)},
+    {"eq_residual": (-_out(0.0, 2),)},
     {"ub_slack": (np.nan,)},
     {"eq_residual": (np.nan,)},
-], ids=["nan-x", "inf-x", "nan-objective", "below-lower", "above-upper",
+], ids=["nan-x", "inf-x", "nan-objective", "below-lower", "above-upper", "below-surplus-bound",
         "ub-slack", "eq-residual-high", "eq-residual-low", "nan-slack", "nan-residual"])
 def test_check_rejects_an_infeasible_point(case):
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="optimal point"):
         _check(**case)
 
 

@@ -105,32 +105,30 @@ def test_two_node_model_has_no_staged_flows():
 
 
 def test_extract_clamps_solver_dust(star):
+    # every value is clipped onto its column's bounds, however far out:
+    # the backend has refused a point more than `lp.margin` outside them
     model = build_mred(star)
     x = np.zeros(model.ncols)
     x[0] = -5e-8             # within the solver's feasibility tolerance
-    x[1] = -1e-3             # a real violation, kept for check_solution to flag
+    x[1] = -1e-3             # far out: clipped too
     x[2] = 0.5
     x[3] = mred.DROP_TOL     # kept, as link usage and surpluses always were
     x[4] = 5e-13             # below DROP_TOL
-    x[5] = -mred.NEG_CLAMP   # at the tolerance: snaps onto the bound
-    x[6] = -2e-7             # just beyond it: kept
+    x[5] = -1e-7
+    x[6] = -2e-7
     lk, lk2, lk3 = star.sorted_links
     x[model.g_col[lk]] = 1.0 + 5e-8
-    x[model.g_col[lk2]] = 1.0 + 2e-7
+    x[model.g_col[lk2]] = 3.0
     x[model.g_col[lk3]] = mred.DROP_TOL
     x[model.eta_col[P(0, 1)]] = -5e-8
     x[model.eta_col[P(0, 3)]] = -2e-7
     sol = model.extract(x, ())
-    # columns 1, 2, 3 and 6: pair 0:1 swapped at node 3, pair 0:2 at nodes
-    # 1 and 3, pair 1:2 at node 0
-    assert sol.swaps == {(P(0, 1), 3): -1e-3, (P(0, 2), 1): 0.5, (P(0, 2), 3): mred.DROP_TOL,
-                         (P(1, 2), 0): -2e-7}
-    assert sol.g == {lk: 1.0, lk2: 1.0 + 2e-7, lk3: mred.DROP_TOL}
-    assert sol.eta == {P(0, 3): -2e-7}
+    # columns 2 and 3: pair 0:2 swapped at nodes 1 and 3
+    assert sol.swaps == {(P(0, 2), 1): 0.5, (P(0, 2), 3): mred.DROP_TOL}
+    assert sol.g == {lk: 1.0, lk2: 1.0, lk3: mred.DROP_TOL}
+    assert sol.eta == {}
     report = check_solution(star, sol)
-    assert report["swap_negative"] == 1e-3 and not report["ok"]
-    assert report["g_out_of_range"] == pytest.approx(2e-7, rel=1e-6)
-    assert report["eta_negative"] == 2e-7
+    assert report["swap_negative"] == report["g_out_of_range"] == report["eta_negative"] == 0.0
 
 
 def test_zero_assignment_satisfies_balance(star):

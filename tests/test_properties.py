@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import against_linprog, against_pinned_floor
-from entsched import engine, mred, scheduler
+from entsched import engine, lp, mred, scheduler
 from entsched.lp import LpStatus
 from entsched.mred import (
     build_and_check_mred_dc,
@@ -204,7 +204,7 @@ def test_warm_deadline_probe_agrees_with_cold_two_stage_solve(nodes, net_seed, s
     for plan in (warm, cold):
         assert check_solution(net, plan)["ok"]
     warm_log, cold_log = dict(warm.objective_log), dict(cold.objective_log)
-    assert abs(warm_log["total"] - cold_log["total"]) <= mred._lex_eps(v)
+    assert abs(warm_log["total"] - cold_log["total"]) <= lp.margin(v)
     assert warm_log["priority_total"] == pytest.approx(cold_log["priority_total"], rel=1e-6)
 
 
@@ -452,25 +452,19 @@ def _reference_balance_matrix(net):
     return want, keys
 
 
-# values within, at and just beyond NEG_CLAMP of the bounds 0 and 1, below
-# DROP_TOL, and clear of both; DROP_TOL itself, where the swap rule moved,
-# is in test_mred.py
-EDGE_VALUES = [v for b in (0.0, 1.0) for v in (b - 2e-7, b - mred.NEG_CLAMP, b - 5e-8, b + 5e-8,
-                                               b + mred.NEG_CLAMP, b + 2e-7)] + [
-    -5e-13, 5e-13, 0.5, 2.0]
+# values within, at and just beyond the margin of the bounds 0 and 1, far
+# past them, below DROP_TOL, and clear of both; DROP_TOL itself is in
+# test_mred.py
+EDGE_VALUES = [v for b in (0.0, 1.0) for v in (b - 2e-7, b - lp.margin(b), b - 5e-8, b + 5e-8,
+                                               b + lp.margin(b), b + 2e-7)] + [
+    -5e-13, 5e-13, 0.5, 2.0, -3.0]
 
 
-def _reference_clean(v, upper=None):
-    """The per-column rule `extract` replaced for link usage (`upper` 1)
-    and surpluses: dust within NEG_CLAMP below zero and any |v| below
-    DROP_TOL reads as zero, then a value within NEG_CLAMP above `upper`
-    as `upper`. Swaps kept exactly the values above DROP_TOL or below
-    -NEG_CLAMP."""
-    if -mred.NEG_CLAMP <= v < 0.0 or abs(v) < mred.DROP_TOL:
-        v = 0.0
-    if upper is not None and upper < v <= upper + mred.NEG_CLAMP:
-        v = upper
-    return float(v)
+def _reference_clean(v, upper=math.inf):
+    """The per-column rule of `extract`: a value below DROP_TOL, negative
+    ones included, reads as zero, and one above `upper` (1 for link
+    usage, none for swaps and surpluses) as `upper`."""
+    return 0.0 if v < mred.DROP_TOL else float(min(v, upper))
 
 
 @seed(0x77c112799ea839d7af13707ade8cca0fe4e675667bf8bb01b1e7ada304a418f8cb86dd9fe07fc15819ff8eda1753b7aa)
@@ -496,8 +490,8 @@ def test_model_swap_columns_match_lane_keys(nodes, net_seed, relabel):
     dusty = rng.random(m.ncols) < 0.3
     x[dusty] = rng.choice(EDGE_VALUES, dusty.sum())
     sol = m.extract(x, ())
-    kept = [j for j in range(len(keys)) if x[j] > mred.DROP_TOL or x[j] < -mred.NEG_CLAMP]
-    assert list(sol.swaps.items()) == [(keys[j], x[j]) for j in kept]
+    swaps = [(keys[j], _reference_clean(x[j])) for j in range(len(keys))]
+    assert list(sol.swaps.items()) == [(key, v) for key, v in swaps if v]
     g = [(lk, _reference_clean(x[m.g_col[lk]], upper=1.0)) for lk in net.sorted_links]
     assert list(sol.g.items()) == [(lk, v) for lk, v in g if v]
     eta = [(sd, _reference_clean(x[m.eta_col[sd]])) for sd in net.sorted_sd]

@@ -149,18 +149,19 @@ def test_plan_table_swaps_require_both_lanes():
                        [(0, 2, 2, 1.0), (1, 2, 2, 1.0), (3, 2, 2, 1.0)], [(0, 1), (0, 3)])
     state = BufferState()
     table = compile_plan(net, RateSolution(
-        swaps={(P(0, 3), 2): 0.5, (P(0, 2), 1): 1.0, (P(1, 3), 2): -1e-8}, g={}, eta={}), state)
+        swaps={(P(0, 3), 2): 0.5, (P(0, 2), 1): 1.0, (P(1, 3), 2): 0.25}, g={}, eta={}), state)
     staged = state.staged
-    # sorted by (produced, node), with the swap node's q; only positive rates execute
+    # sorted by (produced, node), with the swap node's q; every swap of the plan runs
     assert table.swaps == (
         (0.7, staged[(P(0, 1), P(0, 2))], staged[(P(1, 2), P(0, 2))],
          ((staged[(P(0, 2), P(0, 3))],), None)),
         (0.8, staged[(P(0, 2), P(0, 3))], staged[(P(2, 3), P(0, 3))],
          ((state.parked[P(0, 3)],), None)),
+        (0.8, staged[(P(1, 2), P(1, 3))], staged[(P(2, 3), P(1, 3))],
+         ((state.parked[P(1, 3)],), None)),
     )
-    assert table.live == {i for swap in table.swaps for i in swap[1:3]}
-    # a swap the table does not run feeds no row, so its lanes get no index
-    assert (P(1, 2), P(1, 3)) not in staged and (P(2, 3), P(1, 3)) not in staged
+    # each lane a row feeds is one a swap drains
+    assert table.live == {i for swap in table.swaps for i in swap[1:3]} == set(staged.values())
 
 
 def test_switch_probabilities_pure_surplus():
@@ -270,13 +271,25 @@ def test_compile_plan_resolves_the_table_to_ledger_indices():
 
 
 def test_compile_plan_feeds_rows_only_from_swaps_it_runs():
-    # `extract` keeps a swap rate below -NEG_CLAMP for `check_solution` to
-    # flag; as a share it gave row 0:2 the probabilities [1.000002, -2e-06]
-    # and routed ebits to the lane of a swap the table does not run
+    # a rate below zero, as a share, once gave row 0:2 the probabilities
+    # [1.000002, -2e-06] and routed ebits to the lane of a swap the table
+    # did not run; `extract` now clips it to zero, so the plan it makes
+    # holds no such rate and the table runs every swap of the plan
+    net = star_net()
+    m = build_mred(net)
+    nodes = net.nodes
+    col = {(P(nodes[m.pair_lo[sp]], nodes[m.pair_hi[sp]]), nodes[k]): j
+           for j, (sp, k) in enumerate(zip(m.swap_pair, m.swap_node))}
+    x = np.zeros(m.ncols)
+    x[col[(P(0, 1), 2)]], x[col[(P(0, 3), 2)]] = 1.0, -2e-6
+    for lk, g in ((P(0, 2), 1.0), (P(1, 2), 0.5), (P(2, 3), 0.5)):
+        x[m.g_col[lk]] = g
+    x[m.eta_col[P(0, 1)]] = 1.0
+    plan = m.extract(x, ())
+    assert plan.swaps == {(P(0, 1), 2): 1.0}
     state = BufferState()
-    table = compile_plan(star_net(), RateSolution(
-        swaps={(P(0, 1), 2): 1.0, (P(0, 3), 2): -2e-6},
-        g={P(0, 2): 1.0, P(1, 2): 0.5, P(2, 3): 0.5}, eta={P(0, 1): 1.0}), state)
+    table = compile_plan(net, plan, state)
+    assert len(table.swaps) == len(plan.swaps)
     lanes = set(state.staged.values())
     for targets, split in table.rows.values():
         probs = [1.0] if split is None else split.probs

@@ -22,6 +22,14 @@ later program adds ``mred.TIE`` (see ``mred.MredModel.solve``). Each
 line also says how many of the kind's programs had a start basis.
 Milliseconds are host time and vary from run to run; programs and
 iterations do not.
+
+A last line per workload shows the headroom of ``lp.margin``, the most a
+solved value may stray past a bound before the backend refuses the
+point: over every optimal point, the worst excess past a column bound
+and the worst row residual (an inequality row's excess past ``b_ub``,
+an equality row's distance from ``b_eq``), each as a fraction of the
+margin of that bound or right-hand side. Infinite bounds are skipped,
+and a value inside its bound counts as 0.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -47,14 +57,40 @@ def kind(A_ub, bounds) -> str:
     return "need-bounded" if (bounds[:, 0] > 0).any() else "first"
 
 
+def _margins(excess, bound) -> float:
+    """The largest of `excess`, each in margins of its `bound`, over the
+    finite bounds; 0 when none lies outside."""
+    keep = np.isfinite(bound)
+    return float(np.max(excess[keep] / lp.margin(bound[keep]), initial=0.0))
+
+
+def _rows(A: lp.CscMatrix, x) -> np.ndarray:
+    """``A @ x``, from the column-wise arrays HiGHS is passed."""
+    return np.bincount(A.indices, weights=A.data * np.repeat(x, np.diff(A.indptr)),
+                       minlength=A.shape[0])
+
+
+def headroom(x, A_ub, b_ub, A_eq, b_eq, bounds) -> tuple[float, float]:
+    """The worst bound excess and the worst row residual of the point `x`,
+    each as a fraction of `lp.margin` of its bound."""
+    lb, ub = bounds.T
+    columns = max(_margins(lb - x, lb), _margins(x - ub, ub))
+    rows = max(_margins(_rows(A_ub, x) - b_ub, b_ub), _margins(np.abs(_rows(A_eq, x) - b_eq), b_eq))
+    return columns, rows
+
+
 def main() -> int:
     real = lp.ScipyHighsBackend.solve
     tally: dict[str, list] = {}
+    worst = [0.0, 0.0]
 
     def timed(self, c, *, A_ub, bounds, start=None, **kwargs):
         t0 = time.perf_counter()
         res = real(self, c, A_ub=A_ub, bounds=bounds, start=start, **kwargs)
         ms = (time.perf_counter() - t0) * 1000.0
+        if res.x is not None:
+            point = headroom(res.x, A_ub, kwargs["b_ub"], kwargs["A_eq"], kwargs["b_eq"], bounds)
+            worst[:] = map(max, worst, point)
         row = tally.setdefault(kind(A_ub, bounds), [0, 0, 0, 0.0])
         row[0] += 1
         row[1] += start is not None
@@ -66,12 +102,15 @@ def main() -> int:
     try:
         for name, workload in workloads.WORKLOADS.items():
             tally.clear()
+            worst[:] = 0.0, 0.0
             for seed in SWEEP_SEEDS:
                 workloads.simulate(workload, workloads.build_instance(workload, seed))
             for k in KINDS:
                 programs, started, iterations, ms = tally.get(k, [0, 0, 0, 0.0])
                 print(f"{name:<18} {k:<13} {programs:4d} programs ({started:3d} with a start) "
                       f"{iterations:7d} iterations {ms:9.1f} ms", flush=True)
+            print(f"{name:<18} margin used: bounds {worst[0]:.2e}, rows {worst[1]:.2e}",
+                  flush=True)
     finally:
         lp.ScipyHighsBackend.solve = real
     return 0
