@@ -56,32 +56,35 @@ SWEEP_AXES = {
     "kappa": "kappa",
 }
 
-# network and workload scale behind the --paper-scale flag; it replaces
-# the sweep's defaults, so every flag given explicitly still wins
-PRESET = {
-    "nodes": 20,
-    "alpha": 0.8,
-    "beta": 0.8,
-    "cap_lo": 3,
-    "cap_hi": 10,
-    "p": 0.9,
-    "q": 0.9,
-    "sd_count": 3,
-    "rate": 1.0,
-    "mean_demand": 600.0,
-    "min_demand": 100,
-    "horizon": 60,
-    "deadline_mu": 0.4,
-    "deadline_halfwidth": 0.1,
-    "deadline_factor": 1.0,
-    "kappa": 1,
-    "seeds": "1,2,3,4,5",
+# every scenario parameter, in the order results.json records the sweep's
+# base: name -> (flag group, type, default, --paper-scale value). The
+# preset replaces the sweep's defaults, so every flag given explicitly
+# still wins; a parameter whose preset value is None keeps its default
+SCENARIO = {
+    "nodes": ("topology", int, 8, 20),
+    "alpha": ("topology", float, 0.8, 0.8),
+    "beta": ("topology", float, 0.8, 0.8),
+    "cap_lo": ("topology", int, 1, 3),
+    "cap_hi": ("topology", int, 4, 10),
+    "p": ("topology", float, 0.9, 0.9),
+    "q": ("topology", float, 0.9, 0.9),
+    "sd_count": ("topology", int, 3, 3),
+    "rate": ("workload", float, 1.0, 1.0),
+    "mean_demand": ("workload", float, 12.0, 600.0),
+    "min_demand": ("workload", int, 2, 100),
+    "horizon": ("workload", int, 20, 60),
+    "deadline_mu": ("workload", float, None, 0.4),
+    "deadline_halfwidth": ("workload", float, 0.1, 0.1),
+    "deadline_factor": ("workload", float, 1.0, 1.0),
+    "kappa": ("protocol", int, 1, 1),
+    "cascade_depth": ("protocol", int, 1, None),
+    "max_buffer_age": ("protocol", int, None, None),
+    "horizon_cap": ("protocol", int, HORIZON_CAP, None),
 }
 
-# the sweep's base configuration, in the order results.json records it
-BASE_KEYS = ("nodes", "alpha", "beta", "cap_lo", "cap_hi", "p", "q", "sd_count", "rate",
-             "mean_demand", "min_demand", "horizon", "deadline_mu", "deadline_halfwidth",
-             "deadline_factor", "kappa", "cascade_depth", "max_buffer_age", "horizon_cap")
+# network and workload scale behind the --paper-scale flag
+PRESET = {**{name: paper for name, (_, _, _, paper) in SCENARIO.items() if paper is not None},
+          "seeds": "1,2,3,4,5"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,32 +95,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _topology_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--nodes", type=int, default=8)
-    sub.add_argument("--alpha", type=float, default=0.8)
-    sub.add_argument("--beta", type=float, default=0.8)
-    sub.add_argument("--cap-lo", type=int, default=1)
-    sub.add_argument("--cap-hi", type=int, default=4)
-    sub.add_argument("--p", type=float, default=0.9)
-    sub.add_argument("--q", type=float, default=0.9)
-    sub.add_argument("--sd-count", type=int, default=3)
-
-
-def _workload_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rate", type=float, default=1.0)
-    sub.add_argument("--mean-demand", type=float, default=12.0)
-    sub.add_argument("--min-demand", type=int, default=2)
-    sub.add_argument("--horizon", type=int, default=20)
-    sub.add_argument("--deadline-mu", type=float, default=None)
-    sub.add_argument("--deadline-halfwidth", type=float, default=0.1)
-    sub.add_argument("--deadline-factor", type=float, default=1.0)
-
-
-def _protocol_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kappa", type=int, default=1)
-    sub.add_argument("--cascade-depth", type=int, default=1)
-    sub.add_argument("--max-buffer-age", type=int, default=None)
-    sub.add_argument("--horizon-cap", type=int, default=HORIZON_CAP)
+def _scenario_args(sub: argparse.ArgumentParser, *groups: str) -> None:
+    for name, (group, kind, default, _) in SCENARIO.items():
+        if group in groups:
+            sub.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
 
 
 def build_parser() -> _Parser:
@@ -125,13 +106,13 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     topo = subs.add_parser("gen-topology", parents=[], help="generate a random network")
-    _topology_args(topo)
+    _scenario_args(topo, "topology")
     topo.add_argument("--seed", type=int, default=0)
     topo.add_argument("--out", required=True)
 
     load = subs.add_parser("gen-workload", help="generate a commodity workload")
     load.add_argument("--net", required=True)
-    _workload_args(load)
+    _scenario_args(load, "workload")
     load.add_argument("--seed", type=int, default=0)
     load.add_argument("--out", required=True)
 
@@ -139,7 +120,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--net", required=True)
     sim.add_argument("--workload", required=True)
     sim.add_argument("--policy", choices=POLICIES, required=True)
-    _protocol_args(sim)
+    _scenario_args(sim, "protocol")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--trace", default=None, help="write per-slot JSONL here")
     sim.add_argument("--out", default=None, help="write metrics JSON here instead of stdout")
@@ -152,9 +133,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--paper-scale", action="store_true",
                        help="use the 20-node, long-demand preset as the base")
-    _topology_args(sweep)
-    _workload_args(sweep)
-    _protocol_args(sweep)
+    _scenario_args(sweep, "topology", "workload", "protocol")
     sweep.add_argument("--out-dir", required=True)
     # main() installs the --paper-scale preset as this parser's defaults
     parser.sweep_parser = sweep
@@ -258,10 +237,6 @@ def _parse_list(flag: str, raw: str, kind) -> list:
     return items
 
 
-def _base_params(args) -> dict:
-    return {key: getattr(args, key) for key in BASE_KEYS}
-
-
 def _apply_axis(base: dict, axis: str, value) -> dict:
     return {**base, SWEEP_AXES[axis]: value}
 
@@ -319,15 +294,14 @@ def _aggregate(records: list[dict], values: list, policies: list[str], metric: s
 
 
 def cmd_sweep(args) -> int:
-    values = _parse_list("--values", args.values,
-                         int if SWEEP_AXES[args.axis] in ("nodes", "kappa") else float)
+    values = _parse_list("--values", args.values, SCENARIO[SWEEP_AXES[args.axis]][1])
     seeds = _parse_list("--seeds", args.seeds, int)
     policies = _parse_list("--policies", args.policies, str)
     for policy in policies:
         if policy not in POLICIES:
             raise ValidationError(f"unknown policy {policy!r} in --policies")
     workers = _whole(args.workers, "--workers", 1)
-    base = _base_params(args)
+    base = {name: getattr(args, name) for name in SCENARIO}
     if args.axis == "deadline-factor" and base["deadline_mu"] is None:
         raise ValidationError("deadline-factor sweep needs --deadline-mu")
     base["horizon_cap"] = _whole(base["horizon_cap"], "horizon_cap", 0)

@@ -10,7 +10,7 @@ channels.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 from .protocol import (
@@ -93,7 +93,7 @@ def run_simulation(
     _validate_inputs(net, commodities)
     started = time.perf_counter()
 
-    work = [c.fresh_copy() for c in commodities]
+    work = [replace(c) for c in commodities]
     state: SchedulerState = new_state(net, policy, kappa)
     buffers = BufferState()
     table = PlanTable()

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import lp
 from .lp import LpStatus, SolverError
-from .topology import Network, NodePair, ValidationError, canonical_pair, pair_positions
+from .topology import Network, NodePair, ValidationError, _real, canonical_pair, pair_positions
 from .workload import MAX_COMMODITY_DEMAND
 
 # post-solve cleanup: after each value is clipped onto its column's bounds,
@@ -388,17 +388,14 @@ def _entry(net: Network, entry: tuple[NodePair, float, float]) -> tuple[NodePair
     """`entry` as a canonical (sd pair, remaining demand, remaining slots)
     triple of floats, refused unless its pair is an SD pair, its window at
     least one slot and its demand within [0, `MAX_COMMODITY_DEMAND`], past
-    which its need could reach HiGHS's infinite bound; NaN fails both."""
+    which its need could reach HiGHS's infinite bound (`_real`)."""
     pair, theta, delta = entry
     sd = _sd_pair(net, pair)
-    if not delta >= 1:
-        raise ValidationError(f"remaining slots {delta} for {sd} must be >= 1")
-    if not theta >= 0:
-        raise ValidationError(f"remaining demand {theta} for {sd} must be >= 0")
-    if theta > MAX_COMMODITY_DEMAND:
-        raise ValidationError(f"remaining demand {theta} for {sd} exceeds the maximum "
-                              f"{MAX_COMMODITY_DEMAND}")
-    return sd, float(theta), float(delta)
+    try:
+        return (sd, _real(theta, "remaining demand", 0, MAX_COMMODITY_DEMAND),
+                _real(delta, "remaining slots", 1))
+    except ValidationError as exc:
+        raise ValidationError(f"pair {sd}: {exc}") from None
 
 
 def deadline_needs(entries: Iterable[tuple[NodePair, float, float]]) -> dict[NodePair, float]:

@@ -14,6 +14,7 @@ pair has exactly one representation regardless of construction order.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, replace
@@ -116,9 +117,9 @@ def build_manual(
 
     Raises:
         ValidationError: on duplicate ids, unknown endpoints, an id,
-            endpoint or capacity that is not whole (`_whole`), or
-            out-of-range parameters, more than `MAX_NODES` nodes or a
-            capacity above `MAX_CAPACITY` among them.
+            endpoint or capacity that is not whole (`_whole`), a
+            probability outside (0, 1] (`_real`), more than `MAX_NODES`
+            nodes or a capacity above `MAX_CAPACITY`.
     """
     nodes = list(nodes)
     _whole(len(nodes), "node count", most=MAX_NODES)
@@ -127,9 +128,10 @@ def build_manual(
         node_id = _whole(node_id, "node id")
         if node_id in q:
             raise ValidationError(f"duplicate node id {node_id}")
-        if not 0.0 < qv <= 1.0:
-            raise ValidationError(f"node {node_id}: swap probability {qv} not in (0, 1]")
-        q[node_id] = float(qv)
+        try:
+            q[node_id] = _real(qv, "swap probability", most=1, above=0)
+        except ValidationError as exc:
+            raise ValidationError(f"node {node_id}: {exc}") from None
 
     link_map: dict[NodePair, Link] = {}
     for u, v, cap, p in links:
@@ -139,9 +141,10 @@ def build_manual(
         if lp in link_map:
             raise ValidationError(f"duplicate link {lp}")
         cap = _whole(cap, "link capacity", 1, MAX_CAPACITY)
-        if not 0.0 < p <= 1.0:
-            raise ValidationError(f"link {lp}: success probability {p} not in (0, 1]")
-        link_map[lp] = Link(capacity=cap, p=float(p))
+        try:
+            link_map[lp] = Link(capacity=cap, p=_real(p, "success probability", most=1, above=0))
+        except ValidationError as exc:
+            raise ValidationError(f"link {lp}: {exc}") from None
 
     sd: set[NodePair] = set()
     for s, t in sd_pairs:
@@ -178,14 +181,12 @@ def check_waxman_params(n: int, alpha: float, beta: float, cap_lo: int, cap_hi: 
     """`n`, `cap_lo` and `cap_hi` as ints, once the `generate_waxman` shape
     is in range; ValidationError otherwise."""
     n = _whole(n, "node count", 1, MAX_NODES)
-    if not alpha > 0:
-        raise ValidationError(f"alpha {alpha} must be > 0")
-    if not 0 < beta <= 1:
-        raise ValidationError(f"beta {beta} must lie in (0, 1]")
+    _real(alpha, "alpha", above=0)
+    _real(beta, "beta", most=1, above=0)
     cap_lo = _whole(cap_lo, "cap_lo", 1)
     cap_hi = _whole(cap_hi, "cap_hi", cap_lo, MAX_CAPACITY)
-    if not 0 < p <= 1 or not 0 < q <= 1:
-        raise ValidationError("p and q must lie in (0, 1]")
+    _real(p, "p", most=1, above=0)
+    _real(q, "q", most=1, above=0)
     return n, cap_lo, cap_hi
 
 
@@ -286,6 +287,31 @@ def _whole(v, what: str, least: int | None = None, most: int | None = None) -> i
     return v
 
 
+def _real(v, what: str, least: float | None = None, most: float | None = None, *,
+          above: float | None = None) -> float:
+    """`v` as a float, the one check of every real parameter the package
+    takes: any finite real number, Python's or numpy's, within [`least`,
+    `most`] and past `above`. A bool, a non-number, NaN and an infinite
+    value are refused, and so is a value out of range, each with a
+    one-line ValidationError naming `what`."""
+    x = v
+    if type(x) is not float:
+        real = type(x) is int or not isinstance(x, bool) and isinstance(x, numbers.Real)
+        try:
+            x = float(x) if real else math.nan
+        except OverflowError:
+            x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{what} must be a finite number, got {v!r}")
+    if least is not None and x < least:
+        raise ValidationError(f"{what} must be >= {least}, got {v}")
+    if above is not None and x <= above:
+        raise ValidationError(f"{what} must be > {above}, got {v}")
+    if most is not None and x > most:
+        raise ValidationError(f"{what} {v} exceeds the maximum {most}")
+    return x
+
+
 def _json_int(literal: str) -> int:
     """A JSON integer as an int; OverflowError when it is too large for a
     float, which many JSON readers hold every number as."""
@@ -294,20 +320,11 @@ def _json_int(literal: str) -> int:
     return v
 
 
-def _number(v, what: str) -> float:
-    """`v` unchanged when it is an int or a float; a bool is refused
-    rather than read as 0 or 1."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {v!r}")
-    return v
-
-
 def from_json(obj: dict) -> Network:
-    """The network a `to_json` object describes; probabilities must be
-    numbers, and `build_manual` checks the rest."""
+    """The network a `to_json` object describes, as `build_manual` checks it."""
     try:
-        nodes = [(e["id"], _number(e["q"], "node q")) for e in obj["nodes"]]
-        links = [(e["u"], e["v"], e["c"], _number(e["p"], "link p")) for e in obj.get("links", [])]
+        nodes = [(e["id"], e["q"]) for e in obj["nodes"]]
+        links = [(e["u"], e["v"], e["c"], e["p"]) for e in obj.get("links", [])]
         return build_manual(nodes, links, obj.get("sd_pairs", []))
     except ValidationError:
         raise

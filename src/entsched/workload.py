@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .topology import NodePair, ValidationError, _json_int, _whole, canonical_pair
+from .topology import NodePair, ValidationError, _json_int, _real, _whole, canonical_pair
 
 PENDING = "pending"
 ACTIVE = "active"
@@ -81,12 +81,6 @@ class Commodity:
             raise ValidationError(f"commodity {self.id}: {exc}") from None
         self.remaining = self.demand
 
-    def fresh_copy(self) -> "Commodity":
-        return Commodity(
-            id=self.id, sd=self.sd, demand=self.demand,
-            arrival=self.arrival, deadline=self.deadline,
-        )
-
 
 def service_order(c: Commodity) -> tuple:
     """Sort key for serving commodities: those with a deadline first,
@@ -104,12 +98,12 @@ class DeadlineSpec:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        lo, hi = self.mu - self.halfwidth, self.mu + self.halfwidth
-        if not (math.isfinite(lo) and math.isfinite(hi)) or self.halfwidth < 0 or lo <= 0:
-            raise ValidationError(f"deadline window [{lo}, {hi}] must be finite and stay positive")
-        if not 0 < self.factor * hi <= MAX_DEADLINE_SCALE:
-            raise ValidationError(f"deadline factor {self.factor} times window top {hi} "
-                                  f"must lie in (0, {MAX_DEADLINE_SCALE}]")
+        mu = _real(self.mu, "deadline mu")
+        hw = _real(self.halfwidth, "deadline halfwidth", 0)
+        factor = _real(self.factor, "deadline factor")
+        _real(mu - hw, "deadline window bottom", above=0)
+        _real(factor * (mu + hw), "deadline factor times window top", most=MAX_DEADLINE_SCALE,
+              above=0)
 
 
 @dataclass(frozen=True)
@@ -121,10 +115,8 @@ class WorkloadConfig:
     deadline: DeadlineSpec | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.rate) or self.rate < 0:
-            raise ValidationError(f"arrival rate {self.rate} must be finite and >= 0")
-        if not 0 < self.mean_demand <= MAX_DEMAND:
-            raise ValidationError(f"mean demand {self.mean_demand} must lie in (0, {MAX_DEMAND}]")
+        _real(self.rate, "arrival rate", 0)
+        _real(self.mean_demand, "mean demand", most=MAX_DEMAND, above=0)
         object.__setattr__(self, "min_demand",
                            _whole(self.min_demand, "min demand", 1, MAX_DEMAND))
         object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", 0, MAX_HORIZON))

@@ -21,13 +21,14 @@ REPORTED = {trace: {m["name"] for m in BENCHMARK[key]}
             for trace, key in (("0", "end_to_end"), ("1", "per_layer"))}
 
 
+# a traced run takes seconds, so it carries the slow marker
 @pytest.mark.parametrize("workload, trace", [
     ("deadline-replan", "0"),
-    ("deadline-replan", "1"),
+    pytest.param("deadline-replan", "1", marks=pytest.mark.slow),
     ("ordered-openended", "0"),
-    ("ordered-openended", "1"),
+    pytest.param("ordered-openended", "1", marks=pytest.mark.slow),
     ("fixed-plan-long", "0"),
-    ("fixed-plan-long", "1"),
+    pytest.param("fixed-plan-long", "1", marks=pytest.mark.slow),
 ])
 def test_benchmark_run_is_correct_and_complete(workload, trace):
     proc = subprocess.run(

@@ -441,7 +441,7 @@ def test_gen_topology_nan_alpha_is_config_error(tmp_path, capsys):
     rc = cli.main(["gen-topology", "--nodes", "5", "--alpha", "nan",
                    "--out", str(tmp_path / "net.json")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: alpha nan must be > 0\n"
+    assert capsys.readouterr().err == "error: alpha must be a finite number, got nan\n"
 
 
 def test_gen_workload_negative_seed_is_config_error(tmp_path, capsys):
@@ -563,10 +563,11 @@ OVERFLOWING_DRAWS = [
     (["--rate", "9e18"], "arrival-rate", "9e18", [],
      f"error: arrival rate 9e+18 over 20 slots expects more than {MAX_ARRIVALS} arrivals\n"),
     (["--mean-demand", "1e308"], "mean-demand", "1e308", [],
-     f"error: mean demand 1e+308 must lie in (0, {MAX_DEMAND}]\n"),
+     f"error: mean demand 1e+308 exceeds the maximum {MAX_DEMAND}\n"),
     (["--deadline-mu", "0.4", "--deadline-factor", "1e306", "--mean-demand", "1e6"],
      "deadline-factor", "1e306", ["--deadline-mu", "0.4", "--mean-demand", "1e6"],
-     f"error: deadline factor 1e+306 times window top 0.5 must lie in (0, {MAX_DEADLINE_SCALE}]\n"),
+     "error: deadline factor times window top 5e+305 exceeds the maximum "
+     f"{MAX_DEADLINE_SCALE}\n"),
 ]
 
 
@@ -787,9 +788,13 @@ def test_network_too_large_to_plan_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section,key,value,line", [
-    ("nodes", "q", True, "error: node q must be a number, got True\n"),
-    ("links", "p", "0.9", "error: link p must be a number, got '0.9'\n"),
-    ("links", "p", None, "error: link p must be a number, got None\n"),
+    ("nodes", "q", True, "error: node 0: swap probability must be a finite number, got True\n"),
+    ("nodes", "q", "0.9",
+     "error: node 0: swap probability must be a finite number, got '0.9'\n"),
+    ("links", "p", "0.9",
+     "error: link 0:1: success probability must be a finite number, got '0.9'\n"),
+    ("links", "p", None,
+     "error: link 0:1: success probability must be a finite number, got None\n"),
     ("nodes", "q", 1, None),
 ])
 def test_network_file_probabilities_must_be_numbers(tmp_path, capsys, section, key, value, line):
@@ -808,3 +813,83 @@ def test_network_file_probabilities_must_be_numbers(tmp_path, capsys, section, k
         assert capsys.readouterr().err == line.replace("error: ",
                                                        f"error: cannot read network {net}: ", 1)
         assert not load.exists()
+
+
+# the sweep's base keys and --paper-scale preset as they stood before one
+# table, `cli.SCENARIO`, stated every scenario parameter
+BASE_KEYS = ["nodes", "alpha", "beta", "cap_lo", "cap_hi", "p", "q", "sd_count", "rate",
+             "mean_demand", "min_demand", "horizon", "deadline_mu", "deadline_halfwidth",
+             "deadline_factor", "kappa", "cascade_depth", "max_buffer_age", "horizon_cap"]
+PRESET = {"nodes": 20, "alpha": 0.8, "beta": 0.8, "cap_lo": 3, "cap_hi": 10, "p": 0.9,
+          "q": 0.9, "sd_count": 3, "rate": 1.0, "mean_demand": 600.0, "min_demand": 100,
+          "horizon": 60, "deadline_mu": 0.4, "deadline_halfwidth": 0.1,
+          "deadline_factor": 1.0, "kappa": 1, "seeds": "1,2,3,4,5"}
+
+
+def test_the_paper_scale_preset_is_unchanged():
+    assert [(k, type(v), v) for k, v in cli.PRESET.items()] == [
+        (k, type(v), v) for k, v in PRESET.items()]
+
+
+@pytest.mark.parametrize("axis, value, recorded", [("graph-size", "4", 4),
+                                                   ("mean-demand", "3", 3.0)])
+def test_a_sweep_records_its_base_and_axis_values_as_before(tmp_path, axis, value, recorded):
+    out_dir = tmp_path / "sweep"
+    assert cli.main(["sweep", "--axis", axis, "--values", value, "--policies", "ESDI-B",
+                     "--seeds", "1", "--nodes", "4", "--horizon", "2", "--mean-demand", "3",
+                     "--out-dir", str(out_dir)]) == 0
+    payload = json.loads((out_dir / "results.json").read_text())
+    assert list(payload["base"]) == BASE_KEYS
+    assert [(type(v), v) for v in payload["values"]] == [(type(recorded), recorded)]
+
+
+USAGE = {
+    "gen-topology": """\
+usage: entsched gen-topology [-h] [--nodes NODES] [--alpha ALPHA]
+                             [--beta BETA] [--cap-lo CAP_LO] [--cap-hi CAP_HI]
+                             [--p P] [--q Q] [--sd-count SD_COUNT]
+                             [--seed SEED] --out OUT
+""",
+    "gen-workload": """\
+usage: entsched gen-workload [-h] --net NET [--rate RATE]
+                             [--mean-demand MEAN_DEMAND]
+                             [--min-demand MIN_DEMAND] [--horizon HORIZON]
+                             [--deadline-mu DEADLINE_MU]
+                             [--deadline-halfwidth DEADLINE_HALFWIDTH]
+                             [--deadline-factor DEADLINE_FACTOR] [--seed SEED]
+                             --out OUT
+""",
+    "simulate": """\
+usage: entsched simulate [-h] --net NET --workload WORKLOAD --policy
+                         {ESDI-B,ESDI-O,ESDI-E} [--kappa KAPPA]
+                         [--cascade-depth CASCADE_DEPTH]
+                         [--max-buffer-age MAX_BUFFER_AGE]
+                         [--horizon-cap HORIZON_CAP] [--seed SEED]
+                         [--trace TRACE] [--out OUT]
+""",
+    "sweep": """\
+usage: entsched sweep [-h] --axis
+                      {arrival-rate,mean-demand,graph-size,deadline-factor,kappa}
+                      --values VALUES [--policies POLICIES] [--seeds SEEDS]
+                      [--workers WORKERS] [--paper-scale] [--nodes NODES]
+                      [--alpha ALPHA] [--beta BETA] [--cap-lo CAP_LO]
+                      [--cap-hi CAP_HI] [--p P] [--q Q] [--sd-count SD_COUNT]
+                      [--rate RATE] [--mean-demand MEAN_DEMAND]
+                      [--min-demand MIN_DEMAND] [--horizon HORIZON]
+                      [--deadline-mu DEADLINE_MU]
+                      [--deadline-halfwidth DEADLINE_HALFWIDTH]
+                      [--deadline-factor DEADLINE_FACTOR] [--kappa KAPPA]
+                      [--cascade-depth CASCADE_DEPTH]
+                      [--max-buffer-age MAX_BUFFER_AGE]
+                      [--horizon-cap HORIZON_CAP] --out-dir OUT_DIR
+""",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_each_subcommand_keeps_its_usage_line(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.split("\n\n")[0] + "\n" == USAGE[command]

@@ -1,4 +1,6 @@
-"""Every count the package takes follows one whole-number rule, `topology._whole`."""
+"""Every count the package takes follows one whole-number rule,
+`topology._whole`, and every real parameter one real-number rule,
+`topology._real`."""
 
 import json
 import math
@@ -10,18 +12,29 @@ import pytest
 from conftest import star_net
 from entsched import cli
 from entsched.engine import run_simulation
+from entsched.mred import build_mred, deadline_verdict
 from entsched.protocol import ProtocolConfig
 from entsched.scheduler import POLICY_BASELINE, SchedulerState, new_state
 from entsched.topology import (
     NodePair,
     ValidationError,
+    _real,
     _whole,
     build_manual,
     check_waxman_params,
     generate_waxman,
     sample_sd_pairs,
 )
-from entsched.workload import PENDING, Commodity, WorkloadConfig, generate_workload
+from entsched.workload import (
+    MAX_COMMODITY_DEMAND,
+    MAX_DEADLINE_SCALE,
+    MAX_DEMAND,
+    PENDING,
+    Commodity,
+    DeadlineSpec,
+    WorkloadConfig,
+    generate_workload,
+)
 
 NODES = [(0, 0.9), (1, 0.9), (2, 0.9)]
 WAXMAN = {"alpha": 0.8, "beta": 0.8, "p": 0.9, "q": 0.9}
@@ -146,3 +159,73 @@ def test_a_commodity_and_a_scheduler_state_take_only_their_request():
         int, 3, PENDING, None, None)
     state = new_state(star_net(), POLICY_BASELINE)
     assert (state.plan, state.fingerprint, state.events) == (None, None, [])
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _verdict(theta, delta):
+    return deadline_verdict(build_mred(star_net()), [], (AB, theta, delta))
+
+
+def _wax(alpha=0.8, beta=0.8, p=0.9, q=0.9):
+    return check_waxman_params(4, alpha, beta, 1, 4, p, q)
+
+
+# (input, a call passing v, values at its interval's ends that it takes, values
+# just past them that it refuses); every end stays open or closed as it was
+# before one rule checked it
+REALS = [
+    ("build_manual q", lambda v: build_manual([(0, v)], []), [5e-324, 1], [0.0, _up(1.0)]),
+    ("build_manual p", lambda v: build_manual(NODES, [(0, 1, 1, v)]), [5e-324, 1],
+     [0.0, _up(1.0)]),
+    ("waxman alpha", lambda v: _wax(alpha=v), [5e-324, 1e308], [0.0]),
+    ("waxman beta", lambda v: _wax(beta=v), [5e-324, 1], [0.0, _up(1.0)]),
+    ("waxman p", lambda v: _wax(p=v), [5e-324, 1], [0.0, _up(1.0)]),
+    ("waxman q", lambda v: _wax(q=v), [5e-324, 1], [0.0, _up(1.0)]),
+    ("workload rate", lambda v: WorkloadConfig(v, 4.0, 2, 3), [0, 1e3], [-5e-324]),
+    ("workload mean_demand", lambda v: WorkloadConfig(1.0, v, 2, 3), [5e-324, MAX_DEMAND],
+     [0.0, _up(MAX_DEMAND)]),
+    ("deadline mu", lambda v: DeadlineSpec(v, 0.1), [_up(0.1)], [0.1]),
+    ("deadline halfwidth", lambda v: DeadlineSpec(0.4, v), [0, _down(0.4)], [-5e-324, 0.4]),
+    ("deadline factor", lambda v: DeadlineSpec(0.4, 0.1, v), [1e-300, MAX_DEADLINE_SCALE / 0.5],
+     [0.0, _up(MAX_DEADLINE_SCALE / 0.5)]),
+    ("remaining demand", lambda v: _verdict(v, 4.0), [0, MAX_COMMODITY_DEMAND],
+     [-5e-324, _up(MAX_COMMODITY_DEMAND)]),
+    ("remaining slots", lambda v: _verdict(3.0, v), [1, 1e300], [_down(1.0)]),
+]
+NOT_REALS = [True, "0.5", None, math.nan, math.inf, -math.inf]
+# the three forms of a refusal: not a finite number, below the least value or
+# at most the open end, past the maximum
+REFUSAL = (r"^[^\n]*( must be a finite number, got [^\n]+| must be >=? \S+, got \S+"
+           r"| \S+ exceeds the maximum \S+)\Z")
+
+
+@pytest.mark.parametrize("what, call, ends, past", REALS, ids=[c[0] for c in REALS])
+def test_every_real_parameter_is_finite_and_in_range(what, call, ends, past):
+    for v in ends:
+        call(v)
+        call(np.float64(v))
+    for v in NOT_REALS + past:
+        with pytest.raises(ValidationError, match=REFUSAL):
+            call(v)
+
+
+def test_real_names_the_fault_it_refuses():
+    assert [(type(x), x) for x in (_real(np.float32(0.5), "x"), _real(np.int64(3), "x", 3, 3),
+                                   _real(2**53, "x"))] == [(float, 0.5), (float, 3.0),
+                                                            (float, 2.0**53)]
+    for v, message in [(True, "x must be a finite number, got True"),
+                       ("1", "x must be a finite number, got '1'"),
+                       (10**400, "x must be a finite number, got 1" + "0" * 400),
+                       (-1, "x must be >= 0, got -1"),
+                       (0.0, "x must be > 0, got 0.0"),
+                       (2.5, "x 2.5 exceeds the maximum 2")]:
+        with pytest.raises(ValidationError) as refused:
+            _real(v, "x", 0, 2, above=0)
+        assert str(refused.value) == message

@@ -21,11 +21,19 @@ def test_export_list_is_sorted_unique_and_resolves():
     assert public == set(names)
 
 
+# the nodes that read a name: as a name, an attribute or an import
+READERS = (ast.Name, ast.Attribute, ast.alias)
+
+
+def _name(node: ast.AST) -> str:
+    """The name a `READERS` node reads."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(
+        node, ast.Attribute) else node.name
+
+
 def _names(node: ast.AST) -> set[str]:
-    """The names `node` reads anywhere within it: as a name, an attribute
-    or an import."""
-    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+    """The names `node` reads anywhere within it."""
+    return {_name(n) for n in ast.walk(node) if isinstance(n, READERS)}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -111,4 +119,17 @@ def test_solved_values_have_one_margin():
     stray = [f"{path.stem}:{node.lineno}" for path in sorted(package.glob("*.py"))
              if path.stem != "lp" for node in ast.walk(_parse(path))
              if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-7]
+    assert stray == []
+
+
+def test_real_numbers_have_one_rule():
+    # `topology._real` is the one check of a real parameter; another module
+    # reading `isfinite`, or a `_number` helper anywhere, checks one a
+    # second way. `lp`'s `np.isfinite` judges solver output, not input
+    package = Path(__file__).resolve().parents[1] / "src" / "entsched"
+    stray = [f"{path.stem}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_number"
+             or path.stem not in ("topology", "lp") and isinstance(node, READERS)
+             and _name(node) == "isfinite"]
     assert stray == []

@@ -432,9 +432,10 @@ def test_dc_validates_entries(star):
     # a NaN window or demand compares false both ways, and was planned as covered
     nan = float("nan")
     for entry, field in (((P(0, 1), 3.0, nan), "slots"), ((P(0, 1), nan, 4.0), "demand")):
-        with pytest.raises(ValidationError, match=f"remaining {field} nan"):
+        message = f"^pair 0:1: remaining {field} must be a finite number, got nan$"
+        with pytest.raises(ValidationError, match=message):
             build_and_check_mred_dc(star, [entry], build_mred(star))
-        with pytest.raises(ValidationError, match=f"remaining {field} nan"):
+        with pytest.raises(ValidationError, match=message):
             deadline_verdict(build_mred(star), [], entry)
 
 
@@ -729,7 +730,7 @@ def test_dc_huge_window_is_a_verdict(star):
 def test_dc_demand_past_the_limit_is_a_config_error(star, demand):
     # a need of 1e20 or more is HiGHS's infinite bound, and the model was
     # refused with kModelError; both entry points refuse the entry first
-    message = re.escape(f"remaining demand {demand} for {P(0, 1)} exceeds the maximum "
+    message = re.escape(f"pair {P(0, 1)}: remaining demand {demand} exceeds the maximum "
                         f"{MAX_COMMODITY_DEMAND}")
     m = build_mred(star)
     with pytest.raises(ValidationError, match=message):
