@@ -15,8 +15,14 @@ cleaning, option validation, per-column marginal loop and post-solve
 check. Instead `check_point` judges every optimal point by one rule,
 `margin`: a point more than ``margin(v)`` past any column bound or row
 bound v is a `SolverError`, and `mred` trusts the rest. Every
-solve runs with one set of options: presolve off, the primal simplex and
-a 1e-9 primal feasibility tolerance. A program with equality
+solve runs without presolve, by the primal simplex at a 1e-9 primal
+feasibility tolerance. The matrix picks one of two option sets: a
+program whose every matrix entry has a magnitude in [0.1, 10] (in the
+rate LP, every q >= 0.1 and every link's capacity * p in [0.1, 10],
+since held rows are ±1) also runs unscaled with Dantzig pricing, which
+takes about a third fewer iterations there; any other keeps HiGHS's
+scaling and pricing, which solve wide-ranged programs that the unscaled
+simplex can end "unbounded". A program with equality
 right-hand sides of 0, no inequality rows and no lower bound above 0,
 such as a plan's first stage, is feasible at x = 0, where HiGHS starts
 without a basis, so the simplex runs no phase 1. A solve may also pass
@@ -105,13 +111,14 @@ class LpResult:
 
 
 # every solve runs the primal simplex without presolve, so a program
-# feasible at x = 0, or at its start basis, runs no phase 1. At 16 nodes
-# the cold max-total program took 9.1 ms against 24.5 with presolve and
-# the dual simplex, on a 2-core x86 host; either change alone gained
-# nothing. The 1e-9 feasibility tolerance is HiGHS's 1e-7 tightened,
-# since at 1e-7 a point can overshoot its stage's optimum by more than
-# the slack that the next stage's hold row leaves (seen with q = 1).
-# Every other option keeps HiGHS's default
+# feasible at x = 0, or at its start basis, runs no phase 1. At 16 nodes,
+# with HiGHS's own scaling and pricing, the cold max-total program took
+# 9.1 ms against 24.5 with presolve and the dual simplex, on a 2-core x86
+# host; either change alone gained nothing. The 1e-9 feasibility
+# tolerance is HiGHS's 1e-7 tightened, since at 1e-7 a point can
+# overshoot its stage's optimum by more than the slack that the next
+# stage's hold row leaves (seen with q = 1). Every other option keeps
+# HiGHS's default
 FEASIBILITY_TOL = 1e-9
 _OPTIONS = (
     ("presolve", "off"),
@@ -120,6 +127,19 @@ _OPTIONS = (
     ("highs_debug_level", 0),
     ("output_flag", False),
     ("log_to_console", False),
+)
+# a program whose every matrix entry has a magnitude in _BAND (in the
+# rate LP, every q >= 0.1 and every capacity * p in [0.1, 10]) is also
+# solved unscaled, with Dantzig pricing. Over the first 60 instances of
+# each benchmark workload that cut simplex iterations 41 305 -> 28 573
+# (deadline-replan) and 112 562 -> 75 940 (ordered-openended), and the
+# backend's time 1256 -> 696 ms and 3010 -> 1583 ms, on a 2-core x86
+# host. On networks with capacities up to 1e9 the same options ended
+# many more solves "unbounded", so any other program keeps _OPTIONS
+_BAND = (0.1, 10.0)
+_BANDED_OPTIONS = _OPTIONS + (
+    ("simplex_scale_strategy", 0),  # no scaling
+    ("simplex_primal_edge_weight_strategy", 0),  # Dantzig pricing
 )
 
 
@@ -204,6 +224,15 @@ def _stack(top: CscMatrix, bottom: CscMatrix) -> CscMatrix:
                      np.insert(bottom.data, at, top.data))
 
 
+def _options(A: CscMatrix) -> tuple:
+    """The options HiGHS solves a program with, from its stacked matrix `A`:
+    `_BANDED_OPTIONS` when every entry has a magnitude in `_BAND`, else
+    `_OPTIONS`."""
+    lo, hi = _BAND
+    magnitude = np.abs(A.data)
+    return _BANDED_OPTIONS if ((magnitude >= lo) & (magnitude <= hi)).all() else _OPTIONS
+
+
 def _start_basis(h, start, n_ub: int, n_rows: int):
     """`start`, the optimal basis of a program with the same columns and
     equality rows but only the first of the `n_ub` inequality rows, with
@@ -257,7 +286,7 @@ class ScipyHighsBackend:
         lb, ub = bounds.T
 
         highs = h._Highs()
-        for key, value in _OPTIONS:
+        for key, value in _options(A):
             highs.setOptionValue(key, value)
         loaded = highs.passModel(
             n, rhs.size, A.nnz, int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,

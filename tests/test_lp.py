@@ -172,31 +172,60 @@ def test_a_start_basis_that_does_not_fit_is_a_solver_error(program, message):
         lp.get_backend().solve(b_eq=NONE, start=_start(), **program)
 
 
-def test_a_cold_and_a_warm_solve_set_the_same_options(monkeypatch):
-    # each fresh solver's setOptionValue calls, through a bindings copy
-    # whose _Highs records them before passing them on
+@pytest.fixture
+def option_log(monkeypatch):
+    """Each fresh solver's setOptionValue calls, in order, through a
+    bindings copy whose _Highs records them before passing them on."""
     core = lp._highs
-    options = []
+    log = []
 
     class Highs(core._Highs):
         def __init__(self):
             super().__init__()
-            options.append([])
+            log.append([])
 
         def setOptionValue(self, *args):
-            options[-1].append(args)
+            log[-1].append(args)
             return super().setOptionValue(*args)
 
-    start = _start()
     monkeypatch.setattr(lp, "_highs", types.SimpleNamespace(**{**vars(core), "_Highs": Highs}))
-    program = dict(A_ub=_csc((2, 2), [0, 2, 4], [0, 1, 0, 1], [1, 1, 1, -1]),
-                   b_ub=np.array([4.0, 1.0]), A_eq=_no_rows(2), b_eq=NONE,
-                   bounds=np.array([NONNEG, NONNEG]))
-    cold = lp.get_backend().solve(np.array([-1.0, -2.0]), **program)
-    warm = lp.get_backend().solve(np.array([-1.0, -2.0]), start=start, **program)
-    assert cold.objective == warm.objective == -8.0
-    assert options == [list(lp._OPTIONS)] * 2
-    assert ("presolve", "off") in options[0] and ("simplex_strategy", 4) in options[0]
+    return log
+
+
+# a program whose every matrix entry has a magnitude in [0.1, 10] runs
+# unscaled with Dantzig pricing; any other runs with the base options
+BANDED = (*lp._OPTIONS, ("simplex_scale_strategy", 0), ("simplex_primal_edge_weight_strategy", 0))
+
+
+def test_a_cold_and_a_warm_solve_set_the_same_options(option_log):
+    # the options follow the program's matrix, not its start: in band, then
+    # the same program with one coefficient out of it
+    start = _start()
+    for coefficient, options, objective in [(-1.0, BANDED, -8.0), (1e3, lp._OPTIONS, -1.0)]:
+        option_log.clear()
+        program = dict(A_ub=_csc((2, 2), [0, 2, 4], [0, 1, 0, 1], [1, 1, 1, coefficient]),
+                       b_ub=np.array([4.0, 1.0]), A_eq=_no_rows(2), b_eq=NONE,
+                       bounds=np.array([NONNEG, NONNEG]))
+        cold = lp.get_backend().solve(np.array([-1.0, -2.0]), **program)
+        warm = lp.get_backend().solve(np.array([-1.0, -2.0]), start=start, **program)
+        assert cold.objective == warm.objective == objective
+        assert option_log == [list(options)] * 2
+    assert ("presolve", "off") in lp._OPTIONS and ("simplex_strategy", 4) in lp._OPTIONS
+
+
+@pytest.mark.parametrize("matrix", ["A_ub", "A_eq"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("magnitude, options", [
+    (0.1, BANDED), (10.0, BANDED), (0.099, lp._OPTIONS), (10.01, lp._OPTIONS),
+])
+def test_the_band_holds_both_its_edges(option_log, matrix, sign, magnitude, options):
+    # one column in a row of each matrix: the edge value in `matrix`, 1 in the other
+    rows = {"A_ub": _csc((1, 1), [0, 1], [0], [1.0]), "A_eq": _csc((1, 1), [0, 1], [0], [1.0])}
+    rows[matrix] = _csc((1, 1), [0, 1], [0], [sign * magnitude])
+    res = lp.get_backend().solve(np.array([-1.0]), b_ub=np.ones(1), b_eq=np.zeros(1),
+                                 bounds=np.array([(0.0, 1.0)]), **rows)
+    assert res.objective == 0.0
+    assert option_log == [list(options)]
 
 
 def _statuses(basis):

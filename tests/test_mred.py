@@ -656,6 +656,24 @@ def test_tie_keeps_a_pair_whose_ebits_cost_over_a_million_link_ebits():
     assert dict(sol.objective_log)["total"] == pytest.approx(2.0, rel=1e-6)
 
 
+def _six_nodes(capacity):
+    """A 6-node Waxman network at p = q = 0.9 with every link of `capacity`,
+    and three SD pairs: the same links and pairs at any capacity."""
+    net = generate_waxman(6, 0.8, 0.8, capacity, capacity, 0.9, 0.9, seed=5)
+    return sample_sd_pairs(net, 3, seed=5)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="HiGHS calls the min_share stage unbounded at capacity 1e8")
+def test_max_total_scales_with_every_capacity():
+    # the two programs differ only by the scale of the link columns, so the
+    # plan's total scales with them
+    unit, scaled = (dict(solve_max_total(net, build_mred(net)).objective_log)["total"]
+                    for net in map(_six_nodes, (1, 10**8)))
+    assert unit == pytest.approx(3.42, rel=1e-6)
+    assert abs(scaled - 1e8 * unit) <= lp.margin(1e8 * unit)
+
+
 @pytest.mark.parametrize("status", [LpStatus.INFEASIBLE, LpStatus.UNBOUNDED])
 def test_memo_keeps_only_optimal_results(star, status):
     m = build_mred(star)

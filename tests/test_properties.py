@@ -16,7 +16,9 @@ reference admission that solves every feasible probe's whole plan. Every
 program the model hands the LP backend on random instances is also
 solved by `scipy.optimize.linprog`, the reference whose stage optimum
 the direct HiGHS backend must match, from a start or without one (see
-`conftest._AgainstLinprog`). Plans from every planner,
+`conftest._AgainstLinprog`), on networks inside `lp._BAND` and outside
+it, and on in-band networks `deadline_verdict` must admit the same
+probes with either option set. Plans from every planner,
 on networks with low generation and swap probabilities too, must run no
 swap cycle. The model's
 whole balance matrix, on networks with scattered node ids too, is
@@ -44,6 +46,7 @@ from entsched.mred import (
     build_and_check_mred_dc,
     build_mred,
     check_solution,
+    deadline_verdict,
     lane_keys,
     solve_lexicographic,
     solve_max_total,
@@ -329,13 +332,21 @@ def test_admit_then_plan_once_matches_per_probe_admission(
             event(f"some probe {outcome}")
 
 
-def _every_program(nodes, net_seed, sd_count, share, delta):
+def _in_band(m) -> bool:
+    """Whether the model's balance rows (each q, each link's capacity * p
+    and ±1) are in `lp._BAND`. Held rows are ±1, so then every program of
+    the model runs with `lp._BANDED_OPTIONS`."""
+    return lp._options(m.A_eq) is lp._BANDED_OPTIONS
+
+
+def _every_program(nodes, net_seed, sd_count, share, delta, p, q, cap_hi):
     """Max-total, `min_share`, lexicographic and solo-rate programs, then
     need-bounded and face-plan probes, on one random network and model."""
-    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=3, p=0.9, q=0.9,
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=cap_hi, p=p, q=q,
                           seed=net_seed)
     net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
     m = build_mred(net)
+    event("in band" if _in_band(m) else "out of band")
     v = m.solve(m.total_objective()).objective
     solve_max_total(net, m)
     ranked = solve_lexicographic(net, net.sorted_sd[::-1], m)
@@ -350,31 +361,84 @@ def _every_program(nodes, net_seed, sd_count, share, delta):
     assert build_and_check_mred_dc(net, beyond, m) is None
 
 
+# p, q and capacities on both sides of the band's edges, so both option
+# sets are checked
 EVERY_PROGRAM = dict(
     nodes=st.integers(5, 10),
     net_seed=st.integers(0, 10_000),
     sd_count=st.integers(1, 4),
     share=st.floats(0.1, 0.99),
     delta=st.integers(1, 12),
+    p=st.floats(0.05, 1.0),
+    q=st.floats(0.05, 1.0),
+    cap_hi=st.integers(1, 12),
 )
 
 
-@seed(0xdb42d9bf34ace514ed69e6f5e394fbb77e28af690b60d8d1cad41f21730d0cde167dc769c730e6a5832669d427938177)
+@seed(0xde35da86c0a4f57e59e04b5b36d0e7c1a54cdf975155672ea948580fa0e4e548a3380661bc87ad62f00afcad158980aa)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(**EVERY_PROGRAM)
-def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, share, delta):
+def test_backend_matches_linprog_on_every_program(nodes, net_seed, sd_count, share, delta, p, q,
+                                                  cap_hi):
     with against_linprog():
-        _every_program(nodes, net_seed, sd_count, share, delta)
+        _every_program(nodes, net_seed, sd_count, share, delta, p, q, cap_hi)
 
 
 @seed(0x84e2c108d38ba8c786049bef0f1241f43efdb2cf40da423b08d88b2654ef90bb0da7fa50fa5fb3733a48e5634a299a04)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(**EVERY_PROGRAM)
 def test_free_floor_matches_pinned_floor_on_every_program(nodes, net_seed, sd_count, share,
-                                                          delta):
+                                                          delta, p, q, cap_hi):
     with against_pinned_floor() as backend:
-        _every_program(nodes, net_seed, sd_count, share, delta)
+        _every_program(nodes, net_seed, sd_count, share, delta, p, q, cap_hi)
     assert backend.pinned > 0
+
+
+def _verdicts(net, probes):
+    """`deadline_verdict` on each probe in turn on one fresh model, each
+    covered or solved probe joining the admitted list, as ESDI-E admits.
+    Both read as `admitted`: whether a face plan covers a probe depends on
+    which of its tied optima the solver returns."""
+    m = build_mred(net)
+    admitted, verdicts = [], []
+    for entry in probes:
+        verdict = deadline_verdict(m, admitted, entry)
+        if verdict in ("covered", "solved"):
+            admitted.append(entry)
+            verdict = "admitted"
+        verdicts.append(verdict)
+    return verdicts
+
+
+@seed(0x6b9dda6e65fbaf60d37690d4c736d2fa0d9f7d226942b8944a29683061d19f62035e3a5b019f31d3843bb45d51ec1200)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nodes=st.integers(5, 10),
+    net_seed=st.integers(0, 10_000),
+    sd_count=st.integers(1, 4),
+    p=st.floats(0.1, 1.0),
+    q=st.floats(0.1, 1.0),
+    cap_hi=st.integers(1, 10),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 0.6), st.integers(1, 12)),
+                   min_size=1, max_size=6),
+)
+def test_banded_options_give_the_base_options_verdicts(nodes, net_seed, sd_count, p, q, cap_hi,
+                                                       picks):
+    # capacities in [1, 10] and p, q in [0.1, 1] keep every entry in band
+    net = generate_waxman(nodes, alpha=0.8, beta=0.8, cap_lo=1, cap_hi=cap_hi, p=p, q=q,
+                          seed=net_seed)
+    net = sample_sd_pairs(net, sd_count, seed=net_seed + 1)
+    m = build_mred(net)
+    assert _in_band(m)
+    v = m.solve(m.total_objective()).objective
+    probes = [(net.sorted_sd[i % sd_count], share * v * delta, float(delta))
+              for i, share, delta in picks]
+    banded = _verdicts(net, probes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_BAND", (np.inf, 0.0))  # no magnitude lies in it
+        assert _verdicts(net, probes) == banded, probes
+    for verdict in set(banded):
+        event(f"some probe {verdict}")
 
 
 def _pair_graph(plan):

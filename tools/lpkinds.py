@@ -7,9 +7,9 @@ checkout's ``src/`` and the workloads from ``perfbench/``, which it only
 reads. For each workload in ``perfbench/workloads.WORKLOADS`` it runs
 the first 60 instances (sweep seeds 1000-1059) through ``build_instance``
 and ``simulate`` with ``ScipyHighsBackend.solve`` wrapped, and prints,
-per kind of program, the programs solved, their simplex iterations and
-the milliseconds spent in the backend's ``solve``. A program's kind is
-read from its shape:
+per kind of program and option set, the programs solved, their simplex
+iterations and the milliseconds spent in the backend's ``solve``. A
+program's kind is read from its shape:
 
 - ``first``: no held row and no surplus lower bound (the max-total
   program, a solo rate, a face plan's ``total`` stage);
@@ -18,8 +18,11 @@ read from its shape:
 - ``later``: one or more held rows (every stage after the first).
 
 The shape that sets the kind also sets the costs: a need-bounded or
-later program adds ``mred.TIE`` (see ``mred.MredModel.solve``). Each
-line also says how many of the kind's programs had a start basis.
+later program adds ``mred.TIE`` (see ``mred.MredModel.solve``). A
+program's option set is read from its matrix (``lp._options``):
+``banded`` when every entry has a magnitude in ``lp._BAND``, so HiGHS
+runs it unscaled with Dantzig pricing, else ``base``. Each line also
+says how many of its programs had a start basis.
 Milliseconds are host time and vary from run to run; programs and
 iterations do not.
 
@@ -48,6 +51,7 @@ from entsched import lp  # noqa: E402
 
 SWEEP_SEEDS = range(1000, 1060)
 KINDS = ("first", "need-bounded", "later")
+OPTION_SETS = {lp._BANDED_OPTIONS: "banded", lp._OPTIONS: "base"}
 
 
 def kind(A_ub, bounds) -> str:
@@ -81,17 +85,18 @@ def headroom(x, A_ub, b_ub, A_eq, b_eq, bounds) -> tuple[float, float]:
 
 def main() -> int:
     real = lp.ScipyHighsBackend.solve
-    tally: dict[str, list] = {}
+    tally: dict[tuple[str, str], list] = {}
     worst = [0.0, 0.0]
 
-    def timed(self, c, *, A_ub, bounds, start=None, **kwargs):
+    def timed(self, c, *, A_ub, A_eq, bounds, start=None, **kwargs):
         t0 = time.perf_counter()
-        res = real(self, c, A_ub=A_ub, bounds=bounds, start=start, **kwargs)
+        res = real(self, c, A_ub=A_ub, A_eq=A_eq, bounds=bounds, start=start, **kwargs)
         ms = (time.perf_counter() - t0) * 1000.0
         if res.x is not None:
-            point = headroom(res.x, A_ub, kwargs["b_ub"], kwargs["A_eq"], kwargs["b_eq"], bounds)
+            point = headroom(res.x, A_ub, kwargs["b_ub"], A_eq, kwargs["b_eq"], bounds)
             worst[:] = map(max, worst, point)
-        row = tally.setdefault(kind(A_ub, bounds), [0, 0, 0, 0.0])
+        options = OPTION_SETS[lp._options(lp._stack(A_ub, A_eq))]
+        row = tally.setdefault((kind(A_ub, bounds), options), [0, 0, 0, 0.0])
         row[0] += 1
         row[1] += start is not None
         row[2] += res.iterations
@@ -106,9 +111,11 @@ def main() -> int:
             for seed in SWEEP_SEEDS:
                 workloads.simulate(workload, workloads.build_instance(workload, seed))
             for k in KINDS:
-                programs, started, iterations, ms = tally.get(k, [0, 0, 0, 0.0])
-                print(f"{name:<18} {k:<13} {programs:4d} programs ({started:3d} with a start) "
-                      f"{iterations:7d} iterations {ms:9.1f} ms", flush=True)
+                for options in OPTION_SETS.values():
+                    programs, started, iterations, ms = tally.get((k, options), [0, 0, 0, 0.0])
+                    print(f"{name:<18} {k:<13} {options:<6} {programs:4d} programs "
+                          f"({started:3d} with a start) {iterations:7d} iterations "
+                          f"{ms:9.1f} ms", flush=True)
             print(f"{name:<18} margin used: bounds {worst[0]:.2e}, rows {worst[1]:.2e}",
                   flush=True)
     finally:
