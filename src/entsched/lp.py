@@ -4,37 +4,35 @@ Every optimization in the package funnels through ``get_backend().solve``
 so the underlying solver can be replaced in one place (tests install
 stubs the same way, through ``set_backend``). The default backend calls
 the HiGHS bindings that scipy bundles (``scipy.optimize._highspy._core``)
-directly: one fresh solver, one array ``passModel`` and one ``run`` per
-LP.
+directly: one fresh solver, one array ``passModel``, one ``addRows`` and
+one ``run`` per LP.
 
-Every solve hands HiGHS the model ``scipy.optimize.linprog(method=
-"highs")`` would: the rows of ``A_ub`` followed by those of ``A_eq`` as
-one column-wise matrix, each column's entries in row order, row bounds
-``(-inf, b_ub]`` then ``[b_eq, b_eq]``. It skips ``linprog``'s input
-cleaning, option validation, per-column marginal loop and post-solve
-check. Instead `check_point` judges every optimal point by one rule,
-`margin`: a point more than ``margin(v)`` past any column bound or row
-bound v is a `SolverError`, and `mred` trusts the rest. Every
-solve runs without presolve, by the primal simplex at a 1e-9 primal
-feasibility tolerance. The matrix picks one of two option sets: a
-program whose every matrix entry has a magnitude in [0.1, 10] (in the
-rate LP, every q >= 0.1 and every link's capacity * p in [0.1, 10],
-since held rows are ±1) also runs unscaled with Dantzig pricing, which
-takes about a third fewer iterations there; any other keeps HiGHS's
-scaling and pricing, which solve wide-ranged programs that the unscaled
-simplex can end "unbounded". A program with equality
-right-hand sides of 0, no inequality rows and no lower bound above 0,
-such as a plan's first stage, is feasible at x = 0, where HiGHS starts
-without a basis, so the simplex runs no phase 1. A solve may also pass
-a start through ``setBasis``: the optimal basis of a program with the
-same columns and equality rows and a prefix of this one's inequality
-rows, whose bounds may differ. ``linprog`` has no
-primal simplex, so an optimum matches ``linprog``'s at that tolerance,
-not bit for bit; one program solved twice, with the same start or none,
-gives bitwise-equal results. The program comes in one form:
-both constraint matrices as `CscMatrix`, the column-wise arrays HiGHS
-is passed, the right-hand sides and costs as float arrays and the
-bounds as one (lower, upper) row per column.
+Each solve builds its program the way HiGHS grows one: ``passModel``
+loads the costs, the column bounds and the balance rows (``A_eq``,
+column-wise, each row fixed at its ``b_eq``), then ``addRows`` appends
+the held rows at the tail, each a (coefficients by column, upper bound)
+pair laid out row-wise as it is given. So a program that holds one more
+row than another has the other's rows as a prefix, and a start basis
+carries over by a basic slack for each appended row. Bounds and
+right-hand sides reach HiGHS as they are: its infinity is ``inf``. The
+solve skips ``linprog``'s input cleaning, option validation,
+per-column marginal loop and post-solve check. Instead `check_point`
+judges every optimal point by one rule, `margin`: a point more than
+``margin(v)`` past any column bound or row bound v is a `SolverError`,
+and `mred` trusts the rest. Every solve runs without presolve, by the
+primal simplex at a 1e-9 primal feasibility tolerance. The matrix picks
+one of two option sets: a program whose every matrix entry has a
+magnitude in [0.1, 10] (in the rate LP, every q >= 0.1 and every link's
+capacity * p in [0.1, 10], since held rows are ±1) also runs unscaled
+with Dantzig pricing, which takes about a third fewer iterations there;
+any other keeps HiGHS's scaling and pricing, which solve wide-ranged
+programs that the unscaled simplex can end "unbounded". A program with
+equality right-hand sides of 0, no held rows and no lower bound above
+0, such as a plan's first stage, is feasible at x = 0, where HiGHS
+starts without a basis, so the simplex runs no phase 1. ``linprog`` has
+no primal simplex, so an optimum matches ``linprog``'s at that
+tolerance, not bit for bit; one program solved twice, with the same
+start or none, gives bitwise-equal results.
 
 The package imports only numpy and, from scipy, its top-level package
 and the ``_core`` extension: the extension is loaded from its file
@@ -56,6 +54,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy
@@ -179,9 +178,9 @@ def classify(model_status) -> str:
 def check_point(x, objective, bounds, b_ub, ub_slack, b_eq, eq_residual) -> None:
     """Raise `SolverError` unless an optimal point is finite and within
     `margin` of every bound: each column's (lower, upper) row of
-    `bounds`, each inequality row's slack ``b_ub - A_ub @ x`` at least
-    ``-margin(b_ub)`` and each equality row's residual ``b_eq - A_eq @ x``
-    at most ``margin(b_eq)`` in size. An infinite bound checks nothing."""
+    `bounds`, each held row's slack, its upper bound in `b_ub` less its
+    value at `x`, at least ``-margin(b_ub)`` and each balance row's
+    residual ``b_eq - A_eq @ x`` at most ``margin(b_eq)`` in size. An infinite bound checks nothing."""
     if not (np.isfinite(x).all() and np.isfinite(objective)):
         raise SolverError("scipy-highs: optimal point is not finite")
     lb, ub = bounds.T
@@ -190,11 +189,6 @@ def check_point(x, objective, bounds, b_ub, ub_slack, b_eq, eq_residual) -> None
     # written so that a NaN slack or residual fails too
     if not ((ub_slack >= -margin(b_ub)).all() and (np.abs(eq_residual) <= margin(b_eq)).all()):
         raise SolverError("scipy-highs: optimal point violates a row by more than the margin")
-
-
-def _to_highs(v, inf):
-    """`v` with every infinite entry replaced by HiGHS's infinity."""
-    return np.where(np.isinf(v), np.copysign(inf, v), v)
 
 
 @dataclass(frozen=True)
@@ -213,91 +207,80 @@ class CscMatrix:
         return len(self.data)
 
 
-def _stack(top: CscMatrix, bottom: CscMatrix) -> CscMatrix:
-    """The rows of `top` above those of `bottom`: each column's entries
-    of `top` are spliced in ahead of its entries of `bottom`, so rows stay
-    ascending within every column, as ``linprog``'s stacked matrix has
-    them."""
-    at = np.repeat(bottom.indptr[:-1], np.diff(top.indptr))
-    return CscMatrix((top.shape[0] + bottom.shape[0], bottom.shape[1]), top.indptr + bottom.indptr,
-                     np.insert(bottom.indices + top.shape[0], at, top.indices),
-                     np.insert(bottom.data, at, top.data))
-
-
-def _options(A: CscMatrix) -> tuple:
-    """The options HiGHS solves a program with, from its stacked matrix `A`:
-    `_BANDED_OPTIONS` when every entry has a magnitude in `_BAND`, else
+def _options(A_eq: CscMatrix, held: np.ndarray) -> tuple:
+    """The options HiGHS solves a program with, from the entries of its
+    balance rows `A_eq` and its held rows' coefficients `held`:
+    `_BANDED_OPTIONS` when every one has a magnitude in `_BAND`, else
     `_OPTIONS`."""
     lo, hi = _BAND
-    magnitude = np.abs(A.data)
+    magnitude = np.abs(np.concatenate((A_eq.data, held)))
     return _BANDED_OPTIONS if ((magnitude >= lo) & (magnitude <= hi)).all() else _OPTIONS
 
 
-def _start_basis(h, start, n_ub: int, n_rows: int):
-    """`start`, the optimal basis of a program with the same columns and
-    equality rows but only the first of the `n_ub` inequality rows, with
-    a basic slack for each inequality row it lacks, inserted before the
-    equality rows, as the rows are stacked."""
+def _start_basis(h, start, n_rows: int):
+    """`start`, the optimal basis of a program whose rows are a prefix of
+    this one's `n_rows`, with a basic slack for each row it lacks."""
     rows = start.row_status
-    old_ub = len(rows) - (n_rows - n_ub)
-    if not 0 <= old_ub <= n_ub:
+    if len(rows) > n_rows:
         raise SolverError(f"scipy-highs: a start basis of {len(rows)} rows for {n_rows} rows")
     basis = h.HighsBasis()
     basis.col_status = start.col_status
-    basis.row_status = (rows[:old_ub] + [h.HighsBasisStatus.kBasic] * (n_ub - old_ub)
-                        + rows[old_ub:])
+    basis.row_status = rows + [h.HighsBasisStatus.kBasic] * (n_rows - len(rows))
     basis.valid = True
     return basis
 
 
 class ScipyHighsBackend:
-    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
-    and ``bounds[:, 0] <= x <= bounds[:, 1]``.
+    """Minimize ``c @ x`` subject to ``A_eq @ x == b_eq``, each held row
+    ``sum(w * x[j] for j, w in coeffs.items()) <= ub`` of `ub_rows`, and
+    ``bounds[:, 0] <= x <= bounds[:, 1]``.
 
-    `c` is a float array of n costs, both matrices are `CscMatrix` of n
-    columns (a program without inequality rows passes a 0 x n `A_ub`),
-    `b_ub` and `b_eq` are 1-D float arrays, one entry per row, and
-    `bounds` is an (n, 2) float array, ±inf for no bound.
+    `c` is a float array of n costs, `A_eq` a `CscMatrix` of n columns,
+    `b_eq` a 1-D float array, one entry per row, `ub_rows` a sequence of
+    (coefficients by column, upper bound) pairs, empty when no row is
+    held, and `bounds` an (n, 2) float array, ±inf for no bound. The
+    held rows follow the balance rows, in the order given.
 
     `start`, when given, is the `LpResult.basis` of an optimal program
-    with the same columns and equality rows and a prefix of this one's
-    inequality rows; its bounds may differ. The solve starts from that
-    basis, each new row's slack basic, where it is primal feasible when
-    the new rows and bounds hold at the old optimum; otherwise the primal
-    simplex first restores feasibility from it. A start HiGHS refuses, or
-    one with more rows than the program, raises `SolverError`; there is
-    no cold fallback.
+    with the same columns whose rows are a prefix of this one's; its
+    bounds may differ. The solve starts from that basis, each appended
+    row's slack basic, where it is primal feasible when the new rows and
+    bounds hold at the old optimum; otherwise the primal simplex first
+    restores feasibility from it. A start HiGHS refuses, or one with
+    more rows than the program, raises `SolverError`; there is no cold
+    fallback. So does a held row that names a column outside [0, n).
     """
 
     name = "scipy-highs"
 
-    def solve(self, c: np.ndarray, *, A_ub: CscMatrix, b_ub: np.ndarray, A_eq: CscMatrix,
-              b_eq: np.ndarray, bounds: np.ndarray, start=None) -> LpResult:
+    def solve(self, c: np.ndarray, *, A_eq: CscMatrix, b_eq: np.ndarray,
+              ub_rows: Sequence[tuple[dict[int, float], float]], bounds: np.ndarray,
+              start=None) -> LpResult:
         h = _bindings()
-        inf = h.kHighsInf
         n = c.size
         # HiGHS reads n column starts from the matrix's arrays
-        if not len(A_ub.indptr) == len(A_eq.indptr) == n + 1:
-            raise SolverError(f"scipy-highs: {n} costs for matrices of {len(A_ub.indptr) - 1} "
-                              f"and {len(A_eq.indptr) - 1} columns")
-        A = _stack(A_ub, A_eq)
-        lhs = np.concatenate((np.full(b_ub.size, -inf), b_eq))
-        rhs = np.concatenate((b_ub, b_eq))
-        lb, ub = bounds.T
+        if len(A_eq.indptr) != n + 1:
+            raise SolverError(f"scipy-highs: {n} costs for {len(A_eq.indptr) - 1} matrix columns")
+        m = b_eq.size
+        b_ub = np.array([ub for _, ub in ub_rows], dtype=float)
+        starts = np.cumsum([0, *(len(coeffs) for coeffs, _ in ub_rows)])[:-1].astype(np.int32)
+        columns = np.array([j for coeffs, _ in ub_rows for j in coeffs], dtype=np.int32)
+        held = np.array([w for coeffs, _ in ub_rows for w in coeffs.values()], dtype=float)
 
         highs = h._Highs()
-        for key, value in _options(A):
+        for key, value in _options(A_eq, held):
             highs.setOptionValue(key, value)
         loaded = highs.passModel(
-            n, rhs.size, A.nnz, int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
-            c, _to_highs(lb, inf), _to_highs(ub, inf), _to_highs(lhs, inf), _to_highs(rhs, inf),
-            A.indptr[:-1], A.indices, A.data,
+            n, m, A_eq.nnz, int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
+            c, *bounds.T, b_eq, b_eq, A_eq.indptr[:-1], A_eq.indices, A_eq.data,
             np.zeros(n, dtype=np.int32),
         )
-        if loaded == h.HighsStatus.kError:  # HiGHS refused the model
+        added = highs.addRows(b_ub.size, np.full(b_ub.size, -np.inf), b_ub, held.size,
+                              starts, columns, held)
+        if h.HighsStatus.kError in (loaded, added):  # HiGHS refused the model
             classify(h.HighsModelStatus.kModelError)
         if start is not None:
-            if highs.setBasis(_start_basis(h, start, b_ub.size, rhs.size)) == h.HighsStatus.kError:
+            if highs.setBasis(_start_basis(h, start, m + b_ub.size)) == h.HighsStatus.kError:
                 raise SolverError("scipy-highs: HiGHS refused the start basis")
         ran = highs.run()
         status = classify(highs.getModelStatus())
@@ -311,8 +294,7 @@ class ScipyHighsBackend:
         x = np.array(solution.col_value)
         objective = info.objective_function_value
         row = np.array(solution.row_value)
-        m = b_ub.size
-        check_point(x, objective, bounds, b_ub, b_ub - row[:m], b_eq, b_eq - row[m:])
+        check_point(x, objective, bounds, b_ub, b_ub - row[m:], b_eq, b_eq - row[:m])
         return LpResult(status=status, x=x, objective=float(objective), basis=highs.getBasis(),
                         iterations=iterations)
 

@@ -186,19 +186,6 @@ class MredModel:
         bounds[nf + ng:, 1] = np.inf
         self._base_bounds = bounds
 
-    def _assemble_ub(self, extra_ub):
-        """The held rows as a `lp.CscMatrix` and their right-hand sides;
-        0 rows for none."""
-        rows = np.array([r for r, (coeffs, _) in enumerate(extra_ub) for _ in coeffs],
-                        dtype=np.int32)
-        cols = np.array([col for coeffs, _ in extra_ub for col in coeffs], dtype=np.int64)
-        vals = np.array([w for coeffs, _ in extra_ub for w in coeffs.values()], dtype=float)
-        order = np.lexsort((rows, cols))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.ncols))))
-        A = lp.CscMatrix((len(extra_ub), self.ncols), indptr.astype(np.int32), rows[order],
-                         vals[order])
-        return A, np.array([ub for _, ub in extra_ub], dtype=float)
-
     def solve(
         self,
         objective: dict[int, float],
@@ -209,19 +196,22 @@ class MredModel:
         """Maximize a linear objective over the balance polytope.
 
         Every SD surplus is free; `eta_lower` bounds surpluses from below.
+        Each held row of `extra_ub`, a (coefficients by column, upper
+        bound) pair, goes to the backend as it is, after the balance rows.
         A program with held rows or surplus lower bounds adds `TIE` per
         ebit of link generation to its costs. A result's objective is
         always the objective's value at `x`, without that term. `start`,
         when given, is the optimal result of a program with the same
         columns and a prefix of this one's held rows, and the solve begins
-        from its basis, else from the zero plan. It changes only where the
-        solver begins.
+        from its basis, each further row's slack basic, else from the
+        zero plan. It changes only where the solver begins.
 
         An optimal result is kept, with a read-only `x` and HiGHS's basis,
         and returned for the same program without a solve. A program has
         one start (see `_lexmax`), so the solver returns one optimum for
         it. The key keeps the rows in order, as row order reaches the
-        solver.
+        solver, and sorts each row's coefficients, whose order HiGHS does
+        not keep: it stores the matrix column by column.
         """
         lower = tuple(sorted(eta_lower.items())) if eta_lower else ()
         key = (tuple(sorted(objective.items())),
@@ -236,13 +226,11 @@ class MredModel:
         c = self._tie.copy() if extra_ub or lower else np.zeros(self.ncols)
         for col, w in objective.items():
             c[col] = -w
-        A_ub, b_ub = self._assemble_ub(extra_ub)
         self.solves += 1
-        res = lp.get_backend().solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=self.b_eq,
+        res = lp.get_backend().solve(c, A_eq=self.A_eq, b_eq=self.b_eq, ub_rows=extra_ub,
                                      bounds=bounds, start=None if start is None else start.basis)
-        if res.objective is not None:
-            res = replace(res, objective=sum(w * float(res.x[col]) for col, w in objective.items()))
         if res.status == LpStatus.OPTIMAL:
+            res = replace(res, objective=sum(w * float(res.x[col]) for col, w in objective.items()))
             res.x.flags.writeable = False
             self._optima[key] = res
         return res
@@ -316,11 +304,12 @@ def _lexmax(
     stage infeasible; any other outcome short of optimal raises
     `SolverError`.
     """
+    # each solve is passed a list of its own, which later stages do not extend
     held: list[tuple[dict[int, float], float]] = []
     log: list[tuple[str, float]] = []
     res = m.solve(m.total_objective()) if eta_lower else None
     for label, objective, rows in stages:
-        held.extend(rows)
+        held = [*held, *rows]
         res = m.solve(objective, extra_ub=held, eta_lower=eta_lower, start=res)
         if res.status == LpStatus.INFEASIBLE and not log and eta_lower:
             return None
@@ -328,7 +317,7 @@ def _lexmax(
             raise SolverError(f"{label} stage: solver returned {res.status}")
         v = res.objective
         log.append((label, v))
-        held.append(({col: -w for col, w in objective.items()}, -(v - lp.margin(v))))
+        held = [*held, ({col: -w for col, w in objective.items()}, -(v - lp.margin(v)))]
     return m.extract(res.x, log)
 
 

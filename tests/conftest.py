@@ -130,47 +130,47 @@ def recording_backend():
 LINPROG_STATUS = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
 
 
-def _scipy_matrix(A):
-    """`A` as `linprog` takes it: a `lp.CscMatrix` as the scipy sparse array
-    of the same arrays, anything else as it is."""
-    if isinstance(A, lp.CscMatrix):
-        return sparse.csc_array((A.data, A.indices, A.indptr), shape=A.shape)
-    return A
+def _held_rows(ub_rows, n: int):
+    """The held rows as `linprog`'s dense ``A_ub`` of `n` columns and ``b_ub``."""
+    A_ub = np.zeros((len(ub_rows), n))
+    for i, (coeffs, _) in enumerate(ub_rows):
+        A_ub[i, list(coeffs)] = list(coeffs.values())
+    return A_ub, np.array([ub for _, ub in ub_rows], dtype=float)
 
 
 class _AgainstLinprog:
     """The real solver, with every solve repeated by `linprog`, the reference
-    it must match; the package's matrices reach `linprog` as scipy sparse
-    arrays. The package runs the primal simplex without presolve, which
-    `linprog` does not offer, a solve with a start begins from a basis
-    `linprog` is not given, and a program with held rows or surplus lower
-    bounds adds the model's positive tie-break costs to the stage's own,
-    which are negative. So `linprog` solves each program with the stage's
-    own costs, `np.minimum(c, 0.0)`, at the package's feasibility
-    tolerance: the statuses must agree, the stage's value at the
-    package's point must be within 1e-9 relative of `linprog`'s optimum,
-    and that point must pass `lp.check_point`. `warm` counts the optimal
-    solves that had a start."""
+    it must match; the balance rows reach `linprog` as a scipy sparse array
+    and the held rows as its ``A_ub``. The package runs the primal simplex
+    without presolve, which `linprog` does not offer, a solve with a start
+    begins from a basis `linprog` is not given, and a program with held
+    rows or surplus lower bounds adds the model's positive tie-break costs
+    to the stage's own, which are negative. So `linprog` solves each
+    program with the stage's own costs, `np.minimum(c, 0.0)`, at the
+    package's feasibility tolerance: the statuses must agree, the stage's
+    value at the package's point must be within 1e-9 relative of
+    `linprog`'s optimum, and that point must pass `lp.check_point`.
+    `warm` counts the optimal solves that had a start."""
 
     def __init__(self, real):
         self.real = real
         self.warm = 0
 
-    def solve(self, c, start=None, **kwargs) -> lp.LpResult:
-        res = self.real.solve(c, start=start, **kwargs)
+    def solve(self, c, *, A_eq, b_eq, ub_rows, bounds, start=None) -> lp.LpResult:
+        res = self.real.solve(c, A_eq=A_eq, b_eq=b_eq, ub_rows=ub_rows, bounds=bounds,
+                              start=start)
         stage = np.minimum(c, 0.0)
-        ref = linprog(stage, method="highs",
-                      options={"primal_feasibility_tolerance": lp.FEASIBILITY_TOL},
-                      **{k: _scipy_matrix(v) for k, v in kwargs.items()})
+        A_eq = sparse.csc_array((A_eq.data, A_eq.indices, A_eq.indptr), shape=A_eq.shape)
+        A_ub, b_ub = _held_rows(ub_rows, c.size)
+        ref = linprog(stage, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                      method="highs", options={"primal_feasibility_tolerance": lp.FEASIBILITY_TOL})
         assert res.status == LINPROG_STATUS.get(ref.status, ref.message)
         if ref.x is None:
             assert res.x is None and res.objective is None
             return res
         self.warm += start is not None
         assert abs(stage @ res.x - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-        A_ub, A_eq = (_scipy_matrix(kwargs[k]) for k in ("A_ub", "A_eq"))
-        b_ub, b_eq = kwargs["b_ub"], kwargs["b_eq"]
-        lp.check_point(res.x, res.objective, kwargs["bounds"], b_ub, b_ub - A_ub @ res.x, b_eq,
+        lp.check_point(res.x, res.objective, bounds, b_ub, b_ub - A_ub @ res.x, b_eq,
                        b_eq - A_eq @ res.x)
         return res
 

@@ -1,6 +1,7 @@
 """The direct HiGHS backend: status mapping, post-solve check, input forms."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,73 +104,100 @@ def _no_rows(n: int) -> lp.CscMatrix:
 
 NONE = np.zeros(0)
 FREE, NONNEG = (-np.inf, np.inf), (0.0, np.inf)
+# the held row x + y <= 4
+SUM_AT_MOST_4 = ({0: 1.0, 1: 1.0}, 4.0)
+
+
+def test_highs_infinity_is_inf():
+    # bounds and right-hand sides reach HiGHS as they are, ±inf for none
+    assert lp._highs.kHighsInf == math.inf
 
 
 def test_linprog_input_forms():
-    # ub rows only, bounded columns, eq rows only with a free column, infinite upper bounds
-    ones, minus = _csc((1, 2), [0, 1, 2], [0, 0], [1, 1]), _csc((1, 2), [0, 1, 2], [0, 0], [1, -1])
+    # held rows only, bounded columns, eq rows only with a free column, infinite upper bounds
+    minus = _csc((1, 2), [0, 1, 2], [0, 0], [1, -1])
     with against_linprog():
         solve = lp.get_backend().solve
-        solve(np.array([-1.0, -2.0]), A_ub=ones, b_ub=np.array([4.0]), A_eq=_no_rows(2),
-              b_eq=NONE, bounds=np.array([NONNEG, NONNEG]))
-        solve(np.array([-1.0, -2.0]), A_ub=ones, b_ub=np.array([4.0]), A_eq=_no_rows(2),
-              b_eq=NONE, bounds=np.array([(0.0, 3.0), (0.0, 3.0)]))
-        solve(np.array([1.0, 1.0]), A_ub=_no_rows(2), b_ub=NONE, A_eq=minus,
-              b_eq=np.array([1.0]), bounds=np.array([FREE, NONNEG]))
-        solve(np.array([-1.0, 0.0]), A_ub=_no_rows(2), b_ub=NONE, A_eq=minus,
-              b_eq=np.array([0.0]), bounds=np.array([NONNEG, NONNEG]))
-        solve(np.array([1.0, 1.0]), A_ub=_csc((1, 2), [0, 1, 2], [0, 0], [-1, -1]),
-              b_ub=np.array([-3.0]), A_eq=_no_rows(2), b_eq=NONE,
-              bounds=np.array([(0.0, 1.0), (0.0, 1.0)]))
+        solve(np.array([-1.0, -2.0]), A_eq=_no_rows(2), b_eq=NONE, ub_rows=[SUM_AT_MOST_4],
+              bounds=np.array([NONNEG, NONNEG]))
+        solve(np.array([-1.0, -2.0]), A_eq=_no_rows(2), b_eq=NONE, ub_rows=[SUM_AT_MOST_4],
+              bounds=np.array([(0.0, 3.0), (0.0, 3.0)]))
+        solve(np.array([1.0, 1.0]), A_eq=minus, b_eq=np.array([1.0]), ub_rows=[],
+              bounds=np.array([FREE, NONNEG]))
+        solve(np.array([-1.0, 0.0]), A_eq=minus, b_eq=np.array([0.0]), ub_rows=[],
+              bounds=np.array([NONNEG, NONNEG]))
+        solve(np.array([1.0, 1.0]), A_eq=_no_rows(2), b_eq=NONE,
+              ub_rows=[({1: -1.0, 0: -1.0}, -3.0)], bounds=np.array([(0.0, 1.0), (0.0, 1.0)]))
 
 
 WIDE = _csc((1, 3), [0, 1, 1, 2], [0, 0], [1, 1])
-
-
-@pytest.mark.parametrize("matrices, columns", [
-    ({"A_ub": WIDE, "b_ub": np.ones(1)}, "3 and 2"),
-    ({"A_eq": WIDE, "b_eq": np.ones(1)}, "2 and 3"),
-    ({"A_ub": WIDE, "b_ub": np.ones(1), "A_eq": WIDE, "b_eq": np.ones(1)}, "3 and 3"),
-    ({"A_ub": _csc((1, 0), [0], [], []), "b_ub": np.ones(1)}, "0 and 2"),
-], ids=["ub", "eq", "both", "no-columns"])
-def test_matrices_whose_width_is_not_the_costs_are_a_solver_error(matrices, columns):
-    program = {"A_ub": _no_rows(2), "b_ub": NONE, "A_eq": _no_rows(2), "b_eq": NONE,
-               "bounds": np.array([NONNEG, NONNEG]), **matrices}
-    with pytest.raises(SolverError, match=f"2 costs for matrices of {columns} columns"):
-        lp.get_backend().solve(np.ones(2), **program)
-
-
-def _start():
-    """The optimal basis of max x + 2y subject to x + y <= 4, x, y >= 0."""
-    res = lp.get_backend().solve(
-        np.array([-1.0, -2.0]), A_ub=_csc((1, 2), [0, 1, 2], [0, 0], [1, 1]),
-        b_ub=np.array([4.0]), A_eq=_no_rows(2), b_eq=NONE, bounds=np.array([NONNEG, NONNEG]))
-    return res.basis
-
-
-def test_a_start_basis_takes_a_basic_slack_for_each_new_row():
-    # the held row first, then a new row x - y <= 1 that the start satisfies
-    with against_linprog() as backend:
-        res = lp.get_backend().solve(
-            np.array([-1.0, -2.0]), A_ub=_csc((2, 2), [0, 2, 4], [0, 1, 0, 1], [1, 1, 1, -1]),
-            b_ub=np.array([4.0, 1.0]), A_eq=_no_rows(2), b_eq=NONE,
-            bounds=np.array([NONNEG, NONNEG]), start=_start())
-    assert backend.warm == 1
-    assert res.objective == -8.0 and len(res.basis.row_status) == 2
+# a held row that names a third column
+WIDE_ROW = [({0: 1.0, 2: 1.0}, 1.0)]
 
 
 @pytest.mark.parametrize("program, message", [
-    ({"c": -np.ones(3), "A_ub": _csc((1, 3), [0, 1, 2, 3], [0, 0, 0], [1, 1, 1]),
-      "b_ub": np.array([4.0]), "A_eq": _no_rows(3), "bounds": np.array([NONNEG] * 3)},
+    ({"ub_rows": WIDE_ROW}, "kModelError"),
+    ({"A_eq": WIDE, "b_eq": np.ones(1)}, "2 costs for 3 matrix columns"),
+    ({"ub_rows": WIDE_ROW, "A_eq": WIDE, "b_eq": np.ones(1)}, "2 costs for 3 matrix columns"),
+    ({"A_eq": _csc((1, 0), [0], [], []), "b_eq": np.ones(1)}, "2 costs for 0 matrix columns"),
+], ids=["ub", "eq", "both", "no-columns"])
+def test_matrices_whose_width_is_not_the_costs_are_a_solver_error(program, message):
+    program = {"A_eq": _no_rows(2), "b_eq": NONE, "ub_rows": [],
+               "bounds": np.array([NONNEG, NONNEG]), **program}
+    with pytest.raises(SolverError, match=message):
+        lp.get_backend().solve(np.ones(2), **program)
+
+
+@pytest.mark.parametrize("column", [5, -1])
+def test_a_held_row_naming_a_column_outside_the_program_is_a_solver_error(column):
+    # HiGHS refuses the row, so no solve runs without it
+    with pytest.raises(SolverError, match="kModelError"):
+        lp.get_backend().solve(np.ones(2), A_eq=_no_rows(2), b_eq=NONE,
+                               ub_rows=[({0: 1.0, column: 1.0}, 1.0)],
+                               bounds=np.array([NONNEG, NONNEG]))
+
+
+# max x + 2y subject to the balance row x + y - z == 0 and held rows on z
+# and x - y: z <= 4 is the start's program, x - y <= 1 the row appended
+THREE = dict(A_eq=_csc((1, 3), [0, 1, 2, 3], [0, 0, 0], [1, 1, -1]), b_eq=np.zeros(1),
+             bounds=np.array([NONNEG] * 3))
+Z_AT_MOST_4, X_LESS_Y_AT_MOST_1 = ({2: 1.0}, 4.0), ({0: 1.0, 1: -1.0}, 1.0)
+
+
+def _start():
+    """The optimal basis of max x + 2y subject to x + y - z == 0, z <= 4 and
+    x, y, z >= 0: one balance row and one held row."""
+    return lp.get_backend().solve(np.array([-1.0, -2.0, 0.0]), ub_rows=[Z_AT_MOST_4],
+                                  **THREE).basis
+
+
+def test_a_start_basis_takes_a_basic_slack_for_each_new_row():
+    # the appended row's slack is basic at the end of the rows, after the
+    # start's balance and held rows, so the start is optimal as it stands
+    start = _start()
+    with against_linprog() as backend:
+        res = lp.get_backend().solve(np.array([-1.0, -2.0, 0.0]),
+                                     ub_rows=[Z_AT_MOST_4, X_LESS_Y_AT_MOST_1], start=start,
+                                     **THREE)
+    assert backend.warm == 1
+    assert res.objective == -8.0 and res.iterations == 0
+    basic = lp._highs.HighsBasisStatus.kBasic
+    assert res.basis.row_status == start.row_status + [basic]
+
+
+@pytest.mark.parametrize("program, message", [
+    ({"c": -np.ones(4), "A_eq": _csc((1, 4), [0, 1, 2, 3, 3], [0, 0, 0], [1, 1, -1]),
+      "ub_rows": [Z_AT_MOST_4], "bounds": np.array([NONNEG] * 4)},
      "HiGHS refused the start basis"),
-    ({"c": -np.ones(2), "A_ub": _no_rows(2), "b_ub": NONE, "A_eq": _no_rows(2),
-      "bounds": np.array([NONNEG] * 2)},
-     "a start basis of 1 rows for 0 rows"),
+    ({"c": -np.ones(3), "A_eq": _no_rows(3), "ub_rows": [Z_AT_MOST_4],
+      "bounds": np.array([NONNEG] * 3)},
+     "a start basis of 2 rows for 1 rows"),
 ], ids=["more-columns", "fewer-rows"])
 def test_a_start_basis_that_does_not_fit_is_a_solver_error(program, message):
     # no cold solve stands in for a refused start
     with pytest.raises(SolverError, match=message):
-        lp.get_backend().solve(b_eq=NONE, start=_start(), **program)
+        lp.get_backend().solve(b_eq=np.zeros(program["A_eq"].shape[0]), start=_start(),
+                               **program)
 
 
 @pytest.fixture
@@ -199,31 +227,31 @@ BANDED = (*lp._OPTIONS, ("simplex_scale_strategy", 0), ("simplex_primal_edge_wei
 
 def test_a_cold_and_a_warm_solve_set_the_same_options(option_log):
     # the options follow the program's matrix, not its start: in band, then
-    # the same program with one coefficient out of it
+    # the same program with one held coefficient out of it
     start = _start()
     for coefficient, options, objective in [(-1.0, BANDED, -8.0), (1e3, lp._OPTIONS, -1.0)]:
         option_log.clear()
-        program = dict(A_ub=_csc((2, 2), [0, 2, 4], [0, 1, 0, 1], [1, 1, 1, coefficient]),
-                       b_ub=np.array([4.0, 1.0]), A_eq=_no_rows(2), b_eq=NONE,
-                       bounds=np.array([NONNEG, NONNEG]))
-        cold = lp.get_backend().solve(np.array([-1.0, -2.0]), **program)
-        warm = lp.get_backend().solve(np.array([-1.0, -2.0]), start=start, **program)
+        program = dict(ub_rows=[Z_AT_MOST_4, ({0: 1.0, 1: coefficient}, 1.0)], **THREE)
+        cold = lp.get_backend().solve(np.array([-1.0, -2.0, 0.0]), **program)
+        warm = lp.get_backend().solve(np.array([-1.0, -2.0, 0.0]), start=start, **program)
         assert cold.objective == warm.objective == objective
         assert option_log == [list(options)] * 2
     assert ("presolve", "off") in lp._OPTIONS and ("simplex_strategy", 4) in lp._OPTIONS
 
 
+# the edge value sits in a held row (id A_ub, linprog's name for the
+# inequality rows) or in the balance rows A_eq, with 1 in the other
 @pytest.mark.parametrize("matrix", ["A_ub", "A_eq"])
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 @pytest.mark.parametrize("magnitude, options", [
     (0.1, BANDED), (10.0, BANDED), (0.099, lp._OPTIONS), (10.01, lp._OPTIONS),
 ])
 def test_the_band_holds_both_its_edges(option_log, matrix, sign, magnitude, options):
-    # one column in a row of each matrix: the edge value in `matrix`, 1 in the other
-    rows = {"A_ub": _csc((1, 1), [0, 1], [0], [1.0]), "A_eq": _csc((1, 1), [0, 1], [0], [1.0])}
-    rows[matrix] = _csc((1, 1), [0, 1], [0], [sign * magnitude])
-    res = lp.get_backend().solve(np.array([-1.0]), b_ub=np.ones(1), b_eq=np.zeros(1),
-                                 bounds=np.array([(0.0, 1.0)]), **rows)
+    edge = sign * magnitude
+    held, balance = (edge, 1.0) if matrix == "A_ub" else (1.0, edge)
+    res = lp.get_backend().solve(np.array([-1.0]), A_eq=_csc((1, 1), [0, 1], [0], [balance]),
+                                 b_eq=np.zeros(1), ub_rows=[({0: held}, 1.0)],
+                                 bounds=np.array([(0.0, 1.0)]))
     assert res.objective == 0.0
     assert option_log == [list(options)]
 
@@ -272,9 +300,8 @@ def test_a_program_gives_bitwise_equal_results_on_two_fresh_models(nodes, net_se
 
 def test_oversized_coefficient_is_a_solver_error_not_infeasible():
     with pytest.raises(SolverError, match="kModelError"):
-        lp.get_backend().solve(np.array([-1.0]), A_ub=_csc((1, 1), [0, 1], [0], [1e19]),
-                               b_ub=np.ones(1), A_eq=_no_rows(1), b_eq=NONE,
-                               bounds=np.array([NONNEG]))
+        lp.get_backend().solve(np.array([-1.0]), A_eq=_no_rows(1), b_eq=NONE,
+                               ub_rows=[({0: 1e19}, 1.0)], bounds=np.array([NONNEG]))
 
 
 def _fresh(script: str) -> subprocess.CompletedProcess:

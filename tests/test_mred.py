@@ -588,7 +588,7 @@ def test_a_need_bounded_first_stage_starts_from_the_max_total_basis(star):
         assert deadline_verdict(m, entries[:1], entries[1]) == "solved"
     V = m.solve(m.total_objective())
     bounded = [kw for _, kw in backend.calls
-               if kw["A_ub"].shape[0] == 0 and (kw["bounds"][:, 0] > 0).any()]
+               if len(kw["ub_rows"]) == 0 and (kw["bounds"][:, 0] > 0).any()]
     assert len(bounded) == 1 and bounded[0]["start"] is V.basis
     needs = mred.deadline_needs(entries)
     warm = m.solve(m.total_objective(), eta_lower=needs, start=V)

@@ -336,7 +336,7 @@ def _in_band(m) -> bool:
     """Whether the model's balance rows (each q, each link's capacity * p
     and ±1) are in `lp._BAND`. Held rows are ±1, so then every program of
     the model runs with `lp._BANDED_OPTIONS`."""
-    return lp._options(m.A_eq) is lp._BANDED_OPTIONS
+    return lp._options(m.A_eq, np.zeros(0)) is lp._BANDED_OPTIONS
 
 
 def _every_program(nodes, net_seed, sd_count, share, delta, p, q, cap_hi):

@@ -9,10 +9,11 @@ the first 12 instances (sweep seeds 1000-1011) through ``build_instance``
 and ``simulate`` and prints one sha256 over every run's ``RunMetrics``
 without ``wall_ms``, its events without ``wall_ms``, its final commodity
 states and every trace row, then one sha256 over every argument (value,
-dtype and shape) those runs hand HiGHS's ``passModel``, every option
-they set (so each call's ``simplex_strategy``) and every status of each
-start basis they pass ``setBasis``, in call order, with the number of
-``passModel`` and ``setBasis`` calls. The ``protocol-paths`` line is one
+dtype and shape) those runs hand HiGHS's ``passModel`` and ``addRows``
+(the balance rows and the held rows), every option they set (so each
+call's ``simplex_strategy``) and every status of each start basis they
+pass ``setBasis``, in call order, with the number of ``passModel``,
+``addRows`` and ``setBasis`` calls. The ``protocol-paths`` line is one
 sha256, taken the same way, over fixed-plan-long's and deadline-replan's
 first 12 instances run with ``max_buffer_age=6`` and ``cascade_depth=2``,
 the expiry and cascade paths no workload takes, with the number of ebits
@@ -80,14 +81,15 @@ def digest(*runs) -> tuple[str, int]:
 
 
 class _LpInputRecorder:
-    """Context manager hashing every `passModel` argument, option and start
-    basis the LP backend hands HiGHS inside the block: it swaps `lp._highs`
-    for a copy of the HiGHS bindings whose ``_Highs`` hashes each call's
-    arguments before passing them on, and restores the bindings on exit."""
+    """Context manager hashing every `passModel` and `addRows` argument,
+    option and start basis the LP backend hands HiGHS inside the block: it
+    swaps `lp._highs` for a copy of the HiGHS bindings whose ``_Highs``
+    hashes each call's arguments before passing them on, and restores the
+    bindings on exit."""
 
     def __init__(self):
         self.hash = hashlib.sha256()
-        self.calls = self.starts = 0
+        self.calls = self.adds = self.starts = 0
 
     def record(self, name, args) -> None:
         self.hash.update(name.encode())
@@ -107,6 +109,11 @@ class _LpInputRecorder:
                 recorder.calls += 1
                 recorder.record("passModel", args)
                 return super().passModel(*args)
+
+            def addRows(self, *args):
+                recorder.adds += 1
+                recorder.record("addRows", args)
+                return super().addRows(*args)
 
             def setOptionValue(self, *args):
                 recorder.record("setOptionValue", args)
@@ -155,7 +162,7 @@ def main() -> int:
         for name, workload in workloads.WORKLOADS.items():
             print(name, digest(workload)[0], flush=True)
     print(f"lp-input {lp_input.hash.hexdigest()} ({lp_input.calls} calls, "
-          f"{lp_input.starts} warm)", flush=True)
+          f"{lp_input.adds} addRows, {lp_input.starts} warm)", flush=True)
     paths, expired = digest(*(replace(w, params={**w.params, **PROTOCOL_PATHS})
                               for w in map(workloads.WORKLOADS.get, PROTOCOL_PATH_WORKLOADS)))
     print(f"protocol-paths {paths} ({expired} expired)", flush=True)

@@ -19,18 +19,18 @@ program's kind is read from its shape:
 
 The shape that sets the kind also sets the costs: a need-bounded or
 later program adds ``mred.TIE`` (see ``mred.MredModel.solve``). A
-program's option set is read from its matrix (``lp._options``):
-``banded`` when every entry has a magnitude in ``lp._BAND``, so HiGHS
-runs it unscaled with Dantzig pricing, else ``base``. Each line also
-says how many of its programs had a start basis.
-Milliseconds are host time and vary from run to run; programs and
+program's option set is read from its balance rows and held rows
+(``lp._options``): ``banded`` when every entry has a magnitude in
+``lp._BAND``, so HiGHS runs it unscaled with Dantzig pricing, else
+``base``. Each line also says how many of its programs had a start
+basis. Milliseconds are host time and vary from run to run; programs and
 iterations do not.
 
 A last line per workload shows the headroom of ``lp.margin``, the most a
 solved value may stray past a bound before the backend refuses the
 point: over every optimal point, the worst excess past a column bound
-and the worst row residual (an inequality row's excess past ``b_ub``,
-an equality row's distance from ``b_eq``), each as a fraction of the
+and the worst row residual (a held row's excess past its upper bound,
+a balance row's distance from ``b_eq``), each as a fraction of the
 margin of that bound or right-hand side. Infinite bounds are skipped,
 and a value inside its bound counts as 0.
 """
@@ -54,9 +54,9 @@ KINDS = ("first", "need-bounded", "later")
 OPTION_SETS = {lp._BANDED_OPTIONS: "banded", lp._OPTIONS: "base"}
 
 
-def kind(A_ub, bounds) -> str:
+def kind(ub_rows, bounds) -> str:
     """The kind of a program, from its held rows and its column lower bounds."""
-    if A_ub.shape[0]:
+    if len(ub_rows):
         return "later"
     return "need-bounded" if (bounds[:, 0] > 0).any() else "first"
 
@@ -74,12 +74,14 @@ def _rows(A: lp.CscMatrix, x) -> np.ndarray:
                        minlength=A.shape[0])
 
 
-def headroom(x, A_ub, b_ub, A_eq, b_eq, bounds) -> tuple[float, float]:
+def headroom(x, A_eq, b_eq, ub_rows, bounds) -> tuple[float, float]:
     """The worst bound excess and the worst row residual of the point `x`,
     each as a fraction of `lp.margin` of its bound."""
     lb, ub = bounds.T
     columns = max(_margins(lb - x, lb), _margins(x - ub, ub))
-    rows = max(_margins(_rows(A_ub, x) - b_ub, b_ub), _margins(np.abs(_rows(A_eq, x) - b_eq), b_eq))
+    held = np.array([sum(w * x[j] for j, w in coeffs.items()) for coeffs, _ in ub_rows])
+    b_ub = np.array([bound for _, bound in ub_rows])
+    rows = max(_margins(held - b_ub, b_ub), _margins(np.abs(_rows(A_eq, x) - b_eq), b_eq))
     return columns, rows
 
 
@@ -88,15 +90,15 @@ def main() -> int:
     tally: dict[tuple[str, str], list] = {}
     worst = [0.0, 0.0]
 
-    def timed(self, c, *, A_ub, A_eq, bounds, start=None, **kwargs):
+    def timed(self, c, *, A_eq, b_eq, ub_rows, bounds, start=None):
         t0 = time.perf_counter()
-        res = real(self, c, A_ub=A_ub, A_eq=A_eq, bounds=bounds, start=start, **kwargs)
+        res = real(self, c, A_eq=A_eq, b_eq=b_eq, ub_rows=ub_rows, bounds=bounds, start=start)
         ms = (time.perf_counter() - t0) * 1000.0
         if res.x is not None:
-            point = headroom(res.x, A_ub, kwargs["b_ub"], A_eq, kwargs["b_eq"], bounds)
-            worst[:] = map(max, worst, point)
-        options = OPTION_SETS[lp._options(lp._stack(A_ub, A_eq))]
-        row = tally.setdefault((kind(A_ub, bounds), options), [0, 0, 0, 0.0])
+            worst[:] = map(max, worst, headroom(res.x, A_eq, b_eq, ub_rows, bounds))
+        held = np.array([w for coeffs, _ in ub_rows for w in coeffs.values()], dtype=float)
+        options = OPTION_SETS[lp._options(A_eq, held)]
+        row = tally.setdefault((kind(ub_rows, bounds), options), [0, 0, 0, 0.0])
         row[0] += 1
         row[1] += start is not None
         row[2] += res.iterations
