@@ -4,22 +4,29 @@ Every optimization in the package funnels through ``get_backend().solve``
 so the underlying solver can be replaced in one place (tests install
 stubs the same way, through ``set_backend``). The default backend calls
 the HiGHS bindings that scipy bundles (``scipy.optimize._highspy._core``)
-directly: one fresh solver, one array ``passModel``, one ``addRows`` and
-one ``run`` per LP.
+directly: one fresh solver, one array ``passModel``, one ``addRows``
+(two around a ``setBasis`` for a program with a start) and one ``run``
+per LP.
 
 Each solve builds its program the way HiGHS grows one: ``passModel``
 loads the costs, the column bounds and the balance rows (``A_eq``,
 column-wise, each row fixed at its ``b_eq``), then ``addRows`` appends
 the held rows at the tail, each a (coefficients by column, upper bound)
-pair laid out row-wise as it is given. So a program that holds one more
-row than another has the other's rows as a prefix, and a start basis
-carries over by a basic slack for each appended row. Bounds and
-right-hand sides reach HiGHS as they are: its infinity is ``inf``. The
-solve skips ``linprog``'s input cleaning, option validation,
-per-column marginal loop and post-solve check. Instead `check_point`
-judges every optimal point by one rule, `margin`: a point more than
-``margin(v)`` past any column bound or row bound v is a `SolverError`,
-and `mred` trusts the rest. Every solve runs without presolve, by the
+pair laid out row-wise as it is given. So a program that holds more rows
+than another has the other's rows as a prefix, and the other's optimal
+basis starts it as HiGHS returned it: the solve loads the rows that
+basis has, hands it to ``setBasis`` untouched and appends the rest,
+which ``addRows`` gives basic slacks. Bounds and right-hand sides reach
+HiGHS as they are: its infinity is ``inf``. The solve skips
+``linprog``'s input cleaning, option validation, per-column marginal
+loop and post-solve check. Instead `check_point` judges every optimal
+point by one rule, `margin`: a point more than ``margin(v)`` past any
+column bound or row bound v is a `SolverError`, and `mred` trusts the
+rest. Every model status HiGHS reports comes back as a result:
+optimal, infeasible and unbounded as `LpStatus` values, any other as a
+status that names it, such as ``HiGHS model status kUnknown``, so the
+planner that asked, which knows its stage, judges every outcome short
+of optimal. Every solve runs without presolve, by the
 primal simplex at a 1e-9 primal feasibility tolerance. The matrix picks
 one of two option sets: a program whose every matrix entry has a
 magnitude in [0.1, 10] (in the rate LP, every q >= 0.1 and every link's
@@ -163,16 +170,15 @@ def _bindings():
 
 
 def classify(model_status) -> str:
-    """The `LpStatus` of a HiGHS model status; any other status raises."""
+    """The `LpStatus` of a HiGHS model status, or for any other status one
+    that names it, such as ``HiGHS model status kUnknown``: the planner
+    that asked for the solve judges every outcome short of optimal."""
     ms = _bindings().HighsModelStatus
-    status = {
+    return {
         ms.kOptimal: LpStatus.OPTIMAL,
         ms.kInfeasible: LpStatus.INFEASIBLE,
         ms.kUnbounded: LpStatus.UNBOUNDED,
-    }.get(model_status)
-    if status is None:
-        raise SolverError(f"scipy-highs: HiGHS model status {model_status.name}")
-    return status
+    }.get(model_status, f"HiGHS model status {model_status.name}")
 
 
 def check_point(x, objective, bounds, b_ub, ub_slack, b_eq, eq_residual) -> None:
@@ -217,19 +223,6 @@ def _options(A_eq: CscMatrix, held: np.ndarray) -> tuple:
     return _BANDED_OPTIONS if ((magnitude >= lo) & (magnitude <= hi)).all() else _OPTIONS
 
 
-def _start_basis(h, start, n_rows: int):
-    """`start`, the optimal basis of a program whose rows are a prefix of
-    this one's `n_rows`, with a basic slack for each row it lacks."""
-    rows = start.row_status
-    if len(rows) > n_rows:
-        raise SolverError(f"scipy-highs: a start basis of {len(rows)} rows for {n_rows} rows")
-    basis = h.HighsBasis()
-    basis.col_status = start.col_status
-    basis.row_status = rows + [h.HighsBasisStatus.kBasic] * (n_rows - len(rows))
-    basis.valid = True
-    return basis
-
-
 class ScipyHighsBackend:
     """Minimize ``c @ x`` subject to ``A_eq @ x == b_eq``, each held row
     ``sum(w * x[j] for j, w in coeffs.items()) <= ub`` of `ub_rows`, and
@@ -242,13 +235,18 @@ class ScipyHighsBackend:
     held rows follow the balance rows, in the order given.
 
     `start`, when given, is the `LpResult.basis` of an optimal program
-    with the same columns whose rows are a prefix of this one's; its
-    bounds may differ. The solve starts from that basis, each appended
-    row's slack basic, where it is primal feasible when the new rows and
-    bounds hold at the old optimum; otherwise the primal simplex first
-    restores feasibility from it. A start HiGHS refuses, or one with
-    more rows than the program, raises `SolverError`; there is no cold
-    fallback. So does a held row that names a column outside [0, n).
+    with the same columns whose rows are a prefix of this one's: the
+    balance rows and the first k held rows, k its row count less the
+    balance rows'. Its bounds may differ. The solve loads those rows,
+    hands HiGHS the start untouched and appends the other held rows,
+    each with a basic slack. It starts there, which is primal feasible
+    when the new rows and bounds hold at the old optimum; otherwise the
+    primal simplex first restores feasibility from it. A start HiGHS
+    refuses, or one with fewer rows than the balance rows or more than
+    the program, raises `SolverError`; there is no cold fallback. So
+    does a model HiGHS refuses to load, such as a held row that names a
+    column outside [0, n). Any other outcome is the result's status
+    (see `classify`).
     """
 
     name = "scipy-highs"
@@ -263,25 +261,38 @@ class ScipyHighsBackend:
             raise SolverError(f"scipy-highs: {n} costs for {len(A_eq.indptr) - 1} matrix columns")
         m = b_eq.size
         b_ub = np.array([ub for _, ub in ub_rows], dtype=float)
-        starts = np.cumsum([0, *(len(coeffs) for coeffs, _ in ub_rows)])[:-1].astype(np.int32)
+        ends = np.cumsum([0, *(len(coeffs) for coeffs, _ in ub_rows)]).astype(np.int32)
         columns = np.array([j for coeffs, _ in ub_rows for j in coeffs], dtype=np.int32)
         held = np.array([w for coeffs, _ in ub_rows for w in coeffs.values()], dtype=float)
+        # the held rows the start has; setBasis comes before the rest
+        k = b_ub.size if start is None else len(start.row_status) - m
+        if not 0 <= k <= b_ub.size:
+            raise SolverError(f"scipy-highs: a start basis of {m + k} rows for {m + b_ub.size} rows")
 
         highs = h._Highs()
         for key, value in _options(A_eq, held):
             highs.setOptionValue(key, value)
-        loaded = highs.passModel(
+
+        def append(i: int, j: int):
+            """Append held rows i to j - 1 at the tail, laid out row-wise."""
+            lo, hi = ends[i], ends[j]
+            return highs.addRows(j - i, np.full(j - i, -np.inf), b_ub[i:j], int(hi - lo),
+                                 ends[i:j] - lo, columns[lo:hi], held[lo:hi])
+
+        # the status of each call that loads part of the model; the start
+        # goes in once the rows it has are loaded
+        loaded = [highs.passModel(
             n, m, A_eq.nnz, int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
             c, *bounds.T, b_eq, b_eq, A_eq.indptr[:-1], A_eq.indices, A_eq.data,
             np.zeros(n, dtype=np.int32),
-        )
-        added = highs.addRows(b_ub.size, np.full(b_ub.size, -np.inf), b_ub, held.size,
-                              starts, columns, held)
-        if h.HighsStatus.kError in (loaded, added):  # HiGHS refused the model
-            classify(h.HighsModelStatus.kModelError)
-        if start is not None:
-            if highs.setBasis(_start_basis(h, start, m + b_ub.size)) == h.HighsStatus.kError:
+        ), append(0, k)]
+        if start is not None and h.HighsStatus.kError not in loaded:
+            if highs.setBasis(start) == h.HighsStatus.kError:
                 raise SolverError("scipy-highs: HiGHS refused the start basis")
+            # HiGHS extends the basis by a basic slack for each row appended
+            loaded.append(append(k, b_ub.size))
+        if h.HighsStatus.kError in loaded:
+            raise SolverError("scipy-highs: HiGHS refused the model (kModelError)")
         ran = highs.run()
         status = classify(highs.getModelStatus())
         info = highs.getInfo()

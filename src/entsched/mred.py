@@ -301,8 +301,8 @@ def _lexmax(
     no swap cycle. The plan is the last stage's
     solution, and its objective log lists each stage's label and optimum,
     without the tie-break. Returns None when those bounds make the first
-    stage infeasible; any other outcome short of optimal raises
-    `SolverError`.
+    stage infeasible; any other outcome short of optimal, whatever model
+    status HiGHS reports, raises `SolverError` naming the stage.
     """
     # each solve is passed a list of its own, which later stages do not extend
     held: list[tuple[dict[int, float], float]] = []

@@ -126,7 +126,8 @@ def recording_backend():
     return _installed(_Recording(lp.get_backend()))
 
 
-# linprog's integer statuses as the LP backend reads them; any other raises
+# linprog's integer statuses as the LP backend reads them; it names any other
+# by HiGHS's model status
 LINPROG_STATUS = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
 
 

@@ -38,8 +38,8 @@ def test_status_mapping_matches_linprog_except_model_error(model_status):
         assert expected == LpStatus.INFEASIBLE
         expected = None
     if expected is None:
-        with pytest.raises(SolverError, match=model_status.name):
-            classify(model_status)
+        # any other status comes back by its name, for the planner to judge
+        assert classify(model_status) == f"HiGHS model status {model_status.name}"
     else:
         assert classify(model_status) == expected
 
@@ -200,14 +200,70 @@ def test_a_start_basis_that_does_not_fit_is_a_solver_error(program, message):
                                **program)
 
 
+def test_a_start_with_fewer_rows_than_the_balance_rows_is_a_solver_error():
+    # the start's two rows are a prefix of no program with three balance rows
+    with pytest.raises(SolverError, match="a start basis of 2 rows for 3 rows"):
+        lp.get_backend().solve(np.array([-1.0, -2.0, 0.0]),
+                               A_eq=_csc((3, 3), [0, 1, 2, 3], [0, 1, 2], [1, 1, 1]),
+                               b_eq=np.zeros(3), ub_rows=[], bounds=np.array([NONNEG] * 3),
+                               start=_start())
+
+
+def _swap_highs(monkeypatch, Highs) -> None:
+    """Hand the backend a copy of the HiGHS bindings whose solver is `Highs`."""
+    bindings = types.SimpleNamespace(**{**vars(lp._highs), "_Highs": Highs})
+    monkeypatch.setattr(lp, "_highs", bindings)
+
+
+def test_set_basis_gets_the_start_itself_after_its_own_held_rows(monkeypatch):
+    # the start holds the balance row and its one held row; the second
+    # held row is appended after setBasis, which gets the start untouched
+    start = _start()
+    calls = []
+
+    class Highs(lp._highs._Highs):
+        def passModel(self, *args):
+            calls.append(("passModel", args[1]))
+            return super().passModel(*args)
+
+        def addRows(self, *args):
+            calls.append(("addRows", args[0]))
+            return super().addRows(*args)
+
+        def setBasis(self, basis):
+            calls.append(("setBasis", basis))
+            return super().setBasis(basis)
+
+    _swap_highs(monkeypatch, Highs)
+    program = dict(ub_rows=[Z_AT_MOST_4, X_LESS_Y_AT_MOST_1], **THREE)
+    lp.get_backend().solve(np.array([-1.0, -2.0, 0.0]), start=start, **program)
+    assert calls == [("passModel", 1), ("addRows", 1), ("setBasis", start), ("addRows", 1)]
+    assert calls[2][1] is start
+    calls.clear()
+    lp.get_backend().solve(np.array([-1.0, -2.0, 0.0]), **program)
+    assert calls == [("passModel", 1), ("addRows", 2)]
+
+
+def test_a_status_short_of_optimal_is_a_solver_error_naming_the_stage(monkeypatch):
+    # the backend returns the status by its name; the stage that asked raises
+    class Highs(lp._highs._Highs):
+        def getModelStatus(self):
+            return lp._highs.HighsModelStatus.kIterationLimit
+
+    net = sample_sd_pairs(generate_waxman(6, 0.8, 0.8, 1, 3, 0.9, 0.9, seed=0), 2, seed=1)
+    m = mred.build_mred(net)
+    _swap_highs(monkeypatch, Highs)
+    with pytest.raises(SolverError, match="^total stage: .*kIterationLimit$"):
+        mred.solve_max_total(net, m)
+
+
 @pytest.fixture
 def option_log(monkeypatch):
     """Each fresh solver's setOptionValue calls, in order, through a
     bindings copy whose _Highs records them before passing them on."""
-    core = lp._highs
     log = []
 
-    class Highs(core._Highs):
+    class Highs(lp._highs._Highs):
         def __init__(self):
             super().__init__()
             log.append([])
@@ -216,7 +272,7 @@ def option_log(monkeypatch):
             log[-1].append(args)
             return super().setOptionValue(*args)
 
-    monkeypatch.setattr(lp, "_highs", types.SimpleNamespace(**{**vars(core), "_Highs": Highs}))
+    _swap_highs(monkeypatch, Highs)
     return log
 
 

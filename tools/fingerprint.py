@@ -13,7 +13,10 @@ dtype and shape) those runs hand HiGHS's ``passModel`` and ``addRows``
 (the balance rows and the held rows), every option they set (so each
 call's ``simplex_strategy``) and every status of each start basis they
 pass ``setBasis``, in call order, with the number of ``passModel``,
-``addRows`` and ``setBasis`` calls. The ``protocol-paths`` line is one
+``addRows`` and ``setBasis`` calls. A solve without a start appends its
+held rows in one ``addRows``; one with a start appends the start's own
+held rows, then calls ``setBasis``, then appends the rest, so the
+digest holds that order too. The ``protocol-paths`` line is one
 sha256, taken the same way, over fixed-plan-long's and deadline-replan's
 first 12 instances run with ``max_buffer_age=6`` and ``cascade_depth=2``,
 the expiry and cascade paths no workload takes, with the number of ebits
