@@ -240,13 +240,12 @@ def switch_batch(
     `Split` for `count`, and the leftover units are placed by systematic
     sampling over the fractional remainders. So the split is unbiased,
     never off by more than one per target, and draws nothing when the
-    expected shares are integers.
+    expected shares are integers. One target takes the whole batch; the
+    generate and swap phases forward such a batch themselves and call this
+    only for a split one.
     """
     targets, split = route
     total = state.total
-    # one-target fast path, equal to a one-entry Split in counts and draws:
-    # 0.15-0.29 us per call against 0.47-0.87 us through the Split (timeit,
-    # min of 7, five runs, 2-core Intel Xeon, Python 3.11)
     if split is None:
         i = targets[0]
         total[i] += count
@@ -317,13 +316,22 @@ def phase_generate(
     join the cohort born at `birth`. Returns the number created.
     """
     counts = state.cohort(birth)
+    total = state.total
+    random, binomial = rng.random, rng.binomial
     generated = 0
     for base, frac, p, route in table.links:
-        attempts = base + (1 if frac > 0.0 and rng.random() < frac else 0)
-        made = int(rng.binomial(attempts, p)) if attempts else 0
+        attempts = base + 1 if frac > 0.0 and random() < frac else base
+        # with scalar arguments the draw is a Python int
+        made = binomial(attempts, p) if attempts else 0
         if made:
             generated += made
-            switch_batch(state, route, counts, made, rng)
+            targets, split = route
+            if split is None:
+                i = targets[0]
+                total[i] += made
+                counts[i] += made
+            else:
+                switch_batch(state, route, counts, made, rng)
     return generated
 
 
@@ -367,36 +375,44 @@ def phase_swap(
     configured depth. Returns (attempts, successes).
     """
     total, cohorts = state.total, state.cohorts
+    binomial = rng.binomial
+    # a lone cohort is paired off as `_pair_off` would, in counts and draws;
+    # no swap opens or drops a cohort, so it stays alone for the phase
+    single = cohorts[0][1] if len(cohorts) == 1 else None
     attempts = successes = 0
     for _ in range(config.cascade_depth):
         products: list[tuple[Route, list[int], int]] = []
         for q, left, right, route in table.swaps:
-            w = min(total[left], total[right])
+            held_left, held_right = total[left], total[right]
+            w = held_left if held_left < held_right else held_right
             if not w:
                 continue
-            total[left] -= w
-            total[right] -= w
+            total[left] = held_left - w
+            total[right] = held_right - w
             attempts += w
-            # one-cohort fast path, equal to `_pair_off` in counts and draws:
-            # a 10-swap pass took 14-18 us against 24-35 us through it in four
-            # of five runs (timeit, min of 7, 2-core Intel Xeon, Python 3.11;
-            # the fifth read 25 and 23 us, within the host's noise)
-            if len(cohorts) == 1:
-                counts = cohorts[0][1]
-                counts[left] -= w
-                counts[right] -= w
-                pieces = ((counts, w),)
-            else:
-                pieces = _pair_off(cohorts, left, right, w)
-            for counts, n in pieces:
-                won = int(rng.binomial(n, q))
+            if single is not None:
+                single[left] -= w
+                single[right] -= w
+                won = binomial(w, q)
+                if won:
+                    successes += won
+                    products.append((route, single, won))
+                continue
+            for counts, n in _pair_off(cohorts, left, right, w):
+                won = binomial(n, q)
                 if won:
                     successes += won
                     products.append((route, counts, won))
         if not products:
             break
         for route, counts, won in products:
-            switch_batch(state, route, counts, won, rng)
+            targets, split = route
+            if split is None:
+                i = targets[0]
+                total[i] += won
+                counts[i] += won
+            else:
+                switch_batch(state, route, counts, won, rng)
     return attempts, successes
 
 

@@ -51,8 +51,12 @@ class SlotRng:
         self._bits = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bits)
         # the state just after keying: empty buffer, no cached 32-bit half;
-        # `stream` writes (phase, slot) into its counter and assigns it back
-        self._reset = self._bits.state
+        # `stream` writes (phase, slot) into its counter and assigns it back.
+        # Its arrays are held as lists of Python ints, which the state setter
+        # reads faster than numpy scalars
+        state = self._bits.state
+        self._reset = {**state, "buffer": state["buffer"].tolist(),
+                       "state": {name: words.tolist() for name, words in state["state"].items()}}
         self._counter = self._reset["state"]["counter"]
 
     def stream(self, slot: int, phase: int) -> np.random.Generator:

@@ -134,14 +134,14 @@ def framework_step(
     baseline policy keeps its first plan for the whole run since its
     program does not depend on which commodities are active.
     """
+    if state.policy == POLICY_BASELINE and state.plan is not None:
+        return state.plan, False
     fingerprint = frozenset(c.id for c in active)
     if not fingerprint:
         return state.plan, False
     if state.plan is not None and fingerprint == state.fingerprint:
         return state.plan, False
     state.fingerprint = fingerprint
-    if state.policy == POLICY_BASELINE and state.plan is not None:
-        return state.plan, False
 
     started = time.perf_counter()
     if state.policy == POLICY_BASELINE:

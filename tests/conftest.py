@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from entsched import lp
+from entsched.protocol import ProtocolConfig, _pair_off
 from entsched.topology import Network, build_manual
 
 
@@ -72,6 +74,76 @@ def numpy_allocate(count, probs, rng):
     for i in np.minimum(idx, len(probs) - 1):
         counts[int(i)] += 1
     return counts
+
+
+def reference_switch_batch(state, route, counts, count, rng):
+    """`protocol.switch_batch` as it was before the phases forwarded
+    one-target batches themselves: the reference the phases' inline
+    forwarding must match, in counts and draws."""
+    targets, split = route
+    total = state.total
+    if split is None:
+        i = targets[0]
+        total[i] += count
+        counts[i] += count
+        return
+    floors, leftover, cum, step = split[count]
+    for i, n in zip(targets, floors):
+        total[i] += n
+        counts[i] += n
+    if leftover:
+        start, last = rng.random(), len(targets) - 1
+        for k in range(leftover):
+            i = targets[min(bisect_right(cum, (start + k) * step), last)]
+            total[i] += 1
+            counts[i] += 1
+
+
+def reference_generate(table, state, birth, rng):
+    """`protocol.phase_generate` before its loop was tightened: every draw
+    through `rng`, every batch through `reference_switch_batch`."""
+    counts = state.cohort(birth)
+    generated = 0
+    for base, frac, p, route in table.links:
+        attempts = base + (1 if frac > 0.0 and rng.random() < frac else 0)
+        made = int(rng.binomial(attempts, p)) if attempts else 0
+        if made:
+            generated += made
+            reference_switch_batch(state, route, counts, made, rng)
+    return generated
+
+
+def reference_swap(table, state, rng, config=ProtocolConfig()):
+    """`protocol.phase_swap` before its loop was tightened: the one-cohort
+    pass as one piece, every product through `reference_switch_batch`."""
+    total, cohorts = state.total, state.cohorts
+    attempts = successes = 0
+    for _ in range(config.cascade_depth):
+        products = []
+        for q, left, right, route in table.swaps:
+            w = min(total[left], total[right])
+            if not w:
+                continue
+            total[left] -= w
+            total[right] -= w
+            attempts += w
+            if len(cohorts) == 1:
+                counts = cohorts[0][1]
+                counts[left] -= w
+                counts[right] -= w
+                pieces = ((counts, w),)
+            else:
+                pieces = _pair_off(cohorts, left, right, w)
+            for counts, n in pieces:
+                won = int(rng.binomial(n, q))
+                if won:
+                    successes += won
+                    products.append((route, counts, won))
+        if not products:
+            break
+        for route, counts, won in products:
+            reference_switch_batch(state, route, counts, won, rng)
+    return attempts, successes
 
 
 @pytest.fixture

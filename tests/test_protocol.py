@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_allocate, same_state, star_net, three_hop_line, two_hop_line
+from conftest import (
+    numpy_allocate,
+    reference_generate,
+    reference_swap,
+    same_state,
+    star_net,
+    three_hop_line,
+    two_hop_line,
+)
 from entsched.mred import RateSolution, build_mred, solve_max_total
 from entsched.protocol import (
+    PHASE_GENERATE,
+    PHASE_SWAP,
     BufferState,
     ConservationError,
     PlanTable,
@@ -567,6 +577,69 @@ def test_one_cohort_swap_pass_matches_the_cohort_walk():
         assert a.cohorts[0] == b.cohorts[0]
         assert b.cohorts[1] == (1, [0] * len(b.total))
         assert same_state(a_rng.bit_generator.state, b_rng.bit_generator.state)
+
+
+@st.composite
+def _slot_cases(draw):
+    """A ledger of 4-8 keys holding 1-3 cohorts, and a table over it whose
+    links and swaps route to 1-4 distinct keys, split by random weights."""
+    keys = draw(st.integers(4, 8))
+    held = draw(st.lists(st.lists(st.integers(0, 30), min_size=keys, max_size=keys),
+                         min_size=1, max_size=3))
+
+    def route():
+        targets = tuple(draw(st.permutations(range(keys)))[:draw(st.integers(1, 4))])
+        if len(targets) == 1:
+            return targets, None
+        weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0, 2.0, 7.0]),
+                                min_size=len(targets), max_size=len(targets))
+                       .filter(lambda w: sum(w) > 0))
+        return targets, Split([w / sum(weights) for w in weights])
+
+    links = tuple((draw(st.integers(0, 6)), draw(st.sampled_from([0.0, 0.25, 0.5, 0.9])),
+                   draw(st.floats(0.05, 1.0)), route())
+                  for _ in range(draw(st.integers(0, 6))))
+    swaps = tuple((draw(st.floats(0.05, 1.0)), *draw(st.permutations(range(keys)))[:2], route())
+                  for _ in range(draw(st.integers(0, 6))))
+    # a birth past the newest cohort opens one more before the swaps
+    birth = len(held) - 1 + draw(st.integers(0, 1))
+    return held, PlanTable(links=links, swaps=swaps), birth
+
+
+def _ledger(held):
+    """A ledger whose cohort b holds `held[b][j]` ebits of key j."""
+    state = BufferState()
+    for j in range(len(held[0])):
+        state.index(state.staged, j)
+    for birth, row in enumerate(held):
+        counts = state.cohort(birth)
+        for j, n in enumerate(row):
+            counts[j] += n
+            state.total[j] += n
+    return state
+
+
+@seed(0x5107_4e41_6b65_726e)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_slot_cases(), rng_seed=st.integers(0, 2 ** 16), depth=st.integers(1, 2))
+def test_slot_kernel_matches_the_reference_path(case, rng_seed, depth):
+    # the phases forward one-target batches inline and draw through bound
+    # methods; the reference forwards every batch through the old
+    # `switch_batch`, so equal ledgers and next draws mean the same draws
+    held, table, birth = case
+    runs = []
+    for generate, swap in ((phase_generate, phase_swap), (reference_generate, reference_swap)):
+        state, srng = _ledger(held), SlotRng(rng_seed)
+        rng = srng.stream(3, PHASE_GENERATE)
+        made = generate(table, state, birth, rng)
+        after_generate = (made, rng.random(), list(state.total), list(state.cohorts))
+        rng = srng.stream(3, PHASE_SWAP)
+        swapped = swap(table, state, rng, ProtocolConfig(cascade_depth=depth))
+        runs.append((after_generate, swapped, rng.random(), state.total, list(state.cohorts)))
+    assert runs[0] == runs[1]
+    (made, *_), swapped, _, total, cohorts = runs[0]
+    ledger = [made, *swapped, *total, *(n for _, counts in cohorts for n in counts)]
+    assert all(type(n) is int for n in ledger), ledger
 
 
 # -- distribution -------------------------------------------------------------

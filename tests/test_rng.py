@@ -43,3 +43,17 @@ def test_stream_layout_is_pinned():
     # of key or counter layout re-draws every protocol run
     words = SlotRng(42).stream(7, 1).bit_generator.random_raw(2)
     assert words.tolist() == [10421830574133373150, 17187025561632716707]
+
+
+@pytest.mark.parametrize("seed, slot, phase", [(42, 7, 1), (5, 9, 2), (0, 100_000, 0)])
+def test_stream_draws_as_philox_keyed_by_the_seed_at_counter_phase_slot(seed, slot, phase):
+    def fresh():
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, phase, slot]))
+
+    srng = SlotRng(seed)
+    assert _draws(srng.stream(slot, phase)) == _draws(fresh())
+    # leave the shared generator mid-buffer, with a cached 32-bit half
+    srng.stream(slot + 1, phase).random(3)
+    srng.stream(slot + 1, phase).integers(1 << 20, size=3, dtype=np.uint32)
+    assert _draws(srng.stream(slot, phase)) == _draws(fresh())
