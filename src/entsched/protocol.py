@@ -155,12 +155,14 @@ class Split(dict):
         super().__init__()
         self.probs = probs
 
-    def __missing__(self, count: int) -> tuple[list[int], int, list[float], float]:
-        """(floors, leftover, cumulative remainders, step) for `count` units:
-        each target gets the floor of its share, and the leftover units are
-        placed by one uniform start and a bisection each. With no remainder
-        to sample by, the largest share takes them; when none are left to
-        place by sampling, leftover is 0 and the floors are final."""
+    def __missing__(self, count: int) -> tuple[list[tuple[int, int]], int, list[float], float]:
+        """(placed, leftover, bounds, step) for `count` units: each target
+        gets the floor of its share, listed in `placed` as (position, floor)
+        when the floor is not 0, and the leftover units are placed by one
+        uniform start and a bisection each over `bounds`, the cumulative
+        remainders before the last target's. With no remainder to sample by,
+        the largest share takes them; when none are left to place by
+        sampling, leftover is 0 and the floors are final."""
         probs = self.probs
         shares = [count * p for p in probs]
         floors = [math.floor(s + _INT_EPS) for s in shares]
@@ -170,7 +172,8 @@ class Split(dict):
             floors[probs.index(max(probs))] += leftover
             leftover = 0
         step = cum[-1] / leftover if leftover else 0.0
-        rounding = self[count] = floors, leftover, cum if leftover else [], step
+        placed = [(k, n) for k, n in enumerate(floors) if n]
+        rounding = self[count] = placed, leftover, cum[:-1] if leftover else [], step
         return rounding
 
 
@@ -251,14 +254,16 @@ def switch_batch(
         total[i] += count
         counts[i] += count
         return
-    floors, leftover, cum, step = split[count]
-    for i, n in zip(targets, floors):
+    placed, leftover, bounds, step = split[count]
+    for k, n in placed:
+        i = targets[k]
         total[i] += n
         counts[i] += n
     if leftover:
-        start, last = rng.random(), len(targets) - 1
+        start = rng.random()
+        # a point at or past the last bound falls to the last target
         for k in range(leftover):
-            i = targets[min(bisect_right(cum, (start + k) * step), last)]
+            i = targets[bisect_right(bounds, (start + k) * step)]
             total[i] += 1
             counts[i] += 1
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from contextlib import contextmanager
 
 import numpy as np
@@ -78,25 +77,14 @@ def numpy_allocate(count, probs, rng):
 
 def reference_switch_batch(state, route, counts, count, rng):
     """`protocol.switch_batch` as it was before the phases forwarded
-    one-target batches themselves: the reference the phases' inline
-    forwarding must match, in counts and draws."""
+    one-target batches themselves, with each split made by
+    `numpy_allocate`: the reference the phases' forwarding must match, in
+    counts and draws."""
     targets, split = route
-    total = state.total
-    if split is None:
-        i = targets[0]
-        total[i] += count
-        counts[i] += count
-        return
-    floors, leftover, cum, step = split[count]
-    for i, n in zip(targets, floors):
-        total[i] += n
+    shares = [count] if split is None else numpy_allocate(count, split.probs, rng)
+    for i, n in zip(targets, shares):
+        state.total[i] += n
         counts[i] += n
-    if leftover:
-        start, last = rng.random(), len(targets) - 1
-        for k in range(leftover):
-            i = targets[min(bisect_right(cum, (start + k) * step), last)]
-            total[i] += 1
-            counts[i] += 1
 
 
 def reference_generate(table, state, birth, rng):

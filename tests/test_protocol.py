@@ -263,7 +263,7 @@ def test_compile_plan_resolves_the_table_to_ledger_indices():
     assert split.probs == pytest.approx([0.25, 0.75])
     # the split fills its memo by batch size, as batches arrive
     assert split == {}
-    assert split[4] == ([1, 3], 0, [], 0.0) and list(split) == [4]
+    assert split[4] == ([(0, 1), (1, 3)], 0, [], 0.0) and list(split) == [4]
     # a one-target row and an unrouted pair take every batch without a split
     assert table.rows[P(1, 2)] == ((staged[(P(1, 2), P(0, 1))],), None)
     assert table.rows[P(0, 1)] == ((state.ready[P(0, 1)],), None)
